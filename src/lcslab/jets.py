@@ -10,6 +10,10 @@ order is no longer available (for example the coefficients of a twice-applied
 exterior derivative only have values).  Binary operations return the minimum
 order of their operands; the chain rule is applied exactly, so gradients and
 Hessians are accurate to rounding, not to a finite-difference step.
+
+A Python or numpy scalar operand of ``+``, ``-``, ``*`` or ``/`` acts on
+``f``, ``g`` and ``h`` directly: no zero gradient or Hessian is allocated for
+the constant, and the result equals that of the constant's full jet.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ import numpy as np
 from .errors import DomainEvaluationError
 
 __all__ = ["Jet2", "seed_jets", "constant_jet", "compose_jet", "partial_jet"]
+
+
+# operands that take the constant fast path of the arithmetic dunders
+_SCALARS = (int, float, np.integer, np.floating)
 
 
 def _as_array(x) -> np.ndarray:
@@ -77,6 +85,12 @@ class Jet2:
                     None if self.h is None else -self.h)
 
     def __add__(self, other) -> "Jet2":
+        if isinstance(other, _SCALARS):
+            # "+ 0.0" copies and, like adding the constant's zero
+            # derivatives, turns -0.0 into 0.0
+            return Jet2(self.f + float(other),
+                        None if self.g is None else self.g + 0.0,
+                        None if self.h is None else self.h + 0.0)
         o = self._coerce(other)
         g = None if (self.g is None or o.g is None) else self.g + o.g
         h = None if (self.h is None or o.h is None) else self.h + o.h
@@ -85,12 +99,22 @@ class Jet2:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet2":
+        if isinstance(other, _SCALARS):
+            return Jet2(self.f - float(other),
+                        None if self.g is None else self.g.copy(),
+                        None if self.h is None else self.h.copy())
         return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Jet2":
+        if isinstance(other, _SCALARS):
+            return Jet2(float(other) - self.f,
+                        None if self.g is None else 0.0 - self.g,
+                        None if self.h is None else 0.0 - self.h)
         return (-self) + other
 
     def __mul__(self, other) -> "Jet2":
+        if isinstance(other, _SCALARS):
+            return self._scaled(float(other))
         o = self._coerce(other)
         f = self.f * o.f
         g = h = None
@@ -105,6 +129,11 @@ class Jet2:
 
     __rmul__ = __mul__
 
+    def _scaled(self, c: float) -> "Jet2":
+        return Jet2(self.f * c,
+                    None if self.g is None else self.g * c,
+                    None if self.h is None else self.h * c)
+
     def reciprocal(self) -> "Jet2":
         if np.any(self.f == 0.0):
             raise DomainEvaluationError("division by a zero value")
@@ -112,9 +141,16 @@ class Jet2:
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
     def __truediv__(self, other) -> "Jet2":
+        if isinstance(other, _SCALARS):
+            if other == 0:
+                raise DomainEvaluationError("division by a zero value")
+            # multiply by the reciprocal, as the constant's jet would
+            return self._scaled(1.0 / float(other))
         return self * self._coerce(other).reciprocal()
 
     def __rtruediv__(self, other) -> "Jet2":
+        if isinstance(other, _SCALARS):
+            return self.reciprocal() * other
         return self._coerce(other) * self.reciprocal()
 
     def __pow__(self, exponent) -> "Jet2":

@@ -54,10 +54,6 @@ class ModelManifold:
     def line_count(self) -> int:
         return self.dim - self.circle_count
 
-    @property
-    def circle_mask(self) -> np.ndarray:
-        return np.asarray(self.is_circle, dtype=bool)
-
     def cotangent(self) -> "ModelManifold":
         """T*M: base coordinates followed by one line fiber coordinate each."""
         fiber_labels = tuple(f"p{i + 1}" for i in range(self.dim))
@@ -77,18 +73,26 @@ class ModelManifold:
     # ------------------------------------------------------------ coordinates
 
     def normalize(self, coords: np.ndarray) -> np.ndarray:
-        """Wrap circle coordinates into [0, 2*pi); idempotent."""
+        """Wrap circle coordinates into [0, 2*pi); idempotent.
+
+        Returns a new array; the input is left unmodified.
+        """
         coords = np.array(coords, dtype=float, copy=True)
-        mask = self.circle_mask
-        coords[..., mask] = np.mod(coords[..., mask], TWO_PI)
+        for i, circ in enumerate(self.is_circle):
+            if circ:
+                col = coords[..., i]
+                np.mod(col, TWO_PI, out=col)
         return coords
 
     def difference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Shortest representative of ``a - b`` (circle-aware)."""
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        mask = self.circle_mask
-        d = np.array(d, copy=True)
-        d[..., mask] = np.mod(d[..., mask] + np.pi, TWO_PI) - np.pi
+        d = np.subtract(a, b, dtype=float)
+        for i, circ in enumerate(self.is_circle):
+            if circ:
+                col = d[..., i]
+                col += np.pi
+                np.mod(col, TWO_PI, out=col)
+                col -= np.pi
         return d
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,11 +304,14 @@ def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
 
     Circle coordinates cover ``[0, 2*pi)``; line coordinates cover
     ``[-radius, radius]`` unless overridden per index through ``ranges``.
-    ``seed`` fast-forwards the Halton sequence so distinct seeds give
-    distinct (still reproducible) sets.
+    ``seed`` picks the block of ``n`` Halton points that starts at index
+    ``1 + seed * n``, so distinct seeds give distinct (still reproducible)
+    sets.
     """
     eng = qmc.Halton(manifold.dim, scramble=False)
-    eng.fast_forward(1 + seed * n)  # skip the degenerate all-zeros sample
+    # jump to the block: generating the skipped points would cost memory
+    # linear in seed * n.  Index 0 is the degenerate all-zeros sample.
+    eng.num_generated = 1 + seed * n
     u = eng.random(n)
     coords = np.empty_like(u)
     for i, circ in enumerate(manifold.is_circle):

@@ -347,7 +347,10 @@ def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
     """Residual of ``phi_1^* d(lambda) = d(lambda/g)`` over samples.
 
     The Jacobian of the time-1 map comes from central differences (step
-    ``fd_step``); the target 2-form is evaluated with exact jets.  Setting
+    ``fd_step``); the target 2-form is evaluated with exact jets.  The K
+    samples and their 2m stencil neighbours flow as one batch of (2m+1)K
+    seeds through a single time-1 map, so one Richardson step serves the
+    base images and both sides of every central difference.  Setting
     ``flow_method="euler"`` with a coarse step plants a defective flow: the
     residual then exceeds the threshold, which is the diagnostic's self-test.
     """
@@ -359,14 +362,19 @@ def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
     coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
     m = S.total.dim
     phi = time_one_map(P, step=flow_step, method=flow_method)
-    base_img = phi(coords)
+    # block 0 holds the samples, blocks 1 + 2i and 2 + 2i their +/- fd_step
+    # shifts along coordinate i
+    stencil = np.repeat(coords[None], 2 * m + 1, axis=0)
+    for i in range(m):
+        stencil[1 + 2 * i, :, i] += fd_step
+        stencil[2 + 2 * i, :, i] -= fd_step
+    images = phi(stencil.reshape(-1, m)).reshape(stencil.shape)
+    base_img = images[0]
 
     jac = np.zeros(coords.shape[:1] + (m, m))
     for i in range(m):
-        up, dn = coords.copy(), coords.copy()
-        up[:, i] += fd_step
-        dn[:, i] -= fd_step
-        jac[:, :, i] = S.total.difference(phi(up), phi(dn)) / (2 * fd_step)
+        jac[:, :, i] = S.total.difference(
+            images[1 + 2 * i], images[2 + 2 * i]) / (2 * fd_step)
 
     omega_coeffs = exterior_d(S.lam).coefficients(base_img)
     from .forms import increasing_indices

@@ -1,9 +1,12 @@
 """Chain-rule exactness of the jet arithmetic, checked against central differences."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lcslab.errors import DomainEvaluationError
 from lcslab.jets import Jet2, compose_jet, constant_jet, seed_jets
@@ -170,3 +173,60 @@ def test_product_rule_property(a, b, c):
 def test_constant_jet_shapes():
     c = constant_jet(3.0, 4, (7,))
     assert c.f.shape == (7,) and c.g.shape == (7, 4) and c.h.shape == (7, 4, 4)
+
+
+# moderate magnitudes: the constant's full jet overflows to NaN derivatives
+# once 1/c**2 does, so the comparison stays within the finite range
+FINITE = st.floats(-100.0, 100.0, allow_subnormal=False).filter(
+    lambda x: x == 0.0 or abs(x) >= 1e-3)
+SCALAR_OPERANDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3, -2, np.float64(2.5),
+                     np.float64(-0.0)]),
+    FINITE, FINITE.map(np.float64))
+
+
+@st.composite
+def batched_jets(draw):
+    batch, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    order = draw(st.integers(0, 2))
+    f = draw(hnp.arrays(float, (batch,), elements=FINITE))
+    g = draw(hnp.arrays(float, (batch, n), elements=FINITE))
+    h = draw(hnp.arrays(float, (batch, n, n), elements=FINITE))
+    return Jet2(f, g if order >= 1 else None, h if order >= 2 else None), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(jn=batched_jets(), c=SCALAR_OPERANDS,
+       op=st.sampled_from([operator.add, operator.sub, operator.mul,
+                           operator.truediv]),
+       scalar_first=st.booleans())
+def test_scalar_operand_matches_constant_jet(jn, c, op, scalar_first):
+    j, n = jn
+    const = constant_jet(c, n, j.f.shape, order=j.order)
+    if scalar_first:
+        fast, coerced = (lambda: op(c, j)), (lambda: op(const, j))
+    else:
+        fast, coerced = (lambda: op(j, c)), (lambda: op(j, const))
+    try:
+        ref = coerced()
+    except DomainEvaluationError:
+        with pytest.raises(DomainEvaluationError):
+            fast()
+        return
+    out = fast()
+    assert out.order == ref.order == j.order
+    for name in ("f", "g", "h"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert np.array_equal(got, want)
+        for operand in (j.f, j.g, j.h):
+            assert operand is None or not np.shares_memory(got, operand)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0, 0, np.float64(0.0)])
+def test_division_by_scalar_zero_raises(zero):
+    j = seed_jets(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
+    with pytest.raises(DomainEvaluationError):
+        j / zero

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from lcslab.errors import DimensionError, DomainEvaluationError
 from lcslab.manifolds import (Point, ScalarField, SmoothMap,
@@ -105,6 +106,52 @@ def test_sampling_is_deterministic_and_in_range():
     assert not np.array_equal(a, c)
     assert a[:, 0].min() >= 0.0 and a[:, 0].max() < TWO_PI
     assert np.abs(a[:, 1]).max() <= 4.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 7, 999])
+def test_sampling_seed_jump_matches_fast_forward(dim, seed):
+    # one circle, dim - 1 lines: the block a seed selects is the one that
+    # generating and discarding the first 1 + seed * n points reaches
+    M = make_manifold(1, dim - 1)
+    n = 16
+    eng = qmc.Halton(dim, scramble=False)
+    eng.fast_forward(1 + seed * n)
+    u = eng.random(n)
+    ref = np.empty_like(u)
+    ref[:, 0] = TWO_PI * u[:, 0]
+    ref[:, 1:] = -2.0 + 4.0 * u[:, 1:]
+    assert np.array_equal(sample_points(M, n, radius=2.0, seed=seed), ref)
+
+
+def test_sampling_at_huge_seed_is_cheap_and_in_range():
+    M = make_manifold(2, 2)
+    pts = sample_points(M, 4, seed=10**6)
+    assert pts.shape == (4, 4) and np.isfinite(pts).all()
+    assert pts[:, :2].min() >= 0.0 and pts[:, :2].max() < TWO_PI
+    assert np.abs(pts[:, 2:]).max() <= 4.0
+    assert not np.array_equal(pts, sample_points(M, 4, seed=0))
+
+
+def test_normalize_and_difference_leave_inputs_unmodified():
+    mixed = make_manifold(1, 1)
+    a = np.array([[7.0, 1.5], [-0.5, -9.0]])
+    b = np.array([[0.1, 2.0], [6.2, 3.0]])
+    a0, b0 = a.copy(), b.copy()
+    out = mixed.normalize(a)
+    d = mixed.difference(a, b)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    assert not np.shares_memory(out, a)
+    assert np.allclose(out[:, 0], np.mod(a0[:, 0], TWO_PI))
+    assert np.array_equal(out[:, 1], a0[:, 1])
+    assert np.abs(d[:, 0]).max() <= np.pi
+    assert np.array_equal(d[:, 1], a0[:, 1] - b0[:, 1])
+    # lines only: values pass through unchanged
+    lines = make_manifold(0, 2)
+    out = lines.normalize(a)
+    assert np.array_equal(out, a0) and not np.shares_memory(out, a)
+    assert np.array_equal(lines.difference(a, b), a0 - b0)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 def test_parameter_grid_shapes():

@@ -121,6 +121,42 @@ def test_conformal_pullback_constant_ball():
     assert rep["residual"] <= 1e-4
 
 
+def per_direction_pullback_residual(P, samples, fd_step=1e-5, flow_step=1e-3):
+    """Reference residual: one time-1 map call per stencil direction."""
+    from lcslab.forms import exterior_d, increasing_indices
+    from lcslab.moser import time_one_map
+    S = P.structure
+    coords = S.samples(samples, fiber_radius=3.0)
+    coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
+    m = S.total.dim
+    phi = time_one_map(P, step=flow_step)
+    base_img = phi(coords)
+    jac = np.zeros(coords.shape[:1] + (m, m))
+    for i in range(m):
+        up, dn = coords.copy(), coords.copy()
+        up[:, i] += fd_step
+        dn[:, i] -= fd_step
+        jac[:, :, i] = S.total.difference(phi(up), phi(dn)) / (2 * fd_step)
+    pairs = increasing_indices(m, 2)
+    omega = exterior_d(S.lam).coefficients(base_img)
+    mat = np.zeros((coords.shape[0], m, m))
+    for pos, (i, j) in enumerate(pairs):
+        mat[:, i, j] = omega[:, pos]
+        mat[:, j, i] = -omega[:, pos]
+    pulled = np.einsum("bri,brs,bsj->bij", jac, mat, jac)
+    ginv = ScalarField(S.total, lambda jets: P.g.fn(jets).reciprocal())
+    target = exterior_d(S.lam * ginv).coefficients(coords)
+    return float(max(np.abs(pulled[:, i, j] - target[:, pos]).max()
+                     for pos, (i, j) in enumerate(pairs)))
+
+
+def test_batched_stencil_matches_per_direction_flow():
+    g = constant_ball_field(S1, c=2.0)
+    P = MoserProblem(structure=S1, g=g, outside_radius=3.0)
+    rep = verify_conformal_pullback(P, samples=256)
+    assert rep["residual"] == per_direction_pullback_residual(P, 256)
+
+
 def test_conformal_pullback_fails_for_euler_flow():
     # deliberately degraded integrator: coarse Euler steps break the identity
     g = constant_ball_field(S1, c=2.0)
