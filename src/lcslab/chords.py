@@ -18,6 +18,7 @@ grids, stable ordering.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,7 +32,7 @@ from .lagrangians import ExactnessCertificate, ParametricEmbedding, \
     lift_legendrian, solve_primitive
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         make_manifold, parameter_grid, sample_points)
-from .numerics import gauss_newton
+from .numerics import cluster_labels, dedup_points, gauss_newton
 
 __all__ = [
     "LiouvilleChord", "ChordScanResult", "scan_chords", "classify_chord",
@@ -93,20 +94,6 @@ class ChordScanResult:
         }
 
 
-def _base_embedding_coords(manifold: ModelManifold, base: np.ndarray,
-                           idx: Sequence[int]) -> np.ndarray:
-    """Embed selected coordinates into Euclidean space for KD bucketing
-    (circles via the plane, lines as-is)."""
-    cols = []
-    for i in idx:
-        if manifold.is_circle[i]:
-            cols.append(np.cos(base[:, i]))
-            cols.append(np.sin(base[:, i]))
-        else:
-            cols.append(base[:, i])
-    return np.stack(cols, axis=-1)
-
-
 def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
                           base_idx: Sequence[int], ray_idx: Sequence[int],
                           grid: int, same: bool,
@@ -126,31 +113,26 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     n1 = np.linalg.norm(p1, axis=-1)
     n2 = np.linalg.norm(p2, axis=-1)
 
-    emb1 = _base_embedding_coords(target, x1, base_idx)
-    emb2 = emb1 if same else _base_embedding_coords(target, x2, base_idx)
+    emb1 = target.embed(x1, base_idx)
+    emb2 = emb1 if same else target.embed(x2, base_idx)
     # bucket radius: a bit over the worst base grid spacing
     spacing = 2.0 * np.pi / grid
     tree = cKDTree(emb2)
     pairs = tree.query_ball_point(emb1, r=1.8 * spacing)
 
-    seeds = []
-    for i, js in enumerate(pairs):
-        if n1[i] < min_ray_norm:
-            continue
-        for j in js:
-            if n2[j] < min_ray_norm:
-                continue
-            dot = float(p1[i] @ p2[j])
-            if dot <= 0.0:
-                continue
-            cosang = dot / (n1[i] * n2[j])
-            if cosang < np.cos(seed_angle):
-                continue
-            seeds.append(np.concatenate([g1[i], g2[j]]))
+    # every (i1, i2) pair in query order, then the ray-norm and angle filters
+    counts = np.fromiter(map(len, pairs), dtype=np.intp, count=len(pairs))
+    i1 = np.repeat(np.arange(len(pairs)), counts)
+    i2 = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
+                     count=int(counts.sum()))
+    strong = (n1[i1] >= min_ray_norm) & (n2[i2] >= min_ray_norm)
+    i1, i2 = i1[strong], i2[strong]
+    dot = (p1[i1] * p2[i2]).sum(axis=-1)
+    aligned = (dot > 0.0) & (dot / (n1[i1] * n2[i2]) >= np.cos(seed_angle))
+    seeds = np.concatenate([g1[i1[aligned]], g2[i2[aligned]]], axis=1)
     unresolved = []
-    if not seeds:
-        return [], unresolved, len(seeds)
-    seeds = np.asarray(seeds)
+    if not seeds.shape[0]:
+        return [], unresolved, 0
 
     d1, d2 = src1.dim, src2.dim
     nb = len(base_idx)
@@ -234,8 +216,8 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     order = np.lexsort(tuple(w[:, k] for k in reversed(range(w.shape[1]))))
     w, u, v = w[order], u[order], v[order]
     y1, y2, scale = y1[order], y2[order], scale[order]
-    emb = _base_embedding_coords(prod, w, list(range(w.shape[1])))
-    reps = _cluster_representatives(emb, dedup_radius)
+    emb = prod.embed(w)
+    reps = dedup_points(emb, dedup_radius)
 
     records = []
     for i in reps:
@@ -249,60 +231,12 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     group_radius = max(10 * dedup_radius, 1.6 * spacing)
     rep_emb = emb[reps]
     logs = np.log(np.asarray([r["scale"] for r in records]))
-    assigned = _component_labels(rep_emb, group_radius, logs, 1e-3)
+    assigned = cluster_labels(rep_emb, group_radius, keys=logs, key_tol=1e-3)
     sizes = {g: int((assigned == g).sum()) for g in set(assigned.tolist())}
     for rec, g in zip(records, assigned):
         rec["family_id"] = int(g)
         rec["family"] = sizes[int(g)] > 1
     return records, unresolved, seeds.shape[0]
-
-
-def _cluster_representatives(emb: np.ndarray, radius: float) -> list:
-    """Indices of cluster representatives (first member in input order)."""
-    if emb.shape[0] == 0:
-        return []
-    tree = cKDTree(emb)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-    n = emb.shape[0]
-    if pairs.size:
-        g = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                          shape=(n, n))
-        _, labels = connected_components(g, directed=False)
-    else:
-        labels = np.arange(n)
-    reps = {}
-    for i, lab in enumerate(labels):
-        reps.setdefault(int(lab), i)  # first in (sorted) input order
-    return sorted(reps.values())
-
-
-def _component_labels(emb: np.ndarray, radius: float, logs: np.ndarray,
-                      log_tol: float) -> np.ndarray:
-    """Connected components under spatial adjacency + scale agreement."""
-    n = emb.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=int)
-    tree = cKDTree(emb)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    if pairs.size:
-        keep = np.abs(logs[pairs[:, 0]] - logs[pairs[:, 1]]) <= log_tol
-        pairs = pairs[keep]
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-    if pairs.size:
-        g = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                          shape=(n, n))
-        _, labels = connected_components(g, directed=False)
-    else:
-        labels = np.arange(n)
-    # stable relabel in first-appearance order
-    remap, out = {}, np.zeros(n, dtype=int)
-    for i, lab in enumerate(labels):
-        remap.setdefault(int(lab), len(remap))
-        out[i] = remap[int(lab)]
-    return out
 
 
 def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,

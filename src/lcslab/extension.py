@@ -31,10 +31,11 @@ from .chords import MvtReport, mvt_obstruction_report
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError)
 from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
-                          closest_parameter, solve_primitive)
+                          base_preimages, closest_parameter, fiber_zeros,
+                          solve_primitive)
 from .manifolds import ScalarField, _coerce_coords, parameter_grid
-from .numerics import gauss_newton
-from .structures import CotangentLcsStructure
+from .numerics import dedup_points
+from .structures import CotangentLcsStructure, smoothstep
 
 __all__ = [
     "CoreSkeleton", "RadialField", "SqueezeProfile", "build_core",
@@ -160,7 +161,6 @@ class CoreSkeleton:
         idx = self.branches_above(cell)
         if idx.size == 0:
             return 0
-        from .numerics import dedup_points
         return len(dedup_points(self.fiber[idx], tol))
 
 
@@ -184,11 +184,7 @@ def build_core(E: ParametricEmbedding, base_grid: int = 64,
     zero_grid = parameter_grid(S.base, base_grid).reshape(-1, S.n)
     stars: dict = {}
     if base.shape[0]:
-        from .chords import _base_embedding_coords
-        tree = cKDTree(_base_embedding_coords(S.base, zero_grid,
-                                              list(range(S.n))))
-        _, cells = tree.query(_base_embedding_coords(S.base, base,
-                                                     list(range(S.n))))
+        _, cells = cKDTree(S.base.embed(zero_grid)).query(S.base.embed(base))
         for i, c in enumerate(cells):
             stars.setdefault(int(c), []).append(i)
     return CoreSkeleton(params=params, base=base, fiber=fiber,
@@ -196,11 +192,6 @@ def build_core(E: ParametricEmbedding, base_grid: int = 64,
 
 
 # --------------------------------------------------------------- inner patch
-
-def _smoothstep(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
-
 
 @dataclass
 class InnerPatch:
@@ -236,7 +227,8 @@ class InnerPatch:
         d = np.min(np.stack(
             [S.base.distance(base_points, q) for q in self.intersection_bases],
             axis=0), axis=0)
-        w = 1.0 - _smoothstep(d / self.blend_radius)   # 1 at intersections
+        # 1 at intersections
+        w = 1.0 - smoothstep(np.clip(d / self.blend_radius, 0.0, 1.0))
         if not np.any(w > 0):
             return out
         nodes = np.concatenate(
@@ -285,21 +277,9 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
         return InnerPatch(structure=S, h=h, h_max=h_max,
                           intersection_bases=np.zeros((0, n)),
                           blend_radius=blend_radius, everywhere=True)
-    seeds = params[fib_norm <= max(2 * fib_norm.min(), 1e-2)]
-    inters = np.zeros((0, n))
-    if seeds.shape[0]:
-        def fiber_residual(u):
-            jets = E.chart.jet(u, order=1)
-            r = np.stack([c.f for c in jets[n:]], axis=-1)
-            J = np.stack([c.g for c in jets[n:]], axis=-2)
-            return r, J
-
-        sol, norms, ok = gauss_newton(fiber_residual, seeds, tol=1e-12)
-        good = E.source.normalize(sol[ok & (norms <= 1e-9)])
-        if good.shape[0]:
-            from .numerics import dedup_points
-            reps = dedup_points(good, 1e-4, difference=E.source.difference)
-            inters = E.base_values(good[reps])
+    zeros = fiber_zeros(
+        E, params[fib_norm <= max(2 * fib_norm.min(), 1e-2)])
+    inters = E.base_values(zeros) if zeros.shape[0] else np.zeros((0, n))
     return InnerPatch(structure=S, h=h, h_max=h_max,
                       intersection_bases=inters, blend_radius=blend_radius)
 
@@ -333,8 +313,6 @@ def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
     matches the covector.  Returns crossings[b][d] as lists sorted by radius.
     ``workers`` caps the thread pool used across base points.
     """
-    S = E.structure
-    n = S.n
     src = E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
     bases = E.base_values(params)
@@ -342,23 +320,9 @@ def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
            for _ in range(base_points.shape[0])]
 
     def crossings_for(q):
-        d0 = S.base.distance(bases, q)
-        seeds = params[d0 <= np.partition(d0, 8)[8] + 1e-9]
-
-        def residual(u, q=q):
-            jets = E.chart.jet(u, order=1)
-            vals = np.stack([c.f for c in jets[:n]], axis=-1)
-            r = S.base.difference(S.base.normalize(vals), q)
-            J = np.stack([c.g for c in jets[:n]], axis=-2)
-            return r, J
-
-        sol, norms, ok = gauss_newton(residual, seeds, tol=1e-13)
-        good = src.normalize(sol[ok])
+        good = base_preimages(E, q, params, bases, nearest=8)
         if good.shape[0] == 0:
             return []
-        from .numerics import dedup_points
-        reps = dedup_points(good, 1e-6, difference=src.difference)
-        good = good[reps]
         fib = E.fiber_values(good)
         hv = h.value(E.points(good))
         found = []
@@ -400,9 +364,7 @@ def _ray_crossings_cloud(E: ParametricEmbedding, h: ScalarField,
     S = E.structure
     params = parameter_grid(E.source, 96).reshape(-1, E.source.dim)
     cloud = E.points(params)
-    from .chords import _base_embedding_coords
-    tree = cKDTree(_base_embedding_coords(
-        S.total, cloud, list(range(S.total.dim))))
+    tree = cKDTree(S.total.embed(cloud))
     out = [[[] for _ in range(directions.shape[0])]
            for _ in range(base_points.shape[0])]
     R = radii.shape[0]
@@ -411,8 +373,7 @@ def _ray_crossings_cloud(E: ParametricEmbedding, h: ScalarField,
             nodes = np.concatenate(
                 [np.repeat(q[None, :], R, axis=0), radii[:, None] * v[None, :]],
                 axis=1)
-            d, _ = tree.query(_base_embedding_coords(
-                S.total, nodes, list(range(S.total.dim))))
+            d, _ = tree.query(S.total.embed(nodes))
             jmins = [j for j in range(1, R - 1)
                      if d[j] <= d[j - 1] and d[j] <= d[j + 1]
                      and d[j] <= collar_width]

@@ -43,7 +43,7 @@ __all__ = [
     "contact_lift_check", "lift_generating_function", "GeneratingLift",
     "cobordism_gluing_constant", "genericity_check", "GenericityReport",
     "example_torus_1", "example_torus_2", "example_by_name",
-    "closest_parameter",
+    "closest_parameter", "base_preimages", "fiber_zeros",
 ]
 
 
@@ -866,6 +866,49 @@ def cobordism_gluing_constant(f0: float, ft0: float, t0: float):
     return (E * ft0 - f0) / (1.0 - E)
 
 
+# ------------------------------------------------------ Newton on embeddings
+
+def base_preimages(E: ParametricEmbedding, q: np.ndarray, params: np.ndarray,
+                   bases: np.ndarray, nearest: int) -> np.ndarray:
+    """Parameters u with ``base(u) = q``, one per preimage, normalized.
+
+    Newton starts from the grid ``params`` whose base points ``bases`` lie
+    within the ``nearest + 1`` smallest distances to q.
+    """
+    S = E.structure
+    n = S.n
+    d = S.base.distance(bases, q)
+    k = min(nearest, len(d) - 1)
+    seeds = params[d <= np.partition(d, k)[k] + 1e-9]
+
+    def residual(u):
+        jets = E.chart.jet(u, order=1)
+        vals = np.stack([c.f for c in jets[:n]], axis=-1)
+        r = S.base.difference(S.base.normalize(vals), q)
+        J = np.stack([c.g for c in jets[:n]], axis=-2)
+        return r, J
+
+    sol, _, ok = gauss_newton(residual, seeds, tol=1e-13)
+    good = E.source.normalize(sol[ok])
+    return good[dedup_points(E.source.embed(good), 1e-6)]
+
+
+def fiber_zeros(E: ParametricEmbedding, seeds: np.ndarray) -> np.ndarray:
+    """Parameters where L meets the zero section (``fiber(u) = 0``), one per
+    intersection, normalized; Newton from ``seeds``."""
+    n = E.n
+
+    def residual(u):
+        jets = E.chart.jet(u, order=1)
+        r = np.stack([c.f for c in jets[n:]], axis=-1)
+        J = np.stack([c.g for c in jets[n:]], axis=-2)
+        return r, J
+
+    sol, _, ok = gauss_newton(residual, seeds, tol=1e-12)
+    good = E.source.normalize(sol[ok])
+    return good[dedup_points(E.source.embed(good), 1e-4)]
+
+
 # ----------------------------------------------------------------- genericity
 
 @dataclass
@@ -910,29 +953,15 @@ def genericity_check(E: ParametricEmbedding, grid: int = 64,
                                 None, np.zeros((0, src.dim)), np.zeros(0),
                                 None, False)
 
-    # (1) intersections with the zero section: Newton on fiber(u) = 0
-    seeds = params[fib_norm < np.quantile(fib_norm, 0.05) + 1e-9]
-
-    def fiber_residual(u):
-        jets = E.chart.jet(u, order=1)
-        r = np.stack([c.f for c in jets[n:]], axis=-1)
-        J = np.stack([c.g for c in jets[n:]], axis=-2)
-        return r, J
-
-    inters = np.zeros((0, src.dim))
+    # (1) intersections with the zero section
+    inters = fiber_zeros(
+        E, params[fib_norm < np.quantile(fib_norm, 0.05) + 1e-9])
     margins = np.zeros(0)
-    if seeds.shape[0]:
-        sol, norms, ok = gauss_newton(fiber_residual, seeds, tol=1e-12)
-        good = src.normalize(sol[ok & (norms <= 1e-8)])
-        if good.shape[0]:
-            reps = dedup_points(good, 1e-4, difference=src.difference)
-            inters = good[reps]
-            J = E.chart.jacobian(inters)
-            # column-normalized fiber block: small singular value = tangency
-            Jn = J / np.maximum(np.linalg.norm(J, axis=1, keepdims=True),
-                                1e-300)
-            margins = np.linalg.svd(Jn[:, n:, :],
-                                    compute_uv=False)[..., -1]
+    if inters.shape[0]:
+        J = E.chart.jacobian(inters)
+        # column-normalized fiber block: small singular value = tangency
+        Jn = J / np.maximum(np.linalg.norm(J, axis=1, keepdims=True), 1e-300)
+        margins = np.linalg.svd(Jn[:, n:, :], compute_uv=False)[..., -1]
     min_trans = float(margins.min()) if margins.size else None
 
     # (2) vertical tangencies: zeros of det(base block) along grid edges
@@ -957,7 +986,7 @@ def genericity_check(E: ParametricEmbedding, grid: int = 64,
         tang.append(coords_nd[tuple(idx)])
     tang = np.asarray(tang) if tang else np.zeros((0, src.dim))
     if tang.shape[0]:
-        reps = dedup_points(tang, 1e-3, difference=src.difference)
+        reps = dedup_points(src.embed(tang), 1e-3)
         tang = tang[reps]
 
     tmargins = np.zeros(0)
@@ -1011,7 +1040,7 @@ def closest_parameter(E: ParametricEmbedding, x: np.ndarray,
 
     sol, norms, _ = gauss_newton(residual, seeds, tol=1e-14, max_iter=60)
     sol = src.normalize(sol)
-    reps = dedup_points(sol, 1e-6, difference=src.difference)
+    reps = dedup_points(src.embed(sol), 1e-6)
     sol = sol[reps]
     dist = total.distance(E.points(sol), x)
     keep = dist <= dist.min() + 1e-9

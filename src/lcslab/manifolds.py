@@ -98,6 +98,22 @@ class ModelManifold:
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.difference(a, b), axis=-1)
 
+    def embed(self, coords: np.ndarray, idx: Sequence[int] | None = None
+              ) -> np.ndarray:
+        """Euclidean coordinates of the columns ``idx`` (all by default) for
+        KD-tree queries: circles via the plane (cos, sin), lines as-is.
+
+        Plane and arc distances agree to second order at small scale.
+        """
+        cols = []
+        for i in range(self.dim) if idx is None else idx:
+            if self.is_circle[i]:
+                cols.append(np.cos(coords[:, i]))
+                cols.append(np.sin(coords[:, i]))
+            else:
+                cols.append(coords[:, i])
+        return np.stack(cols, axis=-1)
+
     def coordinate_field(self, index: int) -> "ScalarField":
         if not 0 <= index < self.dim:
             raise DimensionError(f"coordinate index {index} out of range")

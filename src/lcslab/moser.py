@@ -28,10 +28,12 @@ import numpy as np
 from .errors import DimensionError, ObstructionError, PreconditionError
 from .extension import RadialField
 from .forms import exterior_d, pullback
-from .lagrangians import ParametricEmbedding
+from .lagrangians import ParametricEmbedding, base_preimages
 from .manifolds import (ScalarField, _coerce_coords, parameter_grid,
                         sample_points)
-from .numerics import dedup_points, gauss_newton, simpson_path
+# gauss_newton is no longer called here; it stays importable from this
+# module because perfbench/tests checks the tracer's rebinding through it
+from .numerics import gauss_newton, simpson_path  # noqa: F401
 from .structures import (CotangentLcsStructure, cotangent_lcs,
                          radial_log_derivative)
 
@@ -413,10 +415,8 @@ def radial_field_to_scalar_field(F: RadialField,
     # one interpolator over all rays at once, columns indexed by ray
     ray_values = np.log(F.values).reshape(B * D, -1).T       # (R, B*D)
     interp = PchipInterpolator(ln_r, ray_values, axis=0, extrapolate=False)
-    from .chords import _base_embedding_coords
     from scipy.spatial import cKDTree
-    tree = cKDTree(_base_embedding_coords(S.base, F.base_points,
-                                          list(range(n))))
+    tree = cKDTree(S.base.embed(F.base_points))
 
     class _Interp(ScalarField):
         def __init__(self):
@@ -447,8 +447,7 @@ def radial_field_to_scalar_field(F: RadialField,
                 v1 = vals[rows, i1 * D + d_idx]
                 out = np.exp((1 - w) * v0 + w * v1)
             else:
-                _, b_idx = tree.query(_base_embedding_coords(
-                    S.base, q, list(range(n))))
+                _, b_idx = tree.query(S.base.embed(q))
                 out = np.exp(vals[rows, b_idx * D + d_idx])
             return out[0] if squeeze else out.reshape(coords.shape[:-1])
 
@@ -666,23 +665,9 @@ def projection_degree(E: ParametricEmbedding, attempts: int = 100,
     candidates = sample_points(S.base, attempts, seed=seed)
     n = S.n
     for y in candidates:
-        d = S.base.distance(bases, y)
-        seeds = params[d <= np.partition(d, min(12, len(d) - 1))[
-            min(12, len(d) - 1)] + 1e-9]
-
-        def residual(u, y=y):
-            jets = E.chart.jet(u, order=1)
-            vals = np.stack([c.f for c in jets[:n]], axis=-1)
-            r = S.base.difference(S.base.normalize(vals), y)
-            J = np.stack([c.g for c in jets[:n]], axis=-2)
-            return r, J
-
-        sol, norms, ok = gauss_newton(residual, seeds, tol=1e-13)
-        good = src.normalize(sol[ok])
+        good = base_preimages(E, y, params, bases, nearest=12)
         if good.shape[0] == 0:
             continue
-        reps = dedup_points(good, 1e-6, difference=src.difference)
-        good = good[reps]
         jac = E.chart.jacobian(good)[:, :n, :]
         dets = np.linalg.det(jac)
         if np.abs(dets).min() < 1e-8:

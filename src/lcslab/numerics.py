@@ -1,14 +1,17 @@
 """Shared numerical kernels: linear path ODE steps, Simpson sums, damped
-Gauss-Newton on periodic charts."""
+Gauss-Newton on periodic charts, and radius clustering of point sets."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 __all__ = ["rk4_linear_path", "simpson_path", "gauss_newton",
-           "dedup_points", "segment_nodes"]
+           "cluster_labels", "dedup_points", "segment_nodes"]
 
 
 def segment_nodes(n_steps: int) -> np.ndarray:
@@ -90,22 +93,31 @@ def gauss_newton(residual: Callable[[np.ndarray], tuple],
     return u, final_norms, final_norms <= max(tol, 1e-9)
 
 
-def dedup_points(points: np.ndarray, radius: float,
-                 difference=None) -> list:
-    """Greedy dedup; returns indices of representatives.
+def cluster_labels(points: np.ndarray, radius: float, keys=None,
+                   key_tol: float = 0.0) -> np.ndarray:
+    """Connected components of the graph joining points within ``radius``.
 
-    ``difference(a, b)`` may implement circle-aware differences; defaults to
-    plain subtraction.
+    ``points`` are Euclidean coordinates (see ``ModelManifold.embed`` for
+    circle coordinates).  Given ``keys``, a pair is joined only when its keys
+    also differ by at most ``key_tol``.  Labels number the clusters in the
+    order of their first member.
     """
-    if difference is None:
-        difference = lambda a, b: a - b
-    reps: list[int] = []
-    for i in range(points.shape[0]):
-        keep = True
-        for j in reps:
-            if np.linalg.norm(difference(points[i], points[j])) <= radius:
-                keep = False
-                break
-        if keep:
-            reps.append(i)
-    return reps
+    n = points.shape[0]
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    if keys is not None:
+        pairs = pairs[np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]])
+                      <= key_tol]
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def dedup_points(points: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of cluster representatives (the first member of each
+    ``cluster_labels`` cluster), in increasing order."""
+    return np.unique(cluster_labels(points, radius), return_index=True)[1]

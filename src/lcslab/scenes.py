@@ -20,7 +20,8 @@ from jsonschema import Draft202012Validator
 
 from .chords import (chords_to_csv, chords_to_json, classify_chord,
                      mvt_obstruction_report, scan_chords)
-from .errors import ObstructionError, PreconditionError, SceneError
+from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
+                     PreconditionError, SceneError)
 from .expressions import compile_field
 from .extension import build_positive_extension
 from .forms import check_nondegenerate, exterior_d, interior_product
@@ -30,7 +31,7 @@ from .lagrangians import (beta_graph, example_torus_1, example_torus_2,
 from .manifolds import ScalarField, SmoothMap, make_manifold, sample_points
 from .moser import (MoserProblem, integrate_flow, projection_degree,
                     straighten_lagrangian, verify_conformal_pullback)
-from .structures import cotangent_lcs, liouville_vector_field
+from .structures import cotangent_lcs, liouville_vector_field, radial_blend
 
 __all__ = ["load_scene", "run_command", "report_digest", "SCENE_SCHEMA",
            "COMMANDS"]
@@ -262,20 +263,10 @@ def _build_moser_g(scene: dict, S):
         c = float(cb["c"])
         r_in = float(cb.get("r_in", 1.0))
         r_out = float(cb.get("r_out", 2.0))
-        from .jets import Jet2
         n = S.n
 
         def fn(jets):
-            p = jets[n:]
-            r2 = None
-            for comp in p:
-                r2 = comp * comp if r2 is None else r2 + comp * comp
-            r2s = Jet2.where(r2.f > 1e-16, r2, r2 + 1e-16)
-            r = r2s.sqrt()
-            x = (r - r_in) * (1.0 / (r_out - r_in))
-            s = x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
-            w = Jet2.where(r.f <= r_in, r * 0.0,
-                           Jet2.where(r.f >= r_out, r * 0.0 + 1.0, s))
+            _, w = radial_blend(jets[n:], r_in, r_out)
             return (1.0 - w) * c + w * 1.0
 
         return ScalarField(S.total, fn, name=f"ball({c})")
@@ -339,8 +330,7 @@ def _cmd_validate_structure(scene, options):
             "verdicts": verdicts}, {}
 
 
-def _cmd_verify_lagrangian(scene, options):
-    E = _build_embedding(scene)
+def _cmd_verify_lagrangian(scene, options, E):
     grid = int(scene.get("grids", {}).get("parameter", 64))
     from .manifolds import parameter_grid
     params = parameter_grid(E.source, grid).reshape(-1, E.source.dim)
@@ -392,8 +382,7 @@ def _cmd_scan_chords(scene, options):
     return {"results": scan.as_dict(), "verdicts": verdicts}, artifacts
 
 
-def _cmd_mvt_report(scene, options):
-    E = _build_embedding(scene)
+def _cmd_mvt_report(scene, options, E):
     grid = int(scene.get("grids", {}).get("chord_grid", 48))
     try:
         rep = mvt_obstruction_report(E, grid=grid)
@@ -406,8 +395,13 @@ def _cmd_mvt_report(scene, options):
     return {"results": rep.as_dict(), "verdicts": verdicts}, {}
 
 
-def _cmd_build_extension(scene, options):
-    E = _build_embedding(scene)
+def _cmd_build_extension(scene, options, E):
+    return _extension(scene, options, E)[:2]
+
+
+def _extension(scene, options, E):
+    """Build the scene's extension; returns ``(body, artifacts, field)``,
+    with ``field`` None when the extension is refused."""
     ext = scene.get("extension")
     if ext is None:
         raise SceneError("scene has no extension block", pointer="/extension")
@@ -429,12 +423,13 @@ def _cmd_build_extension(scene, options):
                             "chord": exc.details.get("chord")},
                 "verdicts": {"extension": _verdict(False,
                                                    refused=True,
-                                                   reason=str(exc))}}, {}
+                                                   reason=str(exc))}}, {}, None
     artifacts = {"extension-field.json": field.to_json,
                  "extension-field.csv": field.to_csv}
     verdicts = {"radial_bound": _verdict(rep.final.passed,
                                          **rep.final.as_dict())}
-    return {"results": rep.as_dict(), "verdicts": verdicts}, artifacts
+    return ({"results": rep.as_dict(), "verdicts": verdicts}, artifacts,
+            field)
 
 
 def _cmd_moser_deform(scene, options):
@@ -512,8 +507,7 @@ def _cmd_lift_legendrian(scene, options):
     return {"results": results, "verdicts": verdicts}, artifacts
 
 
-def _cmd_projection_degree(scene, options):
-    E = _build_embedding(scene)
+def _cmd_projection_degree(scene, options, E):
     deg = projection_degree(E, seed=options["seed"])
     expected = scene.get("expected", {}).get("projection_degree")
     verdicts = {}
@@ -524,31 +518,22 @@ def _cmd_projection_degree(scene, options):
     return {"results": {"degree": deg}, "verdicts": verdicts}, {}
 
 
-def _cmd_full_pipeline(scene, options):
-    report, artifacts = _cmd_verify_lagrangian(scene, options)
+def _cmd_full_pipeline(scene, options, E):
+    report, artifacts = _cmd_verify_lagrangian(scene, options, E)
     verdicts = dict(report["verdicts"])
     results = {"verify": report["results"]}
 
-    mvt_rep, _ = _cmd_mvt_report(scene, options)
+    mvt_rep, _ = _cmd_mvt_report(scene, options, E)
     verdicts.update(mvt_rep["verdicts"])
     results["mvt"] = mvt_rep["results"]
 
     if "extension" in scene:
-        ext_rep, ext_art = _cmd_build_extension(scene, options)
+        ext_rep, ext_art, field = _extension(scene, options, E)
         verdicts["extension"] = ext_rep["verdicts"].get(
             "radial_bound", ext_rep["verdicts"].get("extension"))
         results["extension"] = ext_rep["results"]
         artifacts.update(ext_art)
         if "moser" in scene and verdicts["extension"]["passed"]:
-            E = _build_embedding(scene)
-            ext = scene["extension"]
-            h = compile_field(ext["h"], E.structure.total)
-            field, _ = build_positive_extension(
-                E, h, base_grid=int(ext.get("base_grid", 32)),
-                shells=int(ext.get("shells", 64)),
-                r_min=float(ext.get("r_min", 1e-3)),
-                r_max=float(ext.get("r_max", 16.0)),
-                directions=int(ext.get("directions", 16)))
             eta = [compile_field(e, E.structure.base)
                    for e in scene["moser"].get("eta_prime", [])]
             # grid-accuracy conformal factor: a coarser flow step suffices
@@ -561,16 +546,22 @@ def _cmd_full_pipeline(scene, options):
     return {"results": results, "verdicts": verdicts}, artifacts
 
 
+def _with_embedding(command):
+    """Adapt a command body that takes the scene's embedding."""
+    return lambda scene, options: command(scene, options,
+                                          _build_embedding(scene))
+
+
 COMMANDS = {
     "validate-structure": _cmd_validate_structure,
-    "verify-lagrangian": _cmd_verify_lagrangian,
+    "verify-lagrangian": _with_embedding(_cmd_verify_lagrangian),
     "scan-chords": _cmd_scan_chords,
-    "mvt-report": _cmd_mvt_report,
-    "build-extension": _cmd_build_extension,
+    "mvt-report": _with_embedding(_cmd_mvt_report),
+    "build-extension": _with_embedding(_cmd_build_extension),
     "moser-deform": _cmd_moser_deform,
     "lift-legendrian": _cmd_lift_legendrian,
-    "projection-degree": _cmd_projection_degree,
-    "full-pipeline": _cmd_full_pipeline,
+    "projection-degree": _with_embedding(_cmd_projection_degree),
+    "full-pipeline": _with_embedding(_cmd_full_pipeline),
 }
 
 
@@ -580,7 +571,10 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
 
     The report is deterministic for a fixed scene and seed (the timestamp is
     excluded from the digest); artifacts (CSV/JSON side files) land in
-    ``out_dir``.
+    ``out_dir``.  A numeric error (a failed precondition, an evaluation out
+    of its domain, inconsistent dimensions) becomes one failed
+    ``numeric_error`` verdict with the error's type, message and details;
+    scene errors propagate.
     """
     scene = load_scene(scene_path)
     if tol_overrides:
@@ -589,7 +583,14 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
         raise SceneError(f"unknown command {command!r}; "
                          f"expected one of {sorted(COMMANDS)}")
     options = {"seed": int(seed), "threads": int(threads)}
-    body, artifacts = COMMANDS[command](scene, options)
+    try:
+        body, artifacts = COMMANDS[command](scene, options)
+    except (PreconditionError, DomainEvaluationError, DimensionError) as exc:
+        # a numeric failure is a failed verdict: the report is still written
+        error = _verdict(False, type=type(exc).__name__, message=str(exc),
+                         details=getattr(exc, "details", {}))
+        body = {"results": {}, "verdicts": {"numeric_error": error}}
+        artifacts = {}
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,7 @@ __all__ = [
     "liouville_vector_field", "liouville_flow", "rescaling_diffeo",
     "criterion_radial_log_derivative", "gauge_apply", "RadialCriterionReport",
     "structure_scene_fragment",
-    "clamp_fiber_radius",
+    "clamp_fiber_radius", "radial_blend", "smoothstep",
 ]
 
 
@@ -250,6 +250,30 @@ def gauge_apply(T: GaugeTransform, S: CotangentLcsStructure) -> LcsPair:
     return LcsPair(total=S.total, lam=new_lam, beta=new_beta, omega=new_omega)
 
 
+def smoothstep(x):
+    """Quintic smoothstep ``6x^5 - 15x^4 + 10x^3`` (0 at 0, 1 at 1, C^2);
+    acts on arrays and on jets alike."""
+    return x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
+
+
+def radial_blend(p: Sequence[Jet2], r_in: float, r_out: float) -> tuple:
+    """Fiber radius ``r = |p|`` and the quintic blend of it, as jets.
+
+    The blend is 0 for ``r <= r_in``, 1 for ``r >= r_out`` and
+    ``smoothstep((r - r_in) / (r_out - r_in))`` in between.  ``r^2`` below
+    1e-16 is shifted by 1e-16, so sqrt keeps its derivatives on the zero
+    section.
+    """
+    r2 = None
+    for c in p:
+        r2 = c * c if r2 is None else r2 + c * c
+    r = Jet2.where(r2.f > 1e-16, r2, r2 + 1e-16).sqrt()
+    s = smoothstep((r - r_in) * (1.0 / (r_out - r_in)))
+    blend = Jet2.where(r.f <= r_in, r * 0.0,
+                       Jet2.where(r.f >= r_out, r * 0.0 + 1.0, s))
+    return r, blend
+
+
 def clamp_fiber_radius(g: ScalarField, S: CotangentLcsStructure,
                        radius: float, width: float = 1.0) -> ScalarField:
     """Swap ``g`` for a field equal to it inside ``|p| <= radius`` and constant
@@ -263,17 +287,8 @@ def clamp_fiber_radius(g: ScalarField, S: CotangentLcsStructure,
 
     def fn(jets):
         p = jets[n:]
-        r2 = None
-        for c in p:
-            r2 = c * c if r2 is None else r2 + c * c
-        r2_safe = Jet2.where(r2.f > 1e-16, r2, r2 + 1e-16)
-        r = r2_safe.sqrt()
         # smooth clamp rho(r): r below radius, radius + width/2 asymptote
-        x = (r - radius) * (1.0 / width)
-        s = x * x * x * (x * (x * 6.0 - 15.0) + 10.0)  # quintic smoothstep
-        inside = r.f <= radius
-        beyond = r.f >= radius + width
-        blend = Jet2.where(inside, r * 0.0, Jet2.where(beyond, r * 0.0 + 1.0, s))
+        r, blend = radial_blend(p, radius, radius + width)
         rho = r * (1.0 - blend) + blend * (radius + 0.5 * width)
         scale = rho / r
         clamped = jets[:n] + [scale * c for c in p]

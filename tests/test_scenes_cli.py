@@ -175,6 +175,43 @@ def test_cli_bad_schema_exit_1(tmp_path):
     assert code == 1
 
 
+def test_cli_numeric_error_writes_report_exit_2(tmp_path):
+    # d ln g(Z) reaches 1 for g = 2 + sin(p1): the Moser problem refuses g
+    scene = {"version": "scene-v1", "name": "bad-g",
+             "manifold": {"circles": 1, "lines": 0},
+             "structure": {"beta": ["0"]},
+             "moser": {"g": {"expression": "2 + sin(p1)"}, "seeds": 8}}
+    path = tmp_path / "bad-g.json"
+    path.write_text(json.dumps(scene))
+    code = main(["moser-deform", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads((tmp_path / "bad-g-moser-deform.json").read_text())
+    assert not rep["passed"]
+    verdict = rep["verdicts"]["numeric_error"]
+    assert not verdict["passed"]
+    assert verdict["type"] == "ObstructionError"
+    assert "Liouville" in verdict["message"]
+    assert verdict["details"]["worst"] >= 1.0
+
+
+WORKLOADS = json.loads((SCENES.parent / "perfbench" / "workloads.json")
+                       .read_text())["workloads"]
+
+
+@pytest.mark.parametrize(
+    "entry", [e for entries in WORKLOADS.values() for e in entries],
+    ids=lambda e: f"{e['command']}-{e['scene']}")
+def test_seed0_report_digest_is_pinned(entry, tmp_path):
+    # reports are byte-identical to the recorded ones, not only repeatable
+    scene = SCENES / entry["scene"]
+    if entry["outcome"] == "scene-error":
+        with pytest.raises(SceneError):
+            run_command(entry["command"], scene, tmp_path, seed=0, threads=1)
+        return
+    rep = run_command(entry["command"], scene, tmp_path, seed=0, threads=1)
+    assert rep["digest"] == entry["digest_seed0"]
+
+
 def test_determinism_double_run(tmp_path):
     # every fixture scene run twice with seed 0 produces byte-identical
     # reports modulo the timestamp field
