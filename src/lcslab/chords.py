@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 from .errors import DimensionError, PreconditionError
 from .forms import exterior_d, interior_product
 from .lagrangians import ExactnessCertificate, ParametricEmbedding, \
-    lift_legendrian, solve_primitive
+    _canonical_contact_form, lift_legendrian, solve_primitive
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         make_manifold, parameter_grid, sample_points)
 from .numerics import cluster_labels, dedup_points, gauss_newton
@@ -410,11 +410,7 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
                                     min_s=float(sval.min()), eps=eps)
 
     # identities at low-discrepancy points with s in [0.5, 4]
-    from .forms import coordinate_differential
-    alpha = coordinate_differential(j1, sidx)
-    for i in range(n):
-        alpha = alpha - (coordinate_differential(j1, i)
-                         * j1.coordinate_field(n + i))
+    alpha = _canonical_contact_form(M)
     sinv = ScalarField(j1, lambda jets: jets[sidx].reciprocal(), name="1/s")
     alpha_s = alpha * sinv
 
@@ -464,8 +460,7 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
     # match family representatives: same Legendrian pair, same scale, and the
     # M-part of the lift parameters near the Reeb parameters
     matched = []
-    reeb_reps = [r for r in reeb]
-    for r in reeb_reps:
+    for r in reeb:
         found = None
         for a, b, c in lift_chords:
             if (a, b) != r["pair"]:
@@ -483,7 +478,7 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
     defects = [abs(c.defect) for _, _, c in lift_chords if c.defect is not None]
     # family-level matching: every Reeb family must have a lift family
     rep_families = {}
-    for r in reeb_reps:
+    for r in reeb:
         key = (r["pair"], round(np.log(r["scale"]), 5))
         rep_families.setdefault(key, []).append(r)
     matched_keys = {(r["pair"], round(np.log(r["scale"]), 5))
@@ -491,7 +486,7 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
     all_matched = set(rep_families) == matched_keys if rep_families else True
     return ReebReport(
         reeb_identity_sup=id_sup, contraction_sup=con_sup,
-        reeb_chords=reeb_reps, lift_chords=[c for _, _, c in lift_chords],
+        reeb_chords=reeb, lift_chords=[c for _, _, c in lift_chords],
         matched=matched, all_matched=all_matched,
         all_essential=bool(all(essential)) if essential else True,
         max_defect=max(defects) if defects else None)

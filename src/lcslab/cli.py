@@ -34,7 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default $LCSLAB_OUT or "
                             "./reports)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="recorded in the report only; every command "
+                            "runs single-threaded")
         p.add_argument("--tol-override", action="append", default=[],
                        metavar="KEY=VAL",
                        help="override a named tolerance, repeatable")

@@ -213,31 +213,26 @@ class InnerPatch:
                radii: np.ndarray) -> np.ndarray:
         S = self.structure
         B, D, R = (base_points.shape[0], directions.shape[0], radii.shape[0])
-        if self.everywhere:
-            nodes = np.concatenate(
-                [np.broadcast_to(base_points[:, None, None, :],
-                                 (B, D, R, S.n)),
-                 directions[None, :, None, :] * radii[None, None, :, None]
-                 * np.ones((B, D, R, S.n))], axis=-1)
-            return self.h.value(nodes.reshape(-1, 2 * S.n)).reshape(B, D, R)
-        out = np.full((B, D, R), self.h_max)
-        if self.intersection_bases.shape[0] == 0:
-            return out
-        # blend weight from base distance to the nearest intersection point
-        d = np.min(np.stack(
-            [S.base.distance(base_points, q) for q in self.intersection_bases],
-            axis=0), axis=0)
-        # 1 at intersections
-        w = 1.0 - smoothstep(np.clip(d / self.blend_radius, 0.0, 1.0))
-        if not np.any(w > 0):
-            return out
+        if not self.everywhere:
+            out = np.full((B, D, R), self.h_max)
+            if self.intersection_bases.shape[0] == 0:
+                return out
+            # blend weight from base distance to the nearest intersection
+            d = np.min(np.stack(
+                [S.base.distance(base_points, q)
+                 for q in self.intersection_bases], axis=0), axis=0)
+            # 1 at intersections
+            w = 1.0 - smoothstep(np.clip(d / self.blend_radius, 0.0, 1.0))
+            if not np.any(w > 0):
+                return out
         nodes = np.concatenate(
             [np.broadcast_to(base_points[:, None, None, :], (B, D, R, S.n)),
              directions[None, :, None, :] * radii[None, None, :, None]
              * np.ones((B, D, R, S.n))], axis=-1)
         hv = self.h.value(nodes.reshape(-1, 2 * S.n)).reshape(B, D, R)
-        out = (1.0 - w)[:, None, None] * out + w[:, None, None] * hv
-        return out
+        if self.everywhere:
+            return hv
+        return (1.0 - w)[:, None, None] * out + w[:, None, None] * hv
 
 
 def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
@@ -306,26 +301,23 @@ class RayCrossing:
 
 def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
                       base_points: np.ndarray, directions: np.ndarray,
-                      min_norm: float, workers: int = 1) -> list:
+                      min_norm: float) -> list:
     """Exact crossings of fiber rays with L for 1-dimensional fibers.
 
     Newton solves base(u) = q; a crossing counts for the ray whose sign
     matches the covector.  Returns crossings[b][d] as lists sorted by radius.
-    ``workers`` caps the thread pool used across base points.
     """
     src = E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
     bases = E.base_values(params)
     out = [[[] for _ in range(directions.shape[0])]
            for _ in range(base_points.shape[0])]
-
-    def crossings_for(q):
+    for bi, q in enumerate(base_points):
         good = base_preimages(E, q, params, bases, nearest=8)
         if good.shape[0] == 0:
-            return []
+            continue
         fib = E.fiber_values(good)
         hv = h.value(E.points(good))
-        found = []
         for u, p, val in zip(good, fib, hv):
             r = float(np.linalg.norm(p))
             if r < min_norm:
@@ -333,19 +325,8 @@ def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
             di = int(np.argmax(directions @ (p / r)))
             if directions[di] @ (p / r) < 0.999999:
                 continue
-            found.append((di, RayCrossing(radius=r, value=float(val),
-                                          param=u)))
-        return found
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(crossings_for, base_points))
-    else:
-        results = [crossings_for(q) for q in base_points]
-    for bi, found in enumerate(results):
-        for di, crossing in found:
-            out[bi][di].append(crossing)
+            out[bi][di].append(RayCrossing(radius=r, value=float(val),
+                                           param=u))
     for bi in range(len(out)):
         for di in range(len(out[bi])):
             out[bi][di].sort(key=lambda c: c.radius)
@@ -507,27 +488,22 @@ def mollify(F: RadialField, kernel_cells: int = 3,
     for i, w in enumerate(k):
         out += w * padded[..., i:i + vals.shape[-1]]
     vals = out
-    # base axes: periodic convolution (single-chart tori)
-    if base_shape is not None and len(base_shape) == 1:
-        rolled = np.zeros_like(vals)
+
+    def periodic(a, axis):
+        rolled = np.zeros_like(a)
         for i, w in enumerate(k):
-            rolled += w * np.roll(vals, i - kernel_cells, axis=0)
-        vals = rolled
-    elif base_shape is not None and len(base_shape) > 1:
-        B = int(np.prod(base_shape))
-        shaped = vals.reshape(base_shape + vals.shape[1:])
+            rolled += w * np.roll(a, i - kernel_cells, axis=axis)
+        return rolled
+
+    # base axes: periodic convolution (single-chart tori)
+    if base_shape:
+        shaped = vals.reshape(tuple(base_shape) + vals.shape[1:])
         for ax in range(len(base_shape)):
-            rolled = np.zeros_like(shaped)
-            for i, w in enumerate(k):
-                rolled += w * np.roll(shaped, i - kernel_cells, axis=ax)
-            shaped = rolled
-        vals = shaped.reshape((B,) + vals.shape[1:])
+            shaped = periodic(shaped, ax)
+        vals = shaped.reshape(vals.shape)
     # direction axis: periodic for 2-d fibers (many directions)
     if F.directions.shape[0] > 8:
-        rolled = np.zeros_like(vals)
-        for i, w in enumerate(k):
-            rolled += w * np.roll(vals, i - kernel_cells, axis=1)
-        vals = rolled
+        vals = periodic(vals, 1)
     out_field = RadialField(F.base_points, F.directions, F.radii, vals)
     out_field.check_positive()
     return out_field
@@ -841,8 +817,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
                              kernel_cells: int = 3,
                              flatten_margin: float = 0.25,
                              certificate: ExactnessCertificate | None = None,
-                             mvt: MvtReport | None = None,
-                             workers: int = 1) -> tuple:
+                             mvt: MvtReport | None = None) -> tuple:
     """Run the whole pipeline; refuse obstructed scenes citing the chord.
 
     Returns ``(RadialField, ExtensionReport)``; the report carries per-stage
@@ -869,7 +844,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
 
     if S.n == 1:
         crossings = _ray_crossings_1d(E, h, base_points, dirs,
-                                      min_norm=4 * r_min, workers=workers)
+                                      min_norm=4 * r_min)
     else:
         crossings = _ray_crossings_cloud(E, h, base_points, dirs, radii,
                                          collar_width=0.3, min_norm=4 * r_min)

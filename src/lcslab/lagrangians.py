@@ -432,8 +432,6 @@ def _coeffs_equal_beta(S: CotangentLcsStructure, coeffs) -> bool:
     pts_base = pts_total[:, :S.n]
 
     def values(c):
-        if not isinstance(c, ScalarField):
-            return np.full(pts_total.shape[0], float(c))
         pts = (pts_total if c.domain.labels == S.total.labels else pts_base)
         return c.value(pts)
 
@@ -462,10 +460,7 @@ def translate_by_form(E: ParametricEmbedding, eta=None,
         base_jets = comps[:n]
         out = list(comps[:n])
         for i in range(n):
-            ci = coeffs[i]
-            shift = (ci.fn(base_jets) if isinstance(ci, ScalarField)
-                     else float(ci))
-            out.append(comps[n + i] + shift * c)
+            out.append(comps[n + i] + coeffs[i].fn(base_jets) * c)
         return out
 
     new_primitive = None
@@ -500,8 +495,7 @@ def beta_graph(f: ScalarField, S: CotangentLcsStructure,
         fj = f.fn(jets)
         out = list(jets)
         for i in range(n):
-            bi = S.beta_base_coeffs[i]
-            beta_i = bi.fn(jets) if isinstance(bi, ScalarField) else float(bi)
+            beta_i = S.beta_base_coeffs[i].fn(jets)
             # beta coefficients were lifted to the bundle chart; feeding base
             # jets works because they only read the first n slots
             out.append(partial_jet(fj, i) - fj * beta_i)
@@ -674,9 +668,7 @@ def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = No
         fj = f.fn(jets)
         out = list(comps[:n])
         for i in range(n):
-            bi = S.beta_base_coeffs[i]
-            beta_i = (bi.fn(base_jets) if isinstance(bi, ScalarField)
-                      else float(bi))
+            beta_i = S.beta_base_coeffs[i].fn(base_jets)
             out.append(comps[n + i] + fj * beta_i)
         return out
 

@@ -27,10 +27,11 @@ import numpy as np
 
 from .errors import DimensionError, ObstructionError, PreconditionError
 from .extension import RadialField
-from .forms import exterior_d, pullback
+from .forms import exterior_d, increasing_indices, pullback
+from .jets import Jet2
 from .lagrangians import ParametricEmbedding, base_preimages
-from .manifolds import (ScalarField, _coerce_coords, parameter_grid,
-                        sample_points)
+from .manifolds import (ScalarField, SmoothMap, VectorField, _coerce_coords,
+                        parameter_grid, sample_points)
 # gauss_newton is no longer called here; it stays importable from this
 # module because perfbench/tests checks the tracer's rebinding through it
 from .numerics import gauss_newton, simpson_path  # noqa: F401
@@ -81,56 +82,72 @@ class MoserProblem:
                 "conformal factor must equal 1 outside the stated radius",
                 worst=float(np.abs(far_vals - 1.0).max()),
                 radius=self.outside_radius)
-        self._bound = worst
 
-    def g_t_coefficient(self, coords: np.ndarray, t: float):
-        """(g_t, dg_t(Z), d/dt g_t) at coords, from exact jets of g."""
-        S = self.structure
-        jet = self.g.jet(coords, order=1)
-        ginv = 1.0 / jet.f
-        dginv_Z = -np.einsum("...i,...i->...",
-                             jet.g[..., S.n:] * ginv[..., None] ** 2,
-                             coords[..., S.n:])
-        g_t = t * ginv + (1.0 - t)
-        dg_t_Z = t * dginv_Z
-        dot_g_t = ginv - 1.0
-        return g_t, dg_t_Z, dot_g_t
+
+def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
+                need_grad: bool):
+    """Rate c of the radial field X = c Z at family time tau, from jets of g.
+
+    ``c = (1/g - 1) / (g_tau + dg_tau(Z))`` with ``g_tau = tau/g + 1 - tau``
+    at coords of shape (B, 2n).  With ``need_grad`` also returns dc/dq and
+    dc/dw at the fiber point w; otherwise those are None.
+    """
+    n = P.structure.n
+    jet = P.g.jet(coords, order=2 if need_grad else 1)
+    ginv = 1.0 / jet.f
+    gp = jet.g[:, n:]
+    gq = jet.g[:, :n]
+    dginv_Z = -np.einsum("bi,bi->b", gp, coords[:, n:]) * ginv ** 2
+    g_tau = tau * ginv + (1 - tau)
+    denom = g_tau + tau * dginv_Z
+    if np.any(denom <= 0.0):
+        raise PreconditionError(
+            "Moser denominator g_tau + dg_tau(Z) lost positivity",
+            point=np.array2string(coords[denom <= 0.0][0], precision=6),
+            tau=tau)
+    c = (ginv - 1.0) / denom
+    if not need_grad:
+        return c, None, None
+    # gradients of c with respect to (q, w) at w = r v, via jets of g
+    gpp = jet.h[:, n:, n:]
+    gpq = jet.h[:, n:, :n]
+    dginv_dw = -gp * ginv[:, None] ** 2
+    dginv_dq = -gq * ginv[:, None] ** 2
+    # d/dw [dginv(Z)] = d/dw [sum w_i dginv_i]
+    ddZ_dw = (dginv_dw
+              - ginv[:, None] ** 2 * np.einsum("bij,bi->bj", gpp,
+                                               coords[:, n:])
+              + 2 * ginv[:, None] ** 3 * gp
+              * np.einsum("bi,bi->b", gp, coords[:, n:])[:, None])
+    ddZ_dq = (- ginv[:, None] ** 2 * np.einsum("bij,bi->bj", gpq,
+                                               coords[:, n:])
+              + 2 * ginv[:, None] ** 3 * gq
+              * np.einsum("bi,bi->b", gp, coords[:, n:])[:, None])
+    dc_dw = (dginv_dw / denom[:, None]
+             - ((ginv - 1) / denom ** 2)[:, None]
+             * (tau * dginv_dw + tau * ddZ_dw))
+    dc_dq = (dginv_dq / denom[:, None]
+             - ((ginv - 1) / denom ** 2)[:, None]
+             * (tau * dginv_dq + tau * ddZ_dq))
+    return c, dc_dq, dc_dw
 
 
 def moser_vector_field(P: MoserProblem, t: float):
     """The radial generating field at time t, colinear with the Euler field.
 
     The denominator ``g_t + dg_t(Z)`` stays positive under the problem's
-    bound; a violation on the grid is reported with the worst point.
+    bound; a violation is reported with the first offending point.
     """
-    S = P.structure
-
-    def coefficient(coords: np.ndarray) -> np.ndarray:
-        g_t, dg_t_Z, dot = P.g_t_coefficient(coords, t)
-        denom = g_t + dg_t_Z
-        if np.any(denom <= 0.0):
-            bad = np.asarray(coords)[denom <= 0.0][0]
-            raise PreconditionError(
-                "Moser denominator g_t + dg_t(Z) lost positivity",
-                point=np.array2string(bad, precision=6), time=t)
-        return dot / denom
-
-    from .manifolds import VectorField
+    n = P.structure.n
 
     def fn(jets):
-        n = S.n
         coords = np.stack([j.f for j in jets], axis=-1)
-        c = coefficient(coords)
+        c, _, _ = _moser_rate(P, coords.reshape(-1, 2 * n), t, False)
+        c = c.reshape(coords.shape[:-1])
         zero = jets[0] * 0.0
-        from .jets import Jet2
-        comps = [zero] * n
-        for i in range(n):
-            comps.append(Jet2(c * jets[n + i].f))
-        return comps
+        return [zero] * n + [Jet2(c * jets[n + i].f) for i in range(n)]
 
-    vf = VectorField(S.total, fn, name=f"X_{t}")
-    vf.coefficient = coefficient
-    return vf
+    return VectorField(P.structure.total, fn, name=f"X_{t}")
 
 
 @dataclass
@@ -152,16 +169,16 @@ class FlowResult:
 
 
 def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
-                 t0: float, t1: float, variations: bool = False,
-                 dirs: np.ndarray | None = None):
-    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r by RK4.
+                 t0: float, t1: float, dirs: np.ndarray | None = None,
+                 method: str = "rk4"):
+    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r.
 
-    With ``variations`` the first variation of r along given seed directions
-    integrates alongside (``dirs`` has shape (B, m, 2n): d(seed)/d(param)).
-    Returns scales s = r(t1)/r(t0) and, optionally, ds/d(param).
+    Classical RK4, or forward Euler with ``method="euler"`` (a deliberately
+    degraded diagnostic).  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
+    the first variation of r integrates alongside.  Returns scales
+    s = r(t1)/r(t0) and ds/d(param), the latter None without ``dirs``.
     """
-    S = P.structure
-    n = S.n
+    n = P.structure.n
     seeds = np.atleast_2d(seeds)
     B = seeds.shape[0]
     q = seeds[:, :n]
@@ -173,101 +190,63 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
 
     n_steps = max(1, int(np.ceil((t1 - t0) / step)))
     h = (t1 - t0) / n_steps
-    r = r0.copy()
-    if variations:
-        m = dirs.shape[1]
+    state = [r0]
+    if dirs is not None:
         # dr0/dparam and dv/dparam from the seed directions
         dp = dirs[:, :, n:]
         dq = dirs[:, :, :n]
-        dr = np.einsum("bk,bmk->bm", v, dp)
-        dv = (dp - dr[:, :, None] * v[:, None, :]) / \
+        dr0 = np.einsum("bk,bmk->bm", v, dp)
+        dv = (dp - dr0[:, :, None] * v[:, None, :]) / \
             np.maximum(r0[:, None, None], 1e-300)
+        state.append(dr0)
 
-    def coeff_and_grad(rcur, t, need_grad):
+    def rhs(state, t):
         # The family parameter runs in reverse here: the flow that realizes
         # phi_1^* d(lambda) = d(lambda/g) is generated by the radial field
         # with denominator g_tau + dg_tau(Z) at tau = 1 - t (for constant g
         # either orientation integrates to the fiber scaling 1/g; the
         # orientation matters exactly where dg(Z) != 0, and this one is the
         # one the conformal-pullback oracle confirms).
-        tau = 1.0 - t
+        rcur = state[0]
         coords = np.concatenate([q, rcur[:, None] * v], axis=1)
-        jet = P.g.jet(coords, order=2 if need_grad else 1)
-        ginv = 1.0 / jet.f
-        gp = jet.g[:, n:]
-        gq = jet.g[:, :n]
-        dginv_Z = -np.einsum("bi,bi->b", gp, coords[:, n:]) * ginv ** 2
-        g_tau = tau * ginv + (1 - tau)
-        denom = g_tau + tau * dginv_Z
-        if np.any(denom <= 0.0):
-            raise PreconditionError("Moser denominator lost positivity",
-                                    time=t)
-        c = (ginv - 1.0) / denom
-        if not need_grad:
-            return c, None, None
-        # gradients of c with respect to (q, w) at w = r v, via jets of g
-        gpp = jet.h[:, n:, n:]
-        gpq = jet.h[:, n:, :n]
-        dginv_dw = -gp * ginv[:, None] ** 2
-        dginv_dq = -gq * ginv[:, None] ** 2
-        # d/dw [dginv(Z)] = d/dw [sum w_i dginv_i]
-        ddZ_dw = (dginv_dw
-                  - ginv[:, None] ** 2 * np.einsum("bij,bi->bj", gpp,
-                                                   coords[:, n:])
-                  + 2 * ginv[:, None] ** 3 * gp
-                  * np.einsum("bi,bi->b", gp, coords[:, n:])[:, None])
-        ddZ_dq = (- ginv[:, None] ** 2 * np.einsum("bij,bi->bj", gpq,
-                                                   coords[:, n:])
-                  + 2 * ginv[:, None] ** 3 * gq
-                  * np.einsum("bi,bi->b", gp, coords[:, n:])[:, None])
-        dc_dw = (dginv_dw / denom[:, None]
-                 - ((ginv - 1) / denom ** 2)[:, None]
-                 * (tau * dginv_dw + tau * ddZ_dw))
-        dc_dq = (dginv_dq / denom[:, None]
-                 - ((ginv - 1) / denom ** 2)[:, None]
-                 * (tau * dginv_dq + tau * ddZ_dq))
-        return c, dc_dq, dc_dw
-
-    def rhs(rcur, t, drc=None):
-        need = drc is not None
-        c, dc_dq, dc_dw = coeff_and_grad(rcur, t, need)
+        c, dc_dq, dc_dw = _moser_rate(P, coords, 1.0 - t, len(state) > 1)
         f = c * rcur
-        if not need:
-            return f, None
+        if len(state) == 1:
+            return [f]
         # dF/dparam = r * (dc/dq dq + dc/dw d(rv)) + c dr
+        drc = state[1]
         d_rv = (drc[:, :, None] * v[:, None, :]
                 + rcur[:, None, None] * dv)
         df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq)
                                + np.einsum("bj,bmj->bm", dc_dw, d_rv))
               + c[:, None] * drc)
-        return f, df
+        return [f, df]
+
+    def axpy(x, a, y):
+        return [xi + a * yi for xi, yi in zip(x, y)]
 
     t = t0
     for _ in range(n_steps):
-        if variations:
-            k1, dk1 = rhs(r, t, dr)
-            k2, dk2 = rhs(r + 0.5 * h * k1, t + 0.5 * h, dr + 0.5 * h * dk1)
-            k3, dk3 = rhs(r + 0.5 * h * k2, t + 0.5 * h, dr + 0.5 * h * dk2)
-            k4, dk4 = rhs(r + h * k3, t + h, dr + h * dk3)
-            r = r + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            dr = dr + (h / 6) * (dk1 + 2 * dk2 + 2 * dk3 + dk4)
+        k1 = rhs(state, t)
+        if method == "euler":
+            state = axpy(state, h, k1)
         else:
-            k1, _ = rhs(r, t)
-            k2, _ = rhs(r + 0.5 * h * k1, t + 0.5 * h)
-            k3, _ = rhs(r + 0.5 * h * k2, t + 0.5 * h)
-            k4, _ = rhs(r + h * k3, t + h)
-            r = r + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
+            k3 = rhs(axpy(state, 0.5 * h, k2), t + 0.5 * h)
+            k4 = rhs(axpy(state, h, k3), t + h)
+            state = axpy(state, h / 6, [a + 2 * b + 2 * c + d for a, b, c, d
+                                        in zip(k1, k2, k3, k4)])
         t += h
+    r = state[0]
     scales = np.ones(B)
     scales[live] = r[live] / r0[live]
-    if variations:
-        # s = r(1)/r0:  ds = (dr(1) - s * dr0) / r0
-        dr0 = np.einsum("bk,bmk->bm", v, dp)
-        dscale = np.zeros((B, dirs.shape[1]))
-        dscale[live] = ((dr[live] - scales[live, None] * dr0[live])
-                        / r0[live, None])
-        return scales, dscale
-    return scales, None
+    if dirs is None:
+        return scales, None
+    # s = r(1)/r0:  ds = (dr(1) - s * dr0) / r0
+    dscale = np.zeros((B, dirs.shape[1]))
+    dscale[live] = ((state[1][live] - scales[live, None] * dr0[live])
+                    / r0[live, None])
+    return scales, dscale
 
 
 def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
@@ -278,14 +257,13 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
     The reduction to a scalar ODE per fiber ray keeps base coordinates fixed
     exactly, so the reported fiber drift is structural.  A Richardson check
     against a halved step rejects steps that lost accuracy; ``method`` may be
-    set to "euler" for deliberately degraded diagnostics runs.
+    set to "euler" for deliberately degraded diagnostics runs, which skip
+    that check.
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
-    if method == "euler":
-        scales = _euler_scales(P, seeds, step, t0, t1)
-    else:
-        scales, _ = _flow_scales(P, seeds, step, t0, t1)
+    scales, _ = _flow_scales(P, seeds, step, t0, t1, method=method)
+    if method != "euler":
         halved, _ = _flow_scales(P, seeds, step * 2.0, t0, t1)
         err = np.abs(scales - halved).max(initial=0.0) / 15.0
         fails = 0
@@ -305,28 +283,6 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
     images[:, S.n:] *= scales[:, None]
     return FlowResult(seeds=seeds, images=images, scales=scales,
                       max_fiber_drift=0.0, step=step, t0=t0, t1=t1)
-
-
-def _euler_scales(P: MoserProblem, seeds, step, t0, t1):
-    S = P.structure
-    n = S.n
-    q, p = seeds[:, :n], seeds[:, n:]
-    r = np.linalg.norm(p, axis=-1)
-    live = r > 1e-14
-    v = np.zeros_like(p)
-    v[live] = p[live] / r[live, None]
-    n_steps = max(1, int(np.ceil((t1 - t0) / step)))
-    h = (t1 - t0) / n_steps
-    t = t0
-    rr = r.copy()
-    for _ in range(n_steps):
-        coords = np.concatenate([q, rr[:, None] * v], axis=1)
-        g_tau, dg_tau_Z, dot = P.g_t_coefficient(coords, 1.0 - t)
-        rr = rr + h * (dot / (g_tau + dg_tau_Z)) * rr
-        t += h
-    out = np.ones_like(r)
-    out[live] = rr[live] / r[live]
-    return out
 
 
 def time_one_map(P: MoserProblem, step: float = 1e-3,
@@ -379,8 +335,6 @@ def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
             images[1 + 2 * i], images[2 + 2 * i]) / (2 * fd_step)
 
     omega_coeffs = exterior_d(S.lam).coefficients(base_img)
-    from .forms import increasing_indices
-    n2 = len(increasing_indices(m, 2))
     mat = np.zeros((coords.shape[0], m, m))
     for pos, (i, j) in enumerate(increasing_indices(m, 2)):
         mat[:, i, j] = omega_coeffs[:, pos]
@@ -452,7 +406,6 @@ def radial_field_to_scalar_field(F: RadialField,
             return out[0] if squeeze else out.reshape(coords.shape[:-1])
 
         def jet(self, points, order: int = 2):
-            from .jets import Jet2
             coords = _coerce_coords(S.total, points)
             f = self.value(coords)
             if order == 0:
@@ -540,8 +493,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     jac = E.chart.jacobian(params)          # (B, 2n, k)
     seeds = pts
     dirs = np.swapaxes(jac, 1, 2)           # (B, k, 2n): d(seed)/d(param)
-    scales, dscale = _flow_scales(P, seeds, step, 0.0, 1.0, variations=True,
-                                  dirs=dirs)
+    scales, dscale = _flow_scales(P, seeds, step, 0.0, 1.0, dirs=dirs)
 
     # pulled-back data of the original embedding
     lamL = pullback(E.chart, S.lam)
@@ -553,7 +505,6 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
 
     # d(s * i*lambda) = ds ^ i*lambda + s d(i*lambda)
     k = src.dim
-    from .forms import increasing_indices
     pairs = increasing_indices(k, 2)
     closed = []
     for pos, (i, j) in enumerate(pairs):
@@ -565,18 +516,6 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     # translation by eta_prime adds an exactly closed base form: check it
     eta_fields = [c if isinstance(c, ScalarField) else
                   ScalarField.constant(S.base, float(c)) for c in eta_prime]
-
-    # final embedding map (flow then translation)
-    def final_points(u):
-        p = E.points(u)
-        s, _ = _flow_scales(P, p, step, 0.0, 1.0)
-        out = p.copy()
-        out[:, S.n:] *= s[:, None]
-        if eta_fields:
-            base = out[:, :S.n]
-            for i, cfield in enumerate(eta_fields):
-                out[:, S.n + i] += cfield.value(base)
-        return out
 
     # holonomy: loop integrals of the final pullback must vanish (beta = 0)
     hol = 0.0
@@ -600,7 +539,12 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         val = simpson_path(integrand, 1.0 / steps)
         hol = max(hol, abs(float(val)))
 
-    flow_res = FlowResult(seeds=seeds, images=final_points(params),
+    # final images: the flow's scales, then the translation by eta_prime
+    images = seeds.copy()
+    images[:, S.n:] *= scales[:, None]
+    for i, cfield in enumerate(eta_fields):
+        images[:, S.n + i] += cfield.value(images[:, :S.n])
+    flow_res = FlowResult(seeds=seeds, images=images,
                           scales=scales, max_fiber_drift=0.0, step=step,
                           t0=0.0, t1=1.0)
     report = StraightenReport(closedness_sup=closedness, holonomy_sup=hol,
@@ -611,8 +555,6 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     # first-class embedding: the chart carries the flow's first variation,
     # so Jacobians (hence Lagrangian verification, chords, primitives) work;
     # second derivatives of the time-1 map are not available
-    from .jets import Jet2
-    from .manifolds import SmoothMap
     S0 = cotangent_lcs(S.base, [])
     chart_step = max(step, 5e-3)  # RK4 error ~ step^4, far below report tols
 
@@ -623,7 +565,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         pts_local = E.points(u2)
         dirs_local = np.swapaxes(E.chart.jacobian(u2), 1, 2)
         s_val, ds = _flow_scales(P, pts_local, chart_step, 0.0, 1.0,
-                                 variations=True, dirs=dirs_local)
+                                 dirs=dirs_local)
         if u_coords.ndim == 1:
             s_jet = Jet2(s_val[0], ds[0])
         else:

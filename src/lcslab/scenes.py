@@ -285,8 +285,26 @@ def _json_default(obj):
 
 
 def canonical_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1,
+    return json.dumps(report, sort_keys=True, indent=1, allow_nan=False,
                       default=_json_default)
+
+
+def _null_non_finite(obj, pointer: str, found: list):
+    """Copy of a report value with each non-finite float replaced by None;
+    the JSON pointer of every replaced float is appended to ``found``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(
+            v, pointer + "/" + str(k).replace("~", "~0").replace("/", "~1"),
+            found) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v, f"{pointer}/{i}", found)
+                for i, v in enumerate(obj)]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        found.append(pointer)
+        return None
+    return obj
 
 
 def report_digest(report: dict) -> str:
@@ -414,8 +432,7 @@ def _extension(scene, options, E):
             shells=int(ext.get("shells", 128)),
             r_min=float(ext.get("r_min", 1e-3)),
             r_max=float(ext.get("r_max", 16.0)),
-            directions=int(ext.get("directions", 256)),
-            workers=options["threads"])
+            directions=int(ext.get("directions", 256)))
     except ObstructionError as exc:
         return {"results": {"refused": True, "reason": str(exc),
                             "details": {k: v for k, v in exc.details.items()
@@ -574,7 +591,8 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
     ``out_dir``.  A numeric error (a failed precondition, an evaluation out
     of its domain, inconsistent dimensions) becomes one failed
     ``numeric_error`` verdict with the error's type, message and details;
-    scene errors propagate.
+    scene errors propagate.  Reports are strict JSON: a non-finite float is
+    written as null and its JSON pointer listed under ``non_finite``.
     """
     scene = load_scene(scene_path)
     if tol_overrides:
@@ -582,7 +600,7 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
     if command not in COMMANDS:
         raise SceneError(f"unknown command {command!r}; "
                          f"expected one of {sorted(COMMANDS)}")
-    options = {"seed": int(seed), "threads": int(threads)}
+    options = {"seed": int(seed)}
     try:
         body, artifacts = COMMANDS[command](scene, options)
     except (PreconditionError, DomainEvaluationError, DimensionError) as exc:
@@ -614,7 +632,15 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
         "artifacts": sorted(artifact_paths),
         "passed": bool(passed),
     }
-    report["digest"] = report_digest(report)
+    try:
+        report["digest"] = report_digest(report)
+    except ValueError:
+        # strict JSON refused a non-finite float (an infinite tolerance, an
+        # inf residual norm): write each as null and list its pointer
+        non_finite = []
+        report = _null_non_finite(report, "", non_finite)
+        report["non_finite"] = non_finite
+        report["digest"] = report_digest(report)
     report["generated_at"] = _dt.datetime.now(
         _dt.timezone.utc).isoformat()
     report_path = out_dir / f"{scene['name']}-{command}.json"

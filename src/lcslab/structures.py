@@ -85,9 +85,7 @@ def structure_scene_fragment(S: CotangentLcsStructure) -> dict:
     return {
         "manifold": {"circles": S.base.circle_count,
                      "lines": S.base.line_count},
-        "structure": {"beta": [c.name if isinstance(c, ScalarField)
-                               else repr(float(c))
-                               for c in S.beta_base_coeffs]},
+        "structure": {"beta": [c.name for c in S.beta_base_coeffs]},
     }
 
 

@@ -183,6 +183,60 @@ def test_mollify_uniform_slope_barely_grows():
     assert out.log_slopes().max() <= 0.9 + 1e-3
 
 
+def three_loop_mollify(F, kernel_cells, base_shape):
+    """Reference mollifier with a separate roll-and-accumulate loop for each
+    axis kind: the 1-d base, the n-d base and the direction axis."""
+    from lcslab.extension import _bump_kernel
+    k = _bump_kernel(kernel_cells)
+    vals = F.values.copy()
+    pad = kernel_cells
+    padded = np.concatenate([np.repeat(vals[..., :1], pad, axis=-1), vals,
+                             np.repeat(vals[..., -1:], pad, axis=-1)], axis=-1)
+    out = np.zeros_like(vals)
+    for i, w in enumerate(k):
+        out += w * padded[..., i:i + vals.shape[-1]]
+    vals = out
+    if base_shape is not None and len(base_shape) == 1:
+        rolled = np.zeros_like(vals)
+        for i, w in enumerate(k):
+            rolled += w * np.roll(vals, i - kernel_cells, axis=0)
+        vals = rolled
+    elif base_shape is not None and len(base_shape) > 1:
+        B = int(np.prod(base_shape))
+        shaped = vals.reshape(base_shape + vals.shape[1:])
+        for ax in range(len(base_shape)):
+            rolled = np.zeros_like(shaped)
+            for i, w in enumerate(k):
+                rolled += w * np.roll(shaped, i - kernel_cells, axis=ax)
+            shaped = rolled
+        vals = shaped.reshape((B,) + vals.shape[1:])
+    if F.directions.shape[0] > 8:
+        rolled = np.zeros_like(vals)
+        for i, w in enumerate(k):
+            rolled += w * np.roll(vals, i - kernel_cells, axis=1)
+        vals = rolled
+    return vals
+
+
+@pytest.mark.parametrize("base_shape, directions", [
+    ((4, 4), 12), ((8,), 2), (None, 12)])
+def test_mollify_matches_three_loop_reference(base_shape, directions):
+    # every periodic axis (n-d base, 1-d base, direction) carries its own
+    # random positive pattern, so each convolution changes the result
+    n = 1 if base_shape == (8,) else 2
+    B = int(np.prod(base_shape)) if base_shape else 16
+    base = parameter_grid(make_manifold(n, 0), round(B ** (1 / n))) \
+        .reshape(-1, n)
+    dirs = fiber_directions(n, directions)
+    radii = log_radii(0.01, 10.0, 24)
+    vals = np.random.default_rng(7).uniform(0.5, 2.0,
+                                            (B, dirs.shape[0], 24))
+    F = RadialField(base, dirs, radii, vals)
+    out = mollify(F, kernel_cells=3, base_shape=base_shape)
+    assert np.array_equal(out.values,
+                          three_loop_mollify(F, 3, base_shape))
+
+
 def test_mollify_requires_wide_kernel():
     F = _toy_field(lambda r: np.ones_like(r))
     with pytest.raises(PreconditionError):

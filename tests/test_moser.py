@@ -285,3 +285,47 @@ def test_projection_degree_beta_graphs():
 def test_projection_degree_curled_torus_is_zero():
     # the curled torus misses most base points; its signed count vanishes
     assert projection_degree(example_torus_2()) == 0
+
+
+def scene_flow_problem(name):
+    """A scene's Moser problem with straightening seeds and their directions:
+    the compiled constant ball of ``moser-constant-ball`` on sample points,
+    or the interpolated extension field of ``beta-graph-pipeline`` on the
+    embedding grid that ``full-pipeline`` straightens."""
+    from pathlib import Path
+
+    from lcslab.manifolds import parameter_grid
+    from lcslab.moser import radial_field_to_scalar_field
+    from lcslab.scenes import (_build_embedding, _build_moser_g,
+                               _build_structure, _extension, load_scene)
+    scene = load_scene(Path(__file__).parent.parent / "scenes" / name)
+    if "extension" not in scene:
+        S = _build_structure(scene)
+        P = MoserProblem(structure=S, g=_build_moser_g(scene, S),
+                         outside_radius=scene["moser"]["outside_radius"])
+        seeds = sample_points(S.total, 64, radius=3.0)
+        dirs = np.broadcast_to(np.eye(seeds.shape[1]),
+                               seeds.shape[:1] + (seeds.shape[1],) * 2)
+        return P, seeds, dirs
+    E = _build_embedding(scene)
+    _, _, field = _extension(scene, {"seed": 0}, E)
+    P = MoserProblem(structure=E.structure,
+                     g=radial_field_to_scalar_field(field, E.structure),
+                     outside_radius=float(field.radii[-1]))
+    params = parameter_grid(E.source, 32).reshape(-1, E.source.dim)
+    return P, E.points(params), np.swapaxes(E.chart.jacobian(params), 1, 2)
+
+
+@pytest.mark.parametrize("scene", ["moser-constant-ball.json",
+                                   "beta-graph-pipeline.json"])
+def test_first_variations_leave_flow_scales_unchanged(scene):
+    # straightening reads its images off the variational flow's scales, so
+    # those must be the plain flow's scales bit for bit
+    from lcslab.moser import _flow_scales
+    P, seeds, dirs = scene_flow_problem(scene)
+    plain, none = _flow_scales(P, seeds, 5e-3, 0.0, 1.0)
+    varied, dscale = _flow_scales(P, seeds, 5e-3, 0.0, 1.0, dirs=dirs)
+    assert none is None
+    assert dscale.shape == dirs.shape[:2]
+    assert np.array_equal(plain, varied)
+    assert not np.array_equal(plain, np.ones_like(plain))

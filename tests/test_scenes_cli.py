@@ -194,6 +194,22 @@ def test_cli_numeric_error_writes_report_exit_2(tmp_path):
     assert verdict["details"]["worst"] >= 1.0
 
 
+def test_cli_non_finite_values_become_null(tmp_path):
+    # an infinite tolerance passes, but the report stays strict JSON
+    code = main(["verify-lagrangian", str(SCENES / "example1.json"),
+                 "--tol-override", "lagrangian=inf", "--out", str(tmp_path)])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    rep = json.loads((tmp_path / "example1-verify-lagrangian.json")
+                     .read_text(), parse_constant=reject)
+    assert rep["verdicts"]["lagrangian"]["tol"] is None
+    assert rep["non_finite"] == ["/verdicts/lagrangian/tol"]
+    assert rep["passed"]
+
+
 WORKLOADS = json.loads((SCENES.parent / "perfbench" / "workloads.json")
                        .read_text())["workloads"]
 
