@@ -26,18 +26,19 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, ObstructionError, PreconditionError
 from .forms import exterior_d, interior_product
 from .lagrangians import ExactnessCertificate, ParametricEmbedding, \
-    _canonical_contact_form, lift_legendrian, solve_primitive
+    _canonical_contact_form, lift_legendrian, require_lagrangian, \
+    solve_primitive
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         make_manifold, parameter_grid, sample_points)
 from .numerics import cluster_labels, dedup_points, gauss_newton
 
 __all__ = [
     "LiouvilleChord", "ChordScanResult", "scan_chords", "classify_chord",
-    "mvt_obstruction_report", "MvtReport", "reeb_correspondence",
-    "ReebReport", "chords_to_csv", "chords_to_json",
+    "classify_chords", "mvt_obstruction_report", "MvtReport",
+    "reeb_correspondence", "ReebReport", "chords_to_csv", "chords_to_json",
 ]
 
 
@@ -300,6 +301,20 @@ def classify_chord(c: LiouvilleChord, f1: ScalarField, f2: ScalarField,
     return c
 
 
+def classify_chords(chords: Sequence[LiouvilleChord], f1: ScalarField,
+                    f2: ScalarField, margin: float = 0.0,
+                    guard: float = 1e-9) -> tuple:
+    """Classify every chord; returns ``(ratios, obstructed)``: the defined
+    mean-value ratios, and whether one reaches 1 - margin (within
+    ``guard``), the boundary case counting as obstructed."""
+    ratios = []
+    for c in chords:
+        classify_chord(c, f1, f2)
+        if c.ratio_defined:
+            ratios.append(c.mvt_ratio)
+    return ratios, any(r >= 1.0 - margin - guard for r in ratios)
+
+
 @dataclass
 class MvtReport:
     obstructed: bool
@@ -315,6 +330,13 @@ class MvtReport:
                 "ratios": list(self.ratios),
                 "chord_count": self.chord_count,
                 "margin": self.margin}
+
+    def refuse(self, message: str):
+        """Raise ObstructionError citing the chord of the largest ratio."""
+        worst = max((c for c in self.scan.chords if c.ratio_defined),
+                    key=lambda c: c.mvt_ratio)
+        raise ObstructionError(message, ratio=worst.mvt_ratio,
+                               chord=worst.as_dict())
 
 
 def mvt_obstruction_report(E: ParametricEmbedding,
@@ -336,22 +358,21 @@ def mvt_obstruction_report(E: ParametricEmbedding,
         # single sheet per fiber ray: vacuously unobstructed for any f
         return MvtReport(obstructed=False, extremal_ratio=None, ratios=[],
                          chord_count=0, margin=margin, scan=scan)
-    if certificate is None:
-        certificate = solve_primitive(E, grid_shape=min(grid, 64))
-    f = (E.declared_primitive if E.declared_primitive is not None
-         else certificate.solved_primitive)
+    f = E.declared_primitive
+    if f is None:
+        if certificate is None:
+            certificate = solve_primitive(E, grid_shape=min(grid, 64))
+        f = certificate.solved_primitive
+    elif certificate is None:
+        # the precondition a solve would have checked
+        require_lagrangian(E)
     params = sample_points(E.source, 512)
     fmin = float(f.value(params).min())
     if fmin <= 0.0:
         raise PreconditionError(
             "primitive is not positive; translate_by_form by c*beta with "
             "c <= -min before scanning", minimum=fmin)
-    ratios = []
-    for c in scan.chords:
-        classify_chord(c, f, f)
-        if c.ratio_defined:
-            ratios.append(c.mvt_ratio)
-    obstructed = any(r >= 1.0 - margin - guard for r in ratios)
+    ratios, obstructed = classify_chords(scan.chords, f, f, margin, guard)
     return MvtReport(obstructed=obstructed,
                      extremal_ratio=max(ratios) if ratios else None,
                      ratios=sorted(ratios), chord_count=len(scan.chords),

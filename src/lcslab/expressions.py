@@ -25,6 +25,11 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+"
                     r"|\d+\.\d*|\.\d+|\d+(?:[eE][+-]?\d+)?)"
                     r"|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
 
+# Deepest expression a scene may hold, in nesting levels and in tree height.
+# Parsing and evaluation recurse once per level, so this fixed bound keeps
+# both far inside the interpreter's stack.
+MAX_DEPTH = 100
+
 _FUNCTIONS = {"sin", "cos", "exp", "log"}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
@@ -62,6 +67,7 @@ class _Parser:
         self.toks = tokens
         self.src = source
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -85,7 +91,13 @@ class _Parser:
             t = self.peek()
             raise SceneError(f"trailing input at position {t.pos} "
                              f"in {self.src!r}")
+        self.check_depth(_height(node))
         return node
+
+    def check_depth(self, levels: int):
+        if levels > MAX_DEPTH:
+            raise SceneError(f"expression nests deeper than {MAX_DEPTH} "
+                             f"levels (starts {self.src[:40]!r})")
 
     def sum(self):
         node = self.product()
@@ -104,14 +116,19 @@ class _Parser:
         return node
 
     def unary(self):
+        # every recursion of the descent passes here: bound its depth
+        self.depth += 1
+        self.check_depth(self.depth)
         t = self.peek()
-        if t and t.kind == "op" and t.text == "-":
+        if t and t.kind == "op" and t.text in "+-":
             self.next()
-            return ("neg", self.unary())
-        if t and t.kind == "op" and t.text == "+":
-            self.next()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+            if t.text == "-":
+                node = ("neg", node)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -142,8 +159,18 @@ class _Parser:
                          f"in {self.src!r}")
 
 
+def _height(node) -> int:
+    """Height of an AST, counted level by level without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [c for nd in level for c in nd[1:] if isinstance(c, tuple)]
+    return height
+
+
 def parse_expression(src: str):
-    """Parse to an AST of nested tuples; raises SceneError on bad input."""
+    """Parse to an AST of nested tuples; raises SceneError on bad input,
+    including expressions nested deeper than ``MAX_DEPTH``."""
     return _Parser(_tokenize(src), src).parse()
 
 

@@ -34,7 +34,7 @@ from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
                           base_preimages, closest_parameter, fiber_zeros,
                           solve_primitive)
 from .manifolds import ScalarField, _coerce_coords, parameter_grid
-from .numerics import dedup_points
+from .numerics import central_difference, dedup_points
 from .structures import CotangentLcsStructure, smoothstep
 
 __all__ = [
@@ -236,7 +236,6 @@ class InnerPatch:
 
 
 def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
-                        skeleton: CoreSkeleton,
                         mvt: MvtReport | None = None,
                         blend_radius: float = 0.5,
                         certificate: ExactnessCertificate | None = None) -> InnerPatch:
@@ -251,11 +250,7 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
     if mvt is None:
         mvt = mvt_obstruction_report(E, certificate=certificate)
     if mvt.obstructed:
-        worst = max((c for c in mvt.scan.chords if c.ratio_defined),
-                    key=lambda c: c.mvt_ratio)
-        raise ObstructionError(
-            "the mean-value bound obstructs this extension",
-            ratio=worst.mvt_ratio, chord=worst.as_dict())
+        mvt.refuse("the mean-value bound obstructs this extension")
     pts = E.points(parameter_grid(E.source, 64).reshape(-1, E.source.dim))
     hv = h.value(pts)
     if hv.min() <= 0.0:
@@ -268,7 +263,7 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
     params = parameter_grid(E.source, 48).reshape(-1, E.source.dim)
     fib_norm = np.linalg.norm(E.fiber_values(params), axis=-1)
     if fib_norm.max() <= 1e-12:
-        # degenerate skeleton: L is the section, the patch is h itself
+        # degenerate input: L is the section, the patch is h itself
         return InnerPatch(structure=S, h=h, h_max=h_max,
                           intersection_bases=np.zeros((0, n)),
                           blend_radius=blend_radius, everywhere=True)
@@ -741,22 +736,10 @@ class CollarField(ScalarField):
     def jet(self, points, order: int = 2):
         from .jets import Jet2
         coords = _coerce_coords(self.domain, points)
-        f = self.value(coords)
         if order == 0:
-            return Jet2(f)
-        coords2 = np.atleast_2d(coords)
-        h = 1e-5
-        m = coords2.shape[-1]
-        g = np.zeros(coords2.shape[:-1] + (m,))
-        for i in range(m):
-            up, dn = coords2.copy(), coords2.copy()
-            up[..., i] += h
-            dn[..., i] -= h
-            g[..., i] = (self.value(up) - self.value(dn)) / (2 * h)
-        if coords.ndim == 1:
-            g = g[0]
+            return Jet2(self.value(coords))
         if order == 1:
-            return Jet2(f, g)
+            return Jet2(*central_difference(self.value, coords, 1e-5))
         raise DomainEvaluationError(
             "collar field exposes value and first derivatives only")
 
@@ -829,14 +812,9 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     if mvt is None:
         mvt = mvt_obstruction_report(E, certificate=certificate)
     if mvt.obstructed:
-        worst = max((c for c in mvt.scan.chords if c.ratio_defined),
-                    key=lambda c: c.mvt_ratio)
-        raise ObstructionError(
-            "extension refused: the mean-value bound obstructs",
-            ratio=worst.mvt_ratio, chord=worst.as_dict())
+        mvt.refuse("extension refused: the mean-value bound obstructs")
 
-    skeleton = build_core(E, base_grid=base_grid)
-    patch = near_zero_extension(h, E, skeleton, mvt=mvt)
+    patch = near_zero_extension(h, E, mvt=mvt)
 
     base_points = parameter_grid(S.base, base_grid).reshape(-1, S.n)
     dirs = fiber_directions(S.n, directions)

@@ -61,12 +61,6 @@ class Jet2:
             raise ValueError("order-0 jet has no coordinate dimension")
         return self.g.shape[-1]
 
-    def truncated(self, order: int) -> "Jet2":
-        """Drop derivative data above ``order``."""
-        g = self.g if order >= 1 else None
-        h = self.h if order >= 2 else None
-        return Jet2(self.f, g, h)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Jet2(order={self.order}, f={self.f!r})"
 
@@ -163,8 +157,9 @@ class Jet2:
             if k < 0:
                 return self.reciprocal() ** (-k)
             f = self.f ** k
+            # k - 1.0: a huge integer exponent overflows to inf, not raises
             return self._chain(f, k * self.f ** (k - 1),
-                               k * (k - 1) * self.f ** (k - 2) if k >= 2
+                               k * (k - 1.0) * self.f ** (k - 2) if k >= 2
                                else np.zeros_like(self.f))
         if np.any(self.f <= 0.0):
             raise DomainEvaluationError(

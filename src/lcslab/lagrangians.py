@@ -27,23 +27,24 @@ import numpy as np
 
 from .errors import DimensionError, ImmersionError, PreconditionError
 from .forms import (FormExpression, coordinate_differential, exterior_d,
-                    pullback)
+                    increasing_indices, pullback)
 from .jets import Jet2, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
                         sample_points)
-from .numerics import (dedup_points, gauss_newton, rk4_linear_path,
-                       segment_nodes, simpson_path)
+from .numerics import (central_difference, dedup_points, gauss_newton,
+                       rk4_linear_path, segment_nodes, simpson_path)
 from .structures import CotangentLcsStructure, cotangent_lcs
 
 __all__ = [
     "ParametricEmbedding", "ExactnessCertificate", "LagrangianReport",
-    "verify_lagrangian", "solve_primitive", "translate_by_form", "beta_graph",
-    "zero_section", "lift_legendrian", "jet_graph", "symplectization_immersion",
-    "contact_lift_check", "lift_generating_function", "GeneratingLift",
-    "cobordism_gluing_constant", "genericity_check", "GenericityReport",
-    "example_torus_1", "example_torus_2", "example_by_name",
-    "closest_parameter", "base_preimages", "fiber_zeros",
+    "verify_lagrangian", "require_lagrangian", "solve_primitive",
+    "translate_by_form", "beta_graph", "zero_section", "lift_legendrian",
+    "jet_graph", "symplectization_immersion", "contact_lift_check",
+    "lift_generating_function", "GeneratingLift", "cobordism_gluing_constant",
+    "genericity_check", "GenericityReport", "example_torus_1",
+    "example_torus_2", "example_by_name", "closest_parameter",
+    "base_preimages", "fiber_zeros",
 ]
 
 
@@ -132,6 +133,16 @@ def verify_lagrangian(E: ParametricEmbedding, samples=None,
                             passed=bool(sup <= tol), tol=tol,
                             sample_count=flat.shape[0],
                             worst_param=flat[worst_i])
+
+
+def require_lagrangian(E: ParametricEmbedding) -> None:
+    """Refuse an embedding that is not Lagrangian on 256 parameter samples:
+    the precondition of every primitive, solved or declared."""
+    rep = verify_lagrangian(E, samples=E.parameter_samples(256))
+    if not rep.passed:
+        raise PreconditionError(
+            "embedding is not Lagrangian on the sample set",
+            residual_sup=rep.residual_sup)
 
 
 # ------------------------------------------------------- primitive integration
@@ -328,11 +339,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
     is closed, so this is the sampled content of the defining equation.
     """
     if check:
-        rep = verify_lagrangian(E, samples=E.parameter_samples(256))
-        if not rep.passed:
-            raise PreconditionError(
-                "embedding is not Lagrangian on the sample set",
-                residual_sup=rep.residual_sup)
+        require_lagrangian(E)
     src = E.source
     if base_point is None:
         base = np.zeros(src.dim)
@@ -613,26 +620,6 @@ def lift_legendrian(Lambda: SmoothMap, Q: ModelManifold, q_form: Sequence,
                                name=name or "legendrian-lift")
 
 
-def _fd_curl(one_form: FormExpression, coords: np.ndarray,
-             h: float = 1e-5) -> np.ndarray:
-    """Central-difference antisymmetrized derivative of a 1-form's
-    coefficients, used when exact jets are exhausted."""
-    coords = np.asarray(coords, float).reshape(-1, one_form.domain.dim)
-    k = one_form.domain.dim
-    grads = []
-    for i in range(k):
-        up, dn = coords.copy(), coords.copy()
-        up[:, i] += h
-        dn[:, i] -= h
-        grads.append((one_form.coefficients(up)
-                      - one_form.coefficients(dn)) / (2 * h))
-    out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            out.append(grads[i][:, j] - grads[j][:, i])
-    return np.stack(out, axis=-1)
-
-
 @dataclass
 class SymplectizationReport:
     closedness_sup: float
@@ -685,17 +672,19 @@ def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = No
         except DimensionError:
             # charts built from field gradients exhaust the order-2 jet
             # budget; fall back to a central-difference curl of the 1-form
-            closed = np.abs(_fd_curl(lam_pb, pts, h=1e-5))
+            _, J = central_difference(lam_pb.coefficients, pts, 1e-5)
+            closed = np.abs(np.stack(
+                [J[..., j, i] - J[..., i, j]
+                 for i, j in increasing_indices(E.source.dim, 2)], axis=-1))
     sup = float(closed.max(initial=0.0))
     loops = {}
-    lamJ = pullback(jmap, S.lam)
     zero = pullback(jmap, S.beta) * 0.0
     for ax in range(E.source.dim):
         if E.source.is_circle[ax]:
             base = np.zeros(E.source.dim)
             delta = np.zeros(E.source.dim)
             delta[ax] = 2 * np.pi
-            a, b, h = _path_data(zero, lamJ, base, delta, 512)
+            a, b, h = _path_data(zero, lam_pb, base, delta, 512)
             loops[E.source.labels[ax]] = float(simpson_path(a, h))
     passed = sup <= tol and all(abs(v) <= 1e-6 for v in loops.values())
     return jmap, SymplectizationReport(closedness_sup=sup,
@@ -984,19 +973,9 @@ def genericity_check(E: ParametricEmbedding, grid: int = 64,
     tmargins = np.zeros(0)
     min_fiber = None
     if tang.shape[0]:
-        h = 1e-5
-        grads = []
-        for u in tang:
-            g = np.zeros(src.dim)
-            for i in range(src.dim):
-                up, um = u.copy(), u.copy()
-                up[i] += h
-                um[i] -= h
-                Jp = E.chart.jacobian(up[None])[0][:n, :]
-                Jm = E.chart.jacobian(um[None])[0][:n, :]
-                g[i] = (np.linalg.det(Jp) - np.linalg.det(Jm)) / (2 * h)
-            grads.append(np.linalg.norm(g))
-        tmargins = np.asarray(grads)
+        _, grads = central_difference(
+            lambda u: np.linalg.det(E.chart.jacobian(u)[:, :n, :]), tang, 1e-5)
+        tmargins = np.linalg.norm(grads, axis=-1)
         min_fiber = float(np.linalg.norm(E.fiber_values(tang), axis=-1).min())
 
     ok1 = margins.size == 0 or margins.min() > 1e-6

@@ -34,7 +34,8 @@ from .manifolds import (ScalarField, SmoothMap, VectorField, _coerce_coords,
                         parameter_grid, sample_points)
 # gauss_newton is no longer called here; it stays importable from this
 # module because perfbench/tests checks the tracer's rebinding through it
-from .numerics import gauss_newton, simpson_path  # noqa: F401
+from .numerics import (central_difference, gauss_newton,  # noqa: F401
+                       simpson_path)
 from .structures import (CotangentLcsStructure, cotangent_lcs,
                          radial_log_derivative)
 
@@ -307,10 +308,11 @@ def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
     The Jacobian of the time-1 map comes from central differences (step
     ``fd_step``); the target 2-form is evaluated with exact jets.  The K
     samples and their 2m stencil neighbours flow as one batch of (2m+1)K
-    seeds through a single time-1 map, so one Richardson step serves the
-    base images and both sides of every central difference.  Setting
-    ``flow_method="euler"`` with a coarse step plants a defective flow: the
-    residual then exceeds the threshold, which is the diagnostic's self-test.
+    seeds through a single time-1 map (``central_difference`` calls it
+    once), so one Richardson step serves the base images and both sides of
+    every central difference.  Setting ``flow_method="euler"`` with a coarse
+    step plants a defective flow: the residual then exceeds the threshold,
+    which is the diagnostic's self-test.
     """
     S = P.structure
     if isinstance(samples, (int, np.integer)):
@@ -320,36 +322,21 @@ def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
     coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
     m = S.total.dim
     phi = time_one_map(P, step=flow_step, method=flow_method)
-    # block 0 holds the samples, blocks 1 + 2i and 2 + 2i their +/- fd_step
-    # shifts along coordinate i
-    stencil = np.repeat(coords[None], 2 * m + 1, axis=0)
-    for i in range(m):
-        stencil[1 + 2 * i, :, i] += fd_step
-        stencil[2 + 2 * i, :, i] -= fd_step
-    images = phi(stencil.reshape(-1, m)).reshape(stencil.shape)
-    base_img = images[0]
-
-    jac = np.zeros(coords.shape[:1] + (m, m))
-    for i in range(m):
-        jac[:, :, i] = S.total.difference(
-            images[1 + 2 * i], images[2 + 2 * i]) / (2 * fd_step)
+    base_img, jac = central_difference(phi, coords, fd_step,
+                                       diff=S.total.difference)
 
     omega_coeffs = exterior_d(S.lam).coefficients(base_img)
+    i, j = np.array(increasing_indices(m, 2)).T
     mat = np.zeros((coords.shape[0], m, m))
-    for pos, (i, j) in enumerate(increasing_indices(m, 2)):
-        mat[:, i, j] = omega_coeffs[:, pos]
-        mat[:, j, i] = -omega_coeffs[:, pos]
+    mat[:, i, j] = omega_coeffs
+    mat[:, j, i] = -omega_coeffs
     pulled = np.einsum("bri,brs,bsj->bij", jac, mat, jac)
 
     ginv = ScalarField(S.total,
                        lambda jets, g=P.g: g.fn(jets).reciprocal(),
                        name="1/g")
-    target_form = exterior_d(S.lam * ginv)
-    target = target_form.coefficients(coords)
-    residuals = []
-    for pos, (i, j) in enumerate(increasing_indices(m, 2)):
-        residuals.append(np.abs(pulled[:, i, j] - target[:, pos]))
-    residual = float(np.max(residuals))
+    target = exterior_d(S.lam * ginv).coefficients(coords)
+    residual = float(np.abs(pulled[:, i, j] - target).max())
     return {"residual": residual, "tol": tol, "passed": bool(residual <= tol),
             "sample_count": int(coords.shape[0])}
 
@@ -371,6 +358,7 @@ def radial_field_to_scalar_field(F: RadialField,
     interp = PchipInterpolator(ln_r, ray_values, axis=0, extrapolate=False)
     from scipy.spatial import cKDTree
     tree = cKDTree(S.base.embed(F.base_points))
+    block = max(1, 2 ** 17 // (B * D))     # rows per interpolant call
 
     class _Interp(ScalarField):
         def __init__(self):
@@ -387,8 +375,6 @@ def radial_field_to_scalar_field(F: RadialField,
             d_idx[r <= 1e-12] = 0
             lr = np.clip(np.log(np.maximum(r, F.radii[0])),
                          ln_r[0], ln_r[-1])
-            vals = interp(lr)                       # (K, B*D)
-            rows = np.arange(lr.shape[0])
             if n == 1 and S.base.is_circle[0]:
                 # linear blend between the two neighboring base nodes
                 axis = F.base_points[:, 0]
@@ -397,46 +383,41 @@ def radial_field_to_scalar_field(F: RadialField,
                 i0 = np.floor(pos).astype(int) % B
                 i1 = (i0 + 1) % B
                 w = pos - np.floor(pos)
-                v0 = vals[rows, i0 * D + d_idx]
-                v1 = vals[rows, i1 * D + d_idx]
-                out = np.exp((1 - w) * v0 + w * v1)
+                cols = np.stack([i0 * D + d_idx, i1 * D + d_idx])
             else:
                 _, b_idx = tree.query(S.base.embed(q))
-                out = np.exp(vals[rows, b_idx * D + d_idx])
+                cols = (b_idx * D + d_idx)[None]
+            # the interpolant fills all B*D ray columns of a row, so rows go
+            # in blocks and each point keeps only its own rays
+            picked = np.empty(cols.shape)
+            for s in range(0, lr.shape[0], block):
+                vals = interp(lr[s:s + block])
+                picked[:, s:s + block] = vals[np.arange(vals.shape[0]),
+                                              cols[:, s:s + block]]
+            if cols.shape[0] == 2:
+                out = np.exp((1 - w) * picked[0] + w * picked[1])
+            else:
+                out = np.exp(picked[0])
             return out[0] if squeeze else out.reshape(coords.shape[:-1])
 
         def jet(self, points, order: int = 2):
             coords = _coerce_coords(S.total, points)
-            f = self.value(coords)
             if order == 0:
-                return Jet2(f)
-            c2 = np.atleast_2d(coords)
+                return Jet2(self.value(coords))
             h = 1e-4
-            m = c2.shape[1]
-
-            def grad_at(pts):
-                g = np.zeros(pts.shape)
-                for i in range(m):
-                    up, dn = pts.copy(), pts.copy()
-                    up[:, i] += h
-                    dn[:, i] -= h
-                    g[:, i] = (self.value(up) - self.value(dn)) / (2 * h)
-                return g
-
-            g = grad_at(c2)
             if order == 1:
-                return Jet2(f if coords.ndim > 1 else f,
-                            g if coords.ndim > 1 else g[0])
-            hess = np.zeros(c2.shape + (m,))
-            for i in range(m):
-                up, dn = c2.copy(), c2.copy()
-                up[:, i] += h
-                dn[:, i] -= h
-                hess[:, i, :] = (grad_at(up) - grad_at(dn)) / (2 * h)
-            hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-            if coords.ndim == 1:
-                return Jet2(f, g[0], hess[0])
-            return Jet2(f, g, hess)
+                return Jet2(*central_difference(self.value, coords, h))
+
+            def value_and_gradient(pts):
+                f, g = central_difference(self.value, pts, h)
+                return np.concatenate([f[:, None], g], axis=-1)
+
+            # the Hessian differences the gradient: one value() call covers
+            # the nested (2m+1)^2 stencil
+            fg, dfg = central_difference(value_and_gradient, coords, h)
+            hess = dfg[..., 1:, :]
+            return Jet2(fg[..., 0], fg[..., 1:],
+                        0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
     return _Interp()
 

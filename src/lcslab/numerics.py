@@ -1,5 +1,6 @@
 """Shared numerical kernels: linear path ODE steps, Simpson sums, damped
-Gauss-Newton on periodic charts, and radius clustering of point sets."""
+Gauss-Newton on periodic charts, radius clustering of point sets, and the
+central-difference oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 __all__ = ["rk4_linear_path", "simpson_path", "gauss_newton",
-           "cluster_labels", "dedup_points", "segment_nodes"]
+           "cluster_labels", "dedup_points", "segment_nodes",
+           "central_difference"]
 
 
 def segment_nodes(n_steps: int) -> np.ndarray:
@@ -121,3 +123,25 @@ def dedup_points(points: np.ndarray, radius: float) -> np.ndarray:
     """Indices of cluster representatives (the first member of each
     ``cluster_labels`` cluster), in increasing order."""
     return np.unique(cluster_labels(points, radius), return_index=True)[1]
+
+
+def central_difference(fn: Callable[[np.ndarray], np.ndarray], x, h: float,
+                       diff=np.subtract) -> tuple:
+    """Values and central-difference Jacobian of ``fn`` at the points ``x``.
+
+    ``fn`` maps (N, m) points to (N, ...) values.  It is called once, on the
+    points stacked with their 2m shifted copies: block 0 holds ``x``, blocks
+    1 + 2i and 2 + 2i the shifts by +h and -h along coordinate i.  Returns
+    ``(fn(x), J)`` with ``J[..., i] = diff(f(x + h e_i), f(x - h e_i)) / (2h)``
+    (``diff`` may be circle-aware), shaped ``x.shape[:-1] + out + (m,)``.
+    """
+    x = np.asarray(x, float)
+    m = x.shape[-1]
+    stencil = np.repeat(x[None], 2 * m + 1, axis=0)
+    for i in range(m):
+        stencil[1 + 2 * i, ..., i] += h
+        stencil[2 + 2 * i, ..., i] -= h
+    vals = np.asarray(fn(stencil.reshape(-1, m)))
+    vals = vals.reshape(stencil.shape[:-1] + vals.shape[1:])
+    jac = diff(vals[1::2], vals[2::2]) / (2 * h)
+    return vals[0], np.moveaxis(jac, 0, -1)

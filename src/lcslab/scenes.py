@@ -19,7 +19,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .chords import (chords_to_csv, chords_to_json, classify_chord,
-                     mvt_obstruction_report, scan_chords)
+                     classify_chords, mvt_obstruction_report, scan_chords)
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError, SceneError)
 from .expressions import compile_field
@@ -373,20 +373,14 @@ def _cmd_scan_chords(scene, options):
                               structure=E1.structure)
     grid = int(scene.get("grids", {}).get("chord_grid", 48))
     scan = scan_chords(E1, E2, grid=grid)
-    if E1.declared_primitive is not None:
-        f1 = E1.declared_primitive
-    else:
-        f1 = solve_primitive(E1, grid_shape=64).solved_primitive
-    f2 = f1
-    if E2 is not None:
-        f2 = (E2.declared_primitive if E2.declared_primitive is not None
-              else solve_primitive(E2, grid_shape=64).solved_primitive)
-    ratios = []
-    for c in scan.chords:
-        classify_chord(c, f1, f2)
-        if c.ratio_defined:
-            ratios.append(c.mvt_ratio)
-    obstructed = any(r >= 1.0 - 1e-9 for r in ratios)
+
+    def primitive(E):
+        return (E.declared_primitive if E.declared_primitive is not None
+                else solve_primitive(E, grid_shape=64).solved_primitive)
+
+    f1 = primitive(E1)
+    f2 = f1 if E2 is None else primitive(E2)
+    ratios, obstructed = classify_chords(scan.chords, f1, f2)
     artifacts = {"chords.csv": lambda p: chords_to_csv(scan.chords, p,
                                                        n_base=E1.n),
                  "chords.json": lambda p: chords_to_json(scan.chords, p)}

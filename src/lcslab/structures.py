@@ -63,9 +63,6 @@ class CotangentLcsStructure:
     def point(self, coords) -> Point:
         return Point(self.total, coords)
 
-    def base_coords(self, coords: np.ndarray) -> np.ndarray:
-        return coords[..., :self.n]
-
     def fiber_coords(self, coords: np.ndarray) -> np.ndarray:
         return coords[..., self.n:]
 

@@ -253,3 +253,33 @@ def test_reeb_correspondence_nonconstant_legendrian():
     rep = reeb_correspondence([jet_graph(f, T1)], T1, eps=1.0, grid=12)
     assert rep.reeb_identity_sup <= 1e-12
     assert rep.all_matched and rep.all_essential
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve_primitive called with a declared primitive")
+
+
+def test_mvt_report_reads_a_declared_primitive_without_solving(monkeypatch):
+    from lcslab import chords
+    monkeypatch.setattr(chords, "solve_primitive", _no_solve)
+    E = translate_by_form(example_torus_2(), "beta", -2.0)
+    assert E.declared_primitive is not None
+    rep = mvt_obstruction_report(E, grid=48)
+    assert rep.obstructed and rep.chord_count > 0
+
+
+def test_mvt_report_refuses_a_non_lagrangian_declared_embedding(monkeypatch):
+    # the same chart and primitive under 1.3 d(phi): the chords stay (the
+    # scan reads only the chart) but the embedding is no longer Lagrangian
+    from lcslab import chords
+    from lcslab.lagrangians import ParametricEmbedding
+    monkeypatch.setattr(chords, "solve_primitive", _no_solve)
+    E = translate_by_form(example_torus_2(), "beta", -2.0)
+    bent = ParametricEmbedding(source=E.source,
+                               structure=cotangent_lcs(T2, [0.0, 1.3]),
+                               chart=E.chart,
+                               declared_primitive=E.declared_primitive)
+    with pytest.raises(PreconditionError) as err:
+        mvt_obstruction_report(bent, grid=48)
+    assert "not Lagrangian" in str(err.value)
+    assert err.value.details["residual_sup"] > 1e-3

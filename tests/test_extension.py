@@ -63,8 +63,7 @@ def test_core_of_beta_graph_single_branch():
 def test_near_zero_extension_constant_h():
     S = S1
     E = graph_embedding(S)
-    sk = build_core(E, base_grid=16, param_grid=16)
-    patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E, sk)
+    patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E)
     assert patch.h_max == 1.0
     base = parameter_grid(T1, 16).reshape(-1, 1)
     vals = patch.values(base, fiber_directions(1), log_radii(shells=16))
@@ -76,10 +75,9 @@ def test_near_zero_extension_for_section_like_lagrangian():
     # intersections, the constant max elsewhere
     S = cotangent_lcs(T1, [1.0])
     E = beta_graph(ScalarField(T1, lambda j: j[0].cos(), name="cos"), S)
-    sk = build_core(E, base_grid=16, param_grid=32)
     h = ScalarField(S.total, lambda j: j[0].sin() * 0.0 + 2.0
                     + j[0].sin() * 0.5)
-    patch = near_zero_extension(h, E, sk, blend_radius=0.6)
+    patch = near_zero_extension(h, E, blend_radius=0.6)
     assert patch.h_max == pytest.approx(2.5, abs=1e-6)
     assert patch.intersection_bases.shape[0] > 0
     base = parameter_grid(T1, 64).reshape(-1, 1)
@@ -92,10 +90,9 @@ def test_near_zero_extension_for_section_like_lagrangian():
 
 def test_near_zero_extension_rejects_obstructed():
     E = translate_by_form(example_torus_1(), "beta", -2.0)
-    sk = build_core(E, base_grid=8, param_grid=24)
     h = ScalarField.constant(E.structure.total, 1.0)
     with pytest.raises(ObstructionError) as err:
-        near_zero_extension(h, E, sk)
+        near_zero_extension(h, E)
     assert "chord" in str(err.value) or "ratio" in str(err.value)
 
 
@@ -111,8 +108,7 @@ def test_interpolation_rejects_slope_one_ray():
     # endpoints (1, 3) over radii (1, 3): the translated-double-cover chord
     S = S1
     E = graph_embedding(S, p0=1.0)
-    sk = build_core(E, base_grid=8, param_grid=16)
-    patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E, sk)
+    patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E)
     from lcslab.extension import RayCrossing, radial_log_interpolation
     base = parameter_grid(T1, 8).reshape(-1, 1)
     dirs = fiber_directions(1)
@@ -129,8 +125,7 @@ def test_interpolation_rejects_slope_one_ray():
 def test_interpolation_accepts_half_slope():
     S = S1
     E = graph_embedding(S, p0=1.0)
-    sk = build_core(E, base_grid=8, param_grid=16)
-    patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E, sk)
+    patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E)
     from lcslab.extension import RayCrossing, radial_log_interpolation
     base = parameter_grid(T1, 8).reshape(-1, 1)
     dirs = fiber_directions(1)
@@ -386,6 +381,34 @@ def test_collar_field_handles_planted_tangency():
     assert np.isfinite(nearby) and abs(nearby - v) < 0.5
 
 
+def per_axis_collar_gradient(field, coords, h=1e-5):
+    """The collar field's gradient by one central difference per axis, the
+    way ``CollarField.jet`` computed it before its stencil ran as one batch;
+    the reference for the batched jet."""
+    coords2 = np.atleast_2d(coords)
+    m = coords2.shape[-1]
+    g = np.zeros(coords2.shape[:-1] + (m,))
+    for i in range(m):
+        up, dn = coords2.copy(), coords2.copy()
+        up[..., i] += h
+        dn[..., i] -= h
+        g[..., i] = (field.value(up) - field.value(dn)) / (2 * h)
+    return g[0] if np.ndim(coords) == 1 else g
+
+
+def test_collar_jet_matches_per_axis_stencil():
+    S = cotangent_lcs(T1, [1.0])
+    E = beta_graph(ScalarField(T1, lambda j: j[0].cos() * 0.5 + 2.0), S)
+    field = near_lagrangian_extension(E, width=0.3)
+    pts = E.points(parameter_grid(T1, 12).reshape(-1, 1))
+    pts[:, 1] += np.linspace(-0.1, 0.1, pts.shape[0])
+    for x in (pts, pts[5]):
+        jet = field.jet(x, order=1)
+        assert np.array_equal(jet.f, field.value(x))
+        assert np.array_equal(jet.g, per_axis_collar_gradient(field, x))
+    assert np.abs(jet.g).max() > 0.0
+
+
 def test_collar_rejects_nonpositive_primitive():
     S = cotangent_lcs(T1, [1.0])
     E = beta_graph(ScalarField(T1, lambda j: j[0].cos()), S)  # hits 0
@@ -425,7 +448,7 @@ def test_near_zero_extension_zero_section_returns_h():
     sk = build_core(E, base_grid=16, param_grid=24)
     assert sk.params.shape[0] == 0
     h = ScalarField(S.total, lambda j: j[0].sin() * 0.3 + 2.0)
-    patch = near_zero_extension(h, E, sk, blend_radius=0.5)
+    patch = near_zero_extension(h, E, blend_radius=0.5)
     base = parameter_grid(T1, 32).reshape(-1, 1)
     radii = log_radii(1e-3, 0.05, 8)   # a thin collar of the section
     vals = patch.values(base, fiber_directions(1), radii)

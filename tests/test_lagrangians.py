@@ -252,6 +252,55 @@ def test_symplectization_of_zero_section_unchanged():
     assert np.allclose(jmap(pts), E.points(pts))
 
 
+def per_axis_fd_curl(one_form, coords, h=1e-5):
+    """Antisymmetrized central differences of a 1-form's coefficients, one
+    stencil per axis: the reference for the batched fallback curl."""
+    coords = np.asarray(coords, float).reshape(-1, one_form.domain.dim)
+    k = one_form.domain.dim
+    grads = []
+    for i in range(k):
+        up, dn = coords.copy(), coords.copy()
+        up[:, i] += h
+        dn[:, i] -= h
+        grads.append((one_form.coefficients(up)
+                      - one_form.coefficients(dn)) / (2 * h))
+    out = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            out.append(grads[i][:, j] - grads[j][:, i])
+    return np.stack(out, axis=-1)
+
+
+@pytest.mark.parametrize("twisted", [False, True],
+                         ids=["zero-section", "twisted-graph"])
+def test_symplectization_fd_curl_matches_per_axis_stencils(twisted,
+                                                           monkeypatch):
+    # the fallback curl (taken when the chart's jets cannot give exact
+    # second derivatives) reproduces the per-axis stencils bit for bit, on
+    # the section and on the graph of f*beta over it, whose pulled-back
+    # form f*beta has two nonzero, non-closed coefficients
+    from lcslab import lagrangians
+    from lcslab.errors import DimensionError
+    E, f = zero_section(cotangent_lcs(T2, [0.0, 1.0])), None
+    if twisted:
+        E = zero_section(cotangent_lcs(T2, [0.7, 1.0]))
+        f = ScalarField(T2, lambda j: j[0].cos() * 0.5 + j[1].sin() + 2.0)
+    pts = sample_points(T2, 40)
+    jmap, exact = symplectization_immersion(E, f=f, samples=pts)
+
+    def no_jets(form):
+        raise DimensionError("order-2 jet budget exhausted")
+
+    monkeypatch.setattr(lagrangians, "exterior_d", no_jets)
+    _, rep = symplectization_immersion(E, f=f, samples=pts)
+    ref = per_axis_fd_curl(pullback(jmap, E.structure.lam), pts)
+    assert rep.closedness_sup == float(np.abs(ref).max(initial=0.0))
+    if twisted:
+        assert rep.closedness_sup > 0.1
+    assert rep.closedness_sup == pytest.approx(exact.closedness_sup,
+                                               abs=1e-8)
+
+
 # ------------------------------------------------------------ contact lift
 
 def test_contact_lift_identity_torus_1():
@@ -362,6 +411,32 @@ def test_genericity_example_2_tangencies_touch_section():
     assert dist.max() <= 1e-6
     assert rep.min_tangency_fiber_norm <= 1e-6
     assert not rep.hypothesis_ok
+
+
+def per_point_tangency_margins(E, tang, h=1e-5):
+    """Gradient norms of the base-block determinant, one point and one axis
+    at a time: the reference for the batched tangency margins."""
+    n = E.n
+    grads = []
+    for u in tang:
+        g = np.zeros(E.source.dim)
+        for i in range(E.source.dim):
+            up, um = u.copy(), u.copy()
+            up[i] += h
+            um[i] -= h
+            Jp = E.chart.jacobian(up[None])[0][:n, :]
+            Jm = E.chart.jacobian(um[None])[0][:n, :]
+            g[i] = (np.linalg.det(Jp) - np.linalg.det(Jm)) / (2 * h)
+        grads.append(np.linalg.norm(g))
+    return np.asarray(grads)
+
+
+def test_genericity_tangency_margins_match_per_point_stencils():
+    E = example_torus_2()
+    rep = genericity_check(E, grid=48)
+    ref = per_point_tangency_margins(E, rep.tangency_params)
+    assert ref.size > 0 and ref.min() > 0.0
+    assert np.array_equal(rep.tangency_margins, ref)
 
 
 def test_genericity_morse_graph():

@@ -329,3 +329,55 @@ def test_first_variations_leave_flow_scales_unchanged(scene):
     assert dscale.shape == dirs.shape[:2]
     assert np.array_equal(plain, varied)
     assert not np.array_equal(plain, np.ones_like(plain))
+
+
+def per_axis_interpolant_jet(F, coords, order):
+    """The interpolated field's jet by per-axis central differences of
+    ``value`` and of a per-axis gradient, the way the field computed it
+    before its stencils ran as one batch; the reference for the batched
+    jet."""
+    f = F.value(coords)
+    c2 = np.atleast_2d(coords)
+    h = 1e-4
+    m = c2.shape[1]
+
+    def grad_at(pts):
+        g = np.zeros(pts.shape)
+        for i in range(m):
+            up, dn = pts.copy(), pts.copy()
+            up[:, i] += h
+            dn[:, i] -= h
+            g[:, i] = (F.value(up) - F.value(dn)) / (2 * h)
+        return g
+
+    g = grad_at(c2)
+    if order == 1:
+        return f, (g if coords.ndim > 1 else g[0]), None
+    hess = np.zeros(c2.shape + (m,))
+    for i in range(m):
+        up, dn = c2.copy(), c2.copy()
+        up[:, i] += h
+        dn[:, i] -= h
+        hess[:, i, :] = (grad_at(up) - grad_at(dn)) / (2 * h)
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    if coords.ndim == 1:
+        return f, g[0], hess[0]
+    return f, g, hess
+
+
+def test_interpolant_jet_matches_per_axis_stencils():
+    # the closedness certificate of full-pipeline reads these jets, so the
+    # batched stencil must reproduce the per-axis loops bit for bit
+    P, seeds, _ = scene_flow_problem("beta-graph-pipeline.json")
+    S = P.structure
+    coords = np.concatenate([seeds[::4], sample_points(S.total, 64,
+                                                       radius=6.0)])
+    for pts in (coords, coords[7]):
+        for order in (1, 2):
+            jet = P.g.jet(pts, order=order)
+            f, g, h = per_axis_interpolant_jet(P.g, pts, order)
+            assert np.array_equal(jet.f, f)
+            assert np.array_equal(jet.g, g)
+            if order == 2:
+                assert np.array_equal(jet.h, h)
+                assert np.abs(h).max() > 0.0

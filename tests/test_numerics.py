@@ -1,11 +1,14 @@
-"""Radius clustering against a greedy reference on well-separated clusters."""
+"""Radius clustering against a greedy reference on well-separated clusters,
+and the central-difference oracle against exact jets."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from lcslab.expressions import compile_field
 from lcslab.manifolds import make_manifold
-from lcslab.numerics import cluster_labels, dedup_points
+from lcslab.numerics import central_difference, cluster_labels, dedup_points
 
 CELLS = 6                      # cluster centers sit on a 6^k grid of cells
 CELL = 2.0 * np.pi / CELLS
@@ -86,3 +89,74 @@ def test_plain_points_cluster_without_embedding():
     assert cluster_labels(pts, 0.25).tolist() == [0, 1, 0, 0]
     assert dedup_points(pts, 0.25).tolist() == [0, 1]
     assert dedup_points(np.zeros((0, 2)), 0.25).size == 0
+
+
+# ------------------------------------------------------ central differences
+
+R2 = make_manifold(0, 2)
+COEFFS = st.floats(-1.5, 1.5).map(lambda c: round(c, 3))
+
+
+@st.composite
+def grammar_fields(draw):
+    """A sum of terms ``c*fn(a*q1 + b*q2)`` from the scene grammar, with the
+    bound ``sum |c| (|a|+|b|)^3 e^(|a|+|b|)`` on its third derivatives over
+    the unit box (the factor e^(...) covers ``exp``)."""
+    terms, bound = [], 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        c, a, b = draw(COEFFS), draw(COEFFS), draw(COEFFS)
+        fn = draw(st.sampled_from(["sin", "cos", "exp"]))
+        terms.append(f"{c}*{fn}({a}*q1 + {b}*q2)")
+        bound += abs(c) * (abs(a) + abs(b)) ** 3 * np.exp(abs(a) + abs(b))
+    return compile_field(" + ".join(terms), R2), bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_bound=grammar_fields(),
+       x=hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(2)),
+                    elements=st.floats(-1.0, 1.0)),
+       h=st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_central_difference_matches_exact_jets(field_bound, x, h):
+    field, bound = field_bound
+    center, jac = central_difference(field.value, x, h)
+    assert np.array_equal(center, field.value(x))
+    exact = field.jet(x, order=1).g
+    assert jac.shape == exact.shape
+    # truncation h^2/6 f''' (the box grows by h), plus rounding of f over h
+    tol = h * h / 6 * bound * np.exp(2 * h) + 1e-13 * (1 + bound) / h
+    assert np.abs(jac - exact).max() <= tol
+
+
+def test_central_difference_shapes_and_block_layout():
+    calls = []
+
+    def fn(pts):
+        calls.append(pts.copy())
+        return np.stack([pts[:, 0] * pts[:, 1], 3.0 * pts[:, 1]], axis=-1)
+
+    x = np.arange(24, dtype=float).reshape(3, 4, 2) / 10
+    center, jac = central_difference(fn, x, 0.5)
+    assert len(calls) == 1 and calls[0].shape == (5 * 12, 2)
+    blocks = calls[0].reshape(5, 3, 4, 2)
+    assert np.array_equal(blocks[0], x)
+    assert np.array_equal(blocks[1][..., 0], x[..., 0] + 0.5)
+    assert np.array_equal(blocks[4][..., 1], x[..., 1] - 0.5)
+    assert center.shape == (3, 4, 2) and jac.shape == (3, 4, 2, 2)
+    assert np.allclose(jac[..., 0, 0], x[..., 1])
+    assert np.allclose(jac[..., 0, 1], x[..., 0])
+    assert np.allclose(jac[..., 1, :], [0.0, 3.0])
+    # a single point keeps its own shape
+    center, jac = central_difference(fn, x[0, 0], 0.5)
+    assert center.shape == (2,) and jac.shape == (2, 2)
+
+
+def test_central_difference_takes_a_circle_aware_difference():
+    # the identity of the circle, wrapped: a shift across the seam jumps by
+    # 2 pi unless the difference is circle-aware
+    T1 = make_manifold(1, 0)
+    x = np.array([[2 * np.pi - 1e-6], [1.0]])
+    _, plain = central_difference(T1.normalize, x, 1e-5)
+    _, wrapped = central_difference(T1.normalize, x, 1e-5,
+                                    diff=T1.difference)
+    assert abs(plain[0, 0, 0]) > 1e4
+    assert np.allclose(wrapped[..., 0, 0], 1.0)

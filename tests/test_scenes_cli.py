@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcslab.cli import main
 from lcslab.errors import SceneError
@@ -310,3 +312,75 @@ def test_expression_scientific_notation():
                      ("1e-3 + q1*0", 1e-3)]:
         f = compile_field(src, t1)
         assert f.value(np.array([0.7])) == pytest.approx(val, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", ["(" * 200 + "1" + ")" * 200,
+                                  "-" * 5000 + "1",
+                                  "+".join(["q1"] * 1500)],
+                         ids=["parentheses", "unary-minus", "long-sum"])
+def test_cli_deep_expression_is_a_scene_error(beta, tmp_path, capsys):
+    # these once overflowed the parser's or the evaluator's recursion
+    scene = json.loads((SCENES / "zero-section.json").read_text())
+    scene["structure"]["beta"] = [beta, "0"]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(scene))
+    code = main(["validate-structure", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "scene error:" in capsys.readouterr().err
+    with pytest.raises(SceneError, match="deeper than"):
+        parse_expression(beta)
+
+
+def test_expression_depth_bound_is_inclusive():
+    from lcslab.expressions import MAX_DEPTH
+    t1 = make_manifold(1, 0)
+    for src in ["(" * (MAX_DEPTH - 1) + "q1" + ")" * (MAX_DEPTH - 1),
+                "+".join(["q1"] * MAX_DEPTH)]:
+        f = compile_field(src, t1)
+        assert np.isfinite(f.value(np.array([0.7])))
+    with pytest.raises(SceneError):
+        parse_expression("+".join(["q1"] * (MAX_DEPTH + 1)))
+
+
+EXPRESSION_TOKENS = ["q1", "q2", "x", "1", "2.5", "1e3", "9e99", ".5", "pi",
+                     "e", "sin", "cos", "exp", "log", "(", ")", "+", "-",
+                     "*", "/", "^", "**", " ", "#"]
+
+
+def _nested(n_open):
+    n, opener = n_open
+    closer = ")" if opener.endswith("(") else ""
+    return opener * n + "q1" + closer * n
+
+
+def _chain(n_op):
+    n, op = n_op
+    return op.join(["q2"] * n)
+
+
+EXPRESSION_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(EXPRESSION_TOKENS), max_size=30).map("".join),
+    st.tuples(st.integers(0, 400),
+              st.sampled_from(["(", "sin(", "-", "+", "2^"])).map(_nested),
+    st.tuples(st.integers(1, 400),
+              st.sampled_from(["+", "-", "*", "/", "^"])).map(_chain))
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=EXPRESSION_TEXT)
+@example(src="q1^1e300")       # an integer power once overflowed the jets
+def test_expression_fuzz_parses_or_raises_scene_error(src):
+    from lcslab.errors import DomainEvaluationError
+    t2 = make_manifold(2, 0)
+    try:
+        f = compile_field(src, t2)
+    except SceneError:
+        return
+    # whatever parses evaluates: unknown names and values outside a
+    # function's domain are the only errors
+    with np.errstate(all="ignore"):
+        try:
+            f.jet(np.array([[0.7, 2.0], [3.0, 0.1]]), order=2)
+        except (SceneError, DomainEvaluationError):
+            pass
