@@ -17,9 +17,8 @@ from .chords import (LiouvilleChord, classify_chord, mvt_obstruction_report,
 from .errors import (DimensionError, DomainEvaluationError, ImmersionError,
                      ObstructionError, PreconditionError, SceneError)
 from .expressions import compile_field, parse_expression
-from .extension import (CollarField, CoreSkeleton, RadialField,
-                        SqueezeProfile, build_core, build_positive_extension,
-                        mollify, near_lagrangian_extension,
+from .extension import (RadialField, SqueezeProfile,
+                        build_positive_extension, mollify,
                         near_zero_extension, outer_flatten,
                         radial_log_interpolation, squeeze_profile,
                         verify_radial_bound)
@@ -29,11 +28,9 @@ from .forms import (FormExpression, check_nondegenerate, constant_form,
                     pullback, zero_form)
 from .jets import Jet2, compose_jet, constant_jet, partial_jet, seed_jets
 from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
-                          beta_graph, cobordism_gluing_constant,
-                          contact_lift_check, example_by_name,
+                          beta_graph, contact_lift_check, example_by_name,
                           example_torus_1, example_torus_2, genericity_check,
-                          jet_graph, lift_generating_function,
-                          lift_legendrian, solve_primitive,
+                          jet_graph, lift_legendrian, solve_primitive,
                           symplectization_immersion, translate_by_form,
                           verify_lagrangian, zero_section)
 from .manifolds import (ModelManifold, Point, ScalarField, SmoothMap,
@@ -44,9 +41,7 @@ from .moser import (FlowResult, MoserProblem, integrate_flow,
                     straighten_lagrangian, verify_conformal_pullback)
 from .scenes import load_scene, run_command
 from .structures import (CotangentLcsStructure, GaugeTransform,
-                         clamp_fiber_radius, cotangent_lcs,
-                         criterion_radial_log_derivative, gauge_apply,
-                         liouville_flow, liouville_vector_field,
-                         rescaling_diffeo)
+                         cotangent_lcs, criterion_radial_log_derivative,
+                         gauge_apply, liouville_flow, liouville_vector_field)
 
 __version__ = "0.1.0"

@@ -31,17 +31,14 @@ from .chords import MvtReport, mvt_obstruction_report
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError)
 from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
-                          base_preimages, closest_parameter, fiber_zeros,
-                          solve_primitive)
-from .manifolds import ScalarField, _coerce_coords, parameter_grid
-from .numerics import central_difference, dedup_points
+                          base_preimages, fiber_zeros)
+from .manifolds import ScalarField, parameter_grid
 from .structures import CotangentLcsStructure, smoothstep
 
 __all__ = [
-    "CoreSkeleton", "RadialField", "SqueezeProfile", "build_core",
-    "near_zero_extension", "InnerPatch", "radial_log_interpolation",
-    "mollify", "outer_flatten", "verify_radial_bound", "RadialBoundReport",
-    "squeeze_profile", "near_lagrangian_extension", "CollarField",
+    "RadialField", "SqueezeProfile", "near_zero_extension", "InnerPatch",
+    "radial_log_interpolation", "mollify", "outer_flatten",
+    "verify_radial_bound", "RadialBoundReport", "squeeze_profile",
     "build_positive_extension", "ExtensionReport", "fiber_directions",
     "log_radii", "ray_log_slope",
 ]
@@ -129,67 +126,6 @@ class RadialField:
                         fh.write(f"{b},{d},{self.radii[r]:.12g},"
                                  f"{self.values[b, d, r]:.17g}\n")
 
-    @staticmethod
-    def from_json(path: str) -> "RadialField":
-        with open(path) as fh:
-            data = json.load(fh)
-        return RadialField(np.asarray(data["base_points"]),
-                           np.asarray(data["directions"]),
-                           np.asarray(data["radii"]),
-                           np.asarray(data["values"]))
-
-
-# ------------------------------------------------------------------ skeleton
-
-@dataclass
-class CoreSkeleton:
-    """Sampled branches from the Lagrangian straight down to the section."""
-
-    params: np.ndarray        # (P, k) parameters of branch endpoints on L
-    base: np.ndarray          # (P, n)
-    fiber: np.ndarray         # (P, n) nonzero covectors
-    lengths: np.ndarray       # (P,) branch lengths |p|
-    zero_grid: np.ndarray     # (B, n) zero-section grid
-    stars: dict               # base cell index -> list of branch indices
-
-    def branches_above(self, cell: int) -> np.ndarray:
-        return np.asarray(self.stars.get(cell, []), dtype=int)
-
-    def sheets_above(self, cell: int, tol: float = 0.3) -> int:
-        """Number of distinct branches (sheets) over a star, clustering the
-        sampled covectors at ``tol`` in fiber coordinates."""
-        idx = self.branches_above(cell)
-        if idx.size == 0:
-            return 0
-        return len(dedup_points(self.fiber[idx], tol))
-
-
-def build_core(E: ParametricEmbedding, base_grid: int = 64,
-               param_grid: int = 64,
-               min_norm: float = 1e-3) -> CoreSkeleton:
-    """Sample the branch set {(q, t p)} of an embedding plus the section grid.
-
-    Branch endpoints with |p| below ``min_norm`` merge into the section (the
-    zero section itself yields a skeleton with no branches).  Stars index
-    branches by the nearest base grid cell.
-    """
-    S = E.structure
-    params = parameter_grid(E.source, param_grid).reshape(-1, E.source.dim)
-    pts = E.points(params)
-    base, fiber = pts[:, :S.n], pts[:, S.n:]
-    lengths = np.linalg.norm(fiber, axis=-1)
-    keep = lengths >= min_norm
-    params, base, fiber, lengths = (params[keep], base[keep], fiber[keep],
-                                    lengths[keep])
-    zero_grid = parameter_grid(S.base, base_grid).reshape(-1, S.n)
-    stars: dict = {}
-    if base.shape[0]:
-        _, cells = cKDTree(S.base.embed(zero_grid)).query(S.base.embed(base))
-        for i, c in enumerate(cells):
-            stars.setdefault(int(c), []).append(i)
-    return CoreSkeleton(params=params, base=base, fiber=fiber,
-                        lengths=lengths, zero_grid=zero_grid, stars=stars)
-
 
 # --------------------------------------------------------------- inner patch
 
@@ -198,7 +134,7 @@ class InnerPatch:
     """Near-section values: constant max(h) blended to h near L-section
     intersections (quintic-in-distance blending, a C^1 seam).
 
-    ``everywhere`` marks the degenerate skeleton (L is the section itself):
+    ``everywhere`` marks the degenerate case (L is the section itself):
     the patch is then h outright.
     """
 
@@ -668,111 +604,6 @@ def squeeze_profile(P: SqueezeProfile, t) -> tuple:
     if scalar:
         return float(alpha[0]), float(deriv[0])
     return alpha, deriv
-
-
-# --------------------------------------------------- near-Lagrangian collar
-
-class CollarField(ScalarField):
-    """First-order extension of the primitive off the Lagrangian.
-
-    At the closest point i(u) of L, the ambient Euler field (0, p) splits
-    into a tangent part X_H and a normal part X_V; the extension grows
-    linearly in the normal offset with rate ``-df(X_H)/|X_V|`` along the unit
-    normal X_V/|X_V|, which kills the radial logarithmic derivative on L.
-    The rate degenerates gracefully at tangencies (X_V = 0 forces the
-    coefficient df(X_H) -> 0 there for exact pairs); we clamp to 0 below a
-    threshold.  Derivatives are finite differences (step 1e-5): the collar
-    contract is a 1e-1 scale bound, far above the FD noise floor.
-    """
-
-    def __init__(self, E: ParametricEmbedding, f: ScalarField,
-                 width: float = 0.2, tangency_tol: float = 1e-8):
-        super().__init__(E.structure.total, fn=None, name="collar-extension")
-        self.embedding = E
-        self.f = f
-        self.width = width
-        self.tangency_tol = tangency_tol
-
-    def _extend_one(self, x: np.ndarray) -> float:
-        E = self.embedding
-        S = E.structure
-        total = S.total
-        params, dists = closest_parameter(E, x)
-        u = params[0]
-        if dists[0] > self.width:
-            raise DomainEvaluationError(
-                "point outside the tubular collar", point=x)
-        pt = E.points(u[None, :])[0]
-        J = E.chart.jacobian(u[None, :])[0]          # (2n, k)
-        Z = np.concatenate([np.zeros(S.n), pt[S.n:]])
-        Q, _ = np.linalg.qr(J)
-        XH = Q @ (Q.T @ Z)
-        XV = Z - XH
-        nv = float(np.linalg.norm(XV))
-        fj = self.f.jet(u[None, :], order=1)
-        fval = float(fj.f[0])
-        if fval <= 0.0:
-            raise PreconditionError(
-                "primitive must be positive on L; translate_by_form first",
-                value=fval)
-        if nv <= self.tangency_tol * (1.0 + np.linalg.norm(Z)):
-            rate = 0.0
-            normal = np.zeros_like(Z)
-        else:
-            coeffs = np.linalg.lstsq(J, XH, rcond=None)[0]
-            dfXH = float(fj.g[0] @ coeffs)
-            rate = -dfXH / nv
-            normal = XV / nv
-        nu = total.difference(x, pt)
-        return fval + rate * float(normal @ nu)
-
-    def value(self, points) -> np.ndarray:
-        coords = _coerce_coords(self.domain, points)
-        squeeze = coords.ndim == 1
-        coords2 = coords.reshape(-1, coords.shape[-1])
-        out = np.array([self._extend_one(x) for x in coords2])
-        return out[0] if squeeze else out.reshape(coords.shape[:-1])
-
-    def jet(self, points, order: int = 2):
-        from .jets import Jet2
-        coords = _coerce_coords(self.domain, points)
-        if order == 0:
-            return Jet2(self.value(coords))
-        if order == 1:
-            return Jet2(*central_difference(self.value, coords, 1e-5))
-        raise DomainEvaluationError(
-            "collar field exposes value and first derivatives only")
-
-    def radial_log_derivative_fd(self, points, step: float = 1e-4) -> np.ndarray:
-        """d ln(field)(Z) by symmetric fiber scaling, for the collar check."""
-        coords = np.atleast_2d(_coerce_coords(self.domain, points))
-        n = self.embedding.n
-        up, dn = coords.copy(), coords.copy()
-        up[:, n:] *= (1.0 + step)
-        dn[:, n:] *= (1.0 - step)
-        return ((np.log(self.value(up)) - np.log(self.value(dn)))
-                / (2.0 * step))
-
-
-def near_lagrangian_extension(E: ParametricEmbedding,
-                              f: ScalarField | None = None,
-                              width: float = 0.2,
-                              certificate: ExactnessCertificate | None = None) -> CollarField:
-    """Collar extension of a positive primitive with vanishing radial
-    log-derivative on L (reported sup stays small on thin collars)."""
-    if f is None:
-        f = E.declared_primitive
-    if f is None:
-        if certificate is None:
-            certificate = solve_primitive(E)
-        f = certificate.solved_primitive
-    pts = parameter_grid(E.source, 48).reshape(-1, E.source.dim)
-    fmin = float(f.value(pts).min())
-    if fmin <= 0.0:
-        raise PreconditionError(
-            "primitive must be positive; translate_by_form by c*beta first",
-            minimum=fmin)
-    return CollarField(E, f, width=width)
 
 
 # ------------------------------------------------------------- full pipeline

@@ -41,10 +41,8 @@ __all__ = [
     "verify_lagrangian", "require_lagrangian", "solve_primitive",
     "translate_by_form", "beta_graph", "zero_section", "lift_legendrian",
     "jet_graph", "symplectization_immersion", "contact_lift_check",
-    "lift_generating_function", "GeneratingLift", "cobordism_gluing_constant",
     "genericity_check", "GenericityReport", "example_torus_1",
-    "example_torus_2", "example_by_name", "closest_parameter",
-    "base_preimages", "fiber_zeros",
+    "example_torus_2", "example_by_name", "base_preimages", "fiber_zeros",
 ]
 
 
@@ -741,112 +739,6 @@ def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,
                              passed=bool(sup <= tol and min_abs > 0))
 
 
-# ------------------------------------------------------ generating functions
-
-@dataclass
-class GeneratingLift:
-    G: ScalarField
-    lifted_domain: ModelManifold
-    base_dim: int
-    critical_points: np.ndarray      # (N, dim M + k) fiber-critical samples
-    generated_points: np.ndarray     # (N, 2 dim M + 1): rows (q, D_M F, -F)
-
-    def lift_points(self, theta: float) -> np.ndarray:
-        """Generated set in T*(M x S^1) over the circle coordinate theta.
-
-        Rows are ``(q, theta, D_M F, -F)`` in bundle coordinate order.
-        """
-        n = self.base_dim
-        out = []
-        for row in self.generated_points:
-            out.append(np.concatenate([row[:n], [theta],
-                                       row[n:2 * n], row[2 * n:]]))
-        return (np.asarray(out) if out
-                else np.zeros((0, 2 * n + 2)))
-
-
-def lift_generating_function(F: ScalarField, M: ModelManifold, k: int,
-                             shell_radius: float = 3.0,
-                             hessian_tol: float = 1e-6,
-                             grid: int = 48,
-                             xi_radius: float = 2.0) -> GeneratingLift:
-    """Lift a quadratic-at-infinity generating function to the circle product.
-
-    The lifted function ``G(q, theta, xi) = F(q, xi)`` ignores the circle
-    coordinate; its twisted fiber-critical locus generates the product of the
-    original Lagrangian with the circle.  Fiber-critical points are located by
-    damped Newton on ``D_xi F = 0`` from grid seeds.
-    """
-    n = M.dim
-    dom = F.domain
-    if dom.dim != n + k:
-        raise DimensionError("F must live on M x R^k")
-
-    # quadratic at infinity: Hessian in xi constant on the sample shell
-    shell = sample_points(dom, 64, radius=1.0)
-    dirs = shell[:, n:]
-    norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
-    norms[norms == 0] = 1.0
-    shell[:, n:] = shell_radius * dirs / norms
-    hess = F.jet(shell).h[:, n:, n:]
-    spread = float(np.abs(hess - hess[0]).max())
-    if spread > hessian_tol:
-        raise PreconditionError(
-            "generating function is not quadratic outside the stated compact",
-            hessian_spread=spread, shell_radius=shell_radius)
-
-    lifted_dom = ModelManifold(M.is_circle + (True,) + (False,) * k,
-                               M.labels + ("theta",)
-                               + tuple(f"xi{i+1}" for i in range(k)))
-
-    def G_fn(jets):
-        return F.fn(list(jets[:n]) + list(jets[n + 1:]))
-
-    G = ScalarField(lifted_dom, G_fn, name=f"lift({F.name})")
-
-    # fiber-critical locus by Newton in xi over a base grid
-    base_grid = parameter_grid(M, grid).reshape(-1, n)
-    axis = np.linspace(-xi_radius, xi_radius, max(8, grid // 4))
-    xi_seeds = np.stack(np.meshgrid(*([axis] * k), indexing="ij"),
-                        axis=-1).reshape(-1, k)
-    crit = []
-    for q in base_grid:
-        def res_fixed_base(xi_only, q=q):
-            u = np.concatenate(
-                [np.repeat(q[None, :], xi_only.shape[0], axis=0), xi_only],
-                axis=1)
-            jets = F.jet(u, order=2)
-            return jets.g[:, n:], jets.h[:, n:, n:]
-
-        sol, _, ok = gauss_newton(res_fixed_base, xi_seeds, tol=1e-12)
-        good = sol[ok & (np.abs(sol).max(axis=-1) <= xi_radius + 1e-6)]
-        if good.size == 0:
-            continue
-        reps = dedup_points(good, 1e-4)
-        for r_ in reps:
-            crit.append(np.concatenate([q, good[r_]]))
-    crit = np.asarray(crit) if crit else np.zeros((0, n + k))
-
-    generated = []
-    for u in crit:
-        jet = F.jet(u, order=1)
-        generated.append(np.concatenate([u[:n], jet.g[:n], [-jet.f]]))
-    generated = (np.asarray(generated) if generated
-                 else np.zeros((0, 2 * n + 1)))
-    return GeneratingLift(G=G, lifted_domain=lifted_dom, base_dim=n,
-                          critical_points=crit, generated_points=generated)
-
-
-def cobordism_gluing_constant(f0: float, ft0: float, t0: float):
-    """The unique constant c with ``f0 + c = e^{t0}(ft0 + c)``; None at t0=0."""
-    if t0 < 0:
-        raise PreconditionError("gluing time must be positive", t0=t0)
-    E = np.exp(t0)
-    if E == 1.0:
-        return None
-    return (E * ft0 - f0) / (1.0 - E)
-
-
 # ------------------------------------------------------ Newton on embeddings
 
 def base_preimages(E: ParametricEmbedding, q: np.ndarray, params: np.ndarray,
@@ -983,39 +875,6 @@ def genericity_check(E: ParametricEmbedding, grid: int = 64,
     ok2 = tmargins.size == 0 or tmargins.min() > 1e-6
     return GenericityReport(False, inters, margins, min_trans, tang, tmargins,
                             min_fiber, bool(ok1 and ok2 and ok3))
-
-
-# -------------------------------------------------------------- closest point
-
-def closest_parameter(E: ParametricEmbedding, x: np.ndarray,
-                      seed_grid: int = 32):
-    """Parameters of the closest points of the embedded image to x.
-
-    Returns ``(params, distances)`` for the locally-nearest parameters found
-    from grid seeds (several when the fiber ray meets several sheets).
-    """
-    src = E.source
-    total = E.structure.total
-    x = _coerce_coords(total, x)
-    params = parameter_grid(src, seed_grid).reshape(-1, src.dim)
-    d = total.distance(E.points(params), x)
-    order = np.argsort(d)
-    seeds = params[order[:8]]
-
-    def residual(u):
-        jets = E.chart.jet(u, order=1)
-        vals = total.normalize(np.stack([c.f for c in jets], axis=-1))
-        r = total.difference(vals, x)
-        J = np.stack([c.g for c in jets], axis=-2)
-        return r, J
-
-    sol, norms, _ = gauss_newton(residual, seeds, tol=1e-14, max_iter=60)
-    sol = src.normalize(sol)
-    reps = dedup_points(src.embed(sol), 1e-6)
-    sol = sol[reps]
-    dist = total.distance(E.points(sol), x)
-    keep = dist <= dist.min() + 1e-9
-    return sol[keep], dist[keep]
 
 
 # ------------------------------------------------------------ example library

@@ -322,8 +322,10 @@ def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
     ``[-radius, radius]`` unless overridden per index through ``ranges``.
     ``seed`` picks the block of ``n`` Halton points that starts at index
     ``1 + seed * n``, so distinct seeds give distinct (still reproducible)
-    sets.
+    sets; a negative seed is refused.
     """
+    if seed < 0:
+        raise ValueError(f"sample seed must be nonnegative, got {seed}")
     eng = qmc.Halton(manifold.dim, scramble=False)
     # jump to the block: generating the skipped points would cost memory
     # linear in seed * n.  Index 0 is the degenerate all-zeros sample.

@@ -286,17 +286,6 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
                       max_fiber_drift=0.0, step=step, t0=t0, t1=t1)
 
 
-def time_one_map(P: MoserProblem, step: float = 1e-3,
-                 method: str = "rk4"):
-    """The time-1 flow as a plain coordinate map (no jets)."""
-
-    def phi(coords: np.ndarray) -> np.ndarray:
-        res = integrate_flow(P, coords, step=step, method=method)
-        return res.images
-
-    return phi
-
-
 def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
                               samples: int | np.ndarray = 256,
                               fd_step: float = 1e-5,
@@ -321,9 +310,10 @@ def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
         coords = _coerce_coords(S.total, samples)
     coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
     m = S.total.dim
-    phi = time_one_map(P, step=flow_step, method=flow_method)
-    base_img, jac = central_difference(phi, coords, fd_step,
-                                       diff=S.total.difference)
+    base_img, jac = central_difference(
+        lambda x: integrate_flow(P, x, step=flow_step,
+                                 method=flow_method).images,
+        coords, fd_step, diff=S.total.difference)
 
     omega_coeffs = exterior_d(S.lam).coefficients(base_img)
     i, j = np.array(increasing_indices(m, 2)).T

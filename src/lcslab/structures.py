@@ -4,9 +4,8 @@ The bundle T*M carries the tautological 1-form ``lambda = sum p_i dq_i`` and a
 Lee form ``beta`` pulled back from the base.  Together with the twisted
 2-form ``omega = d(lambda) - beta ^ lambda`` they form the structure every
 other module consumes.  Also here: the fiber Euler (Liouville) vector field
-and its flow, gauge transformations, the fiber-rescaling diffeomorphism
-``(q, p) -> (q, e^{-g} p)`` and the radial log-derivative criterion that
-controls when ``lambda/g`` is still a Liouville form.
+and its flow, gauge transformations and the radial log-derivative criterion
+that controls when ``lambda/g`` is still a Liouville form.
 """
 
 from __future__ import annotations
@@ -16,19 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainEvaluationError, PreconditionError
+from .errors import DimensionError, DomainEvaluationError
 from .forms import (FormExpression, SumForm, coordinate_differential,
                     exterior_d, field_form, lichnerowicz_d, zero_form)
 from .jets import Jet2
-from .manifolds import (ModelManifold, Point, ScalarField, SmoothMap,
-                        VectorField, _coerce_coords, sample_points)
+from .manifolds import (ModelManifold, Point, ScalarField, VectorField,
+                        _coerce_coords, sample_points)
 
 __all__ = [
     "CotangentLcsStructure", "GaugeTransform", "LcsPair", "cotangent_lcs",
-    "liouville_vector_field", "liouville_flow", "rescaling_diffeo",
+    "liouville_vector_field", "liouville_flow",
     "criterion_radial_log_derivative", "gauge_apply", "RadialCriterionReport",
-    "structure_scene_fragment",
-    "clamp_fiber_radius", "radial_blend", "smoothstep",
+    "structure_scene_fragment", "radial_blend", "smoothstep",
 ]
 
 
@@ -140,13 +138,11 @@ def liouville_flow(S: CotangentLcsStructure, x, t: float):
 
 
 def radial_log_derivative(S: CotangentLcsStructure, g: ScalarField,
-                          coords: np.ndarray, log: bool = True) -> np.ndarray:
-    """``d ln g (Z)`` (or ``dg(Z)`` with ``log=False``) at coords."""
+                          coords: np.ndarray) -> np.ndarray:
+    """``d ln g (Z)`` at coords."""
     jet = g.jet(coords, order=1)
     p = S.fiber_coords(coords)
     radial = np.einsum("...i,...i->...", jet.g[..., S.n:], p)
-    if not log:
-        return radial
     if np.any(jet.f <= 0.0):
         bad = np.asarray(coords)[np.asarray(jet.f <= 0.0)]
         raise DomainEvaluationError("log-derivative of a nonpositive field",
@@ -184,33 +180,6 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
                                  threshold=threshold,
                                  worst_point=np.asarray(coords).reshape(-1, S.total.dim)[i],
                                  sample_count=int(np.asarray(vals).size))
-
-
-def rescaling_diffeo(S: CotangentLcsStructure, g: ScalarField,
-                     grid=None, check: bool = True) -> SmoothMap:
-    """Fiber rescaling ``(q, p) -> (q, e^{-g(q,p)} p)``.
-
-    Injectivity on fibers requires ``dg(Z) < 1`` on the verification grid;
-    the worst grid point is reported when the bound fails.  The map pulls the
-    canonical Liouville form back to ``e^{-g} lambda`` and fixes ``beta``.
-    """
-    n = S.n
-    if check:
-        coords = S.samples() if grid is None else _coerce_coords(S.total, grid)
-        vals = radial_log_derivative(S, g, coords, log=False)
-        worst = int(np.argmax(vals))
-        if vals.flat[worst] >= 1.0:
-            raise PreconditionError(
-                "fiber rescaling not injective: dg(Z) >= 1 on the grid",
-                worst_value=float(vals.flat[worst]),
-                worst_point=np.array2string(
-                    coords.reshape(-1, S.total.dim)[worst], precision=6))
-
-    def fn(jets):
-        scale = (-g.fn(jets)).exp()
-        return list(jets[:n]) + [scale * jets[n + i] for i in range(n)]
-
-    return SmoothMap(S.total, S.total, fn, name="fiber-rescaling")
 
 
 @dataclass(frozen=True)
@@ -267,26 +236,3 @@ def radial_blend(p: Sequence[Jet2], r_in: float, r_out: float) -> tuple:
     blend = Jet2.where(r.f <= r_in, r * 0.0,
                        Jet2.where(r.f >= r_out, r * 0.0 + 1.0, s))
     return r, blend
-
-
-def clamp_fiber_radius(g: ScalarField, S: CotangentLcsStructure,
-                       radius: float, width: float = 1.0) -> ScalarField:
-    """Swap ``g`` for a field equal to it inside ``|p| <= radius`` and constant
-    along each fiber ray beyond ``radius + width``.
-
-    The cutoff radius is a free parameter; callers pick it to cover the region
-    they care about.  Uses a quintic blend of the radial coordinate, so the
-    result is C^2 at the seams.
-    """
-    n = S.n
-
-    def fn(jets):
-        p = jets[n:]
-        # smooth clamp rho(r): r below radius, radius + width/2 asymptote
-        r, blend = radial_blend(p, radius, radius + width)
-        rho = r * (1.0 - blend) + blend * (radius + 0.5 * width)
-        scale = rho / r
-        clamped = jets[:n] + [scale * c for c in p]
-        return g.fn(clamped)
-
-    return ScalarField(S.total, fn, name=f"clamp({g.name})")

@@ -1,13 +1,13 @@
-"""Extension pipeline: skeleton, patches, interpolation, mollifier, bound."""
+"""Extension pipeline: inner patch, ray interpolation, mollifier, outer
+flattening, squeeze profile and the radial bound."""
 
 import numpy as np
 import pytest
 
 from lcslab.errors import ObstructionError, PreconditionError
-from lcslab.extension import (CollarField, RadialField, SqueezeProfile,
-                              build_core, build_positive_extension,
-                              fiber_directions, log_radii, mollify,
-                              near_lagrangian_extension, near_zero_extension,
+from lcslab.extension import (RadialField, SqueezeProfile,
+                              build_positive_extension, fiber_directions,
+                              log_radii, mollify, near_zero_extension,
                               outer_flatten, ray_log_slope, squeeze_profile,
                               verify_radial_bound)
 from lcslab.lagrangians import (beta_graph, example_torus_1, translate_by_form,
@@ -16,7 +16,6 @@ from lcslab.manifolds import ScalarField, make_manifold, parameter_grid
 from lcslab.structures import cotangent_lcs
 
 T1 = make_manifold(1, 0)
-T2 = make_manifold(2, 0)
 S1 = cotangent_lcs(T1, [0.0])
 S1b = cotangent_lcs(T1, [1.0])
 
@@ -31,31 +30,6 @@ def graph_embedding(S, p0=0.3):
                       name="graph(0.3 dq)")
     return ParametricEmbedding(source=S.base, structure=S, chart=chart,
                                name="graph(0.3 dq)")
-
-
-# ---------------------------------------------------------------- skeleton
-
-def test_core_of_zero_section_has_no_branches():
-    S = cotangent_lcs(T2, [0.0, 1.0])
-    sk = build_core(zero_section(S), base_grid=16, param_grid=16)
-    assert sk.params.shape[0] == 0
-    assert sk.zero_grid.shape == (256, 2)
-
-
-def test_core_of_double_cover_has_two_branches_per_star():
-    sk = build_core(example_torus_1(), base_grid=24, param_grid=48)
-    # fiber never vanishes, so every sampled parameter yields a branch
-    assert sk.params.shape[0] == 48 * 48
-    # two sheets over every populated star (the double cover)
-    sheet_counts = [sk.sheets_above(cell) for cell in sk.stars]
-    assert set(sheet_counts) == {2}
-
-
-def test_core_of_beta_graph_single_branch():
-    S = cotangent_lcs(T2, [1.0, 0.0])
-    E = beta_graph(ScalarField.constant(T2, 1.0), S)
-    sk = build_core(E, base_grid=16, param_grid=16)
-    assert {sk.sheets_above(cell) for cell in sk.stars} == {1}
 
 
 # -------------------------------------------------------------- inner patch
@@ -338,85 +312,6 @@ def test_squeeze_profile_radial_slope_bounded():
     assert sigma.max() < 1.0
 
 
-# ------------------------------------------------- near-Lagrangian extension
-
-def test_collar_field_on_zero_section_is_constant():
-    S = cotangent_lcs(T1, [1.0])
-    E = beta_graph(ScalarField.constant(T1, 1.0), S)
-    # L = graph of -dq; primitive 1; Z vanishes nowhere off the section but
-    # the construction pins value 1 on L
-    field = near_lagrangian_extension(E, width=0.3)
-    pts = E.points(parameter_grid(T1, 16).reshape(-1, 1))
-    assert np.abs(field.value(pts) - 1.0).max() <= 1e-9
-
-
-def test_collar_field_radial_derivative_small():
-    S = cotangent_lcs(T1, [1.0])
-    E = beta_graph(ScalarField(T1, lambda j: j[0].cos() + 2.0), S)
-    field = near_lagrangian_extension(E, width=0.3)
-    params = parameter_grid(T1, 24).reshape(-1, 1)
-    pts = E.points(params)
-    # push slightly off L along the fiber and measure d ln h'(Z)
-    off = pts.copy()
-    off[:, 1] += 0.05 * np.sign(off[:, 1] + 1e-9)
-    vals = field.radial_log_derivative_fd(off)
-    assert np.abs(vals).max() <= 0.1
-
-
-def test_collar_field_handles_planted_tangency():
-    # chart (u) -> (cos u as base, 1 + sin u): at u = 0 the tangent is
-    # vertical and parallel to the Euler field; the rate clamps cleanly
-    S = cotangent_lcs(T1, [1.0])
-    from lcslab.lagrangians import ParametricEmbedding
-    from lcslab.manifolds import SmoothMap
-    chart = SmoothMap(T1, S.total, lambda j: [j[0].cos(), j[0].sin() + 1.0])
-    E = ParametricEmbedding(source=T1, structure=S, chart=chart,
-                            name="tangency")
-    f = ScalarField(T1, lambda j: j[0].cos() * 0.2 + 1.0)
-    field = CollarField(E, f, width=0.4)
-    x = E.points(np.array([[0.0]]))[0]
-    v = field.value(x + np.array([0.0, 0.01]))
-    assert np.isfinite(v)
-    nearby = field.value(x + np.array([0.02, 0.01]))
-    assert np.isfinite(nearby) and abs(nearby - v) < 0.5
-
-
-def per_axis_collar_gradient(field, coords, h=1e-5):
-    """The collar field's gradient by one central difference per axis, the
-    way ``CollarField.jet`` computed it before its stencil ran as one batch;
-    the reference for the batched jet."""
-    coords2 = np.atleast_2d(coords)
-    m = coords2.shape[-1]
-    g = np.zeros(coords2.shape[:-1] + (m,))
-    for i in range(m):
-        up, dn = coords2.copy(), coords2.copy()
-        up[..., i] += h
-        dn[..., i] -= h
-        g[..., i] = (field.value(up) - field.value(dn)) / (2 * h)
-    return g[0] if np.ndim(coords) == 1 else g
-
-
-def test_collar_jet_matches_per_axis_stencil():
-    S = cotangent_lcs(T1, [1.0])
-    E = beta_graph(ScalarField(T1, lambda j: j[0].cos() * 0.5 + 2.0), S)
-    field = near_lagrangian_extension(E, width=0.3)
-    pts = E.points(parameter_grid(T1, 12).reshape(-1, 1))
-    pts[:, 1] += np.linspace(-0.1, 0.1, pts.shape[0])
-    for x in (pts, pts[5]):
-        jet = field.jet(x, order=1)
-        assert np.array_equal(jet.f, field.value(x))
-        assert np.array_equal(jet.g, per_axis_collar_gradient(field, x))
-    assert np.abs(jet.g).max() > 0.0
-
-
-def test_collar_rejects_nonpositive_primitive():
-    S = cotangent_lcs(T1, [1.0])
-    E = beta_graph(ScalarField(T1, lambda j: j[0].cos()), S)  # hits 0
-    with pytest.raises(PreconditionError) as err:
-        near_lagrangian_extension(E)
-    assert "translate_by_form" in str(err.value)
-
-
 # ------------------------------------------------------------ full pipeline
 
 def test_full_pipeline_on_shifted_graph():
@@ -442,11 +337,9 @@ def test_full_pipeline_refuses_translated_double_cover():
 
 
 def test_near_zero_extension_zero_section_returns_h():
-    # degenerate skeleton: L is the section itself, the patch is h
+    # L is the section itself, so the patch is h
     S = cotangent_lcs(T1, [1.0])
     E = zero_section(S)
-    sk = build_core(E, base_grid=16, param_grid=24)
-    assert sk.params.shape[0] == 0
     h = ScalarField(S.total, lambda j: j[0].sin() * 0.3 + 2.0)
     patch = near_zero_extension(h, E, blend_radius=0.5)
     base = parameter_grid(T1, 32).reshape(-1, 1)

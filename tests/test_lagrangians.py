@@ -5,10 +5,9 @@ import pytest
 
 from lcslab.errors import PreconditionError
 from lcslab.forms import pullback
-from lcslab.lagrangians import (beta_graph, cobordism_gluing_constant,
-                                contact_lift_check, example_torus_1,
-                                example_torus_2, genericity_check, jet_graph,
-                                lift_generating_function, lift_legendrian,
+from lcslab.lagrangians import (beta_graph, contact_lift_check,
+                                example_torus_1, example_torus_2,
+                                genericity_check, jet_graph, lift_legendrian,
                                 solve_primitive, symplectization_immersion,
                                 translate_by_form, verify_lagrangian,
                                 zero_section)
@@ -317,70 +316,6 @@ def test_contact_lift_trivial_beta():
 def test_contact_lift_torus_2():
     rep = contact_lift_check(T2, [1.0, 0.0], tol=1e-10)
     assert rep.passed
-
-
-# ----------------------------------------------------- generating functions
-
-def test_generating_function_pure_quadratic():
-    dom = make_manifold(1, 1)  # (q, xi)
-    F = ScalarField(dom, lambda j: j[1] * j[1], name="xi^2")
-    lift = lift_generating_function(F, T1, k=1, grid=16)
-    # fiber-critical locus is xi = 0, generated set is the zero section
-    assert np.abs(lift.critical_points[:, 1]).max() <= 1e-10
-    assert np.abs(lift.generated_points[:, 1]).max() <= 1e-10  # p = 0
-    assert np.abs(lift.generated_points[:, 2]).max() <= 1e-10  # z = 0
-
-
-def test_generating_function_constant_shift():
-    dom = make_manifold(1, 1)
-    c = 0.75
-    F = ScalarField(dom, lambda j: j[1] * j[1] + c)
-    lift = lift_generating_function(F, T1, k=1, grid=16)
-    assert np.allclose(lift.generated_points[:, 2], -c, atol=1e-10)
-    pts = lift.lift_points(theta=0.3)
-    assert np.allclose(pts[:, 1], 0.3)
-    assert np.allclose(pts[:, 3], -c, atol=1e-10)
-
-
-def test_generating_function_cusp_front():
-    dom = make_manifold(1, 1)
-    F = ScalarField(dom, lambda j: j[1] ** 3 - j[1] * j[0].sin())
-    with pytest.raises(PreconditionError):
-        lift_generating_function(F, T1, k=1, grid=12)  # cubic: not quadratic
-
-    # blend to a quadratic outside |xi| > 1.5 to satisfy the contract
-    def blended(j):
-        xi = j[1]
-        cubic = xi ** 3 - xi * j[0].sin()
-        quad = xi * xi * 4.0
-        from lcslab.jets import Jet2
-        x = (xi * xi - 1.5 ** 2) * (1.0 / (2.5 ** 2 - 1.5 ** 2))
-        s = x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
-        w = Jet2.where(xi.f ** 2 <= 1.5 ** 2, x * 0.0,
-                       Jet2.where(xi.f ** 2 >= 2.5 ** 2, x * 0.0 + 1.0, s))
-        return cubic * (1.0 - w) + quad * w
-
-    Fb = ScalarField(dom, blended)
-    lift = lift_generating_function(Fb, T1, k=1, grid=24, xi_radius=1.4)
-    crit = lift.critical_points
-    inner = crit[np.abs(crit[:, 1]) < 1.4]
-    # fiber-critical points satisfy 3 xi^2 = sin q
-    resid = 3 * inner[:, 1] ** 2 - np.sin(inner[:, 0])
-    assert np.abs(resid).max() <= 1e-8
-
-
-# ------------------------------------------------------------------ gluing
-
-def test_gluing_constant_cases():
-    assert cobordism_gluing_constant(0.0, 0.0, 1.0) == 0.0
-    ft0 = 0.37
-    assert abs(cobordism_gluing_constant(np.e * ft0, ft0, 1.0)) <= 1e-15
-    c = cobordism_gluing_constant(1.0, 0.0, np.log(2.0))
-    assert np.isclose(c, 1.0)
-    assert 1.0 + c == pytest.approx(2.0 * (0.0 + c))
-    assert cobordism_gluing_constant(1.0, 2.0, 0.0) is None
-    with pytest.raises(PreconditionError):
-        cobordism_gluing_constant(1.0, 2.0, -1.0)
 
 
 # -------------------------------------------------------------- genericity

@@ -133,6 +133,14 @@ def test_sampling_at_huge_seed_is_cheap_and_in_range():
     assert not np.array_equal(pts, sample_points(M, 4, seed=0))
 
 
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_sampling_refuses_negative_seed(seed):
+    # a negative seed would start the Halton block below index 0, where
+    # every sample collapses onto one corner point
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_points(make_manifold(1, 0).cotangent(), 8, seed=seed)
+
+
 def test_normalize_and_difference_leave_inputs_unmodified():
     mixed = make_manifold(1, 1)
     a = np.array([[7.0, 1.5], [-0.5, -9.0]])

@@ -124,12 +124,14 @@ def test_conformal_pullback_constant_ball():
 def per_direction_pullback_residual(P, samples, fd_step=1e-5, flow_step=1e-3):
     """Reference residual: one time-1 map call per stencil direction."""
     from lcslab.forms import exterior_d, increasing_indices
-    from lcslab.moser import time_one_map
     S = P.structure
     coords = S.samples(samples, fiber_radius=3.0)
     coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
     m = S.total.dim
-    phi = time_one_map(P, step=flow_step)
+
+    def phi(x):
+        return integrate_flow(P, x, step=flow_step).images
+
     base_img = phi(coords)
     jac = np.zeros(coords.shape[:1] + (m, m))
     for i in range(m):

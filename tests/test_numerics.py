@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lcslab.expressions import compile_field
+from field_strategies import grammar_fields
+
 from lcslab.manifolds import make_manifold
 from lcslab.numerics import central_difference, cluster_labels, dedup_points
 
@@ -94,25 +95,10 @@ def test_plain_points_cluster_without_embedding():
 # ------------------------------------------------------ central differences
 
 R2 = make_manifold(0, 2)
-COEFFS = st.floats(-1.5, 1.5).map(lambda c: round(c, 3))
-
-
-@st.composite
-def grammar_fields(draw):
-    """A sum of terms ``c*fn(a*q1 + b*q2)`` from the scene grammar, with the
-    bound ``sum |c| (|a|+|b|)^3 e^(|a|+|b|)`` on its third derivatives over
-    the unit box (the factor e^(...) covers ``exp``)."""
-    terms, bound = [], 0.0
-    for _ in range(draw(st.integers(1, 3))):
-        c, a, b = draw(COEFFS), draw(COEFFS), draw(COEFFS)
-        fn = draw(st.sampled_from(["sin", "cos", "exp"]))
-        terms.append(f"{c}*{fn}({a}*q1 + {b}*q2)")
-        bound += abs(c) * (abs(a) + abs(b)) ** 3 * np.exp(abs(a) + abs(b))
-    return compile_field(" + ".join(terms), R2), bound
 
 
 @settings(max_examples=60, deadline=None)
-@given(field_bound=grammar_fields(),
+@given(field_bound=grammar_fields(R2),
        x=hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(2)),
                     elements=st.floats(-1.0, 1.0)),
        h=st.sampled_from([1e-2, 1e-3, 1e-4]))

@@ -165,6 +165,14 @@ def test_cli_tol_override_changes_verdict(tmp_path):
     assert code == 2
 
 
+def test_cli_negative_seed_exit_1(tmp_path, capsys):
+    code = main(["moser-deform", str(SCENES / "moser-constant-ball.json"),
+                 "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --seed")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_nonexistent_scene(tmp_path):
     code = main(["verify-lagrangian", str(SCENES / "missing.json"),
                  "--out", str(tmp_path)])
