@@ -49,10 +49,6 @@ def main(argv=None) -> int:
     if not scene:
         print("error: no scene file given", file=sys.stderr)
         return 1
-    if args.seed < 0:
-        print(f"error: --seed must be nonnegative, got {args.seed}",
-              file=sys.stderr)
-        return 1
     out = args.out or os.environ.get("LCSLAB_OUT", "reports")
     overrides = {}
     for item in args.tol_override:

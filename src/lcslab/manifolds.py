@@ -201,9 +201,6 @@ class ScalarField:
     def value(self, points) -> np.ndarray:
         return self.jet(points, order=0).f
 
-    def gradient(self, points) -> np.ndarray:
-        return self.jet(points, order=1).g
-
     # small algebra, convenient when assembling derived fields
     def _lift(self, op) -> "ScalarField":
         return ScalarField(self.domain, lambda jets: op(self.fn(jets)))
@@ -287,9 +284,6 @@ class SmoothMap:
     def __call__(self, points) -> np.ndarray:
         comps = self.jet(points, order=0)
         return self.target.normalize(np.stack([c.f for c in comps], axis=-1))
-
-    def point(self, p: Point) -> Point:
-        return Point(self.target, self(p.coords))
 
     def jacobian(self, points) -> np.ndarray:
         """Shape ``(..., target_dim, source_dim)``."""

@@ -274,7 +274,7 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
             scales, _ = _flow_scales(P, seeds, step, t0, t1)
             err = np.abs(scales - halved).max(initial=0.0) / 15.0
             fails += 1
-        if fails >= 10:
+        if err > 1e-10:
             worst = int(np.argmax(np.abs(scales - halved)))
             raise PreconditionError(
                 "flow integration diverged after 10 step halvings",
@@ -343,12 +343,12 @@ def radial_field_to_scalar_field(F: RadialField,
     n = S.n
     ln_r = np.log(F.radii)
     B, D = F.base_points.shape[0], F.directions.shape[0]
-    # one interpolator over all rays at once, columns indexed by ray
+    # one interpolant over all rays at once; only its power-basis
+    # coefficients are kept, shape (4, R-1, B*D), last axis the ray
     ray_values = np.log(F.values).reshape(B * D, -1).T       # (R, B*D)
-    interp = PchipInterpolator(ln_r, ray_values, axis=0, extrapolate=False)
+    coef = PchipInterpolator(ln_r, ray_values, axis=0).c
     from scipy.spatial import cKDTree
     tree = cKDTree(S.base.embed(F.base_points))
-    block = max(1, 2 ** 17 // (B * D))     # rows per interpolant call
 
     class _Interp(ScalarField):
         def __init__(self):
@@ -377,13 +377,13 @@ def radial_field_to_scalar_field(F: RadialField,
             else:
                 _, b_idx = tree.query(S.base.embed(q))
                 cols = (b_idx * D + d_idx)[None]
-            # the interpolant fills all B*D ray columns of a row, so rows go
-            # in blocks and each point keeps only its own rays
-            picked = np.empty(cols.shape)
-            for s in range(0, lr.shape[0], block):
-                vals = interp(lr[s:s + block])
-                picked[:, s:s + block] = vals[np.arange(vals.shape[0]),
-                                              cols[:, s:s + block]]
+            # each point's own cubic on its own rays, summed in the order
+            # of scipy's PPoly evaluation so the values match it bit for bit
+            k = np.clip(np.searchsorted(ln_r, lr, "right") - 1,
+                        0, ln_r.size - 2)
+            s = lr - ln_r[k]
+            c = coef[:, k, cols]
+            picked = c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
             if cols.shape[0] == 2:
                 out = np.exp((1 - w) * picked[0] + w * picked[1])
             else:

@@ -78,7 +78,10 @@ SCENE_SCHEMA = {
     "type": "object",
     "properties": {
         "version": {"const": "scene-v1"},
-        "name": {"type": "string"},
+        # the name prefixes every output file, so it is one path component;
+        # (?!\n) keeps Python's $ from accepting a trailing newline
+        "name": {"type": "string",
+                 "pattern": "^[A-Za-z0-9][A-Za-z0-9._-]*(?!\n)$"},
         "manifold": _MANIFOLD,
         "structure": {
             "type": "object",
@@ -595,6 +598,8 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
         raise SceneError(f"unknown command {command!r}; "
                          f"expected one of {sorted(COMMANDS)}")
     options = {"seed": int(seed)}
+    if options["seed"] < 0:
+        raise SceneError(f"seed must be nonnegative, got {seed}")
     try:
         body, artifacts = COMMANDS[command](scene, options)
     except (PreconditionError, DomainEvaluationError, DimensionError) as exc:

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from field_strategies import COEFFS, grammar_fields
 
 from lcslab.errors import DimensionError, PreconditionError
 from lcslab.forms import (check_nondegenerate, constant_form,
@@ -47,18 +51,34 @@ def test_zero_twist_reduces_to_de_rham():
     assert np.allclose(a, b, atol=1e-15)
 
 
-def test_twisted_derivative_is_nilpotent():
-    # all coefficients of d_beta(d_beta alpha) vanish at 100 random points
-    rng = np.random.default_rng(3)
-    pts = sample_points(COT_T2, 100)
-    for trial in range(5):
-        a, b, c = rng.normal(size=3)
-        alpha = field_form(ScalarField(
-            COT_T2,
-            lambda j: (j[0] * a).sin() + (j[1] * b).cos() * j[2] + j[3] * c))
-        beta = constant_form(COT_T2, 1, [rng.normal(), rng.normal(), 0, 0])
-        dd = lichnerowicz_d(lichnerowicz_d(alpha, beta), beta)
-        assert np.abs(dd.coefficients(pts)).max() <= 1e-9
+NILPOTENCY_POINTS = sample_points(COT_T2, 48, radius=1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(h_bound=grammar_fields(COT_T2),
+       shift=st.lists(COEFFS, min_size=4, max_size=4),
+       coeffs=st.lists(grammar_fields(COT_T2), min_size=4, max_size=4))
+def test_twisted_derivative_is_nilpotent(h_bound, shift, coeffs):
+    # d_beta d_beta alpha = -d(beta) ^ alpha vanishes for closed beta =
+    # dh + const, on a function and on a 1-form alpha
+    pts = NILPOTENCY_POINTS
+    h, _ = h_bound
+    beta = exterior_d(field_form(h)) + constant_form(COT_T2, 1, shift)
+    b = beta.coefficients(pts)
+    assume(np.ptp(b, axis=0).max() > 1e-3)
+    fields = [f for f, _ in coeffs]
+    one_form = coordinate_differential(COT_T2, 0) * fields[0]
+    for i, f in enumerate(fields[1:], start=1):
+        one_form = one_form + coordinate_differential(COT_T2, i) * f
+    for alpha in (field_form(fields[0]), one_form):
+        dd = lichnerowicz_d(lichnerowicz_d(alpha, beta, validate=False),
+                            beta, validate=False).coefficients(pts)
+        # rounding scale: |beta| |d alpha| + |d beta| |alpha| + |beta|^2 |alpha|
+        a_jets = alpha.jets(pts, order=1)
+        size = max(np.abs(j.f).max() + np.abs(j.g).max() for j in a_jets)
+        b_size = 1.0 + np.abs(b).max() + max(
+            np.abs(j.g).max() for j in beta.jets(pts, order=1))
+        assert np.abs(dd).max() <= 1e-14 * (1.0 + size) * b_size ** 2
 
 
 def test_nonclosed_twist_rejected():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from lcslab.errors import ObstructionError, PreconditionError
+from lcslab.extension import RadialField, fiber_directions, log_radii
 from lcslab.jets import Jet2
 from lcslab.lagrangians import (beta_graph, example_torus_1, example_torus_2,
                                 translate_by_form, zero_section)
-from lcslab.manifolds import ScalarField, make_manifold, sample_points
+from lcslab.manifolds import (ScalarField, make_manifold, parameter_grid,
+                              sample_points)
 from lcslab.moser import (MoserProblem, integrate_flow, moser_vector_field,
-                          projection_degree, straighten_lagrangian,
-                          verify_conformal_pullback)
+                          projection_degree, radial_field_to_scalar_field,
+                          straighten_lagrangian, verify_conformal_pullback)
 from lcslab.structures import cotangent_lcs
 
 T1 = make_manifold(1, 0)
@@ -104,6 +106,34 @@ def test_flow_composition():
     full = integrate_flow(P, half.images, t0=0.5, t1=1.0)
     direct = integrate_flow(P, seeds, t0=0.0, t1=1.0)
     assert np.abs(full.images - direct.images).max() <= 1e-7
+
+
+@pytest.mark.parametrize("last_error,raises", [(5e-11, False),
+                                               (2e-10, True)])
+def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
+                                                   raises):
+    # a fake flow whose Richardson error is 1e-8 until the 10th halving:
+    # meeting the 1e-10 tolerance there is a pass, missing it a divergence
+    import lcslab.moser as moser
+    errors = [1e-8] * 10 + [last_error]
+    scales = [1.0, 1.0 - 15 * errors[0], 1.0 + 15 * errors[1]]
+    for e in errors[2:]:
+        scales.append(scales[-1] + 15 * e)
+    calls = iter(scales)
+
+    def fake_flow_scales(P, seeds, step, t0, t1, dirs=None, method="rk4"):
+        return np.full(seeds.shape[0], next(calls)), None
+
+    monkeypatch.setattr(moser, "_flow_scales", fake_flow_scales)
+    P = MoserProblem(structure=S1, g=ScalarField.constant(S1.total, 1.0))
+    if raises:
+        with pytest.raises(PreconditionError, match="diverged"):
+            integrate_flow(P, [[0.0, 1.0]], step=1e-3)
+    else:
+        res = integrate_flow(P, [[0.0, 1.0]], step=1e-3)
+        assert res.step == 1e-3 / 2 ** 10
+        assert res.scales[0] == scales[-1]
+    assert next(calls, None) is None
 
 
 def test_conformal_pullback_identity():
@@ -296,8 +326,6 @@ def scene_flow_problem(name):
     embedding grid that ``full-pipeline`` straightens."""
     from pathlib import Path
 
-    from lcslab.manifolds import parameter_grid
-    from lcslab.moser import radial_field_to_scalar_field
     from lcslab.scenes import (_build_embedding, _build_moser_g,
                                _build_structure, _extension, load_scene)
     scene = load_scene(Path(__file__).parent.parent / "scenes" / name)
@@ -383,3 +411,79 @@ def test_interpolant_jet_matches_per_axis_stencils():
             if order == 2:
                 assert np.array_equal(jet.h, h)
                 assert np.abs(h).max() > 0.0
+
+
+def full_row_pchip_value(F, S):
+    """``value`` of the interpolated field with scipy's PCHIP interpolant
+    evaluated on every ray column of each row, of which each point keeps its
+    own rays: the reference for the field's per-point coefficient gather."""
+    from scipy.interpolate import PchipInterpolator
+    from scipy.spatial import cKDTree
+    n, B, D = S.n, F.base_points.shape[0], F.directions.shape[0]
+    ln_r = np.log(F.radii)
+    interp = PchipInterpolator(ln_r, np.log(F.values).reshape(B * D, -1).T,
+                               axis=0, extrapolate=False)
+    tree = cKDTree(S.base.embed(F.base_points))
+
+    def value(points):
+        c2 = np.atleast_2d(S.total.normalize(points))
+        q, p = c2[:, :n], c2[:, n:]
+        r = np.linalg.norm(p, axis=-1)
+        d_idx = np.argmax((p / np.maximum(r, 1e-300)[:, None])
+                          @ F.directions.T, axis=-1)
+        d_idx[r <= 1e-12] = 0
+        rows = interp(np.clip(np.log(np.maximum(r, F.radii[0])),
+                              ln_r[0], ln_r[-1]))
+
+        def own(b_idx):
+            return rows[np.arange(r.shape[0]), b_idx * D + d_idx]
+
+        if n == 1 and S.base.is_circle[0]:
+            pos = q[:, 0] / (F.base_points[1, 0] - F.base_points[0, 0])
+            i0 = np.floor(pos).astype(int) % B
+            w = pos - np.floor(pos)
+            out = np.exp((1 - w) * own(i0) + w * own((i0 + 1) % B))
+        else:
+            out = np.exp(own(tree.query(S.base.embed(q))[1]))
+        return out if np.ndim(points) > 1 else out[0]
+
+    return value
+
+
+@pytest.mark.parametrize("circles,lines", [(1, 0), (2, 0), (1, 1), (0, 2),
+                                           (0, 1)])
+def test_interpolant_gather_matches_full_row_pchip(circles, lines):
+    # T^1 takes the linear base blend, every other base the KD-tree path;
+    # the radii include p = 0, tiny |p|, every grid node and |p| >= r_max
+    base = make_manifold(circles, lines)
+    S = cotangent_lcs(base)
+    n = base.dim
+    rng = np.random.default_rng(7 + n)
+    per_axis = 8 if n == 1 else 4
+    grid = parameter_grid(base, per_axis).reshape(-1, n)
+    dirs = fiber_directions(n, 8)
+    radii = log_radii(1e-3, 16.0, 12)
+    F = RadialField(grid, dirs, radii, np.exp(rng.normal(
+        size=(grid.shape[0], dirs.shape[0], radii.shape[0]))))
+    field = radial_field_to_scalar_field(F, S)
+    ref = radial_field_to_scalar_field(F, S)
+    ref.value = full_row_pchip_value(F, S)   # same stencils, scipy values
+
+    k = 2000
+    special = np.array([0.0, 1e-13, 1e-9, 16.0, 40.0, *radii])
+    r = np.where(np.arange(k) < 4 * special.size,
+                 np.resize(special, k), np.exp(rng.uniform(-10.0, 4.0, k)))
+    v = rng.normal(size=(k, n))
+    q = np.where(base.is_circle, rng.uniform(-1.0, 8.0, (k, n)),
+                 rng.uniform(-5.0, 5.0, (k, n)))
+    pts = np.concatenate(
+        [q, r[:, None] * v / np.linalg.norm(v, axis=-1, keepdims=True)],
+        axis=-1)
+    assert np.array_equal(field.value(pts), ref.value(pts))
+    assert field.value(pts[5]) == ref.value(pts[5])
+    for order, count in ((1, k), (2, 300)):
+        jet, want = field.jet(pts[:count], order), ref.jet(pts[:count], order)
+        assert np.array_equal(jet.f, want.f)
+        assert np.array_equal(jet.g, want.g)
+        if order == 2:
+            assert np.array_equal(jet.h, want.h)

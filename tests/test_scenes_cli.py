@@ -169,8 +169,27 @@ def test_cli_negative_seed_exit_1(tmp_path, capsys):
     code = main(["moser-deform", str(SCENES / "moser-constant-ball.json"),
                  "--seed", "-1", "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: --seed")
+    err = capsys.readouterr().err
+    assert err.startswith("scene error:") and "seed must be nonnegative" in err
+    with pytest.raises(SceneError, match="seed"):
+        run_command("moser-deform", SCENES / "moser-constant-ball.json",
+                    tmp_path, seed=-1)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".hidden", "",
+                                  "trailing\n"])
+def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
+    # the name prefixes every output path, so it may not leave --out
+    scene = json.loads((SCENES / "zero-section.json").read_text())
+    scene["name"] = name
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    code = main(["validate-structure", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("scene error: /name:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
 
 
 def test_cli_nonexistent_scene(tmp_path):
