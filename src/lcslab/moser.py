@@ -85,13 +85,15 @@ class MoserProblem:
                 radius=self.outside_radius)
 
 
-def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
+def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
                 need_grad: bool):
     """Rate c of the radial field X = c Z at family time tau, from jets of g.
 
     ``c = (1/g - 1) / (g_tau + dg_tau(Z))`` with ``g_tau = tau/g + 1 - tau``
-    at coords of shape (B, 2n).  With ``need_grad`` also returns dc/dq and
-    dc/dw at the fiber point w; otherwise those are None.
+    at coords of shape (B, 2n); ``tau`` is a scalar or one time per row.
+    With ``need_grad`` also returns dc/dq and dc/dw at the fiber point w;
+    otherwise those are None.  The last value marks the rows whose
+    denominator is not positive, where the rate is meaningless.
     """
     n = P.structure.n
     jet = P.g.jet(coords, order=2 if need_grad else 1)
@@ -101,15 +103,12 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
     dginv_Z = -np.einsum("bi,bi->b", gp, coords[:, n:]) * ginv ** 2
     g_tau = tau * ginv + (1 - tau)
     denom = g_tau + tau * dginv_Z
-    if np.any(denom <= 0.0):
-        raise PreconditionError(
-            "Moser denominator g_tau + dg_tau(Z) lost positivity",
-            point=np.array2string(coords[denom <= 0.0][0], precision=6),
-            tau=tau)
+    bad = denom <= 0.0
     c = (ginv - 1.0) / denom
     if not need_grad:
-        return c, None, None
+        return c, None, None, bad
     # gradients of c with respect to (q, w) at w = r v, via jets of g
+    tau = np.reshape(tau, (-1, 1))
     gpp = jet.h[:, n:, n:]
     gpq = jet.h[:, n:, :n]
     dginv_dw = -gp * ginv[:, None] ** 2
@@ -130,7 +129,15 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
     dc_dq = (dginv_dq / denom[:, None]
              - ((ginv - 1) / denom ** 2)[:, None]
              * (tau * dginv_dq + tau * ddZ_dq))
-    return c, dc_dq, dc_dw
+    return c, dc_dq, dc_dw, bad
+
+
+def _positivity_error(coords: np.ndarray, row: int,
+                      tau: float) -> PreconditionError:
+    """The error for a Moser denominator that is not positive at ``row``."""
+    return PreconditionError(
+        "Moser denominator g_tau + dg_tau(Z) lost positivity",
+        point=np.array2string(coords[row], precision=6), tau=tau)
 
 
 def moser_vector_field(P: MoserProblem, t: float):
@@ -143,7 +150,10 @@ def moser_vector_field(P: MoserProblem, t: float):
 
     def fn(jets):
         coords = np.stack([j.f for j in jets], axis=-1)
-        c, _, _ = _moser_rate(P, coords.reshape(-1, 2 * n), t, False)
+        flat = coords.reshape(-1, 2 * n)
+        c, _, _, bad = _moser_rate(P, flat, t, False)
+        if bad.any():
+            raise _positivity_error(flat, int(np.argmax(bad)), t)
         c = c.reshape(coords.shape[:-1])
         zero = jets[0] * 0.0
         return [zero] * n + [Jet2(c * jets[n + i].f) for i in range(n)]
@@ -169,19 +179,31 @@ class FlowResult:
                 "pullback_residual": self.pullback_residual}
 
 
-def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
+def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
                  t0: float, t1: float, dirs: np.ndarray | None = None,
                  method: str = "rk4"):
-    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r.
+    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r at each step size.
 
     Classical RK4, or forward Euler with ``method="euler"`` (a deliberately
     degraded diagnostic).  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
     the first variation of r integrates alongside.  Returns scales
-    s = r(t1)/r(t0) and ds/d(param), the latter None without ``dirs``.
+    s = r(t1)/r(t0) of shape (len(steps), B) and ds/d(param) of shape
+    (len(steps), B, m), the latter None without ``dirs``.
+
+    All step sizes, finest first, run in one stepping loop: the seeds are
+    tiled once per step size, each row carries its own step and time, and
+    one rate call serves every block still running.  A block retires when
+    its own step count runs out; the finest runs longest, so the live rows
+    are always a prefix.  Each row does exactly the arithmetic of a run at
+    its own step alone, so its scale is that run's bit for bit.  A Moser
+    denominator that loses positivity raises what those runs, made one after
+    the other in the order of ``steps``, would raise: the first failing
+    block's first failing row.
     """
     n = P.structure.n
     seeds = np.atleast_2d(seeds)
-    B = seeds.shape[0]
+    K, B = len(steps), seeds.shape[0]
+    seeds = np.tile(seeds, (K, 1))          # one block of rows per step size
     q = seeds[:, :n]
     p = seeds[:, n:]
     r0 = np.linalg.norm(p, axis=-1)
@@ -189,10 +211,12 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
     v = np.zeros_like(p)
     v[live] = p[live] / r0[live, None]
 
-    n_steps = max(1, int(np.ceil((t1 - t0) / step)))
-    h = (t1 - t0) / n_steps
+    counts = [max(1, int(np.ceil((t1 - t0) / step))) for step in steps]
+    h = np.repeat([(t1 - t0) / count for count in counts], B)
+    t = np.full(K * B, float(t0))
     state = [r0]
     if dirs is not None:
+        dirs = np.tile(dirs, (K, 1, 1))
         # dr0/dparam and dv/dparam from the seed directions
         dp = dirs[:, :, n:]
         dq = dirs[:, :, :n]
@@ -200,54 +224,87 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
         dv = (dp - dr0[:, :, None] * v[:, None, :]) / \
             np.maximum(r0[:, None, None], 1e-300)
         state.append(dr0)
+    failed = None   # (block, error): the finest coarser block that failed
 
     def rhs(state, t):
+        nonlocal failed
+        rcur = state[0]
+        L = rcur.shape[0]
+        coords = np.concatenate([q[:L], rcur[:, None] * v[:L]], axis=1)
         # The family parameter runs in reverse here: the flow that realizes
         # phi_1^* d(lambda) = d(lambda/g) is generated by the radial field
         # with denominator g_tau + dg_tau(Z) at tau = 1 - t (for constant g
         # either orientation integrates to the fiber scaling 1/g; the
         # orientation matters exactly where dg(Z) != 0, and this one is the
         # one the conformal-pullback oracle confirms).
-        rcur = state[0]
-        coords = np.concatenate([q, rcur[:, None] * v], axis=1)
-        c, dc_dq, dc_dw = _moser_rate(P, coords, 1.0 - t, len(state) > 1)
+        tau = 1.0 - t
+        c, dc_dq, dc_dw, bad = _moser_rate(P, coords, tau, len(state) > 1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            error = _positivity_error(coords, row, float(tau[row]))
+            if row < B:
+                raise error
+            # a coarser block failed: a finer one may still fail and win, so
+            # its error waits for the loop's end; zero rates keep it finite
+            if failed is None or row // B < failed[0]:
+                failed = (row // B, error)
+            c[bad] = 0.0
+            if dc_dq is not None:
+                dc_dq[bad] = 0.0
+                dc_dw[bad] = 0.0
         f = c * rcur
         if len(state) == 1:
             return [f]
         # dF/dparam = r * (dc/dq dq + dc/dw d(rv)) + c dr
         drc = state[1]
-        d_rv = (drc[:, :, None] * v[:, None, :]
-                + rcur[:, None, None] * dv)
-        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq)
+        d_rv = (drc[:, :, None] * v[:L, None, :]
+                + rcur[:, None, None] * dv[:L])
+        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq[:L])
                                + np.einsum("bj,bmj->bm", dc_dw, d_rv))
               + c[:, None] * drc)
         return [f, df]
 
     def axpy(x, a, y):
-        return [xi + a * yi for xi, yi in zip(x, y)]
+        return [xi + ai * yi for xi, ai, yi in zip(x, a, y)]
 
-    t = t0
-    for _ in range(n_steps):
-        k1 = rhs(state, t)
-        if method == "euler":
-            state = axpy(state, h, k1)
-        else:
-            k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
-            k3 = rhs(axpy(state, 0.5 * h, k2), t + 0.5 * h)
-            k4 = rhs(axpy(state, h, k3), t + h)
-            state = axpy(state, h / 6, [a + 2 * b + 2 * c + d for a, b, c, d
-                                        in zip(k1, k2, k3, k4)])
-        t += h
-    r = state[0]
-    scales = np.ones(B)
+    final = [np.empty_like(x) for x in state]
+    done = 0
+    for k in reversed(range(K)):
+        # blocks 0..k are live for the steps up to block k's count
+        L = (k + 1) * B
+        state, t = [x[:L] for x in state], t[:L]
+        hs = [h[:L], h[:L, None]]       # the step, shaped for r and dr
+        half = [0.5 * x for x in hs]
+        sixth = [x / 6 for x in hs]
+        for _ in range(counts[k] - done):
+            k1 = rhs(state, t)
+            t_next = t + hs[0]
+            if method == "euler":
+                state = axpy(state, hs, k1)
+            else:
+                t_mid = t + half[0]
+                k2 = rhs(axpy(state, half, k1), t_mid)
+                k3 = rhs(axpy(state, half, k2), t_mid)
+                k4 = rhs(axpy(state, hs, k3), t_next)
+                state = axpy(state, sixth, [a + 2 * b + 2 * c + d
+                                            for a, b, c, d
+                                            in zip(k1, k2, k3, k4)])
+            t = t_next
+        done = counts[k]
+        for out, x in zip(final, state):
+            out[k * B:L] = x[k * B:]
+    if failed is not None:
+        raise failed[1]
+    r = final[0]
+    scales = np.ones(K * B)
     scales[live] = r[live] / r0[live]
     if dirs is None:
-        return scales, None
+        return scales.reshape(K, B), None
     # s = r(1)/r0:  ds = (dr(1) - s * dr0) / r0
-    dscale = np.zeros((B, dirs.shape[1]))
-    dscale[live] = ((state[1][live] - scales[live, None] * dr0[live])
+    dscale = np.zeros((K * B, dirs.shape[1]))
+    dscale[live] = ((final[1][live] - scales[live, None] * dr0[live])
                     / r0[live, None])
-    return scales, dscale
+    return scales.reshape(K, B), dscale.reshape(K, B, dirs.shape[1])
 
 
 def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
@@ -257,21 +314,25 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
 
     The reduction to a scalar ODE per fiber ray keeps base coordinates fixed
     exactly, so the reported fiber drift is structural.  A Richardson check
-    against a halved step rejects steps that lost accuracy; ``method`` may be
-    set to "euler" for deliberately degraded diagnostics runs, which skip
-    that check.
+    against a doubled step rejects steps that lost accuracy; the run at
+    ``step`` and the one at ``2*step`` share one stepping loop (and each of
+    its rate calls), and every step halving runs the loop again at the
+    halved step alone.  ``method`` may be set to "euler" for deliberately
+    degraded diagnostics runs, which skip that check.
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
-    scales, _ = _flow_scales(P, seeds, step, t0, t1, method=method)
-    if method != "euler":
-        halved, _ = _flow_scales(P, seeds, step * 2.0, t0, t1)
+    if method == "euler":
+        (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1, method=method)
+    else:
+        (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0),
+                                           t0, t1)
         err = np.abs(scales - halved).max(initial=0.0) / 15.0
         fails = 0
         while err > 1e-10 and fails < 10:
             step *= 0.5
             halved = scales
-            scales, _ = _flow_scales(P, seeds, step, t0, t1)
+            (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1)
             err = np.abs(scales - halved).max(initial=0.0) / 15.0
             fails += 1
         if err > 1e-10:
@@ -286,7 +347,7 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
                       max_fiber_drift=0.0, step=step, t0=t0, t1=t1)
 
 
-def verify_conformal_pullback(P: MoserProblem, R: FlowResult | None = None,
+def verify_conformal_pullback(P: MoserProblem,
                               samples: int | np.ndarray = 256,
                               fd_step: float = 1e-5,
                               tol: float = 1e-4,
@@ -464,7 +525,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     jac = E.chart.jacobian(params)          # (B, 2n, k)
     seeds = pts
     dirs = np.swapaxes(jac, 1, 2)           # (B, k, 2n): d(seed)/d(param)
-    scales, dscale = _flow_scales(P, seeds, step, 0.0, 1.0, dirs=dirs)
+    (scales,), (dscale,) = _flow_scales(P, seeds, (step,), 0.0, 1.0,
+                                        dirs=dirs)
 
     # pulled-back data of the original embedding
     lamL = pullback(E.chart, S.lam)
@@ -498,7 +560,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         loop = np.zeros((s_nodes.shape[0], src.dim))
         loop[:, ax] = 2 * np.pi * s_nodes
         pts_loop = E.points(loop)
-        s_loop, _ = _flow_scales(P, pts_loop, step, 0.0, 1.0)
+        (s_loop,), _ = _flow_scales(P, pts_loop, (step,), 0.0, 1.0)
         lam_loop = lamL.coefficients(loop)
         integrand = s_loop * lam_loop[:, ax] * 2 * np.pi
         if eta_fields:
@@ -535,8 +597,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         u2 = np.atleast_2d(u_coords)
         pts_local = E.points(u2)
         dirs_local = np.swapaxes(E.chart.jacobian(u2), 1, 2)
-        s_val, ds = _flow_scales(P, pts_local, chart_step, 0.0, 1.0,
-                                 dirs=dirs_local)
+        (s_val,), (ds,) = _flow_scales(P, pts_local, (chart_step,),
+                                       0.0, 1.0, dirs=dirs_local)
         if u_coords.ndim == 1:
             s_jet = Jet2(s_val[0], ds[0])
         else:

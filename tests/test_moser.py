@@ -119,10 +119,14 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     scales = [1.0, 1.0 - 15 * errors[0], 1.0 + 15 * errors[1]]
     for e in errors[2:]:
         scales.append(scales[-1] + 15 * e)
-    calls = iter(scales)
+    # the first call runs the pair (step, 2 step), each halving one step
+    want_steps = [(1e-3, 2e-3)] + [(1e-3 / 2 ** k,) for k in range(1, 11)]
+    calls = iter(zip(want_steps, [scales[:2]] + [[s] for s in scales[2:]]))
 
-    def fake_flow_scales(P, seeds, step, t0, t1, dirs=None, method="rk4"):
-        return np.full(seeds.shape[0], next(calls)), None
+    def fake_flow_scales(P, seeds, steps, t0, t1, dirs=None, method="rk4"):
+        want, values = next(calls)
+        assert tuple(steps) == want
+        return np.array([np.full(seeds.shape[0], s) for s in values]), None
 
     monkeypatch.setattr(moser, "_flow_scales", fake_flow_scales)
     P = MoserProblem(structure=S1, g=ScalarField.constant(S1.total, 1.0))
@@ -134,6 +138,187 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
         assert res.step == 1e-3 / 2 ** 10
         assert res.scales[0] == scales[-1]
     assert next(calls, None) is None
+
+
+def sequential_flow_scales(P, seeds, step, t0, t1, dirs=None):
+    """The RK4 flow loop at one step size with one scalar time for all rows,
+    the way ``integrate_flow`` ran each run of its Richardson pair before
+    the pair shared one loop: the reference for the lockstep loop's scales,
+    first variations and positivity errors."""
+    from lcslab.moser import _moser_rate
+    n = P.structure.n
+    seeds = np.atleast_2d(seeds)
+    B = seeds.shape[0]
+    q = seeds[:, :n]
+    p = seeds[:, n:]
+    r0 = np.linalg.norm(p, axis=-1)
+    live = r0 > 1e-14
+    v = np.zeros_like(p)
+    v[live] = p[live] / r0[live, None]
+    n_steps = max(1, int(np.ceil((t1 - t0) / step)))
+    h = (t1 - t0) / n_steps
+    state = [r0]
+    if dirs is not None:
+        dp = dirs[:, :, n:]
+        dq = dirs[:, :, :n]
+        dr0 = np.einsum("bk,bmk->bm", v, dp)
+        dv = (dp - dr0[:, :, None] * v[:, None, :]) / \
+            np.maximum(r0[:, None, None], 1e-300)
+        state.append(dr0)
+
+    def rhs(state, t):
+        rcur = state[0]
+        coords = np.concatenate([q, rcur[:, None] * v], axis=1)
+        c, dc_dq, dc_dw, bad = _moser_rate(P, coords, 1.0 - t,
+                                           len(state) > 1)
+        if bad.any():
+            raise PreconditionError(
+                "Moser denominator g_tau + dg_tau(Z) lost positivity",
+                point=np.array2string(coords[bad][0], precision=6),
+                tau=1.0 - t)
+        f = c * rcur
+        if len(state) == 1:
+            return [f]
+        drc = state[1]
+        d_rv = (drc[:, :, None] * v[:, None, :]
+                + rcur[:, None, None] * dv)
+        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq)
+                               + np.einsum("bj,bmj->bm", dc_dw, d_rv))
+              + c[:, None] * drc)
+        return [f, df]
+
+    def axpy(x, a, y):
+        return [xi + a * yi for xi, yi in zip(x, y)]
+
+    t = t0
+    for _ in range(n_steps):
+        k1 = rhs(state, t)
+        k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
+        k3 = rhs(axpy(state, 0.5 * h, k2), t + 0.5 * h)
+        k4 = rhs(axpy(state, h, k3), t + h)
+        state = axpy(state, h / 6, [a + 2 * b + 2 * c + d for a, b, c, d
+                                    in zip(k1, k2, k3, k4)])
+        t += h
+    scales = np.ones(B)
+    scales[live] = state[0][live] / r0[live]
+    if dirs is None:
+        return scales, None
+    dscale = np.zeros((B, dirs.shape[1]))
+    dscale[live] = ((state[1][live] - scales[live, None] * dr0[live])
+                    / r0[live, None])
+    return scales, dscale
+
+
+def sequential_integrate_flow(P, seeds, step=1e-3, t0=0.0, t1=1.0):
+    """``integrate_flow`` with its Richardson pair run one after the other:
+    returns the scales, images and final step."""
+    seeds = np.atleast_2d(seeds)
+    scales, _ = sequential_flow_scales(P, seeds, step, t0, t1)
+    halved, _ = sequential_flow_scales(P, seeds, step * 2.0, t0, t1)
+    err = np.abs(scales - halved).max(initial=0.0) / 15.0
+    fails = 0
+    while err > 1e-10 and fails < 10:
+        step *= 0.5
+        halved = scales
+        scales, _ = sequential_flow_scales(P, seeds, step, t0, t1)
+        err = np.abs(scales - halved).max(initial=0.0) / 15.0
+        fails += 1
+    assert err <= 1e-10
+    images = seeds.copy()
+    images[:, P.structure.n:] *= scales[:, None]
+    return scales, images, step
+
+
+@pytest.mark.parametrize("scene", ["moser-constant-ball.json",
+                                   "moser-identity.json",
+                                   "beta-graph-pipeline.json"])
+def test_lockstep_pair_matches_sequential_pair(scene):
+    # 1e-3 passes at once, 0.25 needs halvings, 1/7 takes an odd number of
+    # fine steps (7) against 4 coarse ones; the interpolated field's rate
+    # calls are the slow ones, so it flows 4 of its seeds
+    P, seeds, _ = scene_flow_problem(scene)
+    if scene == "beta-graph-pipeline.json":
+        seeds = seeds[::8]
+    for step in (1e-3, 0.25, 1 / 7):
+        res = integrate_flow(P, seeds, step=step)
+        scales, images, final_step = sequential_integrate_flow(P, seeds, step)
+        assert np.array_equal(res.scales, scales)
+        assert np.array_equal(res.images, images)
+        assert res.step == final_step
+        if scene != "moser-identity.json" and step != 1e-3:
+            assert final_step < step
+
+
+def spiked_ball_problem(spots, width=1e-4):
+    """The constant ball times narrow bumps of height e^0.05, one per
+    (q, p) spot, each centred just outside its spot along the ray, so that
+    d ln g(Z) is in the hundreds there: far past 1, yet off the 2,048-point
+    grid on which MoserProblem checks the bound."""
+    ball = constant_ball_field(S1, c=2.0)
+
+    def fn(jets):
+        g = ball.fn(jets)
+        for q0, p0 in spots:
+            dq = jets[0] - q0
+            dp = jets[1] - (p0 + np.sign(p0) * width / np.sqrt(2))
+            g = g * (((dq * dq + dp * dp) * (-1.0 / width ** 2)).exp()
+                     * 0.05).exp()
+        return g
+
+    return MoserProblem(structure=S1, g=ScalarField(S1.total, fn),
+                        outside_radius=3.0)
+
+
+def ball_stage_points(p0, h):
+    """Fiber coordinates at which an RK4 run of the plain constant ball from
+    p0 at step h makes its 2nd and its 5th rate call."""
+    from lcslab.moser import _moser_rate
+    P = MoserProblem(structure=S1, g=constant_ball_field(S1, c=2.0),
+                     outside_radius=3.0)
+
+    def rate(p, t):
+        return _moser_rate(P, np.array([[0.0, p]]), 1.0 - t, False)[0][0] * p
+
+    k1 = rate(p0, 0.0)
+    k2 = rate(p0 + 0.5 * h * k1, 0.5 * h)
+    k3 = rate(p0 + 0.5 * h * k2, 0.5 * h)
+    k4 = rate(p0 + h * k3, h)
+    return p0 + 0.5 * h * k1, p0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+SPIKE_SEEDS = np.array([[0.5, 1.5], [2.5, 0.8], [4.0, -1.2]])
+
+
+@pytest.mark.parametrize("case", ["coarse only", "fine later", "first call"])
+def test_positivity_error_matches_sequential_pair(case):
+    # integrate_flow at step 0.5 runs h = 0.5 and h = 1 in lockstep.  A bump
+    # where the coarse run's 2nd rate call lands fails only the coarse run.
+    # One more where the fine run's 5th call lands, on another seed, fails
+    # the fine run later, and that failure is the one reported.  Bumps on
+    # two seeds fail both runs at their first call; the first row wins.
+    q, p = SPIKE_SEEDS.T
+    coarse = (q[0], ball_stage_points(p[0], 1.0)[0])
+    fine = (q[1], ball_stage_points(p[1], 0.5)[1])
+    spots, tau = {"coarse only": ([coarse], 0.5),
+                  "fine later": ([coarse, fine], 0.5),
+                  "first call": (SPIKE_SEEDS[:0:-1], 1.0)}[case]
+    P = spiked_ball_problem(spots)
+    with pytest.raises(PreconditionError, match="lost positivity") as want:
+        sequential_integrate_flow(P, SPIKE_SEEDS, 0.5)
+    with pytest.raises(PreconditionError, match="lost positivity") as got:
+        integrate_flow(P, SPIKE_SEEDS, step=0.5)
+    assert str(got.value) == str(want.value)
+    assert got.value.details == want.value.details
+    assert type(got.value.details["tau"]) is float
+    assert got.value.details["tau"] == tau
+    if case == "coarse only":
+        # the fine run alone is clean: the coarse error waited for it
+        sequential_flow_scales(P, SPIKE_SEEDS, 0.5, 0.0, 1.0)
+    if case == "fine later":
+        # the coarse run alone fails elsewhere, and earlier
+        with pytest.raises(PreconditionError) as coarse_alone:
+            sequential_flow_scales(P, SPIKE_SEEDS, 1.0, 0.0, 1.0)
+        assert coarse_alone.value.details != want.value.details
 
 
 def test_conformal_pullback_identity():
@@ -321,8 +506,8 @@ def test_projection_degree_curled_torus_is_zero():
 
 def scene_flow_problem(name):
     """A scene's Moser problem with straightening seeds and their directions:
-    the compiled constant ball of ``moser-constant-ball`` on sample points,
-    or the interpolated extension field of ``beta-graph-pipeline`` on the
+    the compiled factor of a ``moser`` scene on sample points, or the
+    interpolated extension field of ``beta-graph-pipeline`` on the
     embedding grid that ``full-pipeline`` straightens."""
     from pathlib import Path
 
@@ -332,7 +517,8 @@ def scene_flow_problem(name):
     if "extension" not in scene:
         S = _build_structure(scene)
         P = MoserProblem(structure=S, g=_build_moser_g(scene, S),
-                         outside_radius=scene["moser"]["outside_radius"])
+                         outside_radius=scene["moser"].get("outside_radius",
+                                                           8.0))
         seeds = sample_points(S.total, 64, radius=3.0)
         dirs = np.broadcast_to(np.eye(seeds.shape[1]),
                                seeds.shape[:1] + (seeds.shape[1],) * 2)
@@ -350,15 +536,21 @@ def scene_flow_problem(name):
                                    "beta-graph-pipeline.json"])
 def test_first_variations_leave_flow_scales_unchanged(scene):
     # straightening reads its images off the variational flow's scales, so
-    # those must be the plain flow's scales bit for bit
+    # those must be the plain flow's scales bit for bit, and both must equal
+    # the sequential loop's
     from lcslab.moser import _flow_scales
     P, seeds, dirs = scene_flow_problem(scene)
-    plain, none = _flow_scales(P, seeds, 5e-3, 0.0, 1.0)
-    varied, dscale = _flow_scales(P, seeds, 5e-3, 0.0, 1.0, dirs=dirs)
+    (plain,), none = _flow_scales(P, seeds, (5e-3,), 0.0, 1.0)
+    (varied,), (dscale,) = _flow_scales(P, seeds, (5e-3,), 0.0, 1.0,
+                                        dirs=dirs)
     assert none is None
     assert dscale.shape == dirs.shape[:2]
     assert np.array_equal(plain, varied)
     assert not np.array_equal(plain, np.ones_like(plain))
+    ref, ref_dscale = sequential_flow_scales(P, seeds, 5e-3, 0.0, 1.0,
+                                             dirs=dirs)
+    assert np.array_equal(varied, ref)
+    assert np.array_equal(dscale, ref_dscale)
 
 
 def per_axis_interpolant_jet(F, coords, order):
