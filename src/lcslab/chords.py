@@ -141,7 +141,7 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     cross_pairs = [(i, j) for i in range(nr) for j in range(i + 1, nr)]
     base_circle = np.asarray([target.is_circle[i] for i in base_idx])
 
-    def residual(w):
+    def residual(w, _rows):
         u, v = w[:, :d1], w[:, d1:]
         j1 = map1.jet(u, order=1)
         j2 = map2.jet(v, order=1)

@@ -30,8 +30,7 @@ from scipy.spatial import cKDTree
 from .chords import MvtReport, mvt_obstruction_report
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError)
-from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
-                          base_preimages, fiber_zeros)
+from .lagrangians import ParametricEmbedding, base_preimages, fiber_zeros
 from .manifolds import ScalarField, parameter_grid
 from .structures import CotangentLcsStructure, smoothstep
 
@@ -45,6 +44,11 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ geometry
+
+# The interpolation keeps exact h on [r / COLLAR_FACTOR, r * COLLAR_FACTOR]
+# around each crossing r; the restored collar is its middle half in ln r.
+COLLAR_FACTOR = 1.12
+
 
 def fiber_directions(n: int, count: int = 256) -> np.ndarray:
     """Deterministic unit covector set: signs for 1-d fibers, a golden-angle
@@ -61,6 +65,18 @@ def fiber_directions(n: int, count: int = 256) -> np.ndarray:
 def log_radii(r_min: float = 1e-3, r_max: float = 16.0,
               shells: int = 128) -> np.ndarray:
     return np.exp(np.linspace(np.log(r_min), np.log(r_max), shells))
+
+
+def _grid_nodes(base_points: np.ndarray, directions: np.ndarray,
+               radii: np.ndarray) -> np.ndarray:
+    """Bundle coordinates (q, r v) of the base x direction x radius grid,
+    shape (B, D, R, 2n)."""
+    B, D, R = base_points.shape[0], directions.shape[0], radii.shape[0]
+    n = base_points.shape[1]
+    q = np.broadcast_to(base_points[:, None, None, :], (B, D, R, n))
+    p = np.broadcast_to(directions[None, :, None, :]
+                        * radii[None, None, :, None], (B, D, R, n))
+    return np.concatenate([q, p], axis=-1)
 
 
 @dataclass
@@ -99,13 +115,7 @@ class RadialField:
 
     def node_points(self) -> np.ndarray:
         """All grid nodes as bundle coordinates, shape (B, D, R, 2n)."""
-        B, D, R = self.values.shape
-        q = np.broadcast_to(self.base_points[:, None, None, :],
-                            (B, D, R, self.base_points.shape[1]))
-        p = (self.directions[None, :, None, :]
-             * self.radii[None, None, :, None])
-        p = np.broadcast_to(p, (B, D, R, self.directions.shape[1]))
-        return np.concatenate([q, p], axis=-1)
+        return _grid_nodes(self.base_points, self.directions, self.radii)
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -161,10 +171,7 @@ class InnerPatch:
             w = 1.0 - smoothstep(np.clip(d / self.blend_radius, 0.0, 1.0))
             if not np.any(w > 0):
                 return out
-        nodes = np.concatenate(
-            [np.broadcast_to(base_points[:, None, None, :], (B, D, R, S.n)),
-             directions[None, :, None, :] * radii[None, None, :, None]
-             * np.ones((B, D, R, S.n))], axis=-1)
+        nodes = _grid_nodes(base_points, directions, radii)
         hv = self.h.value(nodes.reshape(-1, 2 * S.n)).reshape(B, D, R)
         if self.everywhere:
             return hv
@@ -173,8 +180,7 @@ class InnerPatch:
 
 def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
                         mvt: MvtReport | None = None,
-                        blend_radius: float = 0.5,
-                        certificate: ExactnessCertificate | None = None) -> InnerPatch:
+                        blend_radius: float = 0.5) -> InnerPatch:
     """Extend h near the zero section without creating an obstruction.
 
     Away from the (transverse) intersections of L with the section the patch
@@ -184,7 +190,7 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
     """
     S = E.structure
     if mvt is None:
-        mvt = mvt_obstruction_report(E, certificate=certificate)
+        mvt = mvt_obstruction_report(E)
     if mvt.obstructed:
         mvt.refuse("the mean-value bound obstructs this extension")
     pts = E.points(parameter_grid(E.source, 64).reshape(-1, E.source.dim))
@@ -227,7 +233,6 @@ def ray_log_slope(v0: float, r0: float, v1: float, r1: float) -> float:
 class RayCrossing:
     radius: float
     value: float
-    param: np.ndarray = None
 
 
 def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
@@ -235,32 +240,29 @@ def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
                       min_norm: float) -> list:
     """Exact crossings of fiber rays with L for 1-dimensional fibers.
 
-    Newton solves base(u) = q; a crossing counts for the ray whose sign
-    matches the covector.  Returns crossings[b][d] as lists sorted by radius.
+    One Newton batch solves base(u) = q for every base point q; a crossing
+    counts for the ray whose sign matches the covector.  Returns
+    crossings[b][d] as lists sorted by radius.
     """
     src = E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
-    bases = E.base_values(params)
+    good, owner = base_preimages(E, base_points, params, E.base_values(params),
+                                 nearest=8)
+    fib = E.fiber_values(good)
+    hv = h.value(E.points(good))
+    r = np.linalg.norm(fib, axis=-1)
+    keep = r >= min_norm
+    cos = (fib[keep] / r[keep, None]) @ directions.T
+    best = np.argmax(cos, axis=-1)
+    on_ray = cos[np.arange(best.size), best] >= 0.999999
+    rows, best = np.flatnonzero(keep)[on_ray], best[on_ray]
     out = [[[] for _ in range(directions.shape[0])]
            for _ in range(base_points.shape[0])]
-    for bi, q in enumerate(base_points):
-        good = base_preimages(E, q, params, bases, nearest=8)
-        if good.shape[0] == 0:
-            continue
-        fib = E.fiber_values(good)
-        hv = h.value(E.points(good))
-        for u, p, val in zip(good, fib, hv):
-            r = float(np.linalg.norm(p))
-            if r < min_norm:
-                continue
-            di = int(np.argmax(directions @ (p / r)))
-            if directions[di] @ (p / r) < 0.999999:
-                continue
-            out[bi][di].append(RayCrossing(radius=r, value=float(val),
-                                           param=u))
-    for bi in range(len(out)):
-        for di in range(len(out[bi])):
-            out[bi][di].sort(key=lambda c: c.radius)
+    # a stable sort by radius fills each ray's list in radius order
+    for i in np.argsort(r[rows], kind="stable"):
+        j = rows[i]
+        out[owner[j]][best[i]].append(RayCrossing(radius=float(r[j]),
+                                                  value=float(hv[j])))
     return out
 
 
@@ -282,9 +284,7 @@ def _ray_crossings_cloud(E: ParametricEmbedding, h: ScalarField,
     R = radii.shape[0]
     for bi, q in enumerate(base_points):
         for di, v in enumerate(directions):
-            nodes = np.concatenate(
-                [np.repeat(q[None, :], R, axis=0), radii[:, None] * v[None, :]],
-                axis=1)
+            nodes = _grid_nodes(q[None], v[None], radii)[0, 0]
             d, _ = tree.query(S.total.embed(nodes))
             jmins = [j for j in range(1, R - 1)
                      if d[j] <= d[j - 1] and d[j] <= d[j + 1]
@@ -306,10 +306,7 @@ def _ray_crossings_cloud(E: ParametricEmbedding, h: ScalarField,
 
 def radial_log_interpolation(inner: InnerPatch, crossings: list,
                              base_points: np.ndarray, directions: np.ndarray,
-                             radii: np.ndarray, h: ScalarField,
-                             collar_factor: float = 1.12,
-                             inner_radius: float | None = None,
-                             slope_guard: float = 1e-9) -> tuple:
+                             radii: np.ndarray, h: ScalarField) -> tuple:
     """Assemble the full radial field: patch below, exact h on collars,
     log-linear in between, constant above the last crossing.
 
@@ -319,7 +316,7 @@ def radial_log_interpolation(inner: InnerPatch, crossings: list,
     where the report lists the segment radii (l', l) used per ray.
     """
     B, D, R = base_points.shape[0], directions.shape[0], radii.shape[0]
-    l_prime = inner_radius if inner_radius is not None else radii[0] * 4.0
+    l_prime = radii[0] * 4.0
     values = inner.values(base_points, directions, radii)
     ln_r = np.log(radii)
     ray_report = []
@@ -330,7 +327,7 @@ def radial_log_interpolation(inner: InnerPatch, crossings: list,
             v = values[bi, di].copy()
             v[i_lp + 1:] = v[i_lp]  # the patch only extends to l'
             cs = [c for c in crossings[bi][di]
-                  if c.radius > l_prime * collar_factor]
+                  if c.radius > l_prime * COLLAR_FACTOR]
             if not cs:
                 values[bi, di] = v
                 ray_report.append({"base_index": bi, "direction_index": di,
@@ -343,10 +340,10 @@ def radial_log_interpolation(inner: InnerPatch, crossings: list,
             fill_anchor = chord_anchor
             segs = []
             for c in cs:
-                lo, hi = c.radius / collar_factor, c.radius * collar_factor
+                lo, hi = c.radius / COLLAR_FACTOR, c.radius * COLLAR_FACTOR
                 slope = ray_log_slope(chord_anchor[1], chord_anchor[0],
                                       c.value, c.radius)
-                if slope >= 1.0 - slope_guard:
+                if slope >= 1.0 - 1e-9:
                     raise ObstructionError(
                         "ray rejected: radial log-slope reached 1 "
                         "(an obstructed chord pair)",
@@ -367,12 +364,10 @@ def radial_log_interpolation(inner: InnerPatch, crossings: list,
                         (1 - w) * np.log(prev_v) + w * np.log(v_lo))
                 mask_collar = (radii >= lo) & (radii <= hi)
                 if mask_collar.any():
-                    nodes = np.concatenate(
-                        [np.repeat(base_points[bi][None, :],
-                                   mask_collar.sum(), axis=0),
-                         radii[mask_collar, None] * directions[di][None, :]],
-                        axis=1)
-                    v[mask_collar] = h.value(nodes)
+                    nodes = _grid_nodes(base_points[bi:bi + 1],
+                                        directions[di:di + 1],
+                                        radii[mask_collar])
+                    v[mask_collar] = h.value(nodes[0, 0])
                 v_hi = float(h.value(np.concatenate(
                     [base_points[bi], hi * directions[di]])))
                 chord_anchor = (c.radius, c.value)
@@ -626,12 +621,7 @@ class ExtensionReport:
 def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
                              base_grid: int = 64, shells: int = 128,
                              r_min: float = 1e-3, r_max: float = 16.0,
-                             directions: int = 256,
-                             collar_factor: float = 1.12,
-                             kernel_cells: int = 3,
-                             flatten_margin: float = 0.25,
-                             certificate: ExactnessCertificate | None = None,
-                             mvt: MvtReport | None = None) -> tuple:
+                             directions: int = 256) -> tuple:
     """Run the whole pipeline; refuse obstructed scenes citing the chord.
 
     Returns ``(RadialField, ExtensionReport)``; the report carries per-stage
@@ -640,8 +630,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     agreement with h).
     """
     S = E.structure
-    if mvt is None:
-        mvt = mvt_obstruction_report(E, certificate=certificate)
+    mvt = mvt_obstruction_report(E)
     if mvt.obstructed:
         mvt.refuse("extension refused: the mean-value bound obstructs")
 
@@ -659,18 +648,16 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
                                          collar_width=0.3, min_norm=4 * r_min)
 
     interp, ray_report = radial_log_interpolation(
-        patch, crossings, base_points, dirs, radii, h,
-        collar_factor=collar_factor)
+        patch, crossings, base_points, dirs, radii, h)
     stage = {"interpolation": float(interp.log_slopes().max())}
 
-    smooth = mollify(interp, kernel_cells=kernel_cells,
-                     base_shape=(base_grid,) * S.n)
+    smooth = mollify(interp, base_shape=(base_grid,) * S.n)
     stage["mollified"] = float(smooth.log_slopes().max())
 
     # restore the exact values of h on the collars (and keep them for the
     # final agreement check)
     collar_nodes = np.zeros(smooth.values.shape, dtype=bool)
-    half = np.sqrt(collar_factor)
+    half = np.sqrt(COLLAR_FACTOR)
     for rec in ray_report:
         bi, di = rec["base_index"], rec["direction_index"]
         for seg in rec["segments"]:
@@ -686,9 +673,9 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     # outer flatten beyond every crossing
     top = max((seg["l"] for rec in ray_report for seg in rec["segments"]),
               default=radii[0] * 8)
-    r_inner = min(top * collar_factor * 2.0, radii[-3])
+    r_inner = min(top * COLLAR_FACTOR * 2.0, radii[-3])
     flat = outer_flatten(smooth, r_inner=r_inner, r_outer=radii[-1],
-                         margin=flatten_margin)
+                         margin=0.25)
     stage["flattened"] = float(flat.log_slopes().max())
 
     final = verify_radial_bound(flat, h=h, collar_nodes=collar_nodes)

@@ -119,9 +119,6 @@ class FormExpression:
     def wedge(self, other: "FormExpression") -> "FormExpression":
         return WedgeForm(self, other)
 
-    def d(self) -> "FormExpression":
-        return ExteriorD(self)
-
 
 class ConstantForm(FormExpression):
     """Form with coefficients constant over the chart."""

@@ -32,8 +32,9 @@ from .jets import Jet2, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
                         sample_points)
-from .numerics import (central_difference, dedup_points, gauss_newton,
-                       rk4_linear_path, segment_nodes, simpson_path)
+from .numerics import (central_difference, cluster_labels, dedup_points,
+                       gauss_newton, rk4_linear_path, segment_nodes,
+                       simpson_path)
 from .structures import CotangentLcsStructure, cotangent_lcs
 
 __all__ = [
@@ -741,29 +742,39 @@ def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,
 
 # ------------------------------------------------------ Newton on embeddings
 
-def base_preimages(E: ParametricEmbedding, q: np.ndarray, params: np.ndarray,
-                   bases: np.ndarray, nearest: int) -> np.ndarray:
-    """Parameters u with ``base(u) = q``, one per preimage, normalized.
+def base_preimages(E: ParametricEmbedding, targets: np.ndarray,
+                   params: np.ndarray, bases: np.ndarray,
+                   nearest: int) -> tuple:
+    """Parameters u with ``base(u) = q`` for every target q, one per
+    preimage, normalized; returns ``(params, owner)`` with ``owner`` the
+    index of each preimage's target in ``targets`` (shape (T, n)).
 
-    Newton starts from the grid ``params`` whose base points ``bases`` lie
-    within the ``nearest + 1`` smallest distances to q.
+    Newton starts, for each target, from the grid ``params`` whose base
+    points ``bases`` lie within the ``nearest + 1`` smallest distances to
+    it; one batch solves every target.  Preimages come grouped by target, in
+    target order.
     """
     S = E.structure
     n = S.n
-    d = S.base.distance(bases, q)
-    k = min(nearest, len(d) - 1)
-    seeds = params[d <= np.partition(d, k)[k] + 1e-9]
+    d = S.base.distance(bases[None], targets[:, None])      # (T, G)
+    k = min(nearest, d.shape[1] - 1)
+    kth = np.partition(d, k, axis=1)[:, k]
+    owner, cols = np.nonzero(d <= kth[:, None] + 1e-9)
 
-    def residual(u):
+    def residual(u, rows):
         jets = E.chart.jet(u, order=1)
         vals = np.stack([c.f for c in jets[:n]], axis=-1)
-        r = S.base.difference(S.base.normalize(vals), q)
+        r = S.base.difference(S.base.normalize(vals), targets[owner[rows]])
         J = np.stack([c.g for c in jets[:n]], axis=-2)
         return r, J
 
-    sol, _, ok = gauss_newton(residual, seeds, tol=1e-13)
-    good = E.source.normalize(sol[ok])
-    return good[dedup_points(E.source.embed(good), 1e-6)]
+    sol, _, ok = gauss_newton(residual, params[cols], tol=1e-13)
+    good, owner = E.source.normalize(sol[ok]), owner[ok]
+    # clusters never join two targets; keep each cluster's first member
+    labels = cluster_labels(E.source.embed(good), 1e-6, keys=owner,
+                            key_tol=0)
+    first = np.unique(labels, return_index=True)[1]
+    return good[first], owner[first]
 
 
 def fiber_zeros(E: ParametricEmbedding, seeds: np.ndarray) -> np.ndarray:
@@ -771,7 +782,7 @@ def fiber_zeros(E: ParametricEmbedding, seeds: np.ndarray) -> np.ndarray:
     intersection, normalized; Newton from ``seeds``."""
     n = E.n
 
-    def residual(u):
+    def residual(u, _rows):
         jets = E.chart.jet(u, order=1)
         r = np.stack([c.f for c in jets[n:]], axis=-1)
         J = np.stack([c.g for c in jets[n:]], axis=-2)

@@ -180,12 +180,10 @@ class FlowResult:
 
 
 def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
-                 t0: float, t1: float, dirs: np.ndarray | None = None,
-                 method: str = "rk4"):
+                 t0: float, t1: float, dirs: np.ndarray | None = None):
     """Integrate the per-ray scalar ODE r' = c(q, r v, t) r at each step size.
 
-    Classical RK4, or forward Euler with ``method="euler"`` (a deliberately
-    degraded diagnostic).  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
+    Classical RK4.  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
     the first variation of r integrates alongside.  Returns scales
     s = r(t1)/r(t0) of shape (len(steps), B) and ds/d(param) of shape
     (len(steps), B, m), the latter None without ``dirs``.
@@ -279,16 +277,12 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
         for _ in range(counts[k] - done):
             k1 = rhs(state, t)
             t_next = t + hs[0]
-            if method == "euler":
-                state = axpy(state, hs, k1)
-            else:
-                t_mid = t + half[0]
-                k2 = rhs(axpy(state, half, k1), t_mid)
-                k3 = rhs(axpy(state, half, k2), t_mid)
-                k4 = rhs(axpy(state, hs, k3), t_next)
-                state = axpy(state, sixth, [a + 2 * b + 2 * c + d
-                                            for a, b, c, d
-                                            in zip(k1, k2, k3, k4)])
+            t_mid = t + half[0]
+            k2 = rhs(axpy(state, half, k1), t_mid)
+            k3 = rhs(axpy(state, half, k2), t_mid)
+            k4 = rhs(axpy(state, hs, k3), t_next)
+            state = axpy(state, sixth, [a + 2 * b + 2 * c + d
+                                        for a, b, c, d in zip(k1, k2, k3, k4)])
             t = t_next
         done = counts[k]
         for out, x in zip(final, state):
@@ -308,8 +302,7 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
 
 
 def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
-                   t0: float = 0.0, t1: float = 1.0,
-                   method: str = "rk4") -> FlowResult:
+                   t0: float = 0.0, t1: float = 1.0) -> FlowResult:
     """Flow the seeds from t0 to t1 along the radial Moser field.
 
     The reduction to a scalar ODE per fiber ray keeps base coordinates fixed
@@ -317,30 +310,25 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
     against a doubled step rejects steps that lost accuracy; the run at
     ``step`` and the one at ``2*step`` share one stepping loop (and each of
     its rate calls), and every step halving runs the loop again at the
-    halved step alone.  ``method`` may be set to "euler" for deliberately
-    degraded diagnostics runs, which skip that check.
+    halved step alone.
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
-    if method == "euler":
-        (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1, method=method)
-    else:
-        (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0),
-                                           t0, t1)
+    (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0), t0, t1)
+    err = np.abs(scales - halved).max(initial=0.0) / 15.0
+    fails = 0
+    while err > 1e-10 and fails < 10:
+        step *= 0.5
+        halved = scales
+        (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1)
         err = np.abs(scales - halved).max(initial=0.0) / 15.0
-        fails = 0
-        while err > 1e-10 and fails < 10:
-            step *= 0.5
-            halved = scales
-            (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1)
-            err = np.abs(scales - halved).max(initial=0.0) / 15.0
-            fails += 1
-        if err > 1e-10:
-            worst = int(np.argmax(np.abs(scales - halved)))
-            raise PreconditionError(
-                "flow integration diverged after 10 step halvings",
-                richardson_error=float(err),
-                seed=np.array2string(seeds[worst], precision=6))
+        fails += 1
+    if err > 1e-10:
+        worst = int(np.argmax(np.abs(scales - halved)))
+        raise PreconditionError(
+            "flow integration diverged after 10 step halvings",
+            richardson_error=float(err),
+            seed=np.array2string(seeds[worst], precision=6))
     images = seeds.copy()
     images[:, S.n:] *= scales[:, None]
     return FlowResult(seeds=seeds, images=images, scales=scales,
@@ -349,20 +337,15 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
 
 def verify_conformal_pullback(P: MoserProblem,
                               samples: int | np.ndarray = 256,
-                              fd_step: float = 1e-5,
-                              tol: float = 1e-4,
-                              flow_step: float = 1e-3,
-                              flow_method: str = "rk4") -> dict:
+                              tol: float = 1e-4) -> dict:
     """Residual of ``phi_1^* d(lambda) = d(lambda/g)`` over samples.
 
-    The Jacobian of the time-1 map comes from central differences (step
-    ``fd_step``); the target 2-form is evaluated with exact jets.  The K
-    samples and their 2m stencil neighbours flow as one batch of (2m+1)K
-    seeds through a single time-1 map (``central_difference`` calls it
-    once), so one Richardson step serves the base images and both sides of
-    every central difference.  Setting ``flow_method="euler"`` with a coarse
-    step plants a defective flow: the residual then exceeds the threshold,
-    which is the diagnostic's self-test.
+    The Jacobian of the time-1 map (flow step 1e-3) comes from central
+    differences (step 1e-5); the target 2-form is evaluated with exact jets.
+    The K samples and their 2m stencil neighbours flow as one batch of
+    (2m+1)K seeds through a single time-1 map (``central_difference`` calls
+    it once), so one Richardson step serves the base images and both sides
+    of every central difference.
     """
     S = P.structure
     if isinstance(samples, (int, np.integer)):
@@ -372,9 +355,8 @@ def verify_conformal_pullback(P: MoserProblem,
     coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
     m = S.total.dim
     base_img, jac = central_difference(
-        lambda x: integrate_flow(P, x, step=flow_step,
-                                 method=flow_method).images,
-        coords, fd_step, diff=S.total.difference)
+        lambda x: integrate_flow(P, x, step=1e-3).images,
+        coords, 1e-5, diff=S.total.difference)
 
     omega_coeffs = exterior_d(S.lam).coefficients(base_img)
     i, j = np.array(increasing_indices(m, 2)).T
@@ -489,9 +471,7 @@ class StraightenReport:
 def straighten_lagrangian(E: ParametricEmbedding, g,
                           eta_prime: Sequence = (),
                           step: float = 1e-3, grid: int = 48,
-                          chord_report=None,
-                          closed_tol: float = 1e-8,
-                          holonomy_tol: float = 1e-6):
+                          chord_report=None):
     """Carry a twisted-exact Lagrangian to an exact one for the untwisted form.
 
     ``g`` is a positive conformal factor matching the extension contract
@@ -501,7 +481,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     base form ``eta_prime``; the report certifies the image through the
     closedness of its pulled-back Liouville form, evaluated from the exact
     identity  d(s i*lambda) = ds ^ i*lambda + s d(i*lambda), with the scale
-    sensitivities ds integrated by the first-variation flow.
+    sensitivities ds integrated by the first-variation flow.  It passes with
+    closedness within 1e-8 and loop holonomy within 1e-6.
     """
     S = E.structure
     outside_radius = 8.0
@@ -581,8 +562,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
                           scales=scales, max_fiber_drift=0.0, step=step,
                           t0=0.0, t1=1.0)
     report = StraightenReport(closedness_sup=closedness, holonomy_sup=hol,
-                              passed=bool(closedness <= closed_tol
-                                          and hol <= holonomy_tol),
+                              passed=bool(closedness <= 1e-8
+                                          and hol <= 1e-6),
                               flow=flow_res)
 
     # first-class embedding: the chart carries the flow's first variation,
@@ -640,7 +621,7 @@ def projection_degree(E: ParametricEmbedding, attempts: int = 100,
     candidates = sample_points(S.base, attempts, seed=seed)
     n = S.n
     for y in candidates:
-        good = base_preimages(E, y, params, bases, nearest=12)
+        good, _ = base_preimages(E, y[None], params, bases, nearest=12)
         if good.shape[0] == 0:
             continue
         jac = E.chart.jacobian(good)[:, :n, :]

@@ -51,15 +51,17 @@ def simpson_path(vals: np.ndarray, h: float) -> np.ndarray:
     return (h / 6.0) * (v0 + 4.0 * vm + v1).sum(axis=-1)
 
 
-def gauss_newton(residual: Callable[[np.ndarray], tuple],
+def gauss_newton(residual: Callable[[np.ndarray, np.ndarray], tuple],
                  seeds: np.ndarray, max_iter: int = 40, tol: float = 1e-12,
-                 damping: float = 1e-10, step_cap: float = 1.0):
+                 step_cap: float = 1.0):
     """Damped Gauss-Newton for (possibly underdetermined) systems.
 
-    ``residual(u)`` returns ``(r, J)`` with r shape (B, m) and J shape
-    (B, m, k).  Runs the whole seed batch simultaneously; converged seeds
-    leave the active set, so the cost is driven by the stragglers.  Returns
-    the final iterates, residual norms, and a convergence mask.
+    ``residual(u, rows)`` returns ``(r, J)`` with r shape (B, m) and J shape
+    (B, m, k); ``rows`` holds the seed indices of the B iterates ``u``, so a
+    residual can give each seed its own target.  Runs the whole seed batch
+    simultaneously; converged seeds leave the active set, so the cost is
+    driven by the stragglers.  Returns the final iterates, residual norms,
+    and a convergence mask.
     """
     u = np.array(seeds, dtype=float, copy=True)
     if u.ndim == 1:
@@ -70,7 +72,7 @@ def gauss_newton(residual: Callable[[np.ndarray], tuple],
     for _ in range(max_iter):
         if active.size == 0:
             break
-        r, J = residual(u[active])
+        r, J = residual(u[active], active)
         norms = np.linalg.norm(r, axis=-1)
         final_norms[active] = norms
         done = norms <= tol
@@ -80,7 +82,7 @@ def gauss_newton(residual: Callable[[np.ndarray], tuple],
             if active.size == 0:
                 break
         JT = np.swapaxes(J, -1, -2)
-        H = JT @ J[...] + damping * np.eye(u.shape[-1])
+        H = JT @ J[...] + 1e-10 * np.eye(u.shape[-1])
         g = np.einsum("bij,bj->bi", JT, r)
         try:
             step = np.linalg.solve(H, g[..., None])[..., 0]
@@ -90,7 +92,7 @@ def gauss_newton(residual: Callable[[np.ndarray], tuple],
         scale = np.minimum(1.0, step_cap / np.maximum(lengths, 1e-300))
         u[active] = u[active] - step * scale
     if active.size:
-        r, _ = residual(u[active])
+        r, _ = residual(u[active], active)
         final_norms[active] = np.linalg.norm(r, axis=-1)
     return u, final_norms, final_norms <= max(tol, 1e-9)
 

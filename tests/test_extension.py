@@ -114,6 +114,93 @@ def test_interpolation_accepts_half_slope():
     assert f.log_slopes().max() < 1.0
 
 
+# ------------------------------------------------------------ ray crossings
+
+def per_point_ray_crossings_1d(E, h, base_points, directions, min_norm):
+    """Reference crossings: one Newton solve, one deduplication and one loop
+    per base point, each ray's list sorted afterwards (the per-base-point
+    form of ``_ray_crossings_1d``)."""
+    from lcslab.extension import RayCrossing
+    from lcslab.numerics import dedup_points, gauss_newton
+    S, src = E.structure, E.source
+    params = parameter_grid(src, 96).reshape(-1, src.dim)
+    bases = E.base_values(params)
+
+    def preimages(q):
+        d = S.base.distance(bases, q)
+        k = min(8, len(d) - 1)
+        seeds = params[d <= np.partition(d, k)[k] + 1e-9]
+
+        def residual(u, _rows):
+            jets = E.chart.jet(u, order=1)
+            vals = np.stack([c.f for c in jets[:S.n]], axis=-1)
+            r = S.base.difference(S.base.normalize(vals), q)
+            return r, np.stack([c.g for c in jets[:S.n]], axis=-2)
+
+        sol, _, ok = gauss_newton(residual, seeds, tol=1e-13)
+        good = src.normalize(sol[ok])
+        return good[dedup_points(src.embed(good), 1e-6)]
+
+    out = [[[] for _ in directions] for _ in base_points]
+    for bi, q in enumerate(base_points):
+        good = preimages(q)
+        if good.shape[0] == 0:
+            continue
+        for p, val in zip(E.fiber_values(good), h.value(E.points(good))):
+            r = float(np.linalg.norm(p))
+            if r < min_norm:
+                continue
+            di = int(np.argmax(directions @ (p / r)))
+            if directions[di] @ (p / r) < 0.999999:
+                continue
+            out[bi][di].append(RayCrossing(radius=r, value=float(val)))
+    for rays in out:
+        for ray in rays:
+            ray.sort(key=lambda c: c.radius)
+    return out
+
+
+def double_cover_scene():
+    """A curve over the circle twice, q = 2u, with fiber 0.5 + 0.3 sin u > 0:
+    every positive ray crosses it twice."""
+    return {"name": "double-cover", "manifold": {"circles": 1},
+            "structure": {"beta": ["0"]},
+            "embedding": {"components": ["2*u1", "0.5 + 0.3*sin(u1)"],
+                          "source": {"circles": 1}},
+            "extension": {"h": "1.2 + 0.2*cos(q1)", "base_grid": 48}}
+
+
+@pytest.mark.parametrize("scene_name", ["extension-tube.json",
+                                        "beta-graph-pipeline.json",
+                                        "double-cover"])
+def test_batched_crossings_match_per_point_reference(scene_name):
+    from pathlib import Path
+
+    from lcslab.expressions import compile_field
+    from lcslab.extension import _ray_crossings_1d
+    from lcslab.scenes import _build_embedding, load_scene
+    if scene_name == "double-cover":
+        scene = double_cover_scene()
+    else:
+        scene = load_scene(Path(__file__).parent.parent / "scenes" / scene_name)
+    E = _build_embedding(scene)
+    ext = scene["extension"]
+    h = compile_field(ext["h"], E.structure.total)
+    base = parameter_grid(E.structure.base,
+                          int(ext["base_grid"])).reshape(-1, 1)
+    dirs = fiber_directions(1)
+    min_norm = 4 * float(ext.get("r_min", 1e-3))
+    got = _ray_crossings_1d(E, h, base, dirs, min_norm)
+    want = per_point_ray_crossings_1d(E, h, base, dirs, min_norm)
+    assert [[[(c.radius, c.value) for c in ray] for ray in rays]
+            for rays in got] == [[[(c.radius, c.value) for c in ray]
+                                  for ray in rays] for rays in want]
+    counts = [len(ray) for rays in got for ray in rays]
+    assert sum(counts) > 0
+    if scene_name == "double-cover":
+        assert counts[0::2] == [2] * base.shape[0]
+
+
 # --------------------------------------------------------------- mollifier
 
 def _toy_field(vals_fn, shells=64):

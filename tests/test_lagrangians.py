@@ -5,14 +5,15 @@ import pytest
 
 from lcslab.errors import PreconditionError
 from lcslab.forms import pullback
-from lcslab.lagrangians import (beta_graph, contact_lift_check,
+from lcslab.lagrangians import (ParametricEmbedding, base_preimages,
+                                beta_graph, contact_lift_check,
                                 example_torus_1, example_torus_2,
                                 genericity_check, jet_graph, lift_legendrian,
                                 solve_primitive, symplectization_immersion,
                                 translate_by_form, verify_lagrangian,
                                 zero_section)
 from lcslab.manifolds import (ScalarField, SmoothMap, make_manifold,
-                              sample_points)
+                              parameter_grid, sample_points)
 from lcslab.structures import cotangent_lcs
 
 T1 = make_manifold(1, 0)
@@ -439,3 +440,26 @@ def test_contact_lift_top_coefficient_is_unit():
     coeffs = vol.coefficients(pts)
     assert coeffs.shape[-1] == 1
     assert np.all(np.abs(coeffs) == 1.0)
+
+
+def test_base_preimages_keep_repeated_targets_apart():
+    # q = 2u covers the circle twice, so each target has two preimages; a
+    # target listed twice gets both of them twice, and every target's
+    # preimages are those of a solve for that target alone
+    S = cotangent_lcs(T1, [0.0])
+    chart = SmoothMap(T1, S.total,
+                      lambda j: [j[0] * 2.0, j[0].sin() * 0.3 + 0.5])
+    E = ParametricEmbedding(source=T1, structure=S, chart=chart,
+                            name="double cover")
+    params = parameter_grid(T1, 96).reshape(-1, 1)
+    bases = E.base_values(params)
+    targets = np.array([[1.0], [1.0], [2.5]])
+    good, owner = base_preimages(E, targets, params, bases, nearest=8)
+    assert owner.tolist() == [0, 0, 1, 1, 2, 2]
+    assert np.array_equal(good[:2], good[2:4])
+    miss = S.base.difference(E.base_values(good), targets[owner])
+    assert np.abs(miss).max() <= 1e-12
+    for t in range(3):
+        alone, _ = base_preimages(E, targets[t:t + 1], params, bases,
+                                  nearest=8)
+        assert np.array_equal(alone, good[owner == t])

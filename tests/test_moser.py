@@ -123,7 +123,7 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     want_steps = [(1e-3, 2e-3)] + [(1e-3 / 2 ** k,) for k in range(1, 11)]
     calls = iter(zip(want_steps, [scales[:2]] + [[s] for s in scales[2:]]))
 
-    def fake_flow_scales(P, seeds, steps, t0, t1, dirs=None, method="rk4"):
+    def fake_flow_scales(P, seeds, steps, t0, t1, dirs=None):
         want, values = next(calls)
         assert tuple(steps) == want
         return np.array([np.full(seeds.shape[0], s) for s in values]), None
@@ -374,12 +374,21 @@ def test_batched_stencil_matches_per_direction_flow():
     assert rep["residual"] == per_direction_pullback_residual(P, 256)
 
 
-def test_conformal_pullback_fails_for_euler_flow():
-    # deliberately degraded integrator: coarse Euler steps break the identity
+def test_conformal_pullback_fails_for_perturbed_flow(monkeypatch):
+    # the oracle's self-test: a time-1 map whose fiber scale is 1% off
+    # pulls d(lambda) back to 1.01 d(lambda/g), which must fail the check
+    import lcslab.moser as moser
+    flow = moser.integrate_flow
+
+    def perturbed_flow(P, seeds, *args, **kwargs):
+        res = flow(P, seeds, *args, **kwargs)
+        res.images[:, P.structure.n:] *= 1.01
+        return res
+
+    monkeypatch.setattr(moser, "integrate_flow", perturbed_flow)
     g = constant_ball_field(S1, c=2.0)
     P = MoserProblem(structure=S1, g=g, outside_radius=3.0)
-    rep = verify_conformal_pullback(P, samples=96, flow_method="euler",
-                                    flow_step=0.5)
+    rep = verify_conformal_pullback(P, samples=96)
     assert not rep["passed"]
     assert rep["residual"] > 1e-4
 

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from field_strategies import grammar_fields
 
 from lcslab.manifolds import make_manifold
-from lcslab.numerics import central_difference, cluster_labels, dedup_points
+from lcslab.numerics import (central_difference, cluster_labels, dedup_points,
+                             gauss_newton)
 
 CELLS = 6                      # cluster centers sit on a 6^k grid of cells
 CELL = 2.0 * np.pi / CELLS
@@ -146,3 +147,22 @@ def test_central_difference_takes_a_circle_aware_difference():
                                     diff=T1.difference)
     assert abs(plain[0, 0, 0]) > 1e4
     assert np.allclose(wrapped[..., 0, 0], 1.0)
+
+
+def test_gauss_newton_passes_the_seed_indices_of_its_rows():
+    # u^2 = target per seed: seeds 0 and 3 start exact and leave at once,
+    # seed 1 starts farther out than seed 2, so the active set shrinks twice
+    targets = np.array([4.0, 9.0, 2.0, 16.0])
+    seen = []
+
+    def residual(u, rows):
+        seen.append(rows.tolist())
+        return u ** 2 - targets[rows, None], 2.0 * u[:, None, :]
+
+    sol, _, ok = gauss_newton(residual, [[2.0], [30.0], [1.5], [4.0]])
+    assert ok.all()
+    assert np.allclose(sol[:, 0], np.sqrt(targets), rtol=0, atol=1e-12)
+    assert seen[0] == [0, 1, 2, 3] and seen[1] == [1, 2]
+    assert seen[-1] == [1]
+    for before, after in zip(seen, seen[1:]):
+        assert set(after) <= set(before)
