@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DimensionError, ObstructionError, PreconditionError
 from .forms import exterior_d, interior_product
-from .lagrangians import ExactnessCertificate, ParametricEmbedding, \
+from .lagrangians import ParametricEmbedding, \
     _canonical_contact_form, lift_legendrian, require_lagrangian, \
     solve_primitive
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
@@ -302,17 +302,16 @@ def classify_chord(c: LiouvilleChord, f1: ScalarField, f2: ScalarField,
 
 
 def classify_chords(chords: Sequence[LiouvilleChord], f1: ScalarField,
-                    f2: ScalarField, margin: float = 0.0,
-                    guard: float = 1e-9) -> tuple:
+                    f2: ScalarField) -> tuple:
     """Classify every chord; returns ``(ratios, obstructed)``: the defined
-    mean-value ratios, and whether one reaches 1 - margin (within
-    ``guard``), the boundary case counting as obstructed."""
+    mean-value ratios, and whether one reaches 1 (within 1e-9), the boundary
+    case counting as obstructed."""
     ratios = []
     for c in chords:
         classify_chord(c, f1, f2)
         if c.ratio_defined:
             ratios.append(c.mvt_ratio)
-    return ratios, any(r >= 1.0 - margin - guard for r in ratios)
+    return ratios, any(r >= 1.0 - 1e-9 for r in ratios)
 
 
 @dataclass
@@ -321,7 +320,6 @@ class MvtReport:
     extremal_ratio: float | None
     ratios: list
     chord_count: int
-    margin: float
     scan: ChordScanResult = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
@@ -329,7 +327,7 @@ class MvtReport:
                 "extremal_ratio": self.extremal_ratio,
                 "ratios": list(self.ratios),
                 "chord_count": self.chord_count,
-                "margin": self.margin}
+                "margin": 0.0}
 
     def refuse(self, message: str):
         """Raise ObstructionError citing the chord of the largest ratio."""
@@ -340,13 +338,11 @@ class MvtReport:
 
 
 def mvt_obstruction_report(E: ParametricEmbedding,
-                           certificate: ExactnessCertificate | None = None,
-                           grid: int = 64, margin: float = 0.0,
-                           guard: float = 1e-9) -> MvtReport:
+                           grid: int = 64) -> MvtReport:
     """Scan self-chords and decide whether the mean-value bound obstructs
     extending the primitive radially.
 
-    A chord with ratio >= 1 - margin (within ``guard``) obstructs: the
+    A chord with ratio >= 1 (within 1e-9) obstructs: the
     boundary case ratio = 1 is classified as obstructed, since the extension
     and straightening pipelines need the strict inequality.  Requires a
     positive primitive; a
@@ -357,13 +353,11 @@ def mvt_obstruction_report(E: ParametricEmbedding,
     if not scan.chords:
         # single sheet per fiber ray: vacuously unobstructed for any f
         return MvtReport(obstructed=False, extremal_ratio=None, ratios=[],
-                         chord_count=0, margin=margin, scan=scan)
+                         chord_count=0, scan=scan)
     f = E.declared_primitive
     if f is None:
-        if certificate is None:
-            certificate = solve_primitive(E, grid_shape=min(grid, 64))
-        f = certificate.solved_primitive
-    elif certificate is None:
+        f = solve_primitive(E, grid_shape=min(grid, 64)).solved_primitive
+    else:
         # the precondition a solve would have checked
         require_lagrangian(E)
     params = sample_points(E.source, 512)
@@ -372,11 +366,11 @@ def mvt_obstruction_report(E: ParametricEmbedding,
         raise PreconditionError(
             "primitive is not positive; translate_by_form by c*beta with "
             "c <= -min before scanning", minimum=fmin)
-    ratios, obstructed = classify_chords(scan.chords, f, f, margin, guard)
+    ratios, obstructed = classify_chords(scan.chords, f, f)
     return MvtReport(obstructed=obstructed,
                      extremal_ratio=max(ratios) if ratios else None,
                      ratios=sorted(ratios), chord_count=len(scan.chords),
-                     margin=margin, scan=scan)
+                     scan=scan)
 
 
 # --------------------------------------------------------------------- Reeb
@@ -407,8 +401,7 @@ class ReebReport:
 
 def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
                         eps: float = 0.25, grid: int = 32,
-                        samples: int = 100,
-                        identity_tol: float = 1e-12) -> ReebReport:
+                        samples: int = 100) -> ReebReport:
     """Check the Reeb field identities for ``alpha/s`` on J1(M) and match the
     Reeb chords of Legendrians in ``{s >= eps}`` with the Liouville chords of
     their circle lifts.

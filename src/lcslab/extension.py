@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .chords import MvtReport, mvt_obstruction_report
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
@@ -229,20 +228,17 @@ def ray_log_slope(v0: float, r0: float, v1: float, r1: float) -> float:
     return float(np.log(v1 / v0) / np.log(r1 / r0))
 
 
-@dataclass
-class RayCrossing:
-    radius: float
-    value: float
+def _ray_crossings(E: ParametricEmbedding, h: ScalarField,
+                   base_points: np.ndarray, directions: np.ndarray,
+                   min_norm: float) -> tuple:
+    """Crossings of the fiber rays with L, for fibers of any dimension.
 
-
-def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
-                      base_points: np.ndarray, directions: np.ndarray,
-                      min_norm: float) -> list:
-    """Exact crossings of fiber rays with L for 1-dimensional fibers.
-
-    One Newton batch solves base(u) = q for every base point q; a crossing
-    counts for the ray whose sign matches the covector.  Returns
-    crossings[b][d] as lists sorted by radius.
+    One Newton batch solves base(u) = q for every base point q.  Each
+    preimage gives one crossing: its covector p picks the ray of the nearest
+    direction (the rule by which ``radial_field_to_scalar_field`` reads a
+    field), at radius |p|, with the value of h at that point of L.  Returns
+    flat arrays ``(ray, radius, value)`` with ``ray = b*D + d``, sorted by
+    ray and then by radius.
     """
     src = E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
@@ -252,135 +248,84 @@ def _ray_crossings_1d(E: ParametricEmbedding, h: ScalarField,
     hv = h.value(E.points(good))
     r = np.linalg.norm(fib, axis=-1)
     keep = r >= min_norm
-    cos = (fib[keep] / r[keep, None]) @ directions.T
-    best = np.argmax(cos, axis=-1)
-    on_ray = cos[np.arange(best.size), best] >= 0.999999
-    rows, best = np.flatnonzero(keep)[on_ray], best[on_ray]
-    out = [[[] for _ in range(directions.shape[0])]
-           for _ in range(base_points.shape[0])]
-    # a stable sort by radius fills each ray's list in radius order
-    for i in np.argsort(r[rows], kind="stable"):
-        j = rows[i]
-        out[owner[j]][best[i]].append(RayCrossing(radius=float(r[j]),
-                                                  value=float(hv[j])))
-    return out
+    fib, r, hv, owner = fib[keep], r[keep], hv[keep], owner[keep]
+    nearest = np.argmax((fib / r[:, None]) @ directions.T, axis=-1)
+    ray = owner * directions.shape[0] + nearest
+    order = np.lexsort((r, ray))
+    return ray[order], r[order], hv[order]
 
 
-def _ray_crossings_cloud(E: ParametricEmbedding, h: ScalarField,
-                         base_points: np.ndarray, directions: np.ndarray,
-                         radii: np.ndarray, collar_width: float,
-                         min_norm: float) -> list:
-    """Collar crossings from a point-cloud distance for 2-d fibers.
-
-    Rays that dip inside the collar of L contribute a crossing at the radius
-    of closest approach (parabolic refinement of the discrete minimum).
-    """
-    S = E.structure
-    params = parameter_grid(E.source, 96).reshape(-1, E.source.dim)
-    cloud = E.points(params)
-    tree = cKDTree(S.total.embed(cloud))
-    out = [[[] for _ in range(directions.shape[0])]
-           for _ in range(base_points.shape[0])]
-    R = radii.shape[0]
-    for bi, q in enumerate(base_points):
-        for di, v in enumerate(directions):
-            nodes = _grid_nodes(q[None], v[None], radii)[0, 0]
-            d, _ = tree.query(S.total.embed(nodes))
-            jmins = [j for j in range(1, R - 1)
-                     if d[j] <= d[j - 1] and d[j] <= d[j + 1]
-                     and d[j] <= collar_width]
-            for j in jmins:
-                denom = d[j - 1] - 2 * d[j] + d[j + 1]
-                off = 0.0 if abs(denom) < 1e-300 else \
-                    0.5 * (d[j - 1] - d[j + 1]) / denom
-                off = float(np.clip(off, -1.0, 1.0))
-                lr = np.log(radii)
-                r_star = float(np.exp(lr[j] + off * (lr[min(j + 1, R - 1)]
-                                                     - lr[j])))
-                if r_star < min_norm:
-                    continue
-                val = float(h.value(np.concatenate([q, r_star * v])))
-                out[bi][di].append(RayCrossing(radius=r_star, value=val))
-    return out
-
-
-def radial_log_interpolation(inner: InnerPatch, crossings: list,
+def radial_log_interpolation(inner: InnerPatch, crossings: tuple,
                              base_points: np.ndarray, directions: np.ndarray,
                              radii: np.ndarray, h: ScalarField) -> tuple:
     """Assemble the full radial field: patch below, exact h on collars,
     log-linear in between, constant above the last crossing.
 
-    Per ray, the slope between consecutive crossing values is exactly the
-    chord mean-value ratio; a slope reaching 1 names the ray and rejects,
-    mirroring the chord classification.  Returns ``(field, ray_report)``
-    where the report lists the segment radii (l', l) used per ray.
+    ``crossings`` are the flat arrays ``(ray, radius, value)`` of
+    ``_ray_crossings``.  Per ray, the slope between consecutive crossing
+    values is exactly the chord mean-value ratio; a slope reaching 1 names
+    the ray and rejects, mirroring the chord classification.  Returns
+    ``(field, collar, top)``: the (B, D, R) mask of the collar nodes whose
+    exact values the mollified field gets back, and the largest crossing
+    radius used (8 r_min when no crossing is used).
     """
     B, D, R = base_points.shape[0], directions.shape[0], radii.shape[0]
     l_prime = radii[0] * 4.0
     values = inner.values(base_points, directions, radii)
     ln_r = np.log(radii)
-    ray_report = []
-    S = inner.structure
     i_lp = min(int(np.searchsorted(radii, l_prime)), R - 1)
-    for bi in range(B):
-        for di in range(D):
-            v = values[bi, di].copy()
-            v[i_lp + 1:] = v[i_lp]  # the patch only extends to l'
-            cs = [c for c in crossings[bi][di]
-                  if c.radius > l_prime * COLLAR_FACTOR]
-            if not cs:
-                values[bi, di] = v
-                ray_report.append({"base_index": bi, "direction_index": di,
-                                   "segments": []})
-                continue
-            # chord anchors (crossing radius, h there) drive the rejection:
-            # their slope is exactly the chord mean-value ratio; the fill
-            # itself runs between collar edges, exact h on the collars
-            chord_anchor = (l_prime, float(v[i_lp]))
-            fill_anchor = chord_anchor
-            segs = []
-            for c in cs:
-                lo, hi = c.radius / COLLAR_FACTOR, c.radius * COLLAR_FACTOR
-                slope = ray_log_slope(chord_anchor[1], chord_anchor[0],
-                                      c.value, c.radius)
-                if slope >= 1.0 - 1e-9:
-                    raise ObstructionError(
-                        "ray rejected: radial log-slope reached 1 "
-                        "(an obstructed chord pair)",
-                        base_index=bi, direction_index=di,
-                        slope=float(slope),
-                        inner_radius=float(chord_anchor[0]),
-                        outer_radius=float(c.radius))
-                segs.append({"l_prime": float(chord_anchor[0]),
-                             "l": float(c.radius), "slope": float(slope)})
-                prev_r, prev_v = fill_anchor
-                mask_between = (radii > prev_r) & (radii < lo)
-                if mask_between.any() and lo > prev_r:
-                    w = ((ln_r[mask_between] - np.log(prev_r))
-                         / (np.log(lo) - np.log(prev_r)))
-                    v_lo = float(h.value(np.concatenate(
-                        [base_points[bi], lo * directions[di]])))
-                    v[mask_between] = np.exp(
-                        (1 - w) * np.log(prev_v) + w * np.log(v_lo))
-                mask_collar = (radii >= lo) & (radii <= hi)
-                if mask_collar.any():
-                    nodes = _grid_nodes(base_points[bi:bi + 1],
-                                        directions[di:di + 1],
-                                        radii[mask_collar])
-                    v[mask_collar] = h.value(nodes[0, 0])
-                v_hi = float(h.value(np.concatenate(
-                    [base_points[bi], hi * directions[di]])))
-                chord_anchor = (c.radius, c.value)
-                fill_anchor = (hi, v_hi)
-            # constant continuation above the last collar
-            last_r, last_v = fill_anchor
-            v[radii > last_r] = last_v
-            values[bi, di] = v
-            ray_report.append({"base_index": bi, "direction_index": di,
-                               "segments": segs})
+    values[..., i_lp + 1:] = values[..., i_lp, None]  # the patch ends at l'
+    collar = np.zeros((B, D, R), dtype=bool)
+    ray, radius, value = crossings
+    used = radius > l_prime * COLLAR_FACTOR
+    ray, radius, value = ray[used], radius[used], value[used]
+    top = float(radius.max()) if radius.size else radii[0] * 8
+    half = np.sqrt(COLLAR_FACTOR)
+    # one pass per ray that holds a used crossing, over its run [start, stop)
+    first = np.flatnonzero(np.diff(ray, prepend=-1))
+    for k, start, stop in zip(ray[first], first,
+                              np.append(first[1:], ray.size)):
+        bi, di = divmod(int(k), D)
+        q, u = base_points[bi], directions[di]
+        v = values[bi, di]
+        # chord anchors (crossing radius, h there) drive the rejection:
+        # their slope is exactly the chord mean-value ratio; the fill
+        # itself runs between collar edges, exact h on the collars
+        chord_anchor = (l_prime, float(v[i_lp]))
+        fill_anchor = chord_anchor
+        for c_r, c_v in zip(radius[start:stop].tolist(),
+                            value[start:stop].tolist()):
+            lo, hi = c_r / COLLAR_FACTOR, c_r * COLLAR_FACTOR
+            slope = ray_log_slope(chord_anchor[1], chord_anchor[0], c_v, c_r)
+            if slope >= 1.0 - 1e-9:
+                raise ObstructionError(
+                    "ray rejected: radial log-slope reached 1 "
+                    "(an obstructed chord pair)",
+                    base_index=bi, direction_index=di, slope=float(slope),
+                    inner_radius=float(chord_anchor[0]),
+                    outer_radius=c_r)
+            prev_r, prev_v = fill_anchor
+            mask_between = (radii > prev_r) & (radii < lo)
+            if mask_between.any() and lo > prev_r:
+                w = ((ln_r[mask_between] - np.log(prev_r))
+                     / (np.log(lo) - np.log(prev_r)))
+                v_lo = float(h.value(np.concatenate([q, lo * u])))
+                v[mask_between] = np.exp(
+                    (1 - w) * np.log(prev_v) + w * np.log(v_lo))
+            mask_collar = (radii >= lo) & (radii <= hi)
+            if mask_collar.any():
+                nodes = _grid_nodes(q[None], u[None], radii[mask_collar])
+                v[mask_collar] = h.value(nodes[0, 0])
+            # the restored collar: the middle half of [lo, hi] in ln r
+            collar[bi, di] |= (radii >= c_r / half) & (radii <= c_r * half)
+            v_hi = float(h.value(np.concatenate([q, hi * u])))
+            chord_anchor = (c_r, c_v)
+            fill_anchor = (hi, v_hi)
+        # constant continuation above the last collar
+        v[radii > fill_anchor[0]] = fill_anchor[1]
     field = RadialField(base_points, directions, radii, values)
     field.check_positive()
-    return field, ray_report
+    return field, collar, top
 
 
 # ------------------------------------------------------------- mollification
@@ -486,11 +431,12 @@ class RadialBoundReport:
 
 
 def verify_radial_bound(F: RadialField, h: ScalarField | None = None,
-                        collar_nodes: np.ndarray | None = None,
-                        collar_tol: float = 1e-6) -> RadialBoundReport:
+                        collar_nodes: np.ndarray | None = None
+                        ) -> RadialBoundReport:
     """Max centered log-difference along the radius axis (the sampled radial
     logarithmic derivative); pass iff below 1.  Also checks the outer shell
-    is exactly 1 and, given collar nodes, agreement with h there."""
+    is exactly 1 and, given collar nodes, agreement with h there (within
+    1e-6)."""
     slopes = F.log_slopes()
     idx = np.unravel_index(int(np.argmax(slopes)), slopes.shape)
     max_slope = float(slopes[idx])
@@ -502,7 +448,7 @@ def verify_radial_bound(F: RadialField, h: ScalarField | None = None,
         hv = h.value(nodes)
         collar_sup = float(np.abs(F.values[mask] - hv).max())
     passed = max_slope < 1.0 and outer_one and (
-        collar_sup is None or collar_sup <= collar_tol)
+        collar_sup is None or collar_sup <= 1e-6)
     return RadialBoundReport(max_slope=max_slope, passed=passed,
                              worst_node=(int(idx[0]), int(idx[1]),
                                          int(idx[2]) + 1),
@@ -607,7 +553,6 @@ def squeeze_profile(P: SqueezeProfile, t) -> tuple:
 class ExtensionReport:
     stage_max_slopes: dict
     final: RadialBoundReport
-    ray_segments: list = field(repr=False, default=None)
     collar_nodes: np.ndarray = field(repr=False, default=None)
     mvt: MvtReport = field(repr=False, default=None)
 
@@ -625,8 +570,8 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     """Run the whole pipeline; refuse obstructed scenes citing the chord.
 
     Returns ``(RadialField, ExtensionReport)``; the report carries per-stage
-    maxima of the radial log-slope, the per-ray interpolation segments, and
-    the final bound verification (including exact-1 outer shell and collar
+    maxima of the radial log-slope, the restored collar nodes, and the final
+    bound verification (including exact-1 outer shell and collar
     agreement with h).
     """
     S = E.structure
@@ -640,14 +585,8 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     dirs = fiber_directions(S.n, directions)
     radii = log_radii(r_min, r_max, shells)
 
-    if S.n == 1:
-        crossings = _ray_crossings_1d(E, h, base_points, dirs,
-                                      min_norm=4 * r_min)
-    else:
-        crossings = _ray_crossings_cloud(E, h, base_points, dirs, radii,
-                                         collar_width=0.3, min_norm=4 * r_min)
-
-    interp, ray_report = radial_log_interpolation(
+    crossings = _ray_crossings(E, h, base_points, dirs, min_norm=4 * r_min)
+    interp, collar, top = radial_log_interpolation(
         patch, crossings, base_points, dirs, radii, h)
     stage = {"interpolation": float(interp.log_slopes().max())}
 
@@ -656,30 +595,16 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
 
     # restore the exact values of h on the collars (and keep them for the
     # final agreement check)
-    collar_nodes = np.zeros(smooth.values.shape, dtype=bool)
-    half = np.sqrt(COLLAR_FACTOR)
-    for rec in ray_report:
-        bi, di = rec["base_index"], rec["direction_index"]
-        for seg in rec["segments"]:
-            r_c = seg["l"]
-            lo, hi = r_c / half, r_c * half
-            mask = (radii >= lo) & (radii <= hi)
-            collar_nodes[bi, di, mask] = True
-    if collar_nodes.any():
-        exact = interp.values[collar_nodes]
-        smooth.values[collar_nodes] = exact
+    smooth.values[collar] = interp.values[collar]
     stage["collar_restored"] = float(smooth.log_slopes().max())
 
     # outer flatten beyond every crossing
-    top = max((seg["l"] for rec in ray_report for seg in rec["segments"]),
-              default=radii[0] * 8)
     r_inner = min(top * COLLAR_FACTOR * 2.0, radii[-3])
     flat = outer_flatten(smooth, r_inner=r_inner, r_outer=radii[-1],
                          margin=0.25)
     stage["flattened"] = float(flat.log_slopes().max())
 
-    final = verify_radial_bound(flat, h=h, collar_nodes=collar_nodes)
+    final = verify_radial_bound(flat, h=h, collar_nodes=collar)
     report = ExtensionReport(stage_max_slopes=stage, final=final,
-                             ray_segments=ray_report,
-                             collar_nodes=collar_nodes, mvt=mvt)
+                             collar_nodes=collar, mvt=mvt)
     return flat, report

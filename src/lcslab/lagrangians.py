@@ -106,8 +106,7 @@ class LagrangianReport:
 
 
 def verify_lagrangian(E: ParametricEmbedding, samples=None,
-                      tol: float = 1e-9,
-                      rank_tol: float = 1e-8) -> LagrangianReport:
+                      tol: float = 1e-9) -> LagrangianReport:
     """Sup of the pulled-back twisted 2-form over samples; immersion checked."""
     params = (E.parameter_samples() if samples is None
               else _coerce_coords(E.source, samples))
@@ -115,7 +114,7 @@ def verify_lagrangian(E: ParametricEmbedding, samples=None,
     J = E.chart.jacobian(flat)
     sv = np.linalg.svd(J, compute_uv=False)
     min_sv = float(sv[..., -1].min())
-    if min_sv < rank_tol:
+    if min_sv < 1e-8:
         worst = flat[int(np.argmin(sv[..., -1]))]
         raise ImmersionError("rank-deficient Jacobian at a sampled parameter",
                              min_singular_value=min_sv,
@@ -146,8 +145,9 @@ def require_lagrangian(E: ParametricEmbedding) -> None:
 
 # ------------------------------------------------------- primitive integration
 
-def _chunked_coefficients(form: FormExpression, coords: np.ndarray,
-                          chunk: int = 65536) -> np.ndarray:
+def _chunked_coefficients(form: FormExpression,
+                          coords: np.ndarray) -> np.ndarray:
+    chunk = 65536
     flat = coords.reshape(-1, coords.shape[-1])
     if flat.shape[0] <= chunk:
         out = form.coefficients(flat)
@@ -219,7 +219,7 @@ class IntegratedPrimitive(ScalarField):
 
     def __init__(self, embedding: ParametricEmbedding, grid: np.ndarray,
                  values: np.ndarray, lamL: FormExpression,
-                 betaL: FormExpression, n_sub: int = 8):
+                 betaL: FormExpression):
         super().__init__(embedding.source, fn=None,
                          name=f"primitive[{embedding.name}]")
         self.embedding = embedding
@@ -227,7 +227,6 @@ class IntegratedPrimitive(ScalarField):
         self.grid_values = values
         self._lamL = lamL
         self._betaL = betaL
-        self._n_sub = n_sub
         self._axes = [np.unique(grid[..., i].reshape(-1))
                       for i in range(grid.shape[-1])]
 
@@ -249,8 +248,7 @@ class IntegratedPrimitive(ScalarField):
         start = self.grid[idx]
         f0 = self.grid_values[idx]
         delta = coords2 - start  # short segments; no wrap needed
-        a, b, h = _path_data(self._lamL, self._betaL, start, delta,
-                             self._n_sub)
+        a, b, h = _path_data(self._lamL, self._betaL, start, delta, 8)
         vals = rk4_linear_path(a, b, f0, h)
         return vals[0] if squeeze else vals.reshape(coords.shape[:-1])
 
@@ -325,8 +323,7 @@ def _loop_transport(lamL, betaL, base: np.ndarray, axis: int,
 
 def solve_primitive(E: ParametricEmbedding, base_point=None,
                     grid_shape=64, steps_per_loop: int = 2048,
-                    tol: float = 1e-8, check: bool = True,
-                    line_radius: float = 4.0) -> ExactnessCertificate:
+                    tol: float = 1e-8) -> ExactnessCertificate:
     """Integrate the primitive ODE over a parameter grid and certify exactness.
 
     The primitive value at the base point is pinned by the affine return map
@@ -337,8 +334,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
     generator-loop defects; both vanish exactly when ``i*lambda - f i*beta``
     is closed, so this is the sampled content of the defining equation.
     """
-    if check:
-        require_lagrangian(E)
+    require_lagrangian(E)
     src = E.source
     if base_point is None:
         base = np.zeros(src.dim)
@@ -347,7 +343,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
     lamL = E.pulled_liouville()
     betaL = E.pulled_lee()
 
-    grid = parameter_grid(src, grid_shape, radius=line_radius)
+    grid = parameter_grid(src, grid_shape)
     dims = grid.shape[:-1]
     k = src.dim
     # generator loops: one per circle axis
@@ -817,8 +813,8 @@ class GenericityReport:
         }
 
 
-def genericity_check(E: ParametricEmbedding, grid: int = 64,
-                     zero_tol: float = 1e-8) -> GenericityReport:
+def genericity_check(E: ParametricEmbedding,
+                     grid: int = 64) -> GenericityReport:
     """Sampled check of the three genericity conditions.
 
     (1) transversality to the zero section at detected intersections (margin
@@ -832,7 +828,7 @@ def genericity_check(E: ParametricEmbedding, grid: int = 64,
     params = parameter_grid(src, grid).reshape(-1, src.dim)
     fib = E.fiber_values(params)
     fib_norm = np.linalg.norm(fib, axis=-1)
-    if fib_norm.max() <= zero_tol:
+    if fib_norm.max() <= 1e-8:
         return GenericityReport(True, np.zeros((0, src.dim)), np.zeros(0),
                                 None, np.zeros((0, src.dim)), np.zeros(0),
                                 None, False)
@@ -865,7 +861,7 @@ def genericity_check(E: ParametricEmbedding, grid: int = 64,
             da, db = detb[tuple(idx)], detb[tuple(nxt)]
             w = da / (da - db)
             tang.append(src.normalize(a + w * src.difference(b, a)))
-    exact_zero = np.argwhere(np.abs(detb) <= zero_tol)
+    exact_zero = np.argwhere(np.abs(detb) <= 1e-8)
     for idx in exact_zero:
         tang.append(coords_nd[tuple(idx)])
     tang = np.asarray(tang) if tang else np.zeros((0, src.dim))

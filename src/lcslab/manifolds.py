@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DimensionError, DomainEvaluationError
 from .jets import Jet2, constant_jet, seed_jets
@@ -308,6 +307,27 @@ class SmoothMap:
         return SmoothMap(manifold, manifold, lambda jets: list(jets), name="id")
 
 
+def _halton(dim: int, start: int, n: int) -> np.ndarray:
+    """Unscrambled Halton points of indices ``start .. start + n - 1``,
+    shape ``(n, dim)``: coordinate j is the radical inverse of the index in
+    the j-th prime base, summed digit by digit from the lowest."""
+    primes = []
+    k = 2
+    while len(primes) < dim:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    out = np.zeros((n, dim))
+    for j, base in enumerate(primes):
+        index = np.arange(start, start + n, dtype=np.int64)
+        scale = 1.0 / base
+        while index.any():
+            index, digit = np.divmod(index, base)
+            out[:, j] += digit * scale
+            scale /= base
+    return out
+
+
 def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
                   seed: int = 0, ranges: dict | None = None) -> np.ndarray:
     """Deterministic low-discrepancy sample of the chart, shape ``(n, dim)``.
@@ -315,16 +335,13 @@ def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
     Circle coordinates cover ``[0, 2*pi)``; line coordinates cover
     ``[-radius, radius]`` unless overridden per index through ``ranges``.
     ``seed`` picks the block of ``n`` Halton points that starts at index
-    ``1 + seed * n``, so distinct seeds give distinct (still reproducible)
-    sets; a negative seed is refused.
+    ``1 + seed * n`` (index 0 is the degenerate all-zeros point), so
+    distinct seeds give distinct (still reproducible) sets; a negative seed
+    is refused.
     """
     if seed < 0:
         raise ValueError(f"sample seed must be nonnegative, got {seed}")
-    eng = qmc.Halton(manifold.dim, scramble=False)
-    # jump to the block: generating the skipped points would cost memory
-    # linear in seed * n.  Index 0 is the degenerate all-zeros sample.
-    eng.num_generated = 1 + seed * n
-    u = eng.random(n)
+    u = _halton(manifold.dim, 1 + seed * n, n)
     coords = np.empty_like(u)
     for i, circ in enumerate(manifold.is_circle):
         lo, hi = (0.0, TWO_PI) if circ else (-radius, radius)

@@ -20,7 +20,7 @@ degree diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -460,7 +460,6 @@ class StraightenReport:
     closedness_sup: float
     holonomy_sup: float
     passed: bool
-    flow: FlowResult = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
         return {"closedness_sup": self.closedness_sup,
@@ -502,9 +501,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
 
     src = E.source
     params = parameter_grid(src, grid).reshape(-1, src.dim)
-    pts = E.points(params)
+    seeds = E.points(params)
     jac = E.chart.jacobian(params)          # (B, 2n, k)
-    seeds = pts
     dirs = np.swapaxes(jac, 1, 2)           # (B, k, 2n): d(seed)/d(param)
     (scales,), (dscale,) = _flow_scales(P, seeds, (step,), 0.0, 1.0,
                                         dirs=dirs)
@@ -553,18 +551,9 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         val = simpson_path(integrand, 1.0 / steps)
         hol = max(hol, abs(float(val)))
 
-    # final images: the flow's scales, then the translation by eta_prime
-    images = seeds.copy()
-    images[:, S.n:] *= scales[:, None]
-    for i, cfield in enumerate(eta_fields):
-        images[:, S.n + i] += cfield.value(images[:, :S.n])
-    flow_res = FlowResult(seeds=seeds, images=images,
-                          scales=scales, max_fiber_drift=0.0, step=step,
-                          t0=0.0, t1=1.0)
     report = StraightenReport(closedness_sup=closedness, holonomy_sup=hol,
                               passed=bool(closedness <= 1e-8
-                                          and hol <= 1e-6),
-                              flow=flow_res)
+                                          and hol <= 1e-6))
 
     # first-class embedding: the chart carries the flow's first variation,
     # so Jacobians (hence Lagrangian verification, chords, primitives) work;

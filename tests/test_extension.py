@@ -83,44 +83,49 @@ def test_interpolation_rejects_slope_one_ray():
     S = S1
     E = graph_embedding(S, p0=1.0)
     patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E)
-    from lcslab.extension import RayCrossing, radial_log_interpolation
+    from lcslab.extension import radial_log_interpolation
     base = parameter_grid(T1, 8).reshape(-1, 1)
     dirs = fiber_directions(1)
     radii = log_radii(1e-3, 16.0, 64)
-    crossings = [[[] for _ in range(2)] for _ in range(8)]
-    crossings[0][0] = [RayCrossing(radius=1.0, value=1.0),
-                       RayCrossing(radius=3.0, value=3.0)]
+    # both crossings on ray 0: base point 0, direction +1
+    crossings = (np.array([0, 0]), np.array([1.0, 3.0]), np.array([1.0, 3.0]))
     h = ScalarField.constant(S.total, 1.0)
     with pytest.raises(ObstructionError) as err:
         radial_log_interpolation(patch, crossings, base, dirs, radii, h)
     assert err.value.details["slope"] >= 1.0 - 1e-9
+    assert err.value.details["outer_radius"] == 3.0
 
 
 def test_interpolation_accepts_half_slope():
     S = S1
     E = graph_embedding(S, p0=1.0)
     patch = near_zero_extension(ScalarField.constant(S.total, 1.0), E)
-    from lcslab.extension import RayCrossing, radial_log_interpolation
+    from lcslab.extension import COLLAR_FACTOR, radial_log_interpolation
     base = parameter_grid(T1, 8).reshape(-1, 1)
     dirs = fiber_directions(1)
     radii = log_radii(1e-3, 16.0, 64)
-    crossings = [[[] for _ in range(2)] for _ in range(8)]
-    crossings[0][0] = [RayCrossing(radius=1.0, value=1.0),
-                       RayCrossing(radius=4.0, value=2.0)]
+    # chord slope ln(2/1) / ln(4/1) = 1/2 on ray 0
+    crossings = (np.array([0, 0]), np.array([1.0, 4.0]), np.array([1.0, 2.0]))
     h = ScalarField.constant(S.total, 1.0)
-    f, report = radial_log_interpolation(patch, crossings, base, dirs, radii, h)
-    segs = [s for rec in report for s in rec["segments"]]
-    assert any(abs(s["slope"] - 0.5) < 0.05 for s in segs)
+    f, collar, top = radial_log_interpolation(patch, crossings, base, dirs,
+                                              radii, h)
     assert f.log_slopes().max() < 1.0
+    assert top == 4.0
+    # the collar is the middle half of each crossing's band, on ray 0 only
+    half = np.sqrt(COLLAR_FACTOR)
+    want = np.zeros(f.values.shape, dtype=bool)
+    for r in (1.0, 4.0):
+        want[0, 0] |= (radii >= r / half) & (radii <= r * half)
+    assert want.any() and np.array_equal(collar, want)
+    assert np.all(f.values[collar] == 1.0)
 
 
 # ------------------------------------------------------------ ray crossings
 
-def per_point_ray_crossings_1d(E, h, base_points, directions, min_norm):
+def per_point_ray_crossings(E, h, base_points, directions, min_norm):
     """Reference crossings: one Newton solve, one deduplication and one loop
-    per base point, each ray's list sorted afterwards (the per-base-point
-    form of ``_ray_crossings_1d``)."""
-    from lcslab.extension import RayCrossing
+    per base point, then a stable sort by ray and radius (the per-base-point
+    form of ``_ray_crossings``).  Returns ``(ray, radius, value)`` tuples."""
     from lcslab.numerics import dedup_points, gauss_newton
     S, src = E.structure, E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
@@ -141,7 +146,7 @@ def per_point_ray_crossings_1d(E, h, base_points, directions, min_norm):
         good = src.normalize(sol[ok])
         return good[dedup_points(src.embed(good), 1e-6)]
 
-    out = [[[] for _ in directions] for _ in base_points]
+    out = []
     for bi, q in enumerate(base_points):
         good = preimages(q)
         if good.shape[0] == 0:
@@ -151,13 +156,8 @@ def per_point_ray_crossings_1d(E, h, base_points, directions, min_norm):
             if r < min_norm:
                 continue
             di = int(np.argmax(directions @ (p / r)))
-            if directions[di] @ (p / r) < 0.999999:
-                continue
-            out[bi][di].append(RayCrossing(radius=r, value=float(val)))
-    for rays in out:
-        for ray in rays:
-            ray.sort(key=lambda c: c.radius)
-    return out
+            out.append((bi * len(directions) + di, r, float(val)))
+    return sorted(out, key=lambda c: c[:2])
 
 
 def double_cover_scene():
@@ -177,7 +177,7 @@ def test_batched_crossings_match_per_point_reference(scene_name):
     from pathlib import Path
 
     from lcslab.expressions import compile_field
-    from lcslab.extension import _ray_crossings_1d
+    from lcslab.extension import _ray_crossings
     from lcslab.scenes import _build_embedding, load_scene
     if scene_name == "double-cover":
         scene = double_cover_scene()
@@ -190,15 +190,40 @@ def test_batched_crossings_match_per_point_reference(scene_name):
                           int(ext["base_grid"])).reshape(-1, 1)
     dirs = fiber_directions(1)
     min_norm = 4 * float(ext.get("r_min", 1e-3))
-    got = _ray_crossings_1d(E, h, base, dirs, min_norm)
-    want = per_point_ray_crossings_1d(E, h, base, dirs, min_norm)
-    assert [[[(c.radius, c.value) for c in ray] for ray in rays]
-            for rays in got] == [[[(c.radius, c.value) for c in ray]
-                                  for ray in rays] for rays in want]
-    counts = [len(ray) for rays in got for ray in rays]
-    assert sum(counts) > 0
+    ray, radius, value = _ray_crossings(E, h, base, dirs, min_norm)
+    got = [(int(k), float(r), float(v))
+           for k, r, v in zip(ray, radius, value)]
+    assert got == per_point_ray_crossings(E, h, base, dirs, min_norm)
+    counts = np.bincount(ray, minlength=base.shape[0] * 2)
+    assert counts.sum() > 0
     if scene_name == "double-cover":
-        assert counts[0::2] == [2] * base.shape[0]
+        assert list(counts[0::2]) == [2] * base.shape[0]
+
+
+def test_extension_over_two_torus_crosses_each_nearest_ray():
+    # 2-d fibers: the graph of d_beta f over T^2 meets each base point's
+    # fiber once, on the ray nearest p(q), at radius |p(q)|
+    from lcslab.extension import _ray_crossings
+    T2 = make_manifold(2, 0)
+    S = cotangent_lcs(T2, [ScalarField(T2, lambda j: j[0].cos() * 0.3), 1.0])
+    f = ScalarField(T2, lambda j: j[0].sin() * 0.2 + 1.5)
+    E = beta_graph(f, S)
+    h = ScalarField(S.total, lambda j: j[0].sin() * 0.2 + 1.5)
+    g, report = build_positive_extension(E, h, base_grid=8, shells=32,
+                                         directions=16)
+    assert report.final.passed
+    assert report.final.collar_match_sup <= 1e-6
+    assert report.collar_nodes.any()
+
+    base = parameter_grid(T2, 8).reshape(-1, 2)
+    dirs = fiber_directions(2, 16)
+    ray, radius, value = _ray_crossings(E, h, base, dirs, 4e-3)
+    p = E.fiber_values(base)
+    r = np.linalg.norm(p, axis=-1)
+    nearest = np.argmax((p / r[:, None]) @ dirs.T, axis=-1)
+    assert np.array_equal(ray, np.arange(base.shape[0]) * 16 + nearest)
+    assert np.allclose(radius, r, rtol=0, atol=1e-12)
+    assert np.allclose(value, f.value(base), rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------- mollifier

@@ -133,6 +133,34 @@ def test_sampling_at_huge_seed_is_cheap_and_in_range():
     assert not np.array_equal(pts, sample_points(M, 4, seed=0))
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("seed", [0, 7, 1000, 10**6])
+def test_radical_inverse_matches_scipy_halton(dim, seed):
+    # scipy's unscrambled Halton engine is the oracle; its block is reached
+    # by setting the index counter, not by generating the skipped points
+    from lcslab.manifolds import _halton
+    n = 16
+    eng = qmc.Halton(dim, scramble=False)
+    eng.num_generated = 1 + seed * n
+    assert np.array_equal(_halton(dim, 1 + seed * n, n), eng.random(n))
+
+
+def test_importing_scenes_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs about 0.7 s of import time in every process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lcslab.scenes; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("seed", [-1, -5])
 def test_sampling_refuses_negative_seed(seed):
     # a negative seed would start the Halton block below index 0, where
