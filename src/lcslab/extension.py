@@ -112,6 +112,17 @@ class RadialField:
         return ((ln_v[..., 2:] - ln_v[..., :-2])
                 / (ln_r[2:] - ln_r[:-2]))
 
+    def base_axes(self) -> list:
+        """The nodes of each base axis, sorted: the base points must be the
+        full rectangular grid of these axes in C order, as ``parameter_grid``
+        lays them out."""
+        axes = [np.unique(col) for col in self.base_points.T]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        if not np.array_equal(grid.reshape(-1, len(axes)), self.base_points):
+            raise PreconditionError(
+                "base points do not form a full rectangular grid in C order")
+        return axes
+
     def node_points(self) -> np.ndarray:
         """All grid nodes as bundle coordinates, shape (B, D, R, 2n)."""
         return _grid_nodes(self.base_points, self.directions, self.radii)
@@ -336,8 +347,7 @@ def _bump_kernel(half_width: int) -> np.ndarray:
     return k / k.sum()
 
 
-def mollify(F: RadialField, kernel_cells: int = 3,
-            base_shape: tuple | None = None) -> RadialField:
+def mollify(F: RadialField, kernel_cells: int = 3) -> RadialField:
     """Convolve with a compactly supported positive bump, unit mass on the
     grid; smooths seams at grid scale.
 
@@ -367,11 +377,11 @@ def mollify(F: RadialField, kernel_cells: int = 3,
         return rolled
 
     # base axes: periodic convolution (single-chart tori)
-    if base_shape:
-        shaped = vals.reshape(tuple(base_shape) + vals.shape[1:])
-        for ax in range(len(base_shape)):
-            shaped = periodic(shaped, ax)
-        vals = shaped.reshape(vals.shape)
+    shaped = vals.reshape(tuple(a.size for a in F.base_axes())
+                          + vals.shape[1:])
+    for ax in range(shaped.ndim - 2):
+        shaped = periodic(shaped, ax)
+    vals = shaped.reshape(vals.shape)
     # direction axis: periodic for 2-d fibers (many directions)
     if F.directions.shape[0] > 8:
         vals = periodic(vals, 1)
@@ -442,7 +452,7 @@ def verify_radial_bound(F: RadialField, h: ScalarField | None = None,
     max_slope = float(slopes[idx])
     outer_one = bool(np.all(F.values[..., -1] == 1.0))
     collar_sup = None
-    if h is not None and collar_nodes is not None and collar_nodes.size:
+    if h is not None and collar_nodes is not None and collar_nodes.any():
         mask = collar_nodes.astype(bool)
         nodes = F.node_points()[mask]
         hv = h.value(nodes)
@@ -590,7 +600,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
         patch, crossings, base_points, dirs, radii, h)
     stage = {"interpolation": float(interp.log_slopes().max())}
 
-    smooth = mollify(interp, base_shape=(base_grid,) * S.n)
+    smooth = mollify(interp)
     stage["mollified"] = float(smooth.log_slopes().max())
 
     # restore the exact values of h on the collars (and keep them for the

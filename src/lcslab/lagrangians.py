@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, ImmersionError, PreconditionError
 from .forms import (FormExpression, coordinate_differential, exterior_d,
-                    increasing_indices, pullback)
+                    pullback)
 from .jets import Jet2, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
@@ -659,19 +659,11 @@ def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = No
     pts = (E.parameter_samples(256) if samples is None
            else _coerce_coords(E.source, samples))
     lam_pb = pullback(jmap, S.lam)
-    if E.source.dim < 2:
-        closed = np.zeros(pts.shape[:-1] + (0,))  # 2-forms vanish on curves
-    else:
-        try:
-            closed = np.abs(exterior_d(lam_pb).coefficients(pts))
-        except DimensionError:
-            # charts built from field gradients exhaust the order-2 jet
-            # budget; fall back to a central-difference curl of the 1-form
-            _, J = central_difference(lam_pb.coefficients, pts, 1e-5)
-            closed = np.abs(np.stack(
-                [J[..., j, i] - J[..., i, j]
-                 for i, j in increasing_indices(E.source.dim, 2)], axis=-1))
-    sup = float(closed.max(initial=0.0))
+    sup = 0.0  # 2-forms vanish on curves
+    if E.source.dim >= 2:
+        # d(i*lambda) = i*(d lambda), which needs one jet order less
+        closed = pullback(jmap, exterior_d(S.lam)).coefficients(pts)
+        sup = float(np.abs(closed).max())
     loops = {}
     zero = pullback(jmap, S.beta) * 0.0
     for ax in range(E.source.dim):

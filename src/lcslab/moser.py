@@ -378,20 +378,21 @@ def radial_field_to_scalar_field(F: RadialField,
                                  S: CotangentLcsStructure) -> ScalarField:
     """Interpolate a radial grid field into an evaluable field.
 
-    Monotone cubic interpolation in ln r per ray, nearest ray in (base,
-    direction); accuracy is grid-scale and documented as such.  Outside the
-    radius range the field continues with its edge values.
+    Monotone cubic interpolation in ln r along each ray, the ray of the
+    nearest direction, and a multilinear blend over the rectangular base
+    grid: circle axes wrap, line axes clamp to their end nodes.  Accuracy is
+    grid-scale and documented as such.  Outside the radius range the field
+    continues with its edge values.
     """
     from scipy.interpolate import PchipInterpolator
     n = S.n
     ln_r = np.log(F.radii)
     B, D = F.base_points.shape[0], F.directions.shape[0]
+    axes = F.base_axes()
     # one interpolant over all rays at once; only its power-basis
     # coefficients are kept, shape (4, R-1, B*D), last axis the ray
     ray_values = np.log(F.values).reshape(B * D, -1).T       # (R, B*D)
     coef = PchipInterpolator(ln_r, ray_values, axis=0).c
-    from scipy.spatial import cKDTree
-    tree = cKDTree(S.base.embed(F.base_points))
 
     class _Interp(ScalarField):
         def __init__(self):
@@ -408,29 +409,30 @@ def radial_field_to_scalar_field(F: RadialField,
             d_idx[r <= 1e-12] = 0
             lr = np.clip(np.log(np.maximum(r, F.radii[0])),
                          ln_r[0], ln_r[-1])
-            if n == 1 and S.base.is_circle[0]:
-                # linear blend between the two neighboring base nodes
-                axis = F.base_points[:, 0]
-                step = axis[1] - axis[0]
-                pos = q[:, 0] / step
-                i0 = np.floor(pos).astype(int) % B
-                i1 = (i0 + 1) % B
-                w = pos - np.floor(pos)
-                cols = np.stack([i0 * D + d_idx, i1 * D + d_idx])
-            else:
-                _, b_idx = tree.query(S.base.embed(q))
-                cols = (b_idx * D + d_idx)[None]
+            # the 2^n corners of each point's base cell, grown one axis at
+            # a time in C order: circle axes wrap, line axes clamp
+            cols, weights = [0], [1.0]
+            for nodes, circle, x in zip(axes, S.base.is_circle, q.T):
+                if circle:
+                    pos = x / (nodes[1] - nodes[0])
+                    i0 = np.floor(pos).astype(int) % nodes.size
+                    i1, w = (i0 + 1) % nodes.size, pos - np.floor(pos)
+                else:
+                    i0 = np.clip(np.searchsorted(nodes, x, "right") - 1,
+                                 0, nodes.size - 2)
+                    i1 = i0 + 1
+                    w = np.clip((x - nodes[i0]) / (nodes[i1] - nodes[i0]),
+                                0.0, 1.0)
+                cols = [b * nodes.size + i for b in cols for i in (i0, i1)]
+                weights = [v * u for v in weights for u in (1 - w, w)]
             # each point's own cubic on its own rays, summed in the order
             # of scipy's PPoly evaluation so the values match it bit for bit
             k = np.clip(np.searchsorted(ln_r, lr, "right") - 1,
                         0, ln_r.size - 2)
             s = lr - ln_r[k]
-            c = coef[:, k, cols]
+            c = coef[:, k, np.stack(cols) * D + d_idx]
             picked = c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
-            if cols.shape[0] == 2:
-                out = np.exp((1 - w) * picked[0] + w * picked[1])
-            else:
-                out = np.exp(picked[0])
+            out = np.exp(sum(wt * pk for wt, pk in zip(weights, picked)))
             return out[0] if squeeze else out.reshape(coords.shape[:-1])
 
         def jet(self, points, order: int = 2):
@@ -510,20 +512,16 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     # pulled-back data of the original embedding
     lamL = pullback(E.chart, S.lam)
     lam_c = lamL.coefficients(params)          # (B, k)
+    # d(s i*lambda) = ds ^ i*lambda + s i*(d lambda); pulling d(lambda)
+    # back needs one jet order less than d of the pulled-back form
+    closed = [0.0]
     if src.dim >= 2:
-        dlam_c = exterior_d(lamL).coefficients(params)
-    else:
-        dlam_c = np.zeros((params.shape[0], 0))
-
-    # d(s * i*lambda) = ds ^ i*lambda + s d(i*lambda)
-    k = src.dim
-    pairs = increasing_indices(k, 2)
-    closed = []
-    for pos, (i, j) in enumerate(pairs):
-        term = (dscale[:, i] * lam_c[:, j] - dscale[:, j] * lam_c[:, i]
-                + scales * dlam_c[:, pos])
-        closed.append(np.abs(term))
-    closedness = float(np.max(closed)) if closed else 0.0
+        dlam_c = pullback(E.chart, exterior_d(S.lam)).coefficients(params)
+        for pos, (i, j) in enumerate(increasing_indices(src.dim, 2)):
+            term = (dscale[:, i] * lam_c[:, j] - dscale[:, j] * lam_c[:, i]
+                    + scales * dlam_c[:, pos])
+            closed.append(np.abs(term).max())
+    closedness = float(np.max(closed))  # a NaN term stays NaN and fails
 
     # translation by eta_prime adds an exactly closed base form: check it
     eta_fields = [c if isinstance(c, ScalarField) else

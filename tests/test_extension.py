@@ -300,22 +300,38 @@ def three_loop_mollify(F, kernel_cells, base_shape):
 
 
 @pytest.mark.parametrize("base_shape, directions", [
-    ((4, 4), 12), ((8,), 2), (None, 12)])
+    ((4, 4), 12), ((8,), 2), ((4, 6), 12)])
 def test_mollify_matches_three_loop_reference(base_shape, directions):
     # every periodic axis (n-d base, 1-d base, direction) carries its own
-    # random positive pattern, so each convolution changes the result
-    n = 1 if base_shape == (8,) else 2
-    B = int(np.prod(base_shape)) if base_shape else 16
-    base = parameter_grid(make_manifold(n, 0), round(B ** (1 / n))) \
-        .reshape(-1, n)
+    # random positive pattern, so each convolution changes the result; the
+    # mollifier reads the base shape off the field's grid
+    n = len(base_shape)
+    B = int(np.prod(base_shape))
+    base = parameter_grid(make_manifold(n, 0), base_shape).reshape(-1, n)
     dirs = fiber_directions(n, directions)
     radii = log_radii(0.01, 10.0, 24)
     vals = np.random.default_rng(7).uniform(0.5, 2.0,
                                             (B, dirs.shape[0], 24))
     F = RadialField(base, dirs, radii, vals)
-    out = mollify(F, kernel_cells=3, base_shape=base_shape)
+    out = mollify(F, kernel_cells=3)
     assert np.array_equal(out.values,
                           three_loop_mollify(F, 3, base_shape))
+
+
+def test_base_axes_refuse_a_partial_grid():
+    # a grid missing its last node, or with its axes swapped out of C
+    # order, is no full grid: the blend and the mollifier would misread it
+    grid = parameter_grid(make_manifold(2, 0), (3, 4)).reshape(-1, 2)
+    axes = RadialField(grid, fiber_directions(2, 8), log_radii(shells=4),
+                       np.ones((12, 8, 4))).base_axes()
+    assert [a.size for a in axes] == [3, 4]
+    for bad in (grid[:-1], grid[:, ::-1]):
+        F = RadialField(bad, fiber_directions(2, 8), log_radii(shells=4),
+                        np.ones((bad.shape[0], 8, 4)))
+        with pytest.raises(PreconditionError):
+            F.base_axes()
+        with pytest.raises(PreconditionError):
+            mollify(F)
 
 
 def test_mollify_requires_wide_kernel():

@@ -114,17 +114,72 @@ def test_pullback_along_identity_is_identity():
     assert forms_allclose(pullback(ident, lam), lam, pts, tol=1e-14)
 
 
-def test_pullback_commutes_with_d():
-    emb = SmoothMap(T2, COT_T2, lambda j: [j[0] * 2.0, j[1],
-                                           j[0].cos() * 0.5, -j[0].sin()])
-    alpha = (coordinate_differential(COT_T2, 0)
-             * COT_T2.coordinate_field(2)
-             + coordinate_differential(COT_T2, 3)
-             * ScalarField(COT_T2, lambda j: (j[1]).sin() * j[2]))
-    pts = sample_points(T2, 100)
-    lhs = exterior_d(pullback(emb, alpha)).coefficients(pts)
-    rhs = pullback(emb, exterior_d(alpha)).coefficients(pts)
-    assert np.abs(lhs - rhs).max() <= 1e-9
+T3 = make_manifold(3, 0)
+PULLBACK_POINTS = sample_points(T3, 32)
+
+
+@st.composite
+def maps_into_cot_t2(draw):
+    """A smooth map T^3 -> T*T^2 with a drawn grammar field per component,
+    and the size of its jets on ``PULLBACK_POINTS``."""
+    comps = [draw(grammar_fields(T3))[0] for _ in range(COT_T2.dim)]
+    phi = SmoothMap(T3, COT_T2, lambda j: [c.fn(j) for c in comps])
+    size = max(np.abs(j.g).max() + np.abs(j.h).max()
+               for j in phi.jet(PULLBACK_POINTS))
+    return phi, size
+
+
+def one_form(fields):
+    """``sum_i f_i dx_i`` on T*T^2."""
+    form = coordinate_differential(COT_T2, 0) * fields[0]
+    for i, f in enumerate(fields[1:], start=1):
+        form = form + coordinate_differential(COT_T2, i) * f
+    return form
+
+
+def coefficient_size(form, points):
+    """Largest value or first derivative among the form's coefficients."""
+    return max(np.abs(j.f).max() + np.abs(j.g).max()
+               for j in form.jets(points, order=1))
+
+
+FOUR_FIELDS = st.lists(grammar_fields(COT_T2), min_size=4, max_size=4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mapped=maps_into_cot_t2(), a=FOUR_FIELDS, b=FOUR_FIELDS)
+def test_pullback_commutes_with_d(mapped, a, b):
+    # d phi^* alpha = phi^* d alpha for a 0-form, a 1-form and a 2-form;
+    # phi^* d(a ^ b) is a 3-form, pulled back through 3x3 minors
+    phi, phi_size = mapped
+    a, b = [f for f, _ in a], [f for f, _ in b]
+    image = np.stack([j.f for j in phi.jet(PULLBACK_POINTS, order=0)], -1)
+    for alpha in (field_form(a[0]), one_form(a),
+                  one_form(a).wedge(one_form(b))):
+        lhs = exterior_d(pullback(phi, alpha)).coefficients(PULLBACK_POINTS)
+        rhs = pullback(phi, exterior_d(alpha)).coefficients(PULLBACK_POINTS)
+        # rounding scale: the coefficients and their first derivatives at
+        # the image times the map's first and second derivatives
+        size = coefficient_size(alpha, image) * (1.0 + phi_size) ** 3
+        assert np.abs(lhs - rhs).max() <= 1e-14 * (1.0 + size)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mapped=maps_into_cot_t2(), a=FOUR_FIELDS, b=FOUR_FIELDS)
+def test_pullback_commutes_with_wedge(mapped, a, b):
+    # phi^*(a ^ b) = phi^* a ^ phi^* b for a 0-form with a 1-form and for
+    # two 1-forms
+    phi, phi_size = mapped
+    a, b = [f for f, _ in a], [f for f, _ in b]
+    image = np.stack([j.f for j in phi.jet(PULLBACK_POINTS, order=0)], -1)
+    for left, right in ((field_form(a[0]), one_form(b)),
+                        (one_form(a), one_form(b))):
+        lhs = pullback(phi, left.wedge(right)).coefficients(PULLBACK_POINTS)
+        rhs = pullback(phi, left).wedge(pullback(phi, right)) \
+            .coefficients(PULLBACK_POINTS)
+        size = (coefficient_size(left, image)
+                * coefficient_size(right, image) * (1.0 + phi_size) ** 2)
+        assert np.abs(lhs - rhs).max() <= 1e-14 * (1.0 + size)
 
 
 def test_pullback_composition_contravariant():

@@ -254,7 +254,7 @@ def test_symplectization_of_zero_section_unchanged():
 
 def per_axis_fd_curl(one_form, coords, h=1e-5):
     """Antisymmetrized central differences of a 1-form's coefficients, one
-    stencil per axis: the reference for the batched fallback curl."""
+    stencil per axis: an oracle for its exterior derivative."""
     coords = np.asarray(coords, float).reshape(-1, one_form.domain.dim)
     k = one_form.domain.dim
     grads = []
@@ -273,32 +273,33 @@ def per_axis_fd_curl(one_form, coords, h=1e-5):
 
 @pytest.mark.parametrize("twisted", [False, True],
                          ids=["zero-section", "twisted-graph"])
-def test_symplectization_fd_curl_matches_per_axis_stencils(twisted,
-                                                           monkeypatch):
-    # the fallback curl (taken when the chart's jets cannot give exact
-    # second derivatives) reproduces the per-axis stencils bit for bit, on
-    # the section and on the graph of f*beta over it, whose pulled-back
-    # form f*beta has two nonzero, non-closed coefficients
-    from lcslab import lagrangians
-    from lcslab.errors import DimensionError
+def test_symplectization_fd_curl_matches_per_axis_stencils(twisted):
+    # the closedness is the exact pullback of d(lambda), and the stencil
+    # oracle agrees with it on the section and on the graph of f*beta over
+    # it, whose pulled-back form f*beta has two nonzero, non-closed
+    # coefficients
     E, f = zero_section(cotangent_lcs(T2, [0.0, 1.0])), None
     if twisted:
         E = zero_section(cotangent_lcs(T2, [0.7, 1.0]))
         f = ScalarField(T2, lambda j: j[0].cos() * 0.5 + j[1].sin() + 2.0)
     pts = sample_points(T2, 40)
-    jmap, exact = symplectization_immersion(E, f=f, samples=pts)
-
-    def no_jets(form):
-        raise DimensionError("order-2 jet budget exhausted")
-
-    monkeypatch.setattr(lagrangians, "exterior_d", no_jets)
-    _, rep = symplectization_immersion(E, f=f, samples=pts)
-    ref = per_axis_fd_curl(pullback(jmap, E.structure.lam), pts)
-    assert rep.closedness_sup == float(np.abs(ref).max(initial=0.0))
+    jmap, rep = symplectization_immersion(E, f=f, samples=pts)
+    oracle = per_axis_fd_curl(pullback(jmap, E.structure.lam), pts)
     if twisted:
         assert rep.closedness_sup > 0.1
-    assert rep.closedness_sup == pytest.approx(exact.closedness_sup,
+    assert rep.closedness_sup == pytest.approx(np.abs(oracle).max(),
                                                abs=1e-8)
+
+
+def test_symplectization_of_beta_graph_is_exactly_closed():
+    # the beta-graph of f has a chart of derivative loss 1; the exact
+    # closedness needs one jet order less than d of the pulled-back form
+    S = cotangent_lcs(T2, [0.7, 1.0])
+    f = ScalarField(T2, lambda j: j[0].cos() * 0.5 + j[1].sin() + 2.0)
+    _, rep = symplectization_immersion(beta_graph(f, S),
+                                       samples=sample_points(T2, 40))
+    assert rep.passed
+    assert rep.closedness_sup <= 1e-12
 
 
 # ------------------------------------------------------------ contact lift

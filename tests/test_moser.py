@@ -424,6 +424,17 @@ def test_straighten_zero_section_identity():
     assert np.abs(pts[:, 1]).max() == 0.0
 
 
+def test_straighten_two_torus_zero_section():
+    # a 2-d Lagrangian: the closedness pulls d(lambda) back through a chart
+    # of derivative loss 1, which its order-2 jets afford
+    E = zero_section(S2)
+    g = ScalarField.constant(S2.total, 1.0)
+    _, rep = straighten_lagrangian(E, g, grid=8)
+    assert rep.passed
+    assert rep.closedness_sup == 0.0
+    assert rep.holonomy_sup == 0.0
+
+
 def test_straightened_embedding_is_first_class():
     # the output re-enters the Lagrangian lab: verification and primitive
     # solving run on it directly
@@ -617,14 +628,33 @@ def test_interpolant_jet_matches_per_axis_stencils():
 def full_row_pchip_value(F, S):
     """``value`` of the interpolated field with scipy's PCHIP interpolant
     evaluated on every ray column of each row, of which each point keeps its
-    own rays: the reference for the field's per-point coefficient gather."""
+    own rays, blended over the corners of its base cell one corner at a
+    time: the reference for the field's coefficient gather and base blend.
+
+    Each base axis finds its cell by itself: a circle axis wraps its node
+    indices modulo the node count, a line axis clamps q to its end nodes.
+    On T^1 the corner sum is ``(1 - w) * p0 + w * p1``, the linear blend the
+    field has always used there.
+    """
+    import itertools
+
     from scipy.interpolate import PchipInterpolator
-    from scipy.spatial import cKDTree
     n, B, D = S.n, F.base_points.shape[0], F.directions.shape[0]
     ln_r = np.log(F.radii)
     interp = PchipInterpolator(ln_r, np.log(F.values).reshape(B * D, -1).T,
                                axis=0, extrapolate=False)
-    tree = cKDTree(S.base.embed(F.base_points))
+    axes = [np.unique(F.base_points[:, i]) for i in range(n)]
+    sizes = [a.size for a in axes]
+
+    def axis_cell(nodes, circle, x):
+        m = nodes.size
+        if circle:
+            pos = x / (nodes[1] - nodes[0])
+            lo = np.floor(pos)
+            return lo.astype(int) % m, (lo.astype(int) + 1) % m, pos - lo
+        x = np.clip(x, nodes[0], nodes[-1])
+        lo = np.minimum(np.searchsorted(nodes, x, "right") - 1, m - 2)
+        return lo, lo + 1, (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
 
     def value(points):
         c2 = np.atleast_2d(S.total.normalize(points))
@@ -635,37 +665,48 @@ def full_row_pchip_value(F, S):
         d_idx[r <= 1e-12] = 0
         rows = interp(np.clip(np.log(np.maximum(r, F.radii[0])),
                               ln_r[0], ln_r[-1]))
-
-        def own(b_idx):
-            return rows[np.arange(r.shape[0]), b_idx * D + d_idx]
-
-        if n == 1 and S.base.is_circle[0]:
-            pos = q[:, 0] / (F.base_points[1, 0] - F.base_points[0, 0])
-            i0 = np.floor(pos).astype(int) % B
-            w = pos - np.floor(pos)
-            out = np.exp((1 - w) * own(i0) + w * own((i0 + 1) % B))
-        else:
-            out = np.exp(own(tree.query(S.base.embed(q))[1]))
+        cells = [axis_cell(axes[i], S.base.is_circle[i], q[:, i])
+                 for i in range(n)]
+        total = 0.0
+        for corner in itertools.product((0, 1), repeat=n):
+            index = tuple(cells[i][corner[i]] for i in range(n))
+            b_idx = np.ravel_multi_index(index, sizes)
+            weight = 1.0
+            for i in range(n):
+                w = cells[i][2]
+                weight = weight * (w if corner[i] else 1 - w)
+            total = total + weight * rows[np.arange(r.shape[0]),
+                                          b_idx * D + d_idx]
+        out = np.exp(total)
         return out if np.ndim(points) > 1 else out[0]
 
     return value
 
 
+def random_radial_field(base, per_axis, rng):
+    """A field of random positive values on ``per_axis`` nodes per base
+    axis, 8 directions and 12 radii."""
+    n = base.dim
+    grid = parameter_grid(base, per_axis).reshape(-1, n)
+    dirs = fiber_directions(n, 8)
+    radii = log_radii(1e-3, 16.0, 12)
+    values = np.exp(rng.normal(
+        size=(grid.shape[0], dirs.shape[0], radii.shape[0])))
+    return RadialField(grid, dirs, radii, values)
+
+
 @pytest.mark.parametrize("circles,lines", [(1, 0), (2, 0), (1, 1), (0, 2),
                                            (0, 1)])
 def test_interpolant_gather_matches_full_row_pchip(circles, lines):
-    # T^1 takes the linear base blend, every other base the KD-tree path;
-    # the radii include p = 0, tiny |p|, every grid node and |p| >= r_max
+    # every base blends over its cell's corners, circle axes wrapping and
+    # line axes clamping (q is drawn beyond the line nodes at +-4); the radii
+    # include p = 0, tiny |p|, every grid node and |p| >= r_max
     base = make_manifold(circles, lines)
     S = cotangent_lcs(base)
     n = base.dim
     rng = np.random.default_rng(7 + n)
-    per_axis = 8 if n == 1 else 4
-    grid = parameter_grid(base, per_axis).reshape(-1, n)
-    dirs = fiber_directions(n, 8)
-    radii = log_radii(1e-3, 16.0, 12)
-    F = RadialField(grid, dirs, radii, np.exp(rng.normal(
-        size=(grid.shape[0], dirs.shape[0], radii.shape[0]))))
+    F = random_radial_field(base, 8 if n == 1 else 4, rng)
+    radii = F.radii
     field = radial_field_to_scalar_field(F, S)
     ref = radial_field_to_scalar_field(F, S)
     ref.value = full_row_pchip_value(F, S)   # same stencils, scipy values
@@ -688,3 +729,26 @@ def test_interpolant_gather_matches_full_row_pchip(circles, lines):
         assert np.array_equal(jet.g, want.g)
         if order == 2:
             assert np.array_equal(jet.h, want.h)
+
+
+@pytest.mark.parametrize("circles,lines", [(2, 0), (1, 1)])
+def test_interpolant_is_continuous_across_base_cells(circles, lines):
+    # along every base axis, points 1e-7 apart on either side of a node
+    # (a border of the blend's cells) and of a midpoint between nodes (a
+    # border of nearest-node cells) take values within the field's slope
+    base = make_manifold(circles, lines)
+    S = cotangent_lcs(base)
+    rng = np.random.default_rng(11)
+    F = random_radial_field(base, 4, rng)
+    field = radial_field_to_scalar_field(F, S)
+    for i in range(base.dim):
+        nodes = np.unique(F.base_points[:, i])
+        step = nodes[1] - nodes[0]
+        borders = np.concatenate([nodes[:-1], nodes[:-1] + 0.5 * step])
+        pts = np.repeat(S.total.normalize(np.concatenate(
+            [rng.uniform(-3.0, 3.0, (borders.size, 2)),
+             rng.uniform(0.05, 8.0, (borders.size, 2))], axis=1)), 2, axis=0)
+        pts[:, i] = np.repeat(borders, 2) + np.tile([-1e-7, 1e-7],
+                                                    borders.size)
+        v = field.value(pts)
+        assert np.abs(v[1::2] - v[::2]).max() <= 1e-5 * v.max()

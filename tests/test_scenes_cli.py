@@ -156,6 +156,25 @@ def test_cli_build_extension_refusal(tmp_path):
                                                                  abs=1e-6)
 
 
+def test_cli_build_extension_over_the_zero_section(tmp_path):
+    # no crossing of L lies outside the inner patch, so no collar node is
+    # restored: the collar check has nothing to compare and reports null
+    scene = {"version": "scene-v1", "name": "zero-section-extension",
+             "manifold": {"circles": 1, "lines": 0},
+             "structure": {"beta": ["1"]},
+             "embedding": {"library": "zero-section"},
+             "extension": {"h": "2 + 0.3*sin(q1)", "base_grid": 16,
+                           "shells": 32}}
+    path = tmp_path / "zero-section-extension.json"
+    path.write_text(json.dumps(scene))
+    code = main(["build-extension", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "zero-section-extension-build-extension"
+                      ".json").read_text())
+    final = rep["results"]["final"]
+    assert final["passed"] and final["collar_match_sup"] is None
+
+
 def test_cli_tol_override_changes_verdict(tmp_path):
     # an absurdly small exactness tolerance must flip the verdict: the
     # path-dependence residual is rounding-level but not exactly zero
