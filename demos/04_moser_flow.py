@@ -9,9 +9,9 @@
 # exact jets of the target form.
 #
 # Straightening: a twisted graph in an exact-Lee-class scene flows to an
-# exact Lagrangian for the untwisted form; the certificate integrates the
-# scale sensitivities alongside the flow, so the closedness residual is
-# integrator-accurate, not finite-difference-accurate.
+# exact Lagrangian for the untwisted form.  The certificate is read through
+# the chart that straightening returns: its pullback of d(lambda) (zero on
+# this curve, where 2-forms vanish) and its Liouville form's loop integral.
 
 import numpy as np
 

@@ -10,8 +10,8 @@ essentialness defect ``f2(end) - t f1(start)`` and the mean-value ratio
 ``(ln f2(end) - ln f1(start)) / ln t``.
 
 Scale-free proportionality cannot be tested near the zero section, so
-covectors with norm below ``min_fiber_norm`` (default 1e-3) are excluded and
-the exclusion is recorded in every report.  Scans are deterministic: fixed
+covectors with norm below ``MIN_FIBER_NORM`` (1e-3) are excluded and the
+exclusion is recorded in every report.  Scans are deterministic: fixed
 grids, stable ordering.
 """
 
@@ -74,6 +74,17 @@ class LiouvilleChord:
         }
 
 
+# Fixed scanner thresholds: the shortest scanned covector, the degenerate
+# band |ln t|, the dedup radius, the angle of a chord's rays (refined) and
+# of a seed pair, and the slack of the essentialness sign.
+MIN_FIBER_NORM = 1e-3
+EXCLUSION_BAND = 1e-3
+DEDUP_RADIUS = 1e-4
+ANGLE_TOL = 1e-6
+SEED_ANGLE = 0.35
+DEFECT_TOL = 1e-9
+
+
 @dataclass
 class ChordScanResult:
     chords: list
@@ -97,10 +108,7 @@ class ChordScanResult:
 
 def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
                           base_idx: Sequence[int], ray_idx: Sequence[int],
-                          grid: int, same: bool,
-                          min_ray_norm: float, exclusion_band: float,
-                          dedup_radius: float, angle_tol: float,
-                          seed_angle: float = 0.35):
+                          grid: int, same: bool, min_ray_norm: float):
     """Shared scanner: same selected base coordinates, positively
     proportional ray blocks.  Returns (records, unresolved)."""
     target = map1.target
@@ -129,7 +137,7 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     strong = (n1[i1] >= min_ray_norm) & (n2[i2] >= min_ray_norm)
     i1, i2 = i1[strong], i2[strong]
     dot = (p1[i1] * p2[i2]).sum(axis=-1)
-    aligned = (dot > 0.0) & (dot / (n1[i1] * n2[i2]) >= np.cos(seed_angle))
+    aligned = (dot > 0.0) & (dot / (n1[i1] * n2[i2]) >= np.cos(SEED_ANGLE))
     seeds = np.concatenate([g1[i1[aligned]], g2[i2[aligned]]], axis=1)
     unresolved = []
     if not seeds.shape[0]:
@@ -203,8 +211,8 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
         cosang = np.einsum("bi,bi->b", q1, q2) / np.maximum(N1 * N2, 1e-300)
     scale = N2 / np.maximum(N1, 1e-300)
     keep = ((N1 >= min_ray_norm) & (N2 >= min_ray_norm)
-            & (cosang > 0) & (np.arccos(np.clip(cosang, -1, 1)) <= angle_tol)
-            & (np.abs(np.log(np.maximum(scale, 1e-300))) >= exclusion_band))
+            & (cosang > 0) & (np.arccos(np.clip(cosang, -1, 1)) <= ANGLE_TOL)
+            & (np.abs(np.log(np.maximum(scale, 1e-300))) >= EXCLUSION_BAND))
     u, v, scale = u[keep], v[keep], scale[keep]
     y1, y2 = y1[keep], y2[keep]
 
@@ -218,7 +226,7 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     w, u, v = w[order], u[order], v[order]
     y1, y2, scale = y1[order], y2[order], scale[order]
     emb = prod.embed(w)
-    reps = dedup_points(emb, dedup_radius)
+    reps = dedup_points(emb, DEDUP_RADIUS)
 
     records = []
     for i in reps:
@@ -229,7 +237,7 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
 
     # family grouping: representatives adjacent at seed-grid scale with
     # matching scale belong to one chord family
-    group_radius = max(10 * dedup_radius, 1.6 * spacing)
+    group_radius = max(10 * DEDUP_RADIUS, 1.6 * spacing)
     rep_emb = emb[reps]
     logs = np.log(np.asarray([r["scale"] for r in records]))
     assigned = cluster_labels(rep_emb, group_radius, keys=logs, key_tol=1e-3)
@@ -241,15 +249,13 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
 
 
 def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
-                grid: int = 64, min_fiber_norm: float = 1e-3,
-                exclusion_band: float = 1e-3, dedup_radius: float = 1e-4,
-                angle_tol: float = 1e-6) -> ChordScanResult:
+                grid: int = 64) -> ChordScanResult:
     """All fiber-ray coincidences between E1 and E2 (or E1 with itself) up to
     grid resolution.
 
     Newton-stalled seeds are reported as unresolved diagnostics, never
     silently dropped.  Chords inside the degenerate band ``|ln t| <
-    exclusion_band`` are excluded, as are covectors below ``min_fiber_norm``.
+    EXCLUSION_BAND`` are excluded, as are covectors below ``MIN_FIBER_NORM``.
     """
     same = E2 is None or E2 is E1
     E2 = E1 if same else E2
@@ -259,8 +265,7 @@ def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
     records, unresolved, seed_count = _ray_coincidence_scan(
         E1.chart, E2.chart, base_idx=list(range(n)),
         ray_idx=list(range(n, 2 * n)), grid=grid, same=same,
-        min_ray_norm=min_fiber_norm, exclusion_band=exclusion_band,
-        dedup_radius=dedup_radius, angle_tol=angle_tol)
+        min_ray_norm=MIN_FIBER_NORM)
     chords = []
     for rec in records:
         t = rec["scale"]
@@ -272,25 +277,25 @@ def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
             family_id=rec["family_id"], family=rec["family"]))
     return ChordScanResult(chords=chords, unresolved_seeds=unresolved,
                            seed_count=seed_count,
-                           min_fiber_norm=min_fiber_norm,
-                           exclusion_band=exclusion_band, grid=grid)
+                           min_fiber_norm=MIN_FIBER_NORM,
+                           exclusion_band=EXCLUSION_BAND, grid=grid)
 
 
-def classify_chord(c: LiouvilleChord, f1: ScalarField, f2: ScalarField,
-                   tol: float = 1e-9) -> LiouvilleChord:
+def classify_chord(c: LiouvilleChord, f1: ScalarField,
+                   f2: ScalarField) -> LiouvilleChord:
     """Fill defect, essentialness and the mean-value ratio of a chord.
 
     Positive chords are essential when the defect is >= 0, negative chords
-    when it is <= 0; the ratio is defined only when both primitive values are
-    positive.
+    when it is <= 0, both within ``DEFECT_TOL``; the ratio is defined only
+    when both primitive values are positive.
     """
     v1 = float(f1.value(c.start_param))
     v2 = float(f2.value(c.end_param))
     c.defect = v2 - c.scale * v1
     if c.sign == "positive":
-        c.essential = bool(c.defect >= -tol)
+        c.essential = bool(c.defect >= -DEFECT_TOL)
     else:
-        c.essential = bool(c.defect <= tol)
+        c.essential = bool(c.defect <= DEFECT_TOL)
     if v1 > 0.0 and v2 > 0.0:
         # quotient of log ratios: the same arithmetic as ray_log_slope
         c.mvt_ratio = float(np.log(v2 / v1) / np.log(c.scale))
@@ -449,8 +454,7 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
             recs, _, _ = _ray_coincidence_scan(
                 legendrians[a], legendrians[b], base_idx=list(range(n)),
                 ray_idx=list(range(n, 2 * n + 1)), grid=grid,
-                same=(a == b), min_ray_norm=eps / 2, exclusion_band=1e-3,
-                dedup_radius=1e-4, angle_tol=1e-6)
+                same=(a == b), min_ray_norm=eps / 2)
             for r in recs:
                 r["pair"] = (a, b)
             reeb.extend(recs)

@@ -38,7 +38,7 @@ __all__ = [
     "radial_log_interpolation", "mollify", "outer_flatten",
     "verify_radial_bound", "RadialBoundReport", "squeeze_profile",
     "build_positive_extension", "ExtensionReport", "fiber_directions",
-    "log_radii", "ray_log_slope",
+    "log_radii", "ray_log_slope", "nearest_direction",
 ]
 
 
@@ -59,6 +59,17 @@ def fiber_directions(n: int, count: int = 256) -> np.ndarray:
         ang = np.sort(np.mod(golden * np.arange(count), 2 * np.pi))
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     raise DimensionError("direction sets implemented for fiber dim <= 2")
+
+
+def nearest_direction(p: np.ndarray, r: np.ndarray,
+                      directions: np.ndarray) -> np.ndarray:
+    """Index of the direction nearest each covector p of norm r (direction
+    0 up to norm 1e-12): the ray that ``_ray_crossings`` writes a crossing to
+    and ``radial_field_to_scalar_field`` reads the field from."""
+    idx = np.argmax((p / np.maximum(r, 1e-300)[:, None]) @ directions.T,
+                    axis=-1)
+    idx[r <= 1e-12] = 0
+    return idx
 
 
 def log_radii(r_min: float = 1e-3, r_max: float = 16.0,
@@ -245,11 +256,10 @@ def _ray_crossings(E: ParametricEmbedding, h: ScalarField,
     """Crossings of the fiber rays with L, for fibers of any dimension.
 
     One Newton batch solves base(u) = q for every base point q.  Each
-    preimage gives one crossing: its covector p picks the ray of the nearest
-    direction (the rule by which ``radial_field_to_scalar_field`` reads a
-    field), at radius |p|, with the value of h at that point of L.  Returns
-    flat arrays ``(ray, radius, value)`` with ``ray = b*D + d``, sorted by
-    ray and then by radius.
+    preimage gives one crossing: its covector p picks its ray by
+    ``nearest_direction``, at radius |p|, with the value of h at that point
+    of L.  Returns flat arrays ``(ray, radius, value)`` with ``ray = b*D +
+    d``, sorted by ray and then by radius.
     """
     src = E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
@@ -260,8 +270,7 @@ def _ray_crossings(E: ParametricEmbedding, h: ScalarField,
     r = np.linalg.norm(fib, axis=-1)
     keep = r >= min_norm
     fib, r, hv, owner = fib[keep], r[keep], hv[keep], owner[keep]
-    nearest = np.argmax((fib / r[:, None]) @ directions.T, axis=-1)
-    ray = owner * directions.shape[0] + nearest
+    ray = owner * directions.shape[0] + nearest_direction(fib, r, directions)
     order = np.lexsort((r, ray))
     return ray[order], r[order], hv[order]
 
@@ -347,14 +356,15 @@ def _bump_kernel(half_width: int) -> np.ndarray:
     return k / k.sum()
 
 
-def mollify(F: RadialField, kernel_cells: int = 3) -> RadialField:
+def mollify(F: RadialField, is_circle, kernel_cells: int = 3) -> RadialField:
     """Convolve with a compactly supported positive bump, unit mass on the
     grid; smooths seams at grid scale.
 
     Convolution along the log-radius axis averages values with positive
     weights, so the radial log-slope of the output is a convex combination of
-    nearby input slopes (the slope hull can only shrink); base axes convolve
-    periodically.
+    nearby input slopes (the slope hull can only shrink).  Base axes flagged
+    in ``is_circle`` convolve periodically; line axes replicate their end
+    values, as the radius axis does.
     """
     if kernel_cells < 2:
         raise PreconditionError("kernel radius must be at least 2 grid cells",
@@ -370,21 +380,25 @@ def mollify(F: RadialField, kernel_cells: int = 3) -> RadialField:
         out += w * padded[..., i:i + vals.shape[-1]]
     vals = out
 
-    def periodic(a, axis):
-        rolled = np.zeros_like(a)
+    def convolve(a, axis, wrap):
+        # the taps of np.roll(a, i - kernel_cells); a line axis clamps them
+        # to its end nodes instead of wrapping
+        idx = np.arange(a.shape[axis])
+        acc = np.zeros_like(a)
         for i, w in enumerate(k):
-            rolled += w * np.roll(a, i - kernel_cells, axis=axis)
-        return rolled
+            src = idx - (i - kernel_cells)
+            src = src % idx.size if wrap else np.clip(src, 0, idx.size - 1)
+            acc += w * np.take(a, src, axis=axis)
+        return acc
 
-    # base axes: periodic convolution (single-chart tori)
-    shaped = vals.reshape(tuple(a.size for a in F.base_axes())
-                          + vals.shape[1:])
-    for ax in range(shaped.ndim - 2):
-        shaped = periodic(shaped, ax)
+    axes = F.base_axes()
+    shaped = vals.reshape(tuple(a.size for a in axes) + vals.shape[1:])
+    for ax, (_, circle) in enumerate(zip(axes, is_circle, strict=True)):
+        shaped = convolve(shaped, ax, circle)
     vals = shaped.reshape(vals.shape)
     # direction axis: periodic for 2-d fibers (many directions)
     if F.directions.shape[0] > 8:
-        vals = periodic(vals, 1)
+        vals = convolve(vals, 1, True)
     out_field = RadialField(F.base_points, F.directions, F.radii, vals)
     out_field.check_positive()
     return out_field
@@ -600,7 +614,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
         patch, crossings, base_points, dirs, radii, h)
     stage = {"interpolation": float(interp.log_slopes().max())}
 
-    smooth = mollify(interp)
+    smooth = mollify(interp, S.base.is_circle)
     stage["mollified"] = float(smooth.log_slopes().max())
 
     # restore the exact values of h on the collars (and keep them for the

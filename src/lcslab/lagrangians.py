@@ -158,20 +158,17 @@ def _chunked_coefficients(form: FormExpression,
     return out.reshape(coords.shape[:-1] + (out.shape[-1],))
 
 
-def _path_data(lamL, betaL, start: np.ndarray, delta: np.ndarray,
-               n_steps: int):
-    """Values of the two path integrands at RK4 nodes along straight segments.
+def _path_data(forms, start: np.ndarray, delta: np.ndarray, n_steps: int):
+    """Path integrands of 1-forms at RK4 nodes along straight segments.
 
-    ``start``/``delta`` have shape (..., k); returns (a, b, h) where a and b
-    have one extra node axis appended.
+    ``start``/``delta`` have shape (..., k); returns ``(integrands, h)``:
+    each form's coefficients paired with ``delta``, one array per form with
+    a node axis appended, and the node spacing h.
     """
     s = segment_nodes(n_steps)
     pos = start[..., None, :] + s[:, None] * delta[..., None, :]
-    lam_c = _chunked_coefficients(lamL, pos)
-    beta_c = _chunked_coefficients(betaL, pos)
-    b = np.einsum("...nk,...k->...n", lam_c, delta)
-    a = np.einsum("...nk,...k->...n", beta_c, delta)
-    return a, b, 1.0 / n_steps
+    return [np.einsum("...nk,...k->...n", _chunked_coefficients(form, pos),
+                      delta) for form in forms], 1.0 / n_steps
 
 
 @dataclass
@@ -248,7 +245,7 @@ class IntegratedPrimitive(ScalarField):
         start = self.grid[idx]
         f0 = self.grid_values[idx]
         delta = coords2 - start  # short segments; no wrap needed
-        a, b, h = _path_data(self._lamL, self._betaL, start, delta, 8)
+        (a, b), h = _path_data((self._betaL, self._lamL), start, delta, 8)
         vals = rk4_linear_path(a, b, f0, h)
         return vals[0] if squeeze else vals.reshape(coords.shape[:-1])
 
@@ -295,7 +292,7 @@ def _fill_grid(lamL, betaL, grid: np.ndarray, f0: float, axis_order,
         if m > 1:
             start = np.stack(starts, axis=0)
             delta = np.stack(deltas, axis=0)
-            a, b, h = _path_data(lamL, betaL, start, delta, n_sub)
+            (a, b), h = _path_data((betaL, lamL), start, delta, n_sub)
             f_prev_slice = list(slicer_prev)
             f_prev_slice[ax] = 0
             f = values[tuple(f_prev_slice)]
@@ -315,7 +312,7 @@ def _loop_transport(lamL, betaL, base: np.ndarray, axis: int,
     generator loop of a circle axis."""
     delta = np.zeros_like(base)
     delta[axis] = 2.0 * np.pi
-    a, b, h = _path_data(lamL, betaL, base, delta, steps)
+    (a, b), h = _path_data((betaL, lamL), base, delta, steps)
     H = float(np.exp(simpson_path(a, h)))
     B = float(rk4_linear_path(a, b, 0.0, h))
     return H, B
@@ -372,7 +369,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
     origin = grid[(0,) * k]
     hop = src.difference(origin, base)
     if np.linalg.norm(hop) > 1e-15:
-        a, b, h = _path_data(lamL, betaL, base, hop, 256)
+        (a, b), h = _path_data((betaL, lamL), base, hop, 256)
         f_origin = float(rk4_linear_path(a, b, f0, h))
     else:
         f_origin = f0
@@ -665,13 +662,12 @@ def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = No
         closed = pullback(jmap, exterior_d(S.lam)).coefficients(pts)
         sup = float(np.abs(closed).max())
     loops = {}
-    zero = pullback(jmap, S.beta) * 0.0
     for ax in range(E.source.dim):
         if E.source.is_circle[ax]:
             base = np.zeros(E.source.dim)
             delta = np.zeros(E.source.dim)
             delta[ax] = 2 * np.pi
-            a, b, h = _path_data(zero, lam_pb, base, delta, 512)
+            (a,), h = _path_data((lam_pb,), base, delta, 512)
             loops[E.source.labels[ax]] = float(simpson_path(a, h))
     passed = sup <= tol and all(abs(v) <= 1e-6 for v in loops.values())
     return jmap, SymplectizationReport(closedness_sup=sup,

@@ -12,10 +12,10 @@ parameter sensitivities (the first variation integrates alongside, using the
 exact jets of g).
 
 The straightening pipeline composes the time-1 map with a fiber translation
-and certifies that the image is exact for the untwisted form; an extension
-field violating the radial bound is refused, pointing back at the chord
-report.  A signed-preimage count of a regular value gives the projection
-degree diagnostic.
+and certifies, through the chart it returns, that the image is exact for
+the untwisted form; an extension field violating the radial bound is
+refused, pointing back at the chord report.  A signed-preimage count of a
+regular value gives the projection degree diagnostic.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ObstructionError, PreconditionError
-from .extension import RadialField
+from .extension import RadialField, nearest_direction
 from .forms import exterior_d, increasing_indices, pullback
 from .jets import Jet2
 from .lagrangians import ParametricEmbedding, base_preimages
@@ -378,8 +378,8 @@ def radial_field_to_scalar_field(F: RadialField,
                                  S: CotangentLcsStructure) -> ScalarField:
     """Interpolate a radial grid field into an evaluable field.
 
-    Monotone cubic interpolation in ln r along each ray, the ray of the
-    nearest direction, and a multilinear blend over the rectangular base
+    Monotone cubic interpolation in ln r along each ray, the ray picked by
+    ``nearest_direction``, and a multilinear blend over the rectangular base
     grid: circle axes wrap, line axes clamp to their end nodes.  Accuracy is
     grid-scale and documented as such.  Outside the radius range the field
     continues with its edge values.
@@ -404,9 +404,7 @@ def radial_field_to_scalar_field(F: RadialField,
             c2 = np.atleast_2d(coords)
             q, p = c2[:, :n], c2[:, n:]
             r = np.linalg.norm(p, axis=-1)
-            safe = np.maximum(r, 1e-300)[:, None]
-            d_idx = np.argmax((p / safe) @ F.directions.T, axis=-1)
-            d_idx[r <= 1e-12] = 0
+            d_idx = nearest_direction(p, r, F.directions)
             lr = np.clip(np.log(np.maximum(r, F.radii[0])),
                          ln_r[0], ln_r[-1])
             # the 2^n corners of each point's base cell, grown one axis at
@@ -471,19 +469,20 @@ class StraightenReport:
 
 def straighten_lagrangian(E: ParametricEmbedding, g,
                           eta_prime: Sequence = (),
-                          step: float = 1e-3, grid: int = 48,
+                          step: float = 5e-3, grid: int = 48,
                           chord_report=None):
     """Carry a twisted-exact Lagrangian to an exact one for the untwisted form.
 
     ``g`` is a positive conformal factor matching the extension contract
     (equal to 1 outside a compact, radial log-derivative below 1); a factor
     violating the bound is refused, pointing at the chord report when given.
-    The time-1 radial flow composes with a fiber translation by the closed
-    base form ``eta_prime``; the report certifies the image through the
-    closedness of its pulled-back Liouville form, evaluated from the exact
-    identity  d(s i*lambda) = ds ^ i*lambda + s d(i*lambda), with the scale
-    sensitivities ds integrated by the first-variation flow.  It passes with
-    closedness within 1e-8 and loop holonomy within 1e-6.
+    The returned chart composes the time-1 radial flow (RK4 at ``step``,
+    its scale sensitivities from the first-variation flow) with a fiber
+    translation by the base form ``eta_prime``, and the report certifies
+    that chart: closedness is its pullback of d(lambda) on a ``grid``
+    parameter grid (0 on a 1-d source, where 2-forms vanish), and holonomy
+    the integral of its Liouville form along each circle of the source.  It
+    passes with closedness within 1e-8 and loop holonomy within 1e-6.
     """
     S = E.structure
     outside_radius = 8.0
@@ -500,34 +499,47 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
                 chords=getattr(chord_report, "as_dict", lambda: None)(),
                 cause=str(exc))
         raise
-
-    src = E.source
-    params = parameter_grid(src, grid).reshape(-1, src.dim)
-    seeds = E.points(params)
-    jac = E.chart.jacobian(params)          # (B, 2n, k)
-    dirs = np.swapaxes(jac, 1, 2)           # (B, k, 2n): d(seed)/d(param)
-    (scales,), (dscale,) = _flow_scales(P, seeds, (step,), 0.0, 1.0,
-                                        dirs=dirs)
-
-    # pulled-back data of the original embedding
-    lamL = pullback(E.chart, S.lam)
-    lam_c = lamL.coefficients(params)          # (B, k)
-    # d(s i*lambda) = ds ^ i*lambda + s i*(d lambda); pulling d(lambda)
-    # back needs one jet order less than d of the pulled-back form
-    closed = [0.0]
-    if src.dim >= 2:
-        dlam_c = pullback(E.chart, exterior_d(S.lam)).coefficients(params)
-        for pos, (i, j) in enumerate(increasing_indices(src.dim, 2)):
-            term = (dscale[:, i] * lam_c[:, j] - dscale[:, j] * lam_c[:, i]
-                    + scales * dlam_c[:, pos])
-            closed.append(np.abs(term).max())
-    closedness = float(np.max(closed))  # a NaN term stays NaN and fails
-
-    # translation by eta_prime adds an exactly closed base form: check it
     eta_fields = [c if isinstance(c, ScalarField) else
                   ScalarField.constant(S.base, float(c)) for c in eta_prime]
 
+    # first-class embedding: the chart carries the flow's first variation,
+    # so Jacobians (hence Lagrangian verification, chords, primitives) work;
+    # second derivatives of the time-1 map are not available
+    S0 = cotangent_lcs(S.base, [])
+
+    def chart_fn(jets):
+        comps = E.chart.fn(jets)
+        u_coords = np.stack([j.f for j in jets], axis=-1)
+        u2 = np.atleast_2d(u_coords)
+        dirs = np.swapaxes(E.chart.jacobian(u2), 1, 2)
+        (s_val,), (ds,) = _flow_scales(P, E.points(u2), (step,), 0.0, 1.0,
+                                       dirs=dirs)
+        s_jet = Jet2(s_val.reshape(u_coords.shape[:-1]),
+                     ds.reshape(u_coords.shape[:-1] + ds.shape[-1:]))
+        out = list(comps[:S.n])
+        for i in range(S.n):
+            fiber = s_jet * comps[S.n + i]
+            if i < len(eta_fields):
+                fiber = fiber + eta_fields[i].fn(comps[:S.n])
+            out.append(fiber)
+        return out
+
+    chart = SmoothMap(E.source, S.total, chart_fn,
+                      name=f"straightened({E.name})",
+                      derivative_loss=max(1, E.chart.derivative_loss))
+    straightened = ParametricEmbedding(
+        source=E.source, structure=S0, chart=chart,
+        name=f"straightened {E.name}")
+
+    src = E.source
+    closedness = 0.0
+    if src.dim >= 2:
+        params = parameter_grid(src, grid).reshape(-1, src.dim)
+        dlam = pullback(chart, exterior_d(S0.lam)).coefficients(params)
+        closedness = float(np.abs(dlam).max())  # a NaN stays NaN and fails
+
     # holonomy: loop integrals of the final pullback must vanish (beta = 0)
+    lamL = pullback(E.chart, S.lam)
     hol = 0.0
     steps = 1024
     for ax in range(src.dim):
@@ -552,40 +564,6 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     report = StraightenReport(closedness_sup=closedness, holonomy_sup=hol,
                               passed=bool(closedness <= 1e-8
                                           and hol <= 1e-6))
-
-    # first-class embedding: the chart carries the flow's first variation,
-    # so Jacobians (hence Lagrangian verification, chords, primitives) work;
-    # second derivatives of the time-1 map are not available
-    S0 = cotangent_lcs(S.base, [])
-    chart_step = max(step, 5e-3)  # RK4 error ~ step^4, far below report tols
-
-    def chart_fn(jets):
-        comps = E.chart.fn(jets)
-        u_coords = np.stack([j.f for j in jets], axis=-1)
-        u2 = np.atleast_2d(u_coords)
-        pts_local = E.points(u2)
-        dirs_local = np.swapaxes(E.chart.jacobian(u2), 1, 2)
-        (s_val,), (ds,) = _flow_scales(P, pts_local, (chart_step,),
-                                       0.0, 1.0, dirs=dirs_local)
-        if u_coords.ndim == 1:
-            s_jet = Jet2(s_val[0], ds[0])
-        else:
-            s_jet = Jet2(s_val.reshape(u_coords.shape[:-1]),
-                         ds.reshape(u_coords.shape[:-1] + ds.shape[-1:]))
-        out = list(comps[:S.n])
-        for i in range(S.n):
-            fiber = s_jet * comps[S.n + i]
-            if i < len(eta_fields):
-                fiber = fiber + eta_fields[i].fn(comps[:S.n])
-            out.append(fiber)
-        return out
-
-    chart = SmoothMap(E.source, S.total, chart_fn,
-                      name=f"straightened({E.name})",
-                      derivative_loss=max(1, E.chart.derivative_loss))
-    straightened = ParametricEmbedding(
-        source=E.source, structure=S0, chart=chart,
-        name=f"straightened {E.name}")
     return straightened, report
 
 

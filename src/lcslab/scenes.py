@@ -108,11 +108,11 @@ SCENE_SCHEMA = {
             "type": "object",
             "properties": {
                 "h": {"type": "string"},
-                "base_grid": {"type": "integer"},
-                "shells": {"type": "integer"},
+                "base_grid": {"type": "integer", "minimum": 2},
+                "shells": {"type": "integer", "minimum": 3},
                 "r_min": {"type": "number"},
                 "r_max": {"type": "number"},
-                "directions": {"type": "integer"},
+                "directions": {"type": "integer", "minimum": 1},
             },
             "required": ["h"],
             "additionalProperties": False,
@@ -134,8 +134,8 @@ SCENE_SCHEMA = {
                       },
                       "additionalProperties": False},
                 "outside_radius": {"type": "number"},
-                "seeds": {"type": "integer"},
-                "step": {"type": "number"},
+                "seeds": {"type": "integer", "minimum": 1},
+                "step": {"type": "number", "exclusiveMinimum": 0},
                 "verify_pullback": {"type": "boolean"},
                 "eta_prime": {"type": "array", "items": {"type": "string"}},
             },
@@ -550,7 +550,6 @@ def _cmd_full_pipeline(scene, options, E):
         if "moser" in scene and verdicts["extension"]["passed"]:
             eta = [compile_field(e, E.structure.base)
                    for e in scene["moser"].get("eta_prime", [])]
-            # grid-accuracy conformal factor: a coarser flow step suffices
             _, srep = straighten_lagrangian(
                 E, field, eta_prime=eta,
                 step=float(scene["moser"].get("step", 5e-3)), grid=32)

@@ -239,7 +239,7 @@ def _toy_field(vals_fn, shells=64):
 
 def test_mollify_constant_unchanged():
     F = _toy_field(lambda r: np.ones_like(r))
-    out = mollify(F, kernel_cells=3)
+    out = mollify(F, (True,), kernel_cells=3)
     assert np.abs(out.values - 1.0).max() <= 1e-12
 
 
@@ -252,7 +252,7 @@ def test_mollify_slope_hull():
         return v
 
     F = _toy_field(vals)
-    out = mollify(F, kernel_cells=4)
+    out = mollify(F, (True,), kernel_cells=4)
     slopes = out.log_slopes()
     assert slopes.min() >= -1e-9
     assert slopes.max() <= 0.5 + 1e-9
@@ -260,7 +260,7 @@ def test_mollify_slope_hull():
 
 def test_mollify_uniform_slope_barely_grows():
     F = _toy_field(lambda r: r ** 0.9)
-    out = mollify(F, kernel_cells=3)
+    out = mollify(F, (True,), kernel_cells=3)
     assert out.log_slopes().max() <= 0.9 + 1e-3
 
 
@@ -313,7 +313,7 @@ def test_mollify_matches_three_loop_reference(base_shape, directions):
     vals = np.random.default_rng(7).uniform(0.5, 2.0,
                                             (B, dirs.shape[0], 24))
     F = RadialField(base, dirs, radii, vals)
-    out = mollify(F, kernel_cells=3)
+    out = mollify(F, (True,) * n, kernel_cells=3)
     assert np.array_equal(out.values,
                           three_loop_mollify(F, 3, base_shape))
 
@@ -331,13 +331,28 @@ def test_base_axes_refuse_a_partial_grid():
         with pytest.raises(PreconditionError):
             F.base_axes()
         with pytest.raises(PreconditionError):
-            mollify(F)
+            mollify(F, (True, True))
+
+
+def test_mollify_keeps_the_ends_of_a_line_axis_apart():
+    # on an R base the q = -4 and q = +4 shells are far apart: a bump at one
+    # end must not reach the other, as a periodic convolution would have it
+    R1 = make_manifold(0, 1)
+    base = parameter_grid(R1, 8).reshape(-1, 1)
+    vals = np.ones((8, 2, 16))
+    vals[np.argmin(base[:, 0])] = 2.0
+    F = RadialField(base, fiber_directions(1), log_radii(0.01, 10.0, 16),
+                    vals)
+    out = mollify(F, R1.is_circle)
+    assert base[:, 0].min() == -4.0 and base[:, 0].max() == 4.0
+    assert np.abs(out.values[np.argmax(base[:, 0])] - 1.0).max() <= 1e-12
+    assert out.values[np.argmin(base[:, 0])].min() > 1.0
 
 
 def test_mollify_requires_wide_kernel():
     F = _toy_field(lambda r: np.ones_like(r))
     with pytest.raises(PreconditionError):
-        mollify(F, kernel_cells=1)
+        mollify(F, (True,), kernel_cells=1)
 
 
 # ------------------------------------------------------------ outer flatten

@@ -435,6 +435,75 @@ def test_straighten_two_torus_zero_section():
     assert rep.holonomy_sup == 0.0
 
 
+def exact_lee_factor(S, sigma):
+    """g = e^sigma(q) inside |p| <= 1, 1 outside |p| >= 2, quintic blend:
+    the factor that straightens twisted graphs of the exact Lee class
+    beta = d(sigma) while |p| stays below 1 on them."""
+    n = S.n
+
+    def fn(jets):
+        r2 = None
+        for comp in jets[n:]:
+            r2 = comp * comp if r2 is None else r2 + comp * comp
+        r = Jet2.where(r2.f > 1e-16, r2, r2 + 1e-16).sqrt()
+        x = r - 1.0
+        s = x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
+        w = Jet2.where(r.f <= 1.0, r * 0.0,
+                       Jet2.where(r.f >= 2.0, r * 0.0 + 1.0, s))
+        return (sigma(jets) * (1.0 - w)).exp()
+
+    return ScalarField(S.total, fn, name="exact-lee-factor")
+
+
+def test_straighten_refuses_a_translation_that_is_not_closed():
+    # eta' = (0.1 sin q2, 0) is not closed: the straightened chart's pullback
+    # of d(lambda) reads -0.1 cos q2, while both loop integrals vanish
+    E = zero_section(S2)
+    g = ScalarField.constant(S2.total, 1.0)
+    eta = [ScalarField(T2, lambda j: j[1].sin() * 0.1), 0.0]
+    _, rep = straighten_lagrangian(E, g, eta_prime=eta, grid=8)
+    assert rep.closedness_sup == pytest.approx(0.1, rel=1e-12)
+    assert rep.holonomy_sup <= 1e-15
+    assert not rep.passed
+
+
+def test_straighten_two_torus_beta_graph():
+    # beta = d(sigma) on T^2 and g = e^sigma near the graph: the flow scales
+    # each fiber by e^-sigma, so the image d(e^-sigma f) is exact; df and
+    # d(sigma) are independent, so it is closed only through the scale
+    # sensitivities ds, which the closedness reads
+    S = cotangent_lcs(T2, [ScalarField(T2, lambda j: j[0].cos() * 0.2),
+                           ScalarField(T2, lambda j: j[1].sin() * -0.1)])
+    f = ScalarField(T2, lambda j: j[0].cos() * 0.2 + j[1].sin() * 0.1 + 1.5)
+    g = exact_lee_factor(S, lambda j: j[0].sin() * 0.2 + j[1].cos() * 0.1)
+    _, rep = straighten_lagrangian(beta_graph(f, S), g, grid=8)
+    assert rep.closedness_sup <= 1e-8
+    assert rep.holonomy_sup <= 1e-6
+    assert rep.passed
+
+
+def test_straighten_one_dimensional_source_runs_no_variational_flow(
+        monkeypatch):
+    # 2-forms vanish on curves: a 1-d certificate needs no ds, so only the
+    # holonomy loops flow, without first variations
+    from lcslab import moser
+    calls = []
+
+    def recording_flow_scales(P, seeds, steps, t0, t1, dirs=None):
+        calls.append(dirs is not None)
+        return flow_scales(P, seeds, steps, t0, t1, dirs=dirs)
+
+    flow_scales = moser._flow_scales
+    monkeypatch.setattr(moser, "_flow_scales", recording_flow_scales)
+    S = cotangent_lcs(T1, [ScalarField(T1, lambda j: j[0].cos() * 0.3)])
+    f = ScalarField(T1, lambda j: j[0].sin() * 0.2 + 1.5)
+    _, rep = straighten_lagrangian(
+        beta_graph(f, S), exact_lee_factor(S, lambda j: j[0].sin() * 0.3))
+    assert calls == [False]
+    assert rep.closedness_sup == 0.0
+    assert rep.passed
+
+
 def test_straightened_embedding_is_first_class():
     # the output re-enters the Lagrangian lab: verification and primitive
     # solving run on it directly
@@ -444,19 +513,8 @@ def test_straightened_embedding_is_first_class():
     S = cotangent_lcs(T1, [beta_coeff])
     f = ScalarField(T1, lambda j: j[0].sin() * 0.2 + 1.5)
     E = beta_graph(f, S)
-
-    def g_fn(jets):
-        q, p = jets[0], jets[1]
-        r2 = p * p
-        r2s = Jet2.where(r2.f > 1e-16, r2, r2 + 1e-16)
-        r = r2s.sqrt()
-        x = r - 1.0
-        s = x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
-        w = Jet2.where(r.f <= 1.0, r * 0.0,
-                       Jet2.where(r.f >= 2.0, r * 0.0 + 1.0, s))
-        return ((q.sin() * sigma) * (1.0 - w)).exp()
-
-    out, rep = straighten_lagrangian(E, ScalarField(S.total, g_fn))
+    out, rep = straighten_lagrangian(
+        E, exact_lee_factor(S, lambda j: j[0].sin() * sigma))
     assert rep.passed
     # the straightened image lives in the untwisted structure
     assert np.abs(out.structure.beta.coefficients(
@@ -476,20 +534,8 @@ def test_straighten_exact_beta_graph_scene():
     S = cotangent_lcs(base, [beta_coeff])
     f = ScalarField(base, lambda j: j[0].sin() * 0.2 + 1.5)
     E = beta_graph(f, S)
-
     # conformal factor e^{sigma sin q} near L, clamped to 1 outside
-    def g_fn(jets):
-        q, p = jets[0], jets[1]
-        r2 = p * p
-        r2s = Jet2.where(r2.f > 1e-16, r2, r2 + 1e-16)
-        r = r2s.sqrt()
-        x = (r - 1.0) * (1.0 / 1.0)
-        s = x * x * x * (x * (x * 6.0 - 15.0) + 10.0)
-        w = Jet2.where(r.f <= 1.0, r * 0.0,
-                       Jet2.where(r.f >= 2.0, r * 0.0 + 1.0, s))
-        return ((q.sin() * sigma) * (1.0 - w)).exp()
-
-    g = ScalarField(S.total, g_fn)
+    g = exact_lee_factor(S, lambda j: j[0].sin() * sigma)
     out, rep = straighten_lagrangian(E, g, eta_prime=())
     assert rep.closedness_sup <= 1e-8
     assert rep.holonomy_sup <= 1e-6

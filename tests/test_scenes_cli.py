@@ -211,6 +211,31 @@ def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
 
 
+@pytest.mark.parametrize("command, scene_file, block, key, value", [
+    ("full-pipeline", "beta-graph-pipeline.json", "extension", "base_grid", 0),
+    ("full-pipeline", "beta-graph-pipeline.json", "extension", "base_grid", 1),
+    ("build-extension", "beta-graph-pipeline.json", "extension", "shells", 0),
+    ("build-extension", "beta-graph-pipeline.json", "extension", "shells", 2),
+    ("build-extension", "beta-graph-pipeline.json", "extension",
+     "directions", 0),
+    ("moser-deform", "moser-constant-ball.json", "moser", "seeds", 0),
+    ("moser-deform", "moser-constant-ball.json", "moser", "step", 0.0),
+])
+def test_cli_grid_too_small_is_a_scene_error(command, scene_file, block, key,
+                                             value, tmp_path, capsys):
+    # a grid or step too small to compute with is refused by the schema,
+    # which names its pointer, before any numerics run
+    scene = json.loads((SCENES / scene_file).read_text())
+    scene[block][key] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"scene error: /{block}/{key}:")
+    assert not out.exists()
+
+
 def test_cli_nonexistent_scene(tmp_path):
     code = main(["verify-lagrangian", str(SCENES / "missing.json"),
                  "--out", str(tmp_path)])
