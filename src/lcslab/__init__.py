@@ -28,9 +28,9 @@ from .forms import (FormExpression, check_nondegenerate, constant_form,
                     pullback, zero_form)
 from .jets import Jet2, compose_jet, constant_jet, partial_jet, seed_jets
 from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
-                          beta_graph, contact_lift_check, example_by_name,
-                          example_torus_1, example_torus_2, genericity_check,
-                          jet_graph, lift_legendrian, solve_primitive,
+                          beta_graph, contact_lift_check, example_torus_1,
+                          example_torus_2, genericity_check, jet_graph,
+                          lift_legendrian, primitive_of, solve_primitive,
                           symplectization_immersion, translate_by_form,
                           verify_lagrangian, zero_section)
 from .manifolds import (ModelManifold, Point, ScalarField, SmoothMap,

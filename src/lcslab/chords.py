@@ -26,11 +26,11 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DimensionError, ObstructionError, PreconditionError
+from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
+                     PreconditionError)
 from .forms import exterior_d, interior_product
 from .lagrangians import ParametricEmbedding, \
-    _canonical_contact_form, lift_legendrian, require_lagrangian, \
-    solve_primitive
+    _canonical_contact_form, lift_legendrian, primitive_of
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         make_manifold, parameter_grid, sample_points)
 from .numerics import cluster_labels, dedup_points, gauss_newton
@@ -39,6 +39,7 @@ __all__ = [
     "LiouvilleChord", "ChordScanResult", "scan_chords", "classify_chord",
     "classify_chords", "mvt_obstruction_report", "MvtReport",
     "reeb_correspondence", "ReebReport", "chords_to_csv", "chords_to_json",
+    "ray_log_slope",
 ]
 
 
@@ -83,6 +84,16 @@ DEDUP_RADIUS = 1e-4
 ANGLE_TOL = 1e-6
 SEED_ANGLE = 0.35
 DEFECT_TOL = 1e-9
+# a mean-value ratio or ray slope this large obstructs (1, within 1e-9)
+OBSTRUCTED_RATIO = 1.0 - 1e-9
+
+
+def ray_log_slope(v0: float, r0: float, v1: float, r1: float) -> float:
+    """Log-linear slope between two positive values at two radii: a chord
+    of scale t has mean-value ratio ``ray_log_slope(f1, 1, f2, t)``."""
+    if v0 <= 0 or v1 <= 0:
+        raise DomainEvaluationError("ray endpoint values must be positive")
+    return float(np.log(v1 / v0) / np.log(r1 / r0))
 
 
 @dataclass
@@ -297,8 +308,7 @@ def classify_chord(c: LiouvilleChord, f1: ScalarField,
     else:
         c.essential = bool(c.defect <= DEFECT_TOL)
     if v1 > 0.0 and v2 > 0.0:
-        # quotient of log ratios: the same arithmetic as ray_log_slope
-        c.mvt_ratio = float(np.log(v2 / v1) / np.log(c.scale))
+        c.mvt_ratio = ray_log_slope(v1, 1.0, v2, c.scale)
         c.ratio_defined = True
     else:
         c.mvt_ratio = None
@@ -309,14 +319,13 @@ def classify_chord(c: LiouvilleChord, f1: ScalarField,
 def classify_chords(chords: Sequence[LiouvilleChord], f1: ScalarField,
                     f2: ScalarField) -> tuple:
     """Classify every chord; returns ``(ratios, obstructed)``: the defined
-    mean-value ratios, and whether one reaches 1 (within 1e-9), the boundary
-    case counting as obstructed."""
+    mean-value ratios, and whether one reaches ``OBSTRUCTED_RATIO``."""
     ratios = []
     for c in chords:
         classify_chord(c, f1, f2)
         if c.ratio_defined:
             ratios.append(c.mvt_ratio)
-    return ratios, any(r >= 1.0 - 1e-9 for r in ratios)
+    return ratios, any(r >= OBSTRUCTED_RATIO for r in ratios)
 
 
 @dataclass
@@ -347,24 +356,19 @@ def mvt_obstruction_report(E: ParametricEmbedding,
     """Scan self-chords and decide whether the mean-value bound obstructs
     extending the primitive radially.
 
-    A chord with ratio >= 1 (within 1e-9) obstructs: the
-    boundary case ratio = 1 is classified as obstructed, since the extension
-    and straightening pipelines need the strict inequality.  Requires a
-    positive primitive; a
-    nonpositive one raises with the minimum value and the suggestion to
-    translate the embedding by a multiple of the Lee form first.
+    A chord with ratio >= ``OBSTRUCTED_RATIO`` obstructs: the boundary case
+    ratio = 1 is classified as obstructed, since the extension and
+    straightening pipelines need the strict inequality.  Requires a positive
+    primitive (``primitive_of``); a nonpositive one raises with the minimum
+    value and the suggestion to translate the embedding by a multiple of the
+    Lee form first.
     """
     scan = scan_chords(E, grid=grid)
     if not scan.chords:
         # single sheet per fiber ray: vacuously unobstructed for any f
         return MvtReport(obstructed=False, extremal_ratio=None, ratios=[],
                          chord_count=0, scan=scan)
-    f = E.declared_primitive
-    if f is None:
-        f = solve_primitive(E, grid_shape=min(grid, 64)).solved_primitive
-    else:
-        # the precondition a solve would have checked
-        require_lagrangian(E)
+    f = primitive_of(E, min(grid, 64))
     params = sample_points(E.source, 512)
     fmin = float(f.value(params).min())
     if fmin <= 0.0:

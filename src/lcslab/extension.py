@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass, field
 import numpy as np
 
-from .chords import MvtReport, mvt_obstruction_report
+from .chords import (OBSTRUCTED_RATIO, MvtReport, mvt_obstruction_report,
+                     ray_log_slope)
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError)
 from .lagrangians import ParametricEmbedding, base_preimages, fiber_zeros
@@ -38,7 +39,7 @@ __all__ = [
     "radial_log_interpolation", "mollify", "outer_flatten",
     "verify_radial_bound", "RadialBoundReport", "squeeze_profile",
     "build_positive_extension", "ExtensionReport", "fiber_directions",
-    "log_radii", "ray_log_slope", "nearest_direction",
+    "log_radii", "nearest_direction",
 ]
 
 
@@ -239,17 +240,6 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
 
 # ------------------------------------------------------- ray interpolation
 
-def ray_log_slope(v0: float, r0: float, v1: float, r1: float) -> float:
-    """Log-linear slope between two positive values at two radii.
-
-    Same float arithmetic as the chord mean-value ratio (quotient of log
-    ratios), so shared scenes classify identically here and in the scanner.
-    """
-    if v0 <= 0 or v1 <= 0:
-        raise DomainEvaluationError("ray endpoint values must be positive")
-    return float(np.log(v1 / v0) / np.log(r1 / r0))
-
-
 def _ray_crossings(E: ParametricEmbedding, h: ScalarField,
                    base_points: np.ndarray, directions: np.ndarray,
                    min_norm: float) -> tuple:
@@ -317,7 +307,7 @@ def radial_log_interpolation(inner: InnerPatch, crossings: tuple,
                             value[start:stop].tolist()):
             lo, hi = c_r / COLLAR_FACTOR, c_r * COLLAR_FACTOR
             slope = ray_log_slope(chord_anchor[1], chord_anchor[0], c_v, c_r)
-            if slope >= 1.0 - 1e-9:
+            if slope >= OBSTRUCTED_RATIO:
                 raise ObstructionError(
                     "ray rejected: radial log-slope reached 1 "
                     "(an obstructed chord pair)",
@@ -396,8 +386,8 @@ def mollify(F: RadialField, is_circle, kernel_cells: int = 3) -> RadialField:
     for ax, (_, circle) in enumerate(zip(axes, is_circle, strict=True)):
         shaped = convolve(shaped, ax, circle)
     vals = shaped.reshape(vals.shape)
-    # direction axis: periodic for 2-d fibers (many directions)
-    if F.directions.shape[0] > 8:
+    # direction axis: periodic on the circle of a 2-d fiber
+    if F.directions.shape[1] == 2:
         vals = convolve(vals, 1, True)
     out_field = RadialField(F.base_points, F.directions, F.radii, vals)
     out_field.check_positive()
@@ -484,13 +474,12 @@ def verify_radial_bound(F: RadialField, h: ScalarField | None = None,
 
 @dataclass
 class SqueezeProfile:
-    """Radial squeeze: identity inside, bump-blended seam, then a log profile
-    compressing [r0, r] into [r0, r0 + epsilon]."""
+    """Radial squeeze: identity inside, smoothstep-blended seam, then a log
+    profile compressing [r0, r] into [r0, r0 + epsilon]."""
 
     r0: float
     r: float
     epsilon: float
-    a: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.r0 < self.r):
@@ -500,40 +489,12 @@ class SqueezeProfile:
             raise PreconditionError(
                 "inadmissible epsilon: need ln(1 + eps/r0) < (r - r0)/r",
                 lhs=float(np.log1p(self.epsilon / self.r0)), rhs=float(bound))
-        u = np.linspace(0.0, 1.0, 4001)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            integrand = np.where(
-                (u > 0) & (u < 1),
-                np.exp(-self.a / np.maximum(u, 1e-300)
-                       + self.a / np.minimum(u - 1.0, -1e-300)), 0.0)
-        cumulative = np.concatenate(
-            [[0.0], np.cumsum((integrand[1:] + integrand[:-1]) * 0.5
-                              * (u[1] - u[0]))])
-        self._b = 1.0 / cumulative[-1]
-        # Hermite data: exact analytic derivative at the nodes keeps the
-        # interpolated primitive consistent with ``bump_derivative``
-        from scipy.interpolate import CubicHermiteSpline
-        self._H_spline = CubicHermiteSpline(
-            u, cumulative * self._b, integrand * self._b)
-
-    def bump(self, u) -> np.ndarray:
-        return self._H_spline(np.clip(u, 0.0, 1.0))
-
-    def bump_derivative(self, u) -> np.ndarray:
-        u = np.asarray(u, float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(
-                (u > 0) & (u < 1),
-                self._b * np.exp(-self.a / np.maximum(u, 1e-300)
-                                 + self.a / np.minimum(u - 1.0, -1e-300)),
-                0.0)
-        return out
 
 
 def squeeze_profile(P: SqueezeProfile, t) -> tuple:
     """Profile value and derivative at radius t.
 
-    Identity below r0 - eps; the bump-primitive blend carries the derivative
+    Identity below r0 - eps; the smoothstep blend carries the derivative
     continuously onto the log profile ``r0 ((r0+eps)/r0)^{(t-r0)/(r-r0)}``,
     which squeezes [r0, r] into [r0, r0+eps]; seams are C^1 by construction.
     """
@@ -553,8 +514,8 @@ def squeeze_profile(P: SqueezeProfile, t) -> tuple:
     if zone2.any():
         tt = t[zone2]
         u = (tt - P.r0 + P.epsilon) / P.epsilon
-        H = P.bump(u)
-        Hp = P.bump_derivative(u)
+        H = smoothstep(u)
+        Hp = 30.0 * (u * (1.0 - u)) ** 2
         A = P.r0 + (tt - P.r0) * slope_a
         alpha[zone2] = H * A + (1.0 - H) * tt
         deriv[zone2] = (Hp / P.epsilon) * (A - tt) + H * slope_a + (1.0 - H)

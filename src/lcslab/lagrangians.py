@@ -43,7 +43,7 @@ __all__ = [
     "translate_by_form", "beta_graph", "zero_section", "lift_legendrian",
     "jet_graph", "symplectization_immersion", "contact_lift_check",
     "genericity_check", "GenericityReport", "example_torus_1",
-    "example_torus_2", "example_by_name", "base_preimages", "fiber_zeros",
+    "example_torus_2", "primitive_of", "base_preimages", "fiber_zeros",
 ]
 
 
@@ -85,8 +85,8 @@ class ParametricEmbedding:
     def pulled_lee(self) -> FormExpression:
         return pullback(self.chart, self.structure.beta)
 
-    def parameter_samples(self, count: int = 512, seed: int = 0) -> np.ndarray:
-        return sample_points(self.source, count, seed=seed)
+    def parameter_samples(self, count: int = 512) -> np.ndarray:
+        return sample_points(self.source, count)
 
 
 @dataclass
@@ -119,12 +119,8 @@ def verify_lagrangian(E: ParametricEmbedding, samples=None,
         raise ImmersionError("rank-deficient Jacobian at a sampled parameter",
                              min_singular_value=min_sv,
                              parameter=np.array2string(worst, precision=6))
-    if E.structure.omega.degree > E.source.dim:
-        # a 2-form pulls back to 0 on a 1-dimensional source identically
-        per_sample = np.zeros(flat.shape[0])
-    else:
-        res = np.abs(pullback(E.chart, E.structure.omega).coefficients(flat))
-        per_sample = res.max(axis=-1) if res.ndim > 1 else res
+    res = np.abs(pullback(E.chart, E.structure.omega).coefficients(flat))
+    per_sample = res.max(axis=-1, initial=0.0)
     worst_i = int(np.argmax(per_sample))
     sup = float(per_sample[worst_i])
     return LagrangianReport(residual_sup=sup, min_singular_value=min_sv,
@@ -403,6 +399,15 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
         declared_residual_sup=declared_res, declared_match_sup=declared_match)
 
 
+def primitive_of(E: ParametricEmbedding, grid_shape=64) -> ScalarField:
+    """The declared primitive of E, once E is checked Lagrangian, else the
+    primitive solved on a ``grid_shape`` parameter grid."""
+    if E.declared_primitive is None:
+        return solve_primitive(E, grid_shape=grid_shape).solved_primitive
+    require_lagrangian(E)
+    return E.declared_primitive
+
+
 # -------------------------------------------------------------- constructions
 
 def _as_base_coeffs(S: CotangentLcsStructure, eta) -> tuple:
@@ -538,9 +543,8 @@ def _canonical_contact_form(M: ModelManifold) -> FormExpression:
     return alpha
 
 
-def lift_legendrian(Lambda: SmoothMap, Q: ModelManifold, q_form: Sequence,
-                    samples=None, tol: float = 1e-9,
-                    name: str = "") -> ParametricEmbedding:
+def lift_legendrian(Lambda: SmoothMap, Q: ModelManifold,
+                    q_form: Sequence) -> ParametricEmbedding:
     """Product lift of a Legendrian in J1(M) over (Q, beta) with beta
     nowhere zero: ``(l, q) -> (i_M(l), q, -f(l) beta_q)``.
 
@@ -555,11 +559,10 @@ def lift_legendrian(Lambda: SmoothMap, Q: ModelManifold, q_form: Sequence,
 
     # Legendrian condition: pullback of dz - lambda_M vanishes on samples
     alpha = _canonical_contact_form(M)
-    pts = (sample_points(Msrc, 256) if samples is None
-           else _coerce_coords(Msrc, samples))
+    pts = sample_points(Msrc, 256)
     res = np.abs(pullback(Lambda, alpha).coefficients(pts))
-    if res.max(initial=0.0) > tol:
-        worst = pts.reshape(-1, Msrc.dim)[int(np.argmax(res.max(axis=-1)))]
+    if res.max(initial=0.0) > 1e-9:
+        worst = pts[int(np.argmax(res.max(axis=-1)))]
         raise PreconditionError(
             "input is not Legendrian for the canonical contact form",
             worst_residual=float(res.max()),
@@ -599,7 +602,7 @@ def lift_legendrian(Lambda: SmoothMap, Q: ModelManifold, q_form: Sequence,
             out.append(-f * c.fn(q_jets))
         return out
 
-    chart = SmoothMap(src, S.total, fn, name=name or "legendrian-lift",
+    chart = SmoothMap(src, S.total, fn, name="legendrian-lift",
                       derivative_loss=Lambda.derivative_loss)
 
     def primitive_fn(jets):
@@ -609,7 +612,7 @@ def lift_legendrian(Lambda: SmoothMap, Q: ModelManifold, q_form: Sequence,
                             derivative_loss=Lambda.derivative_loss)
     return ParametricEmbedding(source=src, structure=S, chart=chart,
                                declared_primitive=primitive,
-                               name=name or "legendrian-lift")
+                               name="legendrian-lift")
 
 
 @dataclass
@@ -624,13 +627,14 @@ class SymplectizationReport:
                 "passed": bool(self.passed)}
 
 
-def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = None,
-                              samples=None, tol: float = 1e-9):
+def symplectization_immersion(E: ParametricEmbedding,
+                              f: ScalarField | None = None, samples=None):
     """Untwist a twisted-exact embedding: ``l -> (i1(l), i2(l) + f(l) beta)``.
 
     The image is an exact Lagrangian immersion for the untwisted form: the
     pullback of lambda equals df, checked through its exterior derivative and
-    generator-loop integrals.  The immersion may fail to be injective.
+    generator-loop integrals (within 1e-9 and 1e-6).  The immersion may fail
+    to be injective.
     """
     S = E.structure
     if f is None:
@@ -656,11 +660,9 @@ def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = No
     pts = (E.parameter_samples(256) if samples is None
            else _coerce_coords(E.source, samples))
     lam_pb = pullback(jmap, S.lam)
-    sup = 0.0  # 2-forms vanish on curves
-    if E.source.dim >= 2:
-        # d(i*lambda) = i*(d lambda), which needs one jet order less
-        closed = pullback(jmap, exterior_d(S.lam)).coefficients(pts)
-        sup = float(np.abs(closed).max())
+    # d(i*lambda) = i*(d lambda), which needs one jet order less
+    closed = pullback(jmap, exterior_d(S.lam)).coefficients(pts)
+    sup = float(np.abs(closed).max(initial=0.0))
     loops = {}
     for ax in range(E.source.dim):
         if E.source.is_circle[ax]:
@@ -669,7 +671,7 @@ def symplectization_immersion(E: ParametricEmbedding, f: ScalarField | None = No
             delta[ax] = 2 * np.pi
             (a,), h = _path_data((lam_pb,), base, delta, 512)
             loops[E.source.labels[ax]] = float(simpson_path(a, h))
-    passed = sup <= tol and all(abs(v) <= 1e-6 for v in loops.values())
+    passed = sup <= 1e-9 and all(abs(v) <= 1e-6 for v in loops.values())
     return jmap, SymplectizationReport(closedness_sup=sup,
                                        loop_integrals=loops, passed=passed)
 
@@ -694,9 +696,10 @@ class ContactLiftReport:
 
 
 def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,
-                       samples=None, tol: float = 1e-10) -> ContactLiftReport:
+                       tol: float = 1e-10) -> ContactLiftReport:
     """On J1(M): the twisted contact form ``alpha + z beta`` has the same
-    volume form as ``alpha`` and that volume never vanishes."""
+    volume form as ``alpha`` (within ``tol`` on 100 samples) and that volume
+    never vanishes."""
     j1 = M.jet1()
     n = M.dim
     alpha = _canonical_contact_form(M)
@@ -714,8 +717,7 @@ def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,
 
     vol = alpha.wedge(_wedge_power(exterior_d(alpha), n))
     vol_p = alpha_p.wedge(_wedge_power(exterior_d(alpha_p), n))
-    pts = (sample_points(j1, 100) if samples is None
-           else _coerce_coords(j1, samples))
+    pts = sample_points(j1, 100)
     a = vol.coefficients(pts)
     b = vol_p.coefficients(pts)
     sup = float(np.abs(a - b).max())
@@ -914,22 +916,3 @@ def example_torus_2() -> ParametricEmbedding:
     return ParametricEmbedding(source=src, structure=S, chart=chart,
                                declared_primitive=primitive,
                                name="example-torus-2")
-
-
-def example_by_name(name: str, **kwargs):
-    """Scene-file entry point for the example library."""
-    if name == "example-torus-1":
-        return example_torus_1()
-    if name == "example-torus-2":
-        return example_torus_2()
-    if name == "zero-section":
-        S = kwargs.get("structure")
-        if S is None:
-            raise ValueError("zero-section needs structure=")
-        return zero_section(S)
-    if name == "beta-graph":
-        return beta_graph(kwargs["f"], kwargs["structure"])
-    if name == "legendrian-lift":
-        return lift_legendrian(kwargs["legendrian"], kwargs["Q"],
-                               kwargs["q_form"])
-    raise KeyError(f"unknown example {name!r}")

@@ -351,11 +351,11 @@ def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
     return coords
 
 
-def parameter_grid(manifold: ModelManifold, shape, radius: float = 4.0) -> np.ndarray:
+def parameter_grid(manifold: ModelManifold, shape) -> np.ndarray:
     """Rectangular grid on the chart, shape ``shape + (dim,)``.
 
     Circle axes carry ``m`` equispaced nodes on ``[0, 2*pi)`` (endpoint
-    excluded); line axes carry ``m`` nodes on ``[-radius, radius]``.
+    excluded); line axes carry ``m`` nodes on ``[-4, 4]``.
     """
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),) * manifold.dim
@@ -366,6 +366,6 @@ def parameter_grid(manifold: ModelManifold, shape, radius: float = 4.0) -> np.nd
         if circ:
             axes.append(np.linspace(0.0, TWO_PI, m, endpoint=False))
         else:
-            axes.append(np.linspace(-radius, radius, m))
+            axes.append(np.linspace(-4.0, 4.0, m))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1)

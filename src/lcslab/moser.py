@@ -53,12 +53,10 @@ class MoserProblem:
     structure: CotangentLcsStructure
     g: ScalarField
     outside_radius: float = 8.0
-    grid: np.ndarray | None = None
 
     def __post_init__(self):
         S = self.structure
-        coords = S.samples(2048) if self.grid is None else \
-            _coerce_coords(S.total, self.grid)
+        coords = S.samples(2048)
         vals = self.g.jet(coords, order=0).f
         if vals.min() <= 0.0:
             raise PreconditionError("conformal factor must be positive",
@@ -480,9 +478,10 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     its scale sensitivities from the first-variation flow) with a fiber
     translation by the base form ``eta_prime``, and the report certifies
     that chart: closedness is its pullback of d(lambda) on a ``grid``
-    parameter grid (0 on a 1-d source, where 2-forms vanish), and holonomy
-    the integral of its Liouville form along each circle of the source.  It
-    passes with closedness within 1e-8 and loop holonomy within 1e-6.
+    parameter grid (0 on a 1-d source, where 2-forms vanish and the chart is
+    never evaluated), and holonomy the integral of its Liouville form along
+    each circle of the source.  It passes with closedness within 1e-8 and
+    loop holonomy within 1e-6.
     """
     S = E.structure
     outside_radius = 8.0
@@ -532,11 +531,10 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         name=f"straightened {E.name}")
 
     src = E.source
-    closedness = 0.0
-    if src.dim >= 2:
-        params = parameter_grid(src, grid).reshape(-1, src.dim)
-        dlam = pullback(chart, exterior_d(S0.lam)).coefficients(params)
-        closedness = float(np.abs(dlam).max())  # a NaN stays NaN and fails
+    params = parameter_grid(src, grid).reshape(-1, src.dim)
+    dlam = pullback(chart, exterior_d(S0.lam)).coefficients(params)
+    # a NaN stays NaN and fails
+    closedness = float(np.abs(dlam).max(initial=0.0))
 
     # holonomy: loop integrals of the final pullback must vanish (beta = 0)
     lamL = pullback(E.chart, S.lam)
@@ -569,21 +567,21 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
 
 # --------------------------------------------------------------- projection
 
-def projection_degree(E: ParametricEmbedding, attempts: int = 100,
-                      grid: int = 48, seed: int = 0) -> int:
+def projection_degree(E: ParametricEmbedding, seed: int = 0) -> int:
     """Signed count of preimages of a regular value of the base projection.
 
-    Candidate regular values come from a fixed low-discrepancy sequence, so
-    runs are reproducible; a value is accepted when every preimage has a
-    Jacobian determinant bounded away from zero.
+    Up to 100 candidate regular values come from a fixed low-discrepancy
+    sequence, so runs are reproducible; a value is accepted when every
+    preimage (Newton from a 48-node parameter grid) has a Jacobian
+    determinant bounded away from zero.
     """
     src = E.source
     S = E.structure
     if src.dim != S.n:
         raise DimensionError("projection degree needs dim L = dim M")
-    params = parameter_grid(src, grid).reshape(-1, src.dim)
+    params = parameter_grid(src, 48).reshape(-1, src.dim)
     bases = E.base_values(params)
-    candidates = sample_points(S.base, attempts, seed=seed)
+    candidates = sample_points(S.base, 100, seed=seed)
     n = S.n
     for y in candidates:
         good, _ = base_preimages(E, y[None], params, bases, nearest=12)
@@ -596,4 +594,4 @@ def projection_degree(E: ParametricEmbedding, attempts: int = 100,
         return int(np.sign(dets).sum())
     raise PreconditionError(
         "no regular value found: projection looks degenerate",
-        attempts=attempts)
+        attempts=100)

@@ -26,8 +26,9 @@ from .expressions import compile_field
 from .extension import build_positive_extension
 from .forms import check_nondegenerate, exterior_d, interior_product
 from .lagrangians import (beta_graph, example_torus_1, example_torus_2,
-                          jet_graph, lift_legendrian, solve_primitive,
-                          translate_by_form, verify_lagrangian, zero_section)
+                          jet_graph, lift_legendrian, primitive_of,
+                          solve_primitive, translate_by_form,
+                          verify_lagrangian, zero_section)
 from .manifolds import ScalarField, SmoothMap, make_manifold, sample_points
 from .moser import (MoserProblem, integrate_flow, projection_degree,
                     straighten_lagrangian, verify_conformal_pullback)
@@ -73,6 +74,9 @@ _EMBEDDING = {
     "additionalProperties": False,
 }
 
+# the tolerance names that _tol reads
+TOLERANCES = ("nondegenerate", "closed", "lagrangian", "primitive", "pullback")
+
 SCENE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -103,15 +107,17 @@ SCENE_SCHEMA = {
             "additionalProperties": False,
         },
         "tolerances": {"type": "object",
-                       "additionalProperties": {"type": "number"}},
+                       "properties": {name: {"type": "number"}
+                                      for name in TOLERANCES},
+                       "additionalProperties": False},
         "extension": {
             "type": "object",
             "properties": {
                 "h": {"type": "string"},
                 "base_grid": {"type": "integer", "minimum": 2},
                 "shells": {"type": "integer", "minimum": 3},
-                "r_min": {"type": "number"},
-                "r_max": {"type": "number"},
+                "r_min": {"type": "number", "exclusiveMinimum": 0},
+                "r_max": {"type": "number", "exclusiveMinimum": 0},
                 "directions": {"type": "integer", "minimum": 1},
             },
             "required": ["h"],
@@ -266,6 +272,9 @@ def _build_moser_g(scene: dict, S):
         c = float(cb["c"])
         r_in = float(cb.get("r_in", 1.0))
         r_out = float(cb.get("r_out", 2.0))
+        if r_in >= r_out:
+            raise SceneError(f"need r_in < r_out, got {r_in} and {r_out}",
+                             pointer="/moser/g/constant_ball")
         n = S.n
 
         def fn(jets):
@@ -376,13 +385,8 @@ def _cmd_scan_chords(scene, options):
                               structure=E1.structure)
     grid = int(scene.get("grids", {}).get("chord_grid", 48))
     scan = scan_chords(E1, E2, grid=grid)
-
-    def primitive(E):
-        return (E.declared_primitive if E.declared_primitive is not None
-                else solve_primitive(E, grid_shape=64).solved_primitive)
-
-    f1 = primitive(E1)
-    f2 = f1 if E2 is None else primitive(E2)
+    f1 = primitive_of(E1)
+    f2 = f1 if E2 is None else primitive_of(E2)
     ratios, obstructed = classify_chords(scan.chords, f1, f2)
     artifacts = {"chords.csv": lambda p: chords_to_csv(scan.chords, p,
                                                        n_base=E1.n),
@@ -420,15 +424,17 @@ def _extension(scene, options, E):
     ext = scene.get("extension")
     if ext is None:
         raise SceneError("scene has no extension block", pointer="/extension")
-    S = E.structure
-    h = compile_field(ext["h"], S.total)
+    r_min = float(ext.get("r_min", 1e-3))
+    r_max = float(ext.get("r_max", 16.0))
+    if r_min >= r_max:
+        raise SceneError(f"need r_min < r_max, got {r_min} and {r_max}",
+                         pointer="/extension/r_min")
+    h = compile_field(ext["h"], E.structure.total)
     try:
         field, rep = build_positive_extension(
             E, h,
             base_grid=int(ext.get("base_grid", 64)),
-            shells=int(ext.get("shells", 128)),
-            r_min=float(ext.get("r_min", 1e-3)),
-            r_max=float(ext.get("r_max", 16.0)),
+            shells=int(ext.get("shells", 128)), r_min=r_min, r_max=r_max,
             directions=int(ext.get("directions", 256)))
     except ObstructionError as exc:
         return {"results": {"refused": True, "reason": str(exc),
@@ -587,11 +593,17 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
     ``out_dir``.  A numeric error (a failed precondition, an evaluation out
     of its domain, inconsistent dimensions) becomes one failed
     ``numeric_error`` verdict with the error's type, message and details;
-    scene errors propagate.  Reports are strict JSON: a non-finite float is
-    written as null and its JSON pointer listed under ``non_finite``.
+    scene errors propagate, an unknown ``tol_overrides`` name among them.
+    Reports are strict JSON: a non-finite float is written as null and its
+    JSON pointer listed under ``non_finite``.
     """
     scene = load_scene(scene_path)
     if tol_overrides:
+        unknown = sorted(set(tol_overrides) - set(TOLERANCES))
+        if unknown:
+            raise SceneError(f"unknown tolerance override {unknown[0]!r}; "
+                             f"expected one of {sorted(TOLERANCES)}",
+                             pointer="/tolerances")
         scene.setdefault("tolerances", {}).update(tol_overrides)
     if command not in COMMANDS:
         raise SceneError(f"unknown command {command!r}; "

@@ -84,12 +84,13 @@ def structure_scene_fragment(S: CotangentLcsStructure) -> dict:
     }
 
 
-def cotangent_lcs(base: ModelManifold, beta_coeffs: Sequence = (),
-                  validate: bool = True) -> CotangentLcsStructure:
+def cotangent_lcs(base: ModelManifold,
+                  beta_coeffs: Sequence = ()) -> CotangentLcsStructure:
     """Canonical structure on T*(base) with ``beta = sum c_i(q) dq_i``.
 
     ``beta_coeffs`` holds one coefficient per base coordinate, each a constant
     or a :class:`ScalarField` on the base; missing entries default to zero.
+    ``lichnerowicz_d`` checks that beta is closed.
     """
     total = base.cotangent()
     n = base.dim
@@ -106,7 +107,7 @@ def cotangent_lcs(base: ModelManifold, beta_coeffs: Sequence = (),
                   for i in range(n)]
     beta = SumForm(beta_terms) if beta_terms else zero_form(total, 1)
 
-    omega = lichnerowicz_d(lam, beta, validate=validate)
+    omega = lichnerowicz_d(lam, beta)
     return CotangentLcsStructure(base=base, total=total, lam=lam, beta=beta,
                                  omega=omega, beta_base_coeffs=lifted)
 
@@ -165,8 +166,7 @@ class RadialCriterionReport:
 
 
 def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
-                                    samples=None,
-                                    threshold: float = 1.0) -> RadialCriterionReport:
+                                    samples=None) -> RadialCriterionReport:
     """Supremum of ``d ln g (Z)`` over samples, compared against 1.
 
     This is the sampled form of the bound under which ``lambda/g`` stays a
@@ -176,8 +176,8 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     vals = radial_log_derivative(S, g, coords)
     i = int(np.argmax(vals))
     sup = float(vals.flat[i] if vals.ndim else vals)
-    return RadialCriterionReport(sup=sup, passed=bool(sup < threshold),
-                                 threshold=threshold,
+    return RadialCriterionReport(sup=sup, passed=bool(sup < 1.0),
+                                 threshold=1.0,
                                  worst_point=np.asarray(coords).reshape(-1, S.total.dim)[i],
                                  sample_count=int(np.asarray(vals).size))
 

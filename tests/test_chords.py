@@ -260,8 +260,8 @@ def _no_solve(*args, **kwargs):
 
 
 def test_mvt_report_reads_a_declared_primitive_without_solving(monkeypatch):
-    from lcslab import chords
-    monkeypatch.setattr(chords, "solve_primitive", _no_solve)
+    from lcslab import lagrangians
+    monkeypatch.setattr(lagrangians, "solve_primitive", _no_solve)
     E = translate_by_form(example_torus_2(), "beta", -2.0)
     assert E.declared_primitive is not None
     rep = mvt_obstruction_report(E, grid=48)
@@ -271,9 +271,9 @@ def test_mvt_report_reads_a_declared_primitive_without_solving(monkeypatch):
 def test_mvt_report_refuses_a_non_lagrangian_declared_embedding(monkeypatch):
     # the same chart and primitive under 1.3 d(phi): the chords stay (the
     # scan reads only the chart) but the embedding is no longer Lagrangian
-    from lcslab import chords
+    from lcslab import lagrangians
     from lcslab.lagrangians import ParametricEmbedding
-    monkeypatch.setattr(chords, "solve_primitive", _no_solve)
+    monkeypatch.setattr(lagrangians, "solve_primitive", _no_solve)
     E = translate_by_form(example_torus_2(), "beta", -2.0)
     bent = ParametricEmbedding(source=E.source,
                                structure=cotangent_lcs(T2, [0.0, 1.3]),

@@ -107,6 +107,23 @@ def test_pullback_of_liouville_along_double_cover_torus():
     assert np.allclose(c, [np.cos(np.pi / 4), -np.sin(np.pi / 4)], atol=1e-12)
 
 
+def test_pullback_above_source_dimension_is_the_empty_zero_form():
+    # a 2-form on a curve has no coefficients, so the map is never evaluated
+    calls = []
+
+    def fn(j):
+        calls.append(j)
+        return [j[0], j[0] * 0.0 + 0.3]
+
+    curve = SmoothMap(make_manifold(1, 0), COT_T1, fn)
+    omega = exterior_d(canonical_liouville(COT_T1))
+    pulled = pullback(curve, omega)
+    coeffs = pulled.coefficients(sample_points(curve.source, 16))
+    assert coeffs.shape == (16, 0)
+    assert pulled.jets(np.zeros(1)) == []
+    assert calls == []
+
+
 def test_pullback_along_identity_is_identity():
     lam = canonical_liouville(COT_T2)
     ident = SmoothMap.identity(COT_T2)

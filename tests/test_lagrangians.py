@@ -401,20 +401,6 @@ def test_rank_deficient_chart_raises_immersion_error():
         verify_lagrangian(E)
 
 
-def test_example_registry_by_name():
-    from lcslab.lagrangians import example_by_name
-    E1 = example_by_name("example-torus-1")
-    assert E1.name == "example-torus-1"
-    S = cotangent_lcs(T2, [0.0, 1.0])
-    Z = example_by_name("zero-section", structure=S)
-    assert Z.name == "zero-section"
-    f = ScalarField(T2, lambda j: j[0].cos())
-    G = example_by_name("beta-graph", f=f, structure=S)
-    assert verify_lagrangian(G).passed
-    with pytest.raises(KeyError):
-        example_by_name("no-such-thing")
-
-
 def test_solved_primitive_independent_of_base_point():
     # nontrivial multiplicative holonomy pins the primitive: starting the
     # integration elsewhere reproduces the same function

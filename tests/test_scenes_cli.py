@@ -220,11 +220,15 @@ def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
      "directions", 0),
     ("moser-deform", "moser-constant-ball.json", "moser", "seeds", 0),
     ("moser-deform", "moser-constant-ball.json", "moser", "step", 0.0),
+    ("build-extension", "extension-tube.json", "extension", "r_min", 0),
+    ("build-extension", "extension-tube.json", "extension", "r_min", -1),
+    ("build-extension", "extension-tube.json", "extension", "r_max", 0),
+    ("build-extension", "extension-tube.json", "extension", "r_min", 16.0),
 ])
 def test_cli_grid_too_small_is_a_scene_error(command, scene_file, block, key,
                                              value, tmp_path, capsys):
-    # a grid or step too small to compute with is refused by the schema,
-    # which names its pointer, before any numerics run
+    # a grid or step too small to compute with, or an empty radius range,
+    # is refused with its pointer before any numerics run
     scene = json.loads((SCENES / scene_file).read_text())
     scene[block][key] = value
     path = tmp_path / "scene.json"
@@ -234,6 +238,54 @@ def test_cli_grid_too_small_is_a_scene_error(command, scene_file, block, key,
     assert code == 1
     assert capsys.readouterr().err.startswith(f"scene error: /{block}/{key}:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("keys, value, pointer", [
+    (("moser", "g", "constant_ball", "r_in"), 2.0, "/moser/g/constant_ball"),
+    (("tolerances",), {"pulback": 1e-30}, "/tolerances"),
+], ids=["empty-blend-shell", "misspelt-tolerance"])
+def test_cli_inconsistent_moser_scene_is_a_scene_error(keys, value, pointer,
+                                                       tmp_path, capsys):
+    # an empty blend shell and a misspelt tolerance name are refused with
+    # their pointer, not run
+    scene = json.loads((SCENES / "moser-constant-ball.json").read_text())
+    block = scene
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    code = main(["moser-deform", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"scene error: {pointer}:")
+    assert not out.exists()
+
+
+def test_cli_unknown_tol_override_is_a_scene_error(tmp_path, capsys):
+    code = main(["moser-deform", str(SCENES / "moser-constant-ball.json"),
+                 "--out", str(tmp_path), "--tol-override", "pulback=1e-30"])
+    assert code == 1
+    assert "'pulback'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_scan_chords_checks_a_declared_primitive(tmp_path):
+    # the graph of q2 dq1 is not Lagrangian (d(q2 dq1) != 0): its declared
+    # primitive is refused as a solved one would be
+    scene = {"version": "scene-v1", "name": "bent-graph",
+             "manifold": {"circles": 2, "lines": 0},
+             "structure": {"beta": ["0", "0"]},
+             "embedding": {"components": ["u1", "u2", "u2", "0"],
+                           "primitive": "1"},
+             "grids": {"chord_grid": 8}}
+    path = tmp_path / "bent-graph.json"
+    path.write_text(json.dumps(scene))
+    code = main(["scan-chords", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    report = json.loads((tmp_path / "bent-graph-scan-chords.json").read_text())
+    error = report["verdicts"]["numeric_error"]
+    assert "not Lagrangian" in error["message"]
 
 
 def test_cli_nonexistent_scene(tmp_path):
