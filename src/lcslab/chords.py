@@ -294,37 +294,33 @@ def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
 
 def classify_chord(c: LiouvilleChord, f1: ScalarField,
                    f2: ScalarField) -> LiouvilleChord:
-    """Fill defect, essentialness and the mean-value ratio of a chord.
-
-    Positive chords are essential when the defect is >= 0, negative chords
-    when it is <= 0, both within ``DEFECT_TOL``; the ratio is defined only
-    when both primitive values are positive.
-    """
-    v1 = float(f1.value(c.start_param))
-    v2 = float(f2.value(c.end_param))
-    c.defect = v2 - c.scale * v1
-    if c.sign == "positive":
-        c.essential = bool(c.defect >= -DEFECT_TOL)
-    else:
-        c.essential = bool(c.defect <= DEFECT_TOL)
-    if v1 > 0.0 and v2 > 0.0:
-        c.mvt_ratio = ray_log_slope(v1, 1.0, v2, c.scale)
-        c.ratio_defined = True
-    else:
-        c.mvt_ratio = None
-        c.ratio_defined = False
+    """Fill defect, essentialness and the mean-value ratio of one chord."""
+    classify_chords([c], f1, f2)
     return c
 
 
 def classify_chords(chords: Sequence[LiouvilleChord], f1: ScalarField,
                     f2: ScalarField) -> tuple:
-    """Classify every chord; returns ``(ratios, obstructed)``: the defined
-    mean-value ratios, and whether one reaches ``OBSTRUCTED_RATIO``."""
-    ratios = []
-    for c in chords:
-        classify_chord(c, f1, f2)
-        if c.ratio_defined:
-            ratios.append(c.mvt_ratio)
+    """Fill defect, essentialness and the mean-value ratio of every chord
+    from one evaluation of ``f1`` at all starts and one of ``f2`` at all ends.
+
+    Positive chords are essential when the defect is >= 0, negative chords
+    when it is <= 0, both within ``DEFECT_TOL``; the ratio is defined only
+    when both primitive values are positive.  Returns the defined ratios and
+    whether one reaches ``OBSTRUCTED_RATIO``.
+    """
+    if not chords:
+        return [], False
+    v1s = f1.value(np.stack([c.start_param for c in chords]))
+    v2s = f2.value(np.stack([c.end_param for c in chords]))
+    for c, v1, v2 in zip(chords, v1s.tolist(), v2s.tolist()):
+        c.defect = v2 - c.scale * v1
+        c.essential = bool(c.defect >= -DEFECT_TOL if c.sign == "positive"
+                           else c.defect <= DEFECT_TOL)
+        c.ratio_defined = v1 > 0.0 and v2 > 0.0
+        c.mvt_ratio = (ray_log_slope(v1, 1.0, v2, c.scale)
+                       if c.ratio_defined else None)
+    ratios = [c.mvt_ratio for c in chords if c.ratio_defined]
     return ratios, any(r >= OBSTRUCTED_RATIO for r in ratios)
 
 
@@ -473,11 +469,9 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
                 continue
             scan = scan_chords(lifts[a], lifts[b] if b != a else None,
                                grid=grid)
-            for c in scan.chords:
-                fa = lifts[a].declared_primitive
-                fb = lifts[b].declared_primitive
-                classify_chord(c, fa, fb)
-                lift_chords.append((a, b, c))
+            classify_chords(scan.chords, lifts[a].declared_primitive,
+                            lifts[b].declared_primitive)
+            lift_chords.extend((a, b, c) for c in scan.chords)
 
     # match family representatives: same Legendrian pair, same scale, and the
     # M-part of the lift parameters near the Reeb parameters

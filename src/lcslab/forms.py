@@ -28,8 +28,8 @@ from .manifolds import ModelManifold, ScalarField, SmoothMap, VectorField, \
 __all__ = [
     "FormExpression", "constant_form", "coordinate_differential", "zero_form",
     "field_form", "exterior_d", "lichnerowicz_d", "pullback",
-    "interior_product", "check_nondegenerate", "NondegeneracyReport",
-    "forms_allclose", "increasing_indices",
+    "pullback_coefficients", "interior_product", "check_nondegenerate",
+    "NondegeneracyReport", "forms_allclose", "increasing_indices",
 ]
 
 
@@ -60,6 +60,13 @@ def merge_with_sign(I: tuple, J: tuple):
             seen[i], seen[j] = seen[j], seen[i]
             sign = -sign
     return tuple(sorted(combined)), sign
+
+
+def _values(jets: list, batch: tuple) -> np.ndarray:
+    """Stack coefficient jets' values, shape ``batch + (C,)``."""
+    if not jets:
+        return np.zeros(batch + (0,))
+    return np.stack([j.f for j in jets], axis=-1)
 
 
 # ----------------------------------------------------------------- base class
@@ -94,10 +101,7 @@ class FormExpression:
     def coefficients(self, points) -> np.ndarray:
         """Coefficient values over increasing multi-indices, shape (..., C)."""
         coords = _coerce_coords(self.domain, points)
-        jets = self._jets(coords, 0)
-        if not jets:
-            return np.zeros(coords.shape[:-1] + (0,))
-        return np.stack([j.f for j in jets], axis=-1)
+        return _values(self._jets(coords, 0), coords.shape[:-1])
 
     # ----------------------------------------------------------- form algebra
 
@@ -282,32 +286,43 @@ class PullbackForm(FormExpression):
         self.base = base
 
     def _jets(self, coords, order):
-        n_src = self.domain.dim
-        k = self.degree
-        if k > n_src:
-            return []   # the zero form: the map is never evaluated
-        phi_jets = self.phi.jet(coords, order=min(order + 1, 2))
-        target_coords = self.phi.target.normalize(
-            np.stack([c.f for c in phi_jets], axis=-1))
-        base_jets = self.base._jets(target_coords, min(order, 2))
-        base_composed = [compose_jet(c, phi_jets) for c in base_jets]
-        # Jacobian entries as jets of the source coordinates (order <= 1).
-        jac = [[Jet2(c.g[..., m],
-                     None if c.h is None else c.h[..., m, :], None)
-                for m in range(n_src)] for c in phi_jets]
+        return _pullback_jets(self.phi, (self.base,), coords, order)[0]
 
-        src_idx = increasing_indices(n_src, k)
-        tgt_idx = increasing_indices(self.base.domain.dim, k)
-        batch = coords.shape[:-1]
-        out = []
-        for J in src_idx:
+
+def _pullback_jets(phi: SmoothMap, forms, coords, order) -> list:
+    """Jets of the pullbacks of ``forms`` along one evaluation of ``phi`` at
+    normalized source coordinates; a form above the source dimension is the
+    zero form, and when all are, the map is never evaluated."""
+    n_src = phi.source.dim
+    if all(form.degree > n_src for form in forms):
+        return [[] for _ in forms]
+    phi_jets = phi.jet(coords, order=min(order + 1, 2))
+    target_coords = phi.target.normalize(
+        np.stack([c.f for c in phi_jets], axis=-1))
+    # Jacobian entries as jets of the source coordinates (order <= 1).
+    jac = [[Jet2(c.g[..., m],
+                 None if c.h is None else c.h[..., m, :], None)
+            for m in range(n_src)] for c in phi_jets]
+    batch = coords.shape[:-1]
+    out = []
+    for form in forms:
+        k = form.degree
+        if k > n_src:
+            out.append([])
+            continue
+        base_composed = [compose_jet(c, phi_jets)
+                         for c in form._jets(target_coords, min(order, 2))]
+        tgt_idx = increasing_indices(form.domain.dim, k)
+        pulled = []
+        for J in increasing_indices(n_src, k):
             acc = constant_jet(0.0, n_src, batch, order)
             for pos, I in enumerate(tgt_idx):
                 minor = _jet_determinant(
                     [[jac[i][j] for j in J] for i in I], n_src, batch)
                 acc = acc + base_composed[pos] * minor
-            out.append(acc)
-        return out
+            pulled.append(acc)
+        out.append(pulled)
+    return out
 
 
 def _jet_determinant(rows, dim, batch) -> Jet2:
@@ -392,6 +407,17 @@ def lichnerowicz_d(alpha: FormExpression, beta: FormExpression,
 
 def pullback(phi: SmoothMap, alpha: FormExpression) -> FormExpression:
     return PullbackForm(phi, alpha)
+
+
+def pullback_coefficients(phi: SmoothMap, forms: Sequence[FormExpression],
+                          points) -> list:
+    """Coefficients of the pullbacks of several forms along ``phi``, one
+    array of shape (..., C) per form, from one evaluation of ``phi``."""
+    if any(phi.target.labels != form.domain.labels for form in forms):
+        raise DimensionError("pullback target does not match form domain")
+    coords = _coerce_coords(phi.source, points)
+    return [_values(jets, coords.shape[:-1])
+            for jets in _pullback_jets(phi, forms, coords, 0)]
 
 
 def interior_product(X: VectorField, alpha: FormExpression) -> FormExpression:

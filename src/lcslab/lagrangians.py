@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ImmersionError, PreconditionError
-from .forms import (FormExpression, coordinate_differential, exterior_d,
-                    pullback)
+from .forms import (FormExpression, _pullback_jets, coordinate_differential,
+                    exterior_d, pullback, pullback_coefficients)
 from .jets import Jet2, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
@@ -78,12 +78,6 @@ class ParametricEmbedding:
 
     def fiber_values(self, params) -> np.ndarray:
         return self.chart(params)[..., self.n:]
-
-    def pulled_liouville(self) -> FormExpression:
-        return pullback(self.chart, self.structure.lam)
-
-    def pulled_lee(self) -> FormExpression:
-        return pullback(self.chart, self.structure.beta)
 
     def parameter_samples(self, count: int = 512) -> np.ndarray:
         return sample_points(self.source, count)
@@ -141,30 +135,35 @@ def require_lagrangian(E: ParametricEmbedding) -> None:
 
 # ------------------------------------------------------- primitive integration
 
-def _chunked_coefficients(form: FormExpression,
-                          coords: np.ndarray) -> np.ndarray:
-    chunk = 65536
-    flat = coords.reshape(-1, coords.shape[-1])
-    if flat.shape[0] <= chunk:
-        out = form.coefficients(flat)
-    else:
-        parts = [form.coefficients(flat[i:i + chunk])
-                 for i in range(0, flat.shape[0], chunk)]
-        out = np.concatenate(parts, axis=0)
-    return out.reshape(coords.shape[:-1] + (out.shape[-1],))
+# points of one chart evaluation in a path integrand: whole segments only
+PATH_CHUNK = 65536
 
 
-def _path_data(forms, start: np.ndarray, delta: np.ndarray, n_steps: int):
-    """Path integrands of 1-forms at RK4 nodes along straight segments.
+def _path_data(chart: SmoothMap, forms, start: np.ndarray, delta: np.ndarray,
+               n_steps: int):
+    """Path integrands of 1-forms pulled back along ``chart`` at RK4 nodes
+    along straight parameter segments.
 
     ``start``/``delta`` have shape (..., k); returns ``(integrands, h)``:
-    each form's coefficients paired with ``delta``, one array per form with
-    a node axis appended, and the node spacing h.
+    each pulled-back form's coefficients paired with ``delta``, one array
+    per form with a node axis appended, and the node spacing h.  The chart
+    is evaluated once per chunk of whole segments, and each chunk is reduced
+    to its integrands right away.
     """
     s = segment_nodes(n_steps)
-    pos = start[..., None, :] + s[:, None] * delta[..., None, :]
-    return [np.einsum("...nk,...k->...n", _chunked_coefficients(form, pos),
-                      delta) for form in forms], 1.0 / n_steps
+    k = delta.shape[-1]
+    starts = np.broadcast_to(start, delta.shape).reshape(-1, k)
+    deltas = delta.reshape(-1, k)
+    out = [np.empty((deltas.shape[0], s.shape[0])) for _ in forms]
+    per_chunk = max(1, PATH_CHUNK // s.shape[0])
+    for lo in range(0, deltas.shape[0], per_chunk):
+        d = deltas[lo:lo + per_chunk]
+        pos = starts[lo:lo + per_chunk, None, :] + s[:, None] * d[:, None, :]
+        coeffs = pullback_coefficients(chart, forms, pos.reshape(-1, k))
+        for o, c in zip(out, coeffs):
+            o[lo:lo + per_chunk] = np.einsum(
+                "snk,sk->sn", c.reshape(pos.shape), d)
+    return [o.reshape(delta.shape[:-1] + s.shape) for o in out], 1.0 / n_steps
 
 
 @dataclass
@@ -211,15 +210,14 @@ class IntegratedPrimitive(ScalarField):
     """
 
     def __init__(self, embedding: ParametricEmbedding, grid: np.ndarray,
-                 values: np.ndarray, lamL: FormExpression,
-                 betaL: FormExpression):
+                 values: np.ndarray):
         super().__init__(embedding.source, fn=None,
                          name=f"primitive[{embedding.name}]")
         self.embedding = embedding
         self.grid = grid
         self.grid_values = values
-        self._lamL = lamL
-        self._betaL = betaL
+        self.chart = embedding.chart
+        self.forms = (embedding.structure.beta, embedding.structure.lam)
         self._axes = [np.unique(grid[..., i].reshape(-1))
                       for i in range(grid.shape[-1])]
 
@@ -241,7 +239,7 @@ class IntegratedPrimitive(ScalarField):
         start = self.grid[idx]
         f0 = self.grid_values[idx]
         delta = coords2 - start  # short segments; no wrap needed
-        (a, b), h = _path_data((self._betaL, self._lamL), start, delta, 8)
+        (a, b), h = _path_data(self.chart, self.forms, start, delta, 8)
         vals = rk4_linear_path(a, b, f0, h)
         return vals[0] if squeeze else vals.reshape(coords.shape[:-1])
 
@@ -250,25 +248,18 @@ class IntegratedPrimitive(ScalarField):
         f = self.value(coords)
         if order == 0:
             return Jet2(f)
-        lam_j = self._lamL.jets(coords, order=1)
-        beta_j = self._betaL.jets(coords, order=1)
+        beta_j, lam_j = _pullback_jets(self.chart, self.forms, coords, 1)
         k = self.domain.dim
         g = np.stack([lam_j[i].f + f * beta_j[i].f for i in range(k)], axis=-1)
-        if order == 1:
+        if order == 1 or any(j.g is None for j in lam_j + beta_j):
             return Jet2(f, g)
-        rows = []
-        have_h = all(j.g is not None for j in lam_j + beta_j)
-        if not have_h:
-            return Jet2(f, g)
-        for i in range(k):
-            rows.append(lam_j[i].g + g * beta_j[i].f[..., None]
-                        + f[..., None] * beta_j[i].g)
-        h = np.stack(rows, axis=-2)
+        h = np.stack([lam_j[i].g + g * beta_j[i].f[..., None]
+                      + f[..., None] * beta_j[i].g for i in range(k)], axis=-2)
         return Jet2(f, g, 0.5 * (h + np.swapaxes(h, -1, -2)))
 
 
-def _fill_grid(lamL, betaL, grid: np.ndarray, f0: float, axis_order,
-               n_sub: int) -> np.ndarray:
+def _fill_grid(chart: SmoothMap, forms, grid: np.ndarray, f0: float,
+               axis_order, n_sub: int) -> np.ndarray:
     dims = grid.shape[:-1]
     k = len(dims)
     values = np.full(dims, np.nan)
@@ -288,7 +279,7 @@ def _fill_grid(lamL, betaL, grid: np.ndarray, f0: float, axis_order,
         if m > 1:
             start = np.stack(starts, axis=0)
             delta = np.stack(deltas, axis=0)
-            (a, b), h = _path_data((betaL, lamL), start, delta, n_sub)
+            (a, b), h = _path_data(chart, forms, start, delta, n_sub)
             f_prev_slice = list(slicer_prev)
             f_prev_slice[ax] = 0
             f = values[tuple(f_prev_slice)]
@@ -301,14 +292,14 @@ def _fill_grid(lamL, betaL, grid: np.ndarray, f0: float, axis_order,
     return values
 
 
-def _loop_transport(lamL, betaL, base: np.ndarray, axis: int,
+def _loop_transport(chart: SmoothMap, forms, base: np.ndarray, axis: int,
                     steps: int):
     """Multiplicative holonomy H = exp(loop integral of i*beta) and the
     inhomogeneous part B of the affine return map f -> H f + B around the
     generator loop of a circle axis."""
     delta = np.zeros_like(base)
     delta[axis] = 2.0 * np.pi
-    (a, b), h = _path_data((betaL, lamL), base, delta, steps)
+    (a, b), h = _path_data(chart, forms, base, delta, steps)
     H = float(np.exp(simpson_path(a, h)))
     B = float(rk4_linear_path(a, b, 0.0, h))
     return H, B
@@ -333,8 +324,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
         base = np.zeros(src.dim)
     else:
         base = _coerce_coords(src, base_point)
-    lamL = E.pulled_liouville()
-    betaL = E.pulled_lee()
+    forms = (E.structure.beta, E.structure.lam)
 
     grid = parameter_grid(src, grid_shape)
     dims = grid.shape[:-1]
@@ -343,7 +333,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
     holonomies, inhomog = {}, {}
     for ax in range(k):
         if src.is_circle[ax]:
-            H, B = _loop_transport(lamL, betaL, base, ax, steps_per_loop)
+            H, B = _loop_transport(E.chart, forms, base, ax, steps_per_loop)
             holonomies[src.labels[ax]] = H
             inhomog[src.labels[ax]] = B
 
@@ -365,29 +355,29 @@ def solve_primitive(E: ParametricEmbedding, base_point=None,
     origin = grid[(0,) * k]
     hop = src.difference(origin, base)
     if np.linalg.norm(hop) > 1e-15:
-        (a, b), h = _path_data((betaL, lamL), base, hop, 256)
+        (a, b), h = _path_data(E.chart, forms, base, hop, 256)
         f_origin = float(rk4_linear_path(a, b, f0, h))
     else:
         f_origin = f0
 
     n_sub = max(4, int(round(steps_per_loop / max(max(dims) - 1, 1))))
-    vals_fwd = _fill_grid(lamL, betaL, grid, f_origin, list(range(k)), n_sub)
+    vals_fwd = _fill_grid(E.chart, forms, grid, f_origin, list(range(k)),
+                          n_sub)
     if k > 1:
-        vals_rev = _fill_grid(lamL, betaL, grid, f_origin,
+        vals_rev = _fill_grid(E.chart, forms, grid, f_origin,
                               list(reversed(range(k))), n_sub)
         path_dep = float(np.abs(vals_fwd - vals_rev).max())
     else:
         path_dep = 0.0
     residual_sup = max(path_dep, max(defects.values(), default=0.0))
 
-    primitive = IntegratedPrimitive(E, grid, vals_fwd, lamL, betaL)
+    primitive = IntegratedPrimitive(E, grid, vals_fwd)
 
     declared_res = declared_match = None
     if E.declared_primitive is not None:
         flat = grid.reshape(-1, k)
         fj = E.declared_primitive.jet(flat, order=1)
-        lam_c = lamL.coefficients(flat)
-        beta_c = betaL.coefficients(flat)
+        beta_c, lam_c = pullback_coefficients(E.chart, forms, flat)
         resid = lam_c - (fj.g - fj.f[:, None] * beta_c)
         declared_res = float(np.abs(resid).max())
         declared_match = float(np.abs(fj.f - vals_fwd.reshape(-1)).max())
@@ -659,7 +649,6 @@ def symplectization_immersion(E: ParametricEmbedding,
                      derivative_loss=inner.derivative_loss)
     pts = (E.parameter_samples(256) if samples is None
            else _coerce_coords(E.source, samples))
-    lam_pb = pullback(jmap, S.lam)
     # d(i*lambda) = i*(d lambda), which needs one jet order less
     closed = pullback(jmap, exterior_d(S.lam)).coefficients(pts)
     sup = float(np.abs(closed).max(initial=0.0))
@@ -669,7 +658,7 @@ def symplectization_immersion(E: ParametricEmbedding,
             base = np.zeros(E.source.dim)
             delta = np.zeros(E.source.dim)
             delta[ax] = 2 * np.pi
-            (a,), h = _path_data((lam_pb,), base, delta, 512)
+            (a,), h = _path_data(jmap, (S.lam,), base, delta, 512)
             loops[E.source.labels[ax]] = float(simpson_path(a, h))
     passed = sup <= 1e-9 and all(abs(v) <= 1e-6 for v in loops.values())
     return jmap, SymplectizationReport(closedness_sup=sup,

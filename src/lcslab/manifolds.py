@@ -74,13 +74,20 @@ class ModelManifold:
     def normalize(self, coords: np.ndarray) -> np.ndarray:
         """Wrap circle coordinates into [0, 2*pi); idempotent.
 
-        Returns a new array; the input is left unmodified.
+        Returns a new array; the input is left unmodified.  A column already
+        in range skips ``np.mod`` with the same bits: ``+ 0.0`` turns -0.0
+        into 0.0 as ``np.mod`` does.
         """
         coords = np.array(coords, dtype=float, copy=True)
         for i, circ in enumerate(self.is_circle):
             if circ:
                 col = coords[..., i]
-                np.mod(col, TWO_PI, out=col)
+                if col.size and col.min() >= 0.0 and col.max() < TWO_PI:
+                    col += 0.0
+                else:
+                    np.mod(col, TWO_PI, out=col)
+                    # a tiny negative value rounds up to 2*pi itself
+                    col[col == TWO_PI] = 0.0
         return coords
 
     def difference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

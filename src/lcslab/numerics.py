@@ -28,13 +28,14 @@ def rk4_linear_path(a: np.ndarray, b: np.ndarray, f0, h: float) -> np.ndarray:
     nodes in their last axis; ``h`` is the step in the path parameter.
     Classical RK4; exactness of the linear structure keeps this order 4.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    n_steps = (a.shape[-1] - 1) // 2
-    f = np.broadcast_to(np.asarray(f0, float), a.shape[:-1]).astype(float).copy()
+    # nodes first: on one path each node is a numpy scalar (same IEEE ops)
+    a = np.moveaxis(np.asarray(a, float), -1, 0)
+    b = np.moveaxis(np.asarray(b, float), -1, 0)
+    n_steps = (a.shape[0] - 1) // 2
+    f = np.broadcast_to(np.asarray(f0, float), a.shape[1:]).astype(float).copy()
     for i in range(n_steps):
-        a0, am, a1 = a[..., 2 * i], a[..., 2 * i + 1], a[..., 2 * i + 2]
-        b0, bm, b1 = b[..., 2 * i], b[..., 2 * i + 1], b[..., 2 * i + 2]
+        a0, am, a1 = a[2 * i], a[2 * i + 1], a[2 * i + 2]
+        b0, bm, b1 = b[2 * i], b[2 * i + 1], b[2 * i + 2]
         k1 = b0 + a0 * f
         k2 = bm + am * (f + 0.5 * h * k1)
         k3 = bm + am * (f + 0.5 * h * k2)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .chords import (chords_to_csv, chords_to_json, classify_chord,
-                     classify_chords, mvt_obstruction_report, scan_chords)
+from .chords import (chords_to_csv, chords_to_json, classify_chords,
+                     mvt_obstruction_report, scan_chords)
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError, SceneError)
 from .expressions import compile_field
@@ -511,11 +511,9 @@ def _cmd_lift_legendrian(scene, options):
         scan = scan_chords(lifts[0], lifts[1],
                            grid=int(scene.get("grids", {})
                                     .get("chord_grid", 24)))
-        defects = []
-        for c in scan.chords:
-            classify_chord(c, lifts[0].declared_primitive,
-                           lifts[1].declared_primitive)
-            defects.append(abs(c.defect))
+        classify_chords(scan.chords, lifts[0].declared_primitive,
+                        lifts[1].declared_primitive)
+        defects = [abs(c.defect) for c in scan.chords]
         results["chords"] = scan.as_dict()
         verdicts["lift_law"] = _verdict(
             bool(scan.chords) and max(defects) <= 1e-8

@@ -9,13 +9,13 @@ produces the scale-3 chord family with mean-value ratio exactly 1.
 import numpy as np
 import pytest
 
-from lcslab.chords import (classify_chord, chords_to_csv, chords_to_json,
-                           mvt_obstruction_report, reeb_correspondence,
-                           scan_chords)
+from lcslab.chords import (DEFECT_TOL, classify_chord, classify_chords,
+                           chords_to_csv, chords_to_json, mvt_obstruction_report,
+                           ray_log_slope, reeb_correspondence, scan_chords)
 from lcslab.errors import PreconditionError
 from lcslab.lagrangians import (beta_graph, example_torus_1, example_torus_2,
-                                jet_graph, lift_legendrian,
-                                translate_by_form)
+                                jet_graph, lift_legendrian, primitive_of,
+                                solve_primitive, translate_by_form)
 from lcslab.manifolds import ScalarField, make_manifold
 from lcslab.structures import cotangent_lcs
 
@@ -283,3 +283,58 @@ def test_mvt_report_refuses_a_non_lagrangian_declared_embedding(monkeypatch):
         mvt_obstruction_report(bent, grid=48)
     assert "not Lagrangian" in str(err.value)
     assert err.value.details["residual_sup"] > 1e-3
+
+
+# ------------------------------------------------------ batched classification
+
+def _lift_pair():
+    Q = make_manifold(1, 0, labels=("theta",))
+    return [lift_legendrian(jet_graph(ScalarField.constant(T1, c), T1), Q,
+                            [1.0]) for c in (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("case", ["example1-translated-declared",
+                                  "example1-translated-solved", "lift-pair"])
+def test_classify_chords_matches_a_per_chord_reference(case):
+    if case == "lift-pair":
+        L1, L2 = _lift_pair()
+        chords = scan_chords(L1, L2, grid=24).chords
+        f1, f2 = L1.declared_primitive, L2.declared_primitive
+    else:
+        E = translate_by_form(example_torus_1(), "beta", -2.0)
+        chords = scan_chords(E, grid=48).chords
+        f1 = f2 = (primitive_of(E) if case.endswith("declared")
+                   else solve_primitive(E, grid_shape=32).solved_primitive)
+    assert len(chords) > 1
+    classify_chords(chords, f1, f2)
+    for c in chords:
+        v1 = float(f1.value(c.start_param))
+        v2 = float(f2.value(c.end_param))
+        defect = v2 - c.scale * v1
+        assert c.defect == defect
+        assert c.essential == (defect >= -DEFECT_TOL if c.sign == "positive"
+                               else defect <= DEFECT_TOL)
+        assert c.ratio_defined == (v1 > 0.0 and v2 > 0.0)
+        assert c.mvt_ratio == (ray_log_slope(v1, 1.0, v2, c.scale)
+                               if c.ratio_defined else None)
+
+
+def test_classify_chords_evaluates_each_primitive_once(monkeypatch):
+    L1, L2 = _lift_pair()
+    chords = scan_chords(L1, L2, grid=24).chords
+    assert len(chords) > 1
+    calls = {"f1": 0, "f2": 0}
+    for key, f in (("f1", L1.declared_primitive),
+                   ("f2", L2.declared_primitive)):
+        inner = f.value
+
+        def counted(points, key=key, inner=inner):
+            calls[key] += 1
+            return inner(points)
+
+        monkeypatch.setattr(f, "value", counted)
+    classify_chords(chords, L1.declared_primitive, L2.declared_primitive)
+    assert calls == {"f1": 1, "f2": 1}
+    assert classify_chords([], L1.declared_primitive,
+                           L2.declared_primitive) == ([], False)
+    assert calls == {"f1": 1, "f2": 1}

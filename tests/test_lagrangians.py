@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lcslab.errors import PreconditionError
-from lcslab.forms import pullback
-from lcslab.lagrangians import (ParametricEmbedding, base_preimages,
-                                beta_graph, contact_lift_check,
+from lcslab.forms import pullback, pullback_coefficients
+from lcslab.lagrangians import (PATH_CHUNK, ParametricEmbedding, _path_data,
+                                base_preimages, beta_graph, contact_lift_check,
                                 example_torus_1, example_torus_2,
                                 genericity_check, jet_graph, lift_legendrian,
                                 solve_primitive, symplectization_immersion,
@@ -450,3 +450,45 @@ def test_base_preimages_keep_repeated_targets_apart():
         alone, _ = base_preimages(E, targets[t:t + 1], params, bases,
                                   nearest=8)
         assert np.array_equal(alone, good[owner == t])
+
+
+# ------------------------------------------------- one chart evaluation per chunk
+
+def _shared_map_cases():
+    leg = jet_graph(ScalarField(T1, lambda j: j[0].sin(), name="sin"), T1)
+    S = cotangent_lcs(T2, [0.0, 1.0])
+    graph = beta_graph(ScalarField(T2, lambda j: 1.5 + 0.2 * j[0].cos()), S)
+    assert graph.chart.derivative_loss == 1
+    return [example_torus_1(), example_torus_2(), graph,
+            lift_legendrian(leg, make_manifold(1, 0), [1.0])]
+
+
+@pytest.mark.parametrize("E", _shared_map_cases(),
+                         ids=["torus-1", "torus-2", "beta-graph", "lift"])
+def test_pullback_coefficients_match_separate_pullbacks(E):
+    S = E.structure
+    forms = (S.beta, S.lam, S.omega)
+    pts = sample_points(E.source, 300)
+    shared = pullback_coefficients(E.chart, forms, pts)
+    for form, got in zip(forms, shared):
+        assert np.array_equal(got, pullback(E.chart, form).coefficients(pts))
+
+
+def test_path_data_evaluates_the_chart_once_per_chunk(monkeypatch):
+    E = example_torus_1()
+    calls = []
+    inner = E.chart.fn
+
+    def counted(jets):
+        calls.append(jets[0].f.size)
+        return inner(jets)
+
+    monkeypatch.setattr(E.chart, "fn", counted)
+    n_steps = 16                         # 33 nodes per segment
+    per_chunk = PATH_CHUNK // 33
+    start = np.zeros((per_chunk + 5, 2))
+    delta = np.tile([0.1, 0.2], (per_chunk + 5, 1))
+    (a, b), h = _path_data(E.chart, (E.structure.beta, E.structure.lam),
+                           start, delta, n_steps)
+    assert a.shape == b.shape == (per_chunk + 5, 33)
+    assert calls == [per_chunk * 33, 5 * 33]

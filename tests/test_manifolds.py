@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from lcslab.errors import DimensionError, DomainEvaluationError
@@ -195,3 +197,56 @@ def test_parameter_grid_shapes():
     grid = parameter_grid(t2, 8)
     assert grid.shape == (8, 8, 2)
     assert grid[..., 0].max() < TWO_PI
+
+
+# ------------------------------------------------- normalize and its fast path
+
+def test_normalize_never_returns_two_pi():
+    # np.mod(-1e-17, 2*pi) rounds to 2*pi itself, outside [0, 2*pi)
+    t1 = make_manifold(1, 0)
+    once = t1.normalize(np.array([[-1e-17]]))
+    assert once[0, 0] == 0.0
+    assert np.array_equal(t1.normalize(once), once)
+
+
+def _normalize_reference(manifold, coords):
+    out = np.array(coords, dtype=float, copy=True)
+    for i, circ in enumerate(manifold.is_circle):
+        if circ:
+            col = np.mod(out[..., i], TWO_PI)
+            col[col == TWO_PI] = 0.0
+            out[..., i] = col
+    return out
+
+
+_EDGES = [0.0, -0.0, TWO_PI, -TWO_PI, -1e-17, np.nextafter(TWO_PI, 0.0),
+          3.0, -3.0, 1e300, -1e300, np.nan, np.inf, -np.inf]
+_VALUES = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True), st.sampled_from(_EDGES),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _batches(draw):
+    circles = draw(st.integers(0, 2))
+    lines = draw(st.integers(0 if circles else 1, 2))
+    rows = draw(st.integers(0, 5))
+    size = rows * (circles + lines)
+    values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+    return circles, lines, np.array(values).reshape(rows, circles + lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=_batches())
+# -0.0 inside a circle column that is otherwise in range
+@example(batch=(1, 1, np.array([[-0.0, 5.0], [1.0, -0.0]])))
+def test_normalize_matches_np_mod_bit_for_bit(batch):
+    circles, lines, coords = batch
+    M = make_manifold(circles, lines)
+    before = coords.copy()
+    with np.errstate(invalid="ignore"):
+        got = M.normalize(coords)
+        want = _normalize_reference(M, coords)
+    assert got is not coords
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(coords.view(np.int64), before.view(np.int64))
