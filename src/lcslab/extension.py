@@ -67,10 +67,9 @@ def nearest_direction(p: np.ndarray, r: np.ndarray,
     """Index of the direction nearest each covector p of norm r (direction
     0 up to norm 1e-12): the ray that ``_ray_crossings`` writes a crossing to
     and ``radial_field_to_scalar_field`` reads the field from."""
-    idx = np.argmax((p / np.maximum(r, 1e-300)[:, None]) @ directions.T,
+    idx = np.argmax((p / np.maximum(r, 1e-300)[..., None]) @ directions.T,
                     axis=-1)
-    idx[r <= 1e-12] = 0
-    return idx
+    return np.where(r <= 1e-12, 0, idx)
 
 
 def log_radii(r_min: float = 1e-3, r_max: float = 16.0,

@@ -132,7 +132,7 @@ class Jet2:
         if np.any(self.f == 0.0):
             raise DomainEvaluationError("division by a zero value")
         inv = 1.0 / self.f
-        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
+        return self.chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
     def __truediv__(self, other) -> "Jet2":
         if isinstance(other, _SCALARS):
@@ -158,19 +158,19 @@ class Jet2:
                 return self.reciprocal() ** (-k)
             f = self.f ** k
             # k - 1.0: a huge integer exponent overflows to inf, not raises
-            return self._chain(f, k * self.f ** (k - 1),
-                               k * (k - 1.0) * self.f ** (k - 2) if k >= 2
-                               else np.zeros_like(self.f))
+            return self.chain(f, k * self.f ** (k - 1),
+                              k * (k - 1.0) * self.f ** (k - 2) if k >= 2
+                              else np.zeros_like(self.f))
         if np.any(self.f <= 0.0):
             raise DomainEvaluationError(
                 "non-integer power of a nonpositive value")
         r = float(exponent)
         f = self.f ** r
-        return self._chain(f, r * self.f ** (r - 1), r * (r - 1) * self.f ** (r - 2))
+        return self.chain(f, r * self.f ** (r - 1), r * (r - 1) * self.f ** (r - 2))
 
     # ---------------------------------------------------------------- unaries
 
-    def _chain(self, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> "Jet2":
+    def chain(self, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> "Jet2":
         """Jet of ``phi(self)`` given ``phi``, ``phi'``, ``phi''`` at the value."""
         g = h = None
         if self.g is not None:
@@ -182,30 +182,30 @@ class Jet2:
 
     def exp(self) -> "Jet2":
         e = np.exp(self.f)
-        return self._chain(e, e, e)
+        return self.chain(e, e, e)
 
     def log(self) -> "Jet2":
         if np.any(self.f <= 0.0):
             raise DomainEvaluationError("log of a nonpositive value")
-        return self._chain(np.log(self.f), 1.0 / self.f, -1.0 / self.f ** 2)
+        return self.chain(np.log(self.f), 1.0 / self.f, -1.0 / self.f ** 2)
 
     def sin(self) -> "Jet2":
         s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(s, c, -s)
+        return self.chain(s, c, -s)
 
     def cos(self) -> "Jet2":
         s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(c, -s, -c)
+        return self.chain(c, -s, -c)
 
     def sqrt(self) -> "Jet2":
         if np.any(self.f <= 0.0):
             raise DomainEvaluationError("sqrt of a nonpositive value")
         r = np.sqrt(self.f)
-        return self._chain(r, 0.5 / r, -0.25 / self.f / r)
+        return self.chain(r, 0.5 / r, -0.25 / self.f / r)
 
     def arctan(self) -> "Jet2":
         d = 1.0 + self.f ** 2
-        return self._chain(np.arctan(self.f), 1.0 / d, -2.0 * self.f / d ** 2)
+        return self.chain(np.arctan(self.f), 1.0 / d, -2.0 * self.f / d ** 2)
 
     # ---------------------------------------------------------------- helpers
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionError, ImmersionError, PreconditionError
 from .forms import (FormExpression, _pullback_jets, coordinate_differential,
                     exterior_d, pullback, pullback_coefficients)
-from .jets import Jet2, partial_jet
+from .jets import Jet2, compose_jet, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
                         sample_points)
@@ -206,12 +206,13 @@ class IntegratedPrimitive(ScalarField):
     Values at off-grid parameters integrate a short straight segment from the
     nearest grid node.  First derivatives come from the defining relation
     ``df = i*lambda + f i*beta`` (exact given the solved values); the Hessian
-    is its derivative, symmetrized.
+    is its derivative, symmetrized.  ``fn`` carries this jet through the
+    incoming jets, so the primitive composes like any other field.
     """
 
     def __init__(self, embedding: ParametricEmbedding, grid: np.ndarray,
                  values: np.ndarray):
-        super().__init__(embedding.source, fn=None,
+        super().__init__(embedding.source, fn=self._fn,
                          name=f"primitive[{embedding.name}]")
         self.embedding = embedding
         self.grid = grid
@@ -230,6 +231,10 @@ class IntegratedPrimitive(ScalarField):
                             <= np.abs(ax[j] - coords[..., i]), j_lo, j)
             idx.append(pick)
         return tuple(idx)
+
+    def _fn(self, jets):
+        coords = np.stack([j.f for j in jets], axis=-1)
+        return compose_jet(self.jet(coords, order=jets[0].order), jets)
 
     def value(self, points) -> np.ndarray:
         coords = _coerce_coords(self.domain, points)

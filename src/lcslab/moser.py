@@ -381,6 +381,11 @@ def radial_field_to_scalar_field(F: RadialField,
     grid: circle axes wrap, line axes clamp to their end nodes.  Accuracy is
     grid-scale and documented as such.  Outside the radius range the field
     continues with its edge values.
+
+    The field's jets are exact.  The ray, the base cell and the ln r
+    interval are read off the values and carry no derivative; the base
+    weights, ln r and each corner's cubic go through the chain rule, with
+    derivative 0 where a weight or ln r is clamped.
     """
     from scipy.interpolate import PchipInterpolator
     n = S.n
@@ -392,65 +397,53 @@ def radial_field_to_scalar_field(F: RadialField,
     ray_values = np.log(F.values).reshape(B * D, -1).T       # (R, B*D)
     coef = PchipInterpolator(ln_r, ray_values, axis=0).c
 
-    class _Interp(ScalarField):
-        def __init__(self):
-            super().__init__(S.total, fn=None, name="radial-field")
+    def fn(jets):
+        p = np.stack([j.f for j in jets[n:]], axis=-1)
+        r = np.linalg.norm(p, axis=-1)
+        d_idx = nearest_direction(p, r, F.directions)
+        # ln r clamped to the radius range, as a function of |p|^2: its
+        # derivative is 1/(2|p|^2) inside the range and 0 where it clamps
+        r2 = jets[n] * jets[n]
+        for j in jets[n + 1:]:
+            r2 = r2 + j * j
+        lr = np.clip(np.log(np.maximum(r, F.radii[0])), ln_r[0], ln_r[-1])
+        inside = (r > F.radii[0]) & (r < F.radii[-1])
+        dlr = np.where(inside, 0.5, 0.0) / np.maximum(r2.f, F.radii[0] ** 2)
+        lr = r2.chain(lr, dlr, -2.0 * dlr * dlr)
+        # the 2^n corners of each point's base cell, grown one axis at a
+        # time in C order: circle axes wrap, line axes clamp
+        cols, weights = [0], [1.0]
+        for nodes, circle, x in zip(axes, S.base.is_circle, jets[:n]):
+            if circle:
+                span = nodes[1] - nodes[0]
+                pos = x.f / span
+                i0 = np.floor(pos).astype(int) % nodes.size
+                i1, w = (i0 + 1) % nodes.size, pos - np.floor(pos)
+                dw = np.full_like(w, 1.0 / span)
+            else:
+                i0 = np.clip(np.searchsorted(nodes, x.f, "right") - 1,
+                             0, nodes.size - 2)
+                i1 = i0 + 1
+                span = nodes[i1] - nodes[i0]
+                frac = (x.f - nodes[i0]) / span
+                w = np.clip(frac, 0.0, 1.0)
+                dw = np.where(w == frac, 1.0 / span, 0.0)
+            w = x.chain(w, dw, np.zeros_like(w))
+            cols = [b * nodes.size + i for b in cols for i in (i0, i1)]
+            weights = [v * u for v in weights for u in (1 - w, w)]
+        # each corner's cubic on its own ray, summed in the order of scipy's
+        # PPoly evaluation so the values match it bit for bit
+        k = np.clip(np.searchsorted(ln_r, lr.f, "right") - 1,
+                    0, ln_r.size - 2)
+        s = lr.f - ln_r[k]
+        c0, c1, c2, c3 = coef[:, k, np.stack(cols) * D + d_idx]
+        picked = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        slope = c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
+        bend = 2.0 * c1 + 6.0 * c0 * s
+        return sum(wt * lr.chain(*cubic)
+                   for wt, *cubic in zip(weights, picked, slope, bend)).exp()
 
-        def value(self, points):
-            coords = _coerce_coords(S.total, points)
-            squeeze = coords.ndim == 1
-            c2 = np.atleast_2d(coords)
-            q, p = c2[:, :n], c2[:, n:]
-            r = np.linalg.norm(p, axis=-1)
-            d_idx = nearest_direction(p, r, F.directions)
-            lr = np.clip(np.log(np.maximum(r, F.radii[0])),
-                         ln_r[0], ln_r[-1])
-            # the 2^n corners of each point's base cell, grown one axis at
-            # a time in C order: circle axes wrap, line axes clamp
-            cols, weights = [0], [1.0]
-            for nodes, circle, x in zip(axes, S.base.is_circle, q.T):
-                if circle:
-                    pos = x / (nodes[1] - nodes[0])
-                    i0 = np.floor(pos).astype(int) % nodes.size
-                    i1, w = (i0 + 1) % nodes.size, pos - np.floor(pos)
-                else:
-                    i0 = np.clip(np.searchsorted(nodes, x, "right") - 1,
-                                 0, nodes.size - 2)
-                    i1 = i0 + 1
-                    w = np.clip((x - nodes[i0]) / (nodes[i1] - nodes[i0]),
-                                0.0, 1.0)
-                cols = [b * nodes.size + i for b in cols for i in (i0, i1)]
-                weights = [v * u for v in weights for u in (1 - w, w)]
-            # each point's own cubic on its own rays, summed in the order
-            # of scipy's PPoly evaluation so the values match it bit for bit
-            k = np.clip(np.searchsorted(ln_r, lr, "right") - 1,
-                        0, ln_r.size - 2)
-            s = lr - ln_r[k]
-            c = coef[:, k, np.stack(cols) * D + d_idx]
-            picked = c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
-            out = np.exp(sum(wt * pk for wt, pk in zip(weights, picked)))
-            return out[0] if squeeze else out.reshape(coords.shape[:-1])
-
-        def jet(self, points, order: int = 2):
-            coords = _coerce_coords(S.total, points)
-            if order == 0:
-                return Jet2(self.value(coords))
-            h = 1e-4
-            if order == 1:
-                return Jet2(*central_difference(self.value, coords, h))
-
-            def value_and_gradient(pts):
-                f, g = central_difference(self.value, pts, h)
-                return np.concatenate([f[:, None], g], axis=-1)
-
-            # the Hessian differences the gradient: one value() call covers
-            # the nested (2m+1)^2 stencil
-            fg, dfg = central_difference(value_and_gradient, coords, h)
-            hess = dfg[..., 1:, :]
-            return Jet2(fg[..., 0], fg[..., 1:],
-                        0.5 * (hess + np.swapaxes(hess, -1, -2)))
-
-    return _Interp()
+    return ScalarField(S.total, fn, name="radial-field")
 
 
 @dataclass

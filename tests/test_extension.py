@@ -9,8 +9,8 @@ from lcslab.errors import ObstructionError, PreconditionError
 from lcslab.extension import (RadialField, SqueezeProfile,
                               build_positive_extension, fiber_directions,
                               log_radii, mollify, near_zero_extension,
-                              outer_flatten, squeeze_profile,
-                              verify_radial_bound)
+                              nearest_direction, outer_flatten,
+                              squeeze_profile, verify_radial_bound)
 from lcslab.lagrangians import (beta_graph, example_torus_1, translate_by_form,
                                 zero_section)
 from lcslab.manifolds import ScalarField, make_manifold, parameter_grid
@@ -495,3 +495,17 @@ def test_near_zero_extension_zero_section_returns_h():
             pts = np.concatenate([np.repeat(q[None, :], 8, axis=0),
                                   radii[:, None] * v[None, :]], axis=1)
             assert np.abs(vals[bi, di] - h.value(pts)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nearest_direction_of_a_single_covector(n):
+    # one covector picks the ray its row picks in a batch, direction 0 up
+    # to norm 1e-12
+    dirs = fiber_directions(n, 16)
+    p = np.array([[0.3, 0.4], [0.0, 0.0], [-1e-13, 0.0], [-2.0, 0.1],
+                  [0.0, -1.0]])[:, :n]
+    r = np.linalg.norm(p, axis=-1)
+    batch = nearest_direction(p, r, dirs)
+    assert batch[1] == batch[2] == 0
+    for i in range(len(p)):
+        assert nearest_direction(p[i], np.array(r[i]), dirs) == batch[i]

@@ -5,6 +5,7 @@ import pytest
 
 from lcslab.errors import PreconditionError
 from lcslab.forms import pullback, pullback_coefficients
+from lcslab.jets import seed_jets
 from lcslab.lagrangians import (PATH_CHUNK, ParametricEmbedding, _path_data,
                                 base_preimages, beta_graph, contact_lift_check,
                                 example_torus_1, example_torus_2,
@@ -241,6 +242,24 @@ def test_symplectization_of_example_2():
     expected = np.stack([-3 * np.sin(pts[:, 0]) ** 2 * np.cos(pts[:, 0]),
                          np.zeros(len(pts))], axis=-1)
     assert np.abs(pb - expected).max() <= 1e-9
+
+
+@pytest.mark.parametrize("make", [example_torus_1, example_torus_2])
+def test_symplectization_with_the_solved_primitive(make):
+    # a solved primitive is an ordinary field: its fn carries its own jets
+    # through the incoming ones, so it untwists like the declared one
+    E = make()
+    solved = solve_primitive(E, grid_shape=16,
+                             steps_per_loop=256).solved_primitive
+    jmap, rep = symplectization_immersion(E, f=solved)
+    _, declared = symplectization_immersion(E)
+    assert rep.passed
+    assert rep.loop_integrals == pytest.approx(declared.loop_integrals,
+                                               abs=1e-12)
+    pts = sample_points(E.source, 16)
+    got, want = solved.fn(seed_jets(pts)), solved.jet(pts)
+    for a, b in ((got.f, want.f), (got.g, want.g), (got.h, want.h)):
+        assert np.array_equal(a, b)
 
 
 def test_symplectization_of_zero_section_unchanged():

@@ -619,58 +619,6 @@ def test_first_variations_leave_flow_scales_unchanged(scene):
     assert np.array_equal(dscale, ref_dscale)
 
 
-def per_axis_interpolant_jet(F, coords, order):
-    """The interpolated field's jet by per-axis central differences of
-    ``value`` and of a per-axis gradient, the way the field computed it
-    before its stencils ran as one batch; the reference for the batched
-    jet."""
-    f = F.value(coords)
-    c2 = np.atleast_2d(coords)
-    h = 1e-4
-    m = c2.shape[1]
-
-    def grad_at(pts):
-        g = np.zeros(pts.shape)
-        for i in range(m):
-            up, dn = pts.copy(), pts.copy()
-            up[:, i] += h
-            dn[:, i] -= h
-            g[:, i] = (F.value(up) - F.value(dn)) / (2 * h)
-        return g
-
-    g = grad_at(c2)
-    if order == 1:
-        return f, (g if coords.ndim > 1 else g[0]), None
-    hess = np.zeros(c2.shape + (m,))
-    for i in range(m):
-        up, dn = c2.copy(), c2.copy()
-        up[:, i] += h
-        dn[:, i] -= h
-        hess[:, i, :] = (grad_at(up) - grad_at(dn)) / (2 * h)
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    if coords.ndim == 1:
-        return f, g[0], hess[0]
-    return f, g, hess
-
-
-def test_interpolant_jet_matches_per_axis_stencils():
-    # the closedness certificate of full-pipeline reads these jets, so the
-    # batched stencil must reproduce the per-axis loops bit for bit
-    P, seeds, _ = scene_flow_problem("beta-graph-pipeline.json")
-    S = P.structure
-    coords = np.concatenate([seeds[::4], sample_points(S.total, 64,
-                                                       radius=6.0)])
-    for pts in (coords, coords[7]):
-        for order in (1, 2):
-            jet = P.g.jet(pts, order=order)
-            f, g, h = per_axis_interpolant_jet(P.g, pts, order)
-            assert np.array_equal(jet.f, f)
-            assert np.array_equal(jet.g, g)
-            if order == 2:
-                assert np.array_equal(jet.h, h)
-                assert np.abs(h).max() > 0.0
-
-
 def full_row_pchip_value(F, S):
     """``value`` of the interpolated field with scipy's PCHIP interpolant
     evaluated on every ray column of each row, of which each point keeps its
@@ -754,8 +702,7 @@ def test_interpolant_gather_matches_full_row_pchip(circles, lines):
     F = random_radial_field(base, 8 if n == 1 else 4, rng)
     radii = F.radii
     field = radial_field_to_scalar_field(F, S)
-    ref = radial_field_to_scalar_field(F, S)
-    ref.value = full_row_pchip_value(F, S)   # same stencils, scipy values
+    ref = full_row_pchip_value(F, S)
 
     k = 2000
     special = np.array([0.0, 1e-13, 1e-9, 16.0, 40.0, *radii])
@@ -767,14 +714,8 @@ def test_interpolant_gather_matches_full_row_pchip(circles, lines):
     pts = np.concatenate(
         [q, r[:, None] * v / np.linalg.norm(v, axis=-1, keepdims=True)],
         axis=-1)
-    assert np.array_equal(field.value(pts), ref.value(pts))
-    assert field.value(pts[5]) == ref.value(pts[5])
-    for order, count in ((1, k), (2, 300)):
-        jet, want = field.jet(pts[:count], order), ref.jet(pts[:count], order)
-        assert np.array_equal(jet.f, want.f)
-        assert np.array_equal(jet.g, want.g)
-        if order == 2:
-            assert np.array_equal(jet.h, want.h)
+    assert np.array_equal(field.value(pts), ref(pts))
+    assert field.value(pts[5]) == ref(pts[5])
 
 
 @pytest.mark.parametrize("circles,lines", [(2, 0), (1, 1)])
@@ -798,3 +739,72 @@ def test_interpolant_is_continuous_across_base_cells(circles, lines):
                                                     borders.size)
         v = field.value(pts)
         assert np.abs(v[1::2] - v[::2]).max() <= 1e-5 * v.max()
+
+
+def oracle_points(F, S, rng, k):
+    """Points where a central difference of step 1e-5 is accurate: each
+    base coordinate and ln r inside the middle 80% of a cell or well beyond
+    the clamped ends, r >= 0.25, and p at least 0.05 (in cosine) nearer its
+    own direction than any other, so no stencil point crosses a kink of the
+    interpolant."""
+    n = S.n
+    q = []
+    for nodes, circle in zip(F.base_axes(), S.base.is_circle):
+        cell = rng.integers(0, nodes.size - 1, k)
+        x = nodes[cell] + rng.uniform(0.1, 0.9, k) * (nodes[cell + 1]
+                                                      - nodes[cell])
+        if not circle:      # a tenth beyond the end nodes, where q clamps
+            x = np.where(rng.uniform(size=k) < 0.1,
+                         rng.choice([-1.0, 1.0], k) * rng.uniform(4.1, 6.0, k),
+                         x)
+        q.append(x)
+    ln_r = np.log(F.radii)
+    shell = rng.integers(np.searchsorted(ln_r, np.log(0.25)), ln_r.size - 1,
+                         k)
+    r = np.exp(ln_r[shell] + rng.uniform(0.1, 0.9, k)
+               * (ln_r[shell + 1] - ln_r[shell]))
+    # and a tenth beyond r_max, where ln r clamps
+    r = np.where(rng.uniform(size=k) < 0.1, rng.uniform(17.0, 30.0, k), r)
+    v = rng.normal(size=(k, n))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    dots = np.sort(v @ F.directions.T, axis=-1)
+    pts = np.concatenate([np.stack(q, axis=-1), r[:, None] * v], axis=-1)
+    return pts[dots[:, -1] - dots[:, -2] >= 0.05]
+
+
+@pytest.mark.parametrize("circles,lines", [(1, 0), (2, 0), (1, 1), (0, 2),
+                                           (0, 1)])
+def test_interpolant_jets_match_central_differences(circles, lines):
+    # the straightening certificate reads these jets: gradient and Hessian
+    # are exact, so a central difference of the value (and of the exact
+    # gradient) agrees to its truncation error where no kink lies within h
+    from lcslab.numerics import central_difference
+    base = make_manifold(circles, lines)
+    S = cotangent_lcs(base)
+    rng = np.random.default_rng(3 + base.dim)
+    F = random_radial_field(base, 8 if base.dim == 1 else 4, rng)
+    field = radial_field_to_scalar_field(F, S)
+    pts = oracle_points(F, S, rng, 400)
+    assert pts.shape[0] >= 200
+    jet = field.jet(pts, order=2)
+    value, grad = central_difference(field.value, pts, 1e-5)
+    _, hess = central_difference(lambda x: field.jet(x, order=1).g, pts,
+                                 1e-5)
+    assert np.array_equal(jet.f, value)
+    for got, want in ((jet.g, grad), (jet.h, hess)):
+        scale = np.abs(want).reshape(len(pts), -1).max(axis=-1)
+        err = np.abs(got - want).reshape(len(pts), -1).max(axis=-1)
+        assert (err <= 1e-6 * scale).all()
+    assert np.abs(jet.h).max() > 0.0
+
+
+def test_interpolant_composes_as_a_field():
+    # the field is an ordinary ScalarField: its fn evaluates on jets, so
+    # derived fields build on it, and a single point evaluates too
+    P, seeds, _ = scene_flow_problem("beta-graph-pipeline.json")
+    S, G = P.structure, P.g
+    pts = np.concatenate([seeds, sample_points(S.total, 64, radius=20.0),
+                          [[1.0, 0.0]]])
+    inverse = ScalarField(S.total, lambda j: G.fn(j).reciprocal())
+    assert np.array_equal(inverse.value(pts), 1.0 / G.value(pts))
+    assert G.value(pts[3]) == G.value(pts)[3]

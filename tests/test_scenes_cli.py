@@ -507,3 +507,28 @@ def test_expression_fuzz_parses_or_raises_scene_error(src):
             f.jet(np.array([[0.7, 2.0], [3.0, 0.1]]), order=2)
         except (SceneError, DomainEvaluationError):
             pass
+
+
+def test_asymmetric_straightening_is_pinned(tmp_path):
+    # f = h = 1.5 + 0.2 sin q1 + 0.15 cos q1 breaks the symmetry
+    # (q, p) -> (3 pi - q, -p) under which beta-graph-pipeline's loop
+    # integral vanishes whatever the flow scales are, so this report moves
+    # with them; the translation eta' = 1.885e-4 cancels the holonomy class
+    rep = run_command("full-pipeline", SCENES / "beta-graph-asymmetric.json",
+                      tmp_path, seed=0, threads=1)
+    assert rep["passed"]
+    assert rep["digest"] == ("bc62f0a58cae71bf4a3ec3c047e9b1c7"
+                             "32a5cb0cecd2f9ec7afa3e6d569fe888")
+
+
+def test_asymmetric_straightening_without_translation_fails(tmp_path):
+    # without eta' the straightened loop keeps its holonomy, read to 1e-9
+    # off the flow scales of the exact interpolant jets
+    scene = json.loads((SCENES / "beta-graph-asymmetric.json").read_text())
+    scene["moser"]["eta_prime"] = []
+    path = tmp_path / "untranslated.json"
+    path.write_text(json.dumps(scene))
+    rep = run_command("full-pipeline", path, tmp_path, seed=0, threads=1)
+    assert not rep["verdicts"]["straightened_exact"]["passed"]
+    assert rep["results"]["straighten"]["holonomy_sup"] == pytest.approx(
+        1.1843793496623491e-3, abs=1e-9)
