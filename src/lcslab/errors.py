@@ -10,8 +10,11 @@ class DimensionError(ValueError):
 class DomainEvaluationError(ValueError):
     """A field evaluation left its domain (log/power of a nonpositive value).
 
-    Carries the offending point when the evaluation context knows it.
+    Carries the offending point when the evaluation context knows it; a
+    jet's domain check sets ``index``, the flat index of the first offender.
     """
+
+    index: int | None = None
 
     def __init__(self, message: str, point=None):
         if point is not None:

@@ -74,8 +74,10 @@ def _values(jets: list, batch: tuple) -> np.ndarray:
 class FormExpression:
     """Base class; subclasses implement ``_jets(coords, order)``.
 
-    A form whose degree exceeds its chart's dimension is the zero form with
-    no coefficients.
+    ``jets`` and ``coefficients`` normalize their points once; ``_jets``
+    reads normalized coordinates and hands them on without wrapping them
+    again.  A form whose degree exceeds its chart's dimension is the zero
+    form with no coefficients.
     """
 
     domain: ModelManifold
@@ -95,8 +97,7 @@ class FormExpression:
         raise NotImplementedError
 
     def jets(self, points, order: int = 2) -> list[Jet2]:
-        coords = _coerce_coords(self.domain, points)
-        return self._jets(coords, order)
+        return self._jets(_coerce_coords(self.domain, points), order)
 
     def coefficients(self, points) -> np.ndarray:
         """Coefficient values over increasing multi-indices, shape (..., C)."""
@@ -168,7 +169,7 @@ class FieldForm(FormExpression):
         self.field = f
 
     def _jets(self, coords, order):
-        return [self.field.jet(coords, order=min(order, 2))]
+        return [self.field._jet(coords, min(order, 2))]
 
 
 class ScaledForm(FormExpression):
@@ -185,7 +186,7 @@ class ScaledForm(FormExpression):
     def _jets(self, coords, order):
         base = self.base._jets(coords, order)
         if isinstance(self.factor, ScalarField):
-            fac = self.factor.jet(coords, order=min(order, 2))
+            fac = self.factor._jet(coords, min(order, 2))
             return [fac * c for c in base]
         return [c * float(self.factor) for c in base]
 
@@ -296,7 +297,7 @@ def _pullback_jets(phi: SmoothMap, forms, coords, order) -> list:
     n_src = phi.source.dim
     if all(form.degree > n_src for form in forms):
         return [[] for _ in forms]
-    phi_jets = phi.jet(coords, order=min(order + 1, 2))
+    phi_jets = phi._jet(coords, min(order + 1, 2))
     target_coords = phi.target.normalize(
         np.stack([c.f for c in phi_jets], axis=-1))
     # Jacobian entries as jets of the source coordinates (order <= 1).
@@ -359,7 +360,7 @@ class InteriorProduct(FormExpression):
 
     def _jets(self, coords, order):
         n = self.domain.dim
-        xj = self.X.jet(coords, order=min(order, 2))
+        xj = self.X._jet(coords, min(order, 2))
         bj = self.base._jets(coords, order)
         src = _index_positions(n, self.base.degree)
         batch = coords.shape[:-1]
@@ -451,7 +452,7 @@ def check_nondegenerate(omega: FormExpression, samples,
     if n % 2 != 0:
         raise DimensionError("nondegeneracy is tested on even-dimensional charts")
     coords = _coerce_coords(omega.domain, samples)
-    coeffs = omega.coefficients(coords)
+    coeffs = _values(omega._jets(coords, 0), coords.shape[:-1])
     mat = np.zeros(coords.shape[:-1] + (n, n))
     for pos, (i, j) in enumerate(increasing_indices(n, 2)):
         mat[..., i, j] = coeffs[..., pos]

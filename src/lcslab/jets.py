@@ -35,6 +35,14 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _check_domain(bad: np.ndarray, message: str) -> None:
+    """Raise a DomainEvaluationError indexing the first True of ``bad``."""
+    if np.any(bad):
+        exc = DomainEvaluationError(message)
+        exc.index = int(np.argmax(bad))
+        raise exc
+
+
 class Jet2:
     """Value / gradient / Hessian triple propagated by exact chain rules."""
 
@@ -129,8 +137,7 @@ class Jet2:
                     None if self.h is None else self.h * c)
 
     def reciprocal(self) -> "Jet2":
-        if np.any(self.f == 0.0):
-            raise DomainEvaluationError("division by a zero value")
+        _check_domain(self.f == 0.0, "division by a zero value")
         inv = 1.0 / self.f
         return self.chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
@@ -161,9 +168,7 @@ class Jet2:
             return self.chain(f, k * self.f ** (k - 1),
                               k * (k - 1.0) * self.f ** (k - 2) if k >= 2
                               else np.zeros_like(self.f))
-        if np.any(self.f <= 0.0):
-            raise DomainEvaluationError(
-                "non-integer power of a nonpositive value")
+        _check_domain(self.f <= 0, "non-integer power of a nonpositive value")
         r = float(exponent)
         f = self.f ** r
         return self.chain(f, r * self.f ** (r - 1), r * (r - 1) * self.f ** (r - 2))
@@ -185,8 +190,7 @@ class Jet2:
         return self.chain(e, e, e)
 
     def log(self) -> "Jet2":
-        if np.any(self.f <= 0.0):
-            raise DomainEvaluationError("log of a nonpositive value")
+        _check_domain(self.f <= 0.0, "log of a nonpositive value")
         return self.chain(np.log(self.f), 1.0 / self.f, -1.0 / self.f ** 2)
 
     def sin(self) -> "Jet2":
@@ -198,8 +202,7 @@ class Jet2:
         return self.chain(c, -s, -c)
 
     def sqrt(self) -> "Jet2":
-        if np.any(self.f <= 0.0):
-            raise DomainEvaluationError("sqrt of a nonpositive value")
+        _check_domain(self.f <= 0.0, "sqrt of a nonpositive value")
         r = np.sqrt(self.f)
         return self.chain(r, 0.5 / r, -0.25 / self.f / r)
 

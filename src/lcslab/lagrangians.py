@@ -206,8 +206,9 @@ class IntegratedPrimitive(ScalarField):
     Values at off-grid parameters integrate a short straight segment from the
     nearest grid node.  First derivatives come from the defining relation
     ``df = i*lambda + f i*beta`` (exact given the solved values); the Hessian
-    is its derivative, symmetrized.  ``fn`` carries this jet through the
-    incoming jets, so the primitive composes like any other field.
+    is its derivative, symmetrized.  ``fn`` wraps the incoming values and
+    carries this jet through the incoming jets, so the primitive composes
+    like any other field.
     """
 
     def __init__(self, embedding: ParametricEmbedding, grid: np.ndarray,
@@ -236,21 +237,14 @@ class IntegratedPrimitive(ScalarField):
         coords = np.stack([j.f for j in jets], axis=-1)
         return compose_jet(self.jet(coords, order=jets[0].order), jets)
 
-    def value(self, points) -> np.ndarray:
-        coords = _coerce_coords(self.domain, points)
-        squeeze = coords.ndim == 1
-        coords2 = coords.reshape(-1, coords.shape[-1])
-        idx = self._nearest_node(coords2)
+    def _jet(self, coords: np.ndarray, order: int) -> Jet2:
+        flat = coords.reshape(-1, coords.shape[-1])
+        idx = self._nearest_node(flat)
         start = self.grid[idx]
-        f0 = self.grid_values[idx]
-        delta = coords2 - start  # short segments; no wrap needed
-        (a, b), h = _path_data(self.chart, self.forms, start, delta, 8)
-        vals = rk4_linear_path(a, b, f0, h)
-        return vals[0] if squeeze else vals.reshape(coords.shape[:-1])
-
-    def jet(self, points, order: int = 2) -> Jet2:
-        coords = _coerce_coords(self.domain, points)
-        f = self.value(coords)
+        delta = flat - start  # short segments; no wrap needed
+        (a, b), step = _path_data(self.chart, self.forms, start, delta, 8)
+        f = rk4_linear_path(a, b, self.grid_values[idx], step).reshape(
+            coords.shape[:-1])
         if order == 0:
             return Jet2(f)
         beta_j, lam_j = _pullback_jets(self.chart, self.forms, coords, 1)

@@ -8,6 +8,11 @@ are derived by appending fiber (line) coordinates, so T*M carries coordinates
 Fields are thin wrappers around jet-evaluating callables: a scalar field maps
 the coordinate jets of a batch of points to one :class:`~lcslab.jets.Jet2`,
 which makes every derivative used downstream exact.
+
+Public evaluation (``jet``, ``value``, ``__call__``, ``jacobian``) normalizes
+its points once; internal evaluation (``_jet``) takes normalized coordinates
+and does not wrap them again.  An ``fn`` must accept coordinates outside
+``[0, 2*pi)``: composed maps hand it component jets unwrapped.
 """
 
 from __future__ import annotations
@@ -177,6 +182,21 @@ def _coerce_coords(manifold: ModelManifold, points) -> np.ndarray:
     return manifold.normalize(coords)
 
 
+def _component_jets(fn, coords: np.ndarray, order: int,
+                    derivative_loss: int, count: int) -> list[Jet2]:
+    """The ``count`` jets ``fn`` returns on coordinate jets seeded at
+    normalized ``coords`` to order ``min(2, order + derivative_loss)``; a
+    constant component becomes the constant jet of ``order``."""
+    jets = seed_jets(coords, order=min(2, order + derivative_loss))
+    comps = [c if isinstance(c, Jet2)
+             else constant_jet(c, coords.shape[-1], coords.shape[:-1], order)
+             for c in fn(jets)]
+    if len(comps) != count:
+        raise DimensionError(
+            f"{len(comps)} components where {count} are expected")
+    return comps
+
+
 class ScalarField:
     """Deterministic scalar field evaluated through coordinate jets.
 
@@ -194,14 +214,18 @@ class ScalarField:
         self.derivative_loss = derivative_loss
 
     def jet(self, points, order: int = 2) -> Jet2:
-        coords = _coerce_coords(self.domain, points)
-        jets = seed_jets(coords, order=min(2, order + self.derivative_loss))
+        return self._jet(_coerce_coords(self.domain, points), order)
+
+    def _jet(self, coords: np.ndarray, order: int) -> Jet2:
         try:
-            out = self.fn(jets)
+            (out,) = _component_jets(lambda jets: (self.fn(jets),), coords,
+                                     order, self.derivative_loss, 1)
         except DomainEvaluationError as exc:
-            raise DomainEvaluationError(str(exc), point=coords) from None
-        if not isinstance(out, Jet2):
-            out = constant_jet(out, self.domain.dim, coords.shape[:-1], order)
+            if exc.point is not None:
+                raise
+            rows, at = coords.reshape(-1, self.domain.dim), exc.index
+            point = rows[at] if at is not None and at < len(rows) else coords
+            raise DomainEvaluationError(str(exc), point=point) from None
         return out.symmetrized()
 
     def value(self, points) -> np.ndarray:
@@ -244,14 +268,10 @@ class VectorField:
         self.name = name
 
     def jet(self, points, order: int = 2) -> list[Jet2]:
-        coords = _coerce_coords(self.domain, points)
-        jets = seed_jets(coords, order=order)
-        comps = [c if isinstance(c, Jet2)
-                 else constant_jet(c, self.domain.dim, coords.shape[:-1], order)
-                 for c in self.fn(jets)]
-        if len(comps) != self.domain.dim:
-            raise DimensionError("vector field component count != dimension")
-        return comps
+        return self._jet(_coerce_coords(self.domain, points), order)
+
+    def _jet(self, coords: np.ndarray, order: int) -> list[Jet2]:
+        return _component_jets(self.fn, coords, order, 0, self.domain.dim)
 
     def values(self, points) -> np.ndarray:
         return np.stack([c.f for c in self.jet(points, order=0)], axis=-1)
@@ -276,16 +296,11 @@ class SmoothMap:
         self.derivative_loss = derivative_loss
 
     def jet(self, points, order: int = 2) -> list[Jet2]:
-        coords = _coerce_coords(self.source, points)
-        jets = seed_jets(coords, order=min(2, order + self.derivative_loss))
-        comps = [c if isinstance(c, Jet2)
-                 else constant_jet(c, self.source.dim, coords.shape[:-1], order)
-                 for c in self.fn(jets)]
-        if len(comps) != self.target.dim:
-            raise DimensionError(
-                f"map produced {len(comps)} components for a "
-                f"{self.target.dim}-dimensional target")
-        return comps
+        return self._jet(_coerce_coords(self.source, points), order)
+
+    def _jet(self, coords: np.ndarray, order: int) -> list[Jet2]:
+        return _component_jets(self.fn, coords, order, self.derivative_loss,
+                               self.target.dim)
 
     def __call__(self, points) -> np.ndarray:
         comps = self.jet(points, order=0)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionError, ObstructionError, PreconditionError
 from .extension import RadialField, nearest_direction
 from .forms import exterior_d, increasing_indices, pullback
-from .jets import Jet2
+from .jets import Jet2, partial_jet, seed_jets
 from .lagrangians import ParametricEmbedding, base_preimages
 from .manifolds import (ScalarField, SmoothMap, VectorField, _coerce_coords,
                         parameter_grid, sample_points)
@@ -88,46 +88,29 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
     """Rate c of the radial field X = c Z at family time tau, from jets of g.
 
     ``c = (1/g - 1) / (g_tau + dg_tau(Z))`` with ``g_tau = tau/g + 1 - tau``
-    at coords of shape (B, 2n); ``tau`` is a scalar or one time per row.
-    With ``need_grad`` also returns dc/dq and dc/dw at the fiber point w;
+    at normalized coords of shape (B, 2n); ``tau`` is a scalar or one time
+    per row.  With ``need_grad`` also returns dc/dq and dc/dw at the fiber
+    point w, read off the same quotient taken on the order-2 jet of g;
     otherwise those are None.  The last value marks the rows whose
     denominator is not positive, where the rate is meaningless.
     """
     n = P.structure.n
-    jet = P.g.jet(coords, order=2 if need_grad else 1)
+    jet = P.g._jet(coords, 2 if need_grad else 1)
     ginv = 1.0 / jet.f
-    gp = jet.g[:, n:]
-    gq = jet.g[:, :n]
-    dginv_Z = -np.einsum("bi,bi->b", gp, coords[:, n:]) * ginv ** 2
-    g_tau = tau * ginv + (1 - tau)
-    denom = g_tau + tau * dginv_Z
+    dginv_Z = -np.einsum("bi,bi->b", jet.g[:, n:], coords[:, n:]) * ginv ** 2
+    denom = tau * ginv + (1 - tau) + tau * dginv_Z
     bad = denom <= 0.0
     c = (ginv - 1.0) / denom
     if not need_grad:
         return c, None, None, bad
-    # gradients of c with respect to (q, w) at w = r v, via jets of g
-    tau = np.reshape(tau, (-1, 1))
-    gpp = jet.h[:, n:, n:]
-    gpq = jet.h[:, n:, :n]
-    dginv_dw = -gp * ginv[:, None] ** 2
-    dginv_dq = -gq * ginv[:, None] ** 2
-    # d/dw [dginv(Z)] = d/dw [sum w_i dginv_i]
-    ddZ_dw = (dginv_dw
-              - ginv[:, None] ** 2 * np.einsum("bij,bi->bj", gpp,
-                                               coords[:, n:])
-              + 2 * ginv[:, None] ** 3 * gp
-              * np.einsum("bi,bi->b", gp, coords[:, n:])[:, None])
-    ddZ_dq = (- ginv[:, None] ** 2 * np.einsum("bij,bi->bj", gpq,
-                                               coords[:, n:])
-              + 2 * ginv[:, None] ** 3 * gq
-              * np.einsum("bi,bi->b", gp, coords[:, n:])[:, None])
-    dc_dw = (dginv_dw / denom[:, None]
-             - ((ginv - 1) / denom ** 2)[:, None]
-             * (tau * dginv_dw + tau * ddZ_dw))
-    dc_dq = (dginv_dq / denom[:, None]
-             - ((ginv - 1) / denom ** 2)[:, None]
-             * (tau * dginv_dq + tau * ddZ_dq))
-    return c, dc_dq, dc_dw, bad
+    # the same quotient on jets of (q, w): its gradient is (dc/dq, dc/dw)
+    ginv = jet.reciprocal()
+    w = seed_jets(coords, order=1)[n:]
+    dginv_Z = sum(partial_jet(ginv, n + i) * w[i] for i in range(n))
+    denom = ginv * tau + (1 - tau) + dginv_Z * tau
+    # a bad row's rate is discarded; a unit denominator keeps it finite
+    rate = (ginv - 1.0) / Jet2.where(bad, denom * 0.0 + 1.0, denom)
+    return c, rate.g[:, :n], rate.g[:, n:], bad
 
 
 def _positivity_error(coords: np.ndarray, row: int,
@@ -148,7 +131,7 @@ def moser_vector_field(P: MoserProblem, t: float):
 
     def fn(jets):
         coords = np.stack([j.f for j in jets], axis=-1)
-        flat = coords.reshape(-1, 2 * n)
+        flat = P.structure.total.normalize(coords.reshape(-1, 2 * n))
         c, _, _, bad = _moser_rate(P, flat, t, False)
         if bad.any():
             raise _positivity_error(flat, int(np.argmax(bad)), t)
@@ -181,10 +164,12 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
                  t0: float, t1: float, dirs: np.ndarray | None = None):
     """Integrate the per-ray scalar ODE r' = c(q, r v, t) r at each step size.
 
-    Classical RK4.  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
-    the first variation of r integrates alongside.  Returns scales
-    s = r(t1)/r(t0) of shape (len(steps), B) and ds/d(param) of shape
-    (len(steps), B, m), the latter None without ``dirs``.
+    Classical RK4 from normalized seeds; the flow never moves their base
+    coordinates, so no rate call wraps them again.  Given ``dirs`` (shape
+    (B, m, 2n): d(seed)/d(param)) the first variation of r integrates
+    alongside.  Returns scales s = r(t1)/r(t0) of shape (len(steps), B) and
+    ds/d(param) of shape (len(steps), B, m), the latter None without
+    ``dirs``.
 
     All step sizes, finest first, run in one stepping loop: the seeds are
     tiled once per step size, each row carries its own step and time, and

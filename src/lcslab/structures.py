@@ -124,16 +124,11 @@ def liouville_vector_field(S: CotangentLcsStructure) -> VectorField:
 
 
 def liouville_flow(S: CotangentLcsStructure, x, t: float):
-    """Time-t flow of the Liouville field: ``(q, p) -> (q, e^t p)``, exact."""
-    if isinstance(x, Point):
-        coords = x.coords
-        single = True
-    else:
-        coords = _coerce_coords(S.total, x)
-        single = not isinstance(x, np.ndarray) or np.asarray(x).ndim == 1
-    out = np.array(coords, copy=True)
+    """Time-t flow of the Liouville field: ``(q, p) -> (q, e^t p)``, exact;
+    a Point or one coordinate vector flows to a Point, a batch to an array."""
+    out = _coerce_coords(S.total, x)
     out[..., S.n:] *= np.exp(t)
-    if single:
+    if isinstance(x, Point) or np.ndim(x) == 1:
         return Point(S.total, out)
     return out
 

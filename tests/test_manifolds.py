@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from lcslab.errors import DimensionError, DomainEvaluationError
-from lcslab.manifolds import (Point, ScalarField, SmoothMap,
-                              make_manifold, parameter_grid, sample_points)
+from lcslab.forms import pullback_coefficients
+from lcslab.lagrangians import (example_torus_1, example_torus_2,
+                                solve_primitive)
+from lcslab.manifolds import (ModelManifold, Point, ScalarField, SmoothMap,
+                              VectorField, make_manifold, parameter_grid,
+                              sample_points)
+from lcslab.moser import MoserProblem, integrate_flow
+from lcslab.structures import cotangent_lcs, radial_blend
 
 TWO_PI = 2 * np.pi
 
@@ -52,13 +58,58 @@ def test_point_normalizes_on_construction():
     assert np.allclose(p.coords, [1.0, TWO_PI - 0.5])
 
 
-def test_field_evaluation_is_normalization_invariant():
-    t2 = make_manifold(2, 0)
-    f = ScalarField(t2, lambda j: j[0].sin() * j[1].cos())
-    x = np.array([7.3, 1.3])  # q1 outside [0, 2*pi)
-    assert f.value(x) == f.value(t2.normalize(x))  # exact, by construction
-    shifted = x + np.array([2 * TWO_PI, 0.0])
-    assert abs(f.value(x) - f.value(shifted)) < 1e-14
+# a twisted structure on T*T^2 (beta = 0.3 cos(q1) dq1 + dq2 is closed) and
+# fields, a map and a vector field that read every coordinate nonlinearly
+_S = cotangent_lcs(make_manifold(2, 0),
+                   [ScalarField(make_manifold(2, 0),
+                                lambda j: j[0].cos() * 0.3), 1.0])
+_FIELD = ScalarField(_S.total, lambda j: j[0].sin() * j[1].cos() * j[2]
+                     + j[3] * j[3])
+_VECTOR = VectorField(_S.total, lambda j: [j[2] * j[1].sin(), j[0].cos(),
+                                           j[0].sin() * j[3], j[2] * j[3]])
+_CHART = example_torus_2().chart
+_CIRCLE = st.one_of(st.floats(-2 * TWO_PI, 2 * TWO_PI),
+                    st.sampled_from([-0.0, TWO_PI - 1e-15]))
+
+
+@st.composite
+def _points(draw):
+    """1-4 points of T*T^2, circle coordinates in [-4 pi, 4 pi]."""
+    rows = draw(st.integers(1, 4))
+    return np.array([[draw(_CIRCLE), draw(_CIRCLE), draw(st.floats(-3, 3)),
+                      draw(st.floats(-3, 3))] for _ in range(rows)])
+
+
+def _bits(*arrays):
+    """The int64 views of float arrays (None for None), to compare bits."""
+    return [None if a is None else np.asarray(a, dtype=float).view(np.int64)
+            .tolist() for a in arrays]
+
+
+def _jet_bits(jets):
+    return [_bits(j.f, j.g, j.h) for j in jets]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(x=_points())
+@example(x=np.array([[-0.0, TWO_PI - 1e-15, 1.0, -0.0],
+                     [7.3, -1.3, 0.5, 2.0]]))
+def test_field_evaluation_is_normalization_invariant(x):
+    # public evaluation normalizes once, so x and normalize(x) agree bit
+    # for bit; without it even -0.0 would differ (sin(-0.0) is -0.0)
+    y = _S.total.normalize(x)
+    u, v = x[:, :2], _CHART.source.normalize(x[:, :2])
+    forms = (_S.beta, _S.lam, _S.omega)
+    assert _bits(_FIELD.value(x)) == _bits(_FIELD.value(y))
+    for form in forms:
+        assert _bits(form.coefficients(x)) == _bits(form.coefficients(y))
+    assert (_bits(*pullback_coefficients(_CHART, forms, u))
+            == _bits(*pullback_coefficients(_CHART, forms, v)))
+    assert (_jet_bits(_CHART.jet(u, order=2))
+            == _jet_bits(_CHART.jet(v, order=2)))
+    assert _jet_bits(_VECTOR.jet(x)) == _jet_bits(_VECTOR.jet(y))
+    shifted = x + np.array([2 * TWO_PI, 0.0, 0.0, 0.0])
+    assert np.abs(_FIELD.value(x) - _FIELD.value(shifted)).max() < 1e-13
 
 
 def test_scalar_field_jet_examples():
@@ -84,6 +135,16 @@ def test_domain_error_carries_point():
     with pytest.raises(DomainEvaluationError) as err:
         f.value(np.array([-2.0]))
     assert err.value.point is not None
+
+
+def test_domain_error_names_the_first_failing_row():
+    t1 = make_manifold(1, 1)
+    f = ScalarField(t1, lambda j: j[1].sqrt() * j[0].cos())
+    batch = np.array([[0.5, 1.0], [1.5, 2.0], [8.0, -3.0], [2.5, -1.0]])
+    with pytest.raises(DomainEvaluationError) as err:
+        f.jet(batch)
+    assert np.array_equal(err.value.point, [8.0 - TWO_PI, -3.0])
+    assert str(err.value).startswith("sqrt of a nonpositive value at point [")
 
 
 def test_smooth_map_jacobian_and_composition():
@@ -250,3 +311,58 @@ def test_normalize_matches_np_mod_bit_for_bit(batch):
     assert got is not coords
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(coords.view(np.int64), before.view(np.int64))
+
+
+# ------------------------------------- normalize once at the public boundary
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """Count ModelManifold.normalize calls."""
+    calls = []
+    inner = ModelManifold.normalize
+
+    def counted(self, coords):
+        calls.append(self)
+        return inner(self, coords)
+
+    monkeypatch.setattr(ModelManifold, "normalize", counted)
+    return calls
+
+
+def test_pullback_chunk_normalizes_source_and_target_once(normalize_calls):
+    E = example_torus_2()
+    S = E.structure
+    params = sample_points(E.source, 512) + np.array([TWO_PI, -TWO_PI])
+    normalize_calls.clear()
+    pullback_coefficients(E.chart, (S.beta, S.lam), params)
+    assert normalize_calls == [E.source, S.total]
+
+
+def test_integrate_flow_normalizes_its_seeds_once(normalize_calls):
+    S = cotangent_lcs(make_manifold(1, 0), [0.0])
+
+    def fn(jets):
+        _, w = radial_blend(jets[1:], 1.0, 2.0)
+        return (1.0 - w) * 2.0 + w * 1.0
+
+    P = MoserProblem(structure=S, g=ScalarField(S.total, fn),
+                     outside_radius=3.0)
+    seeds = sample_points(S.total, 8, radius=2.5)
+    for step in (0.1, 0.5):
+        normalize_calls.clear()
+        res = integrate_flow(P, seeds, step=step)
+        assert len(normalize_calls) == 1
+        assert res.step < step      # halved, each halving a new loop
+
+
+def test_primitive_evaluation_normalizes_once_per_layer(normalize_calls):
+    E = example_torus_1()
+    f = solve_primitive(E, grid_shape=16, steps_per_loop=256).solved_primitive
+    params = sample_points(E.source, 64) - np.array([TWO_PI, 0.0])
+    normalize_calls.clear()
+    f.value(params)
+    # the primitive's points, then the pullback chunk's source and target
+    assert normalize_calls == [E.source, E.source, E.structure.total]
+    normalize_calls.clear()
+    f.jet(params, order=2)
+    assert len(normalize_calls) == 4

@@ -319,6 +319,26 @@ def test_cli_numeric_error_writes_report_exit_2(tmp_path):
     assert verdict["details"]["worst"] >= 1.0
 
 
+def test_cli_domain_error_names_the_failing_point(tmp_path):
+    # log(p1) leaves its domain on the samples with p1 <= 0: the message
+    # names the first such row, not the whole batch
+    scene = {"version": "scene-v1", "name": "log-g",
+             "manifold": {"circles": 1, "lines": 0},
+             "structure": {"beta": ["0"]},
+             "moser": {"g": {"expression": "log(p1)"}, "seeds": 8}}
+    path = tmp_path / "log-g.json"
+    path.write_text(json.dumps(scene))
+    code = main(["moser-deform", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads((tmp_path / "log-g-moser-deform.json").read_text())
+    verdict = rep["verdicts"]["numeric_error"]
+    assert verdict["type"] == "DomainEvaluationError"
+    head, _, point = verdict["message"].partition(" at point ")
+    assert head == "log of a nonpositive value"
+    q1, p1 = (float(x) for x in point.strip("[]").split())
+    assert 0.0 <= q1 < 2 * np.pi and p1 <= 0.0
+
+
 def test_cli_non_finite_values_become_null(tmp_path):
     # an infinite tolerance passes, but the report stays strict JSON
     code = main(["verify-lagrangian", str(SCENES / "example1.json"),

@@ -51,6 +51,16 @@ def test_flow_scales_fibers_exactly():
     assert np.allclose(a.coords, b.coords, atol=1e-15)
 
 
+def test_flow_takes_a_batch_given_as_a_nested_list():
+    # a nested list is a batch by its dimension, as an array is
+    moved = liouville_flow(S1, [[1.0, 2.0], [0.5, -1.0]], 1.0)
+    assert isinstance(moved, np.ndarray) and moved.shape == (2, 2)
+    assert np.allclose(moved, [[1.0, 2.0 * np.e], [0.5, -np.e]])
+    single = liouville_flow(S1, [1.0, 2.0], 1.0)
+    assert isinstance(single, Point)
+    assert np.allclose(single.coords, [1.0, 2.0 * np.e])
+
+
 def test_flow_rescales_liouville_form():
     # (Phi_t)* lambda = e^t lambda on samples
     t = 0.37
