@@ -112,9 +112,6 @@ class FormExpression:
     def __sub__(self, other: "FormExpression") -> "FormExpression":
         return SumForm([self, ScaledForm(-1.0, other)])
 
-    def __neg__(self) -> "FormExpression":
-        return ScaledForm(-1.0, self)
-
     def __mul__(self, factor) -> "FormExpression":
         return ScaledForm(factor, self)
 

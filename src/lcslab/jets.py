@@ -63,12 +63,6 @@ class Jet2:
             return 1
         return 0
 
-    @property
-    def dim(self) -> int:
-        if self.g is None:
-            raise ValueError("order-0 jet has no coordinate dimension")
-        return self.g.shape[-1]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Jet2(order={self.order}, f={self.f!r})"
 

@@ -26,16 +26,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ImmersionError, PreconditionError
-from .forms import (FormExpression, _pullback_jets, coordinate_differential,
-                    exterior_d, pullback, pullback_coefficients)
+from .forms import (FormExpression, SumForm, _jet_determinant, _pullback_jets,
+                    coordinate_differential, exterior_d, pullback,
+                    pullback_coefficients)
 from .jets import Jet2, compose_jet, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
                         sample_points)
-from .numerics import (central_difference, cluster_labels, dedup_points,
-                       gauss_newton, rk4_linear_path, segment_nodes,
-                       simpson_path)
-from .structures import CotangentLcsStructure, cotangent_lcs
+from .numerics import (cluster_labels, dedup_points, gauss_newton,
+                       rk4_linear_path, segment_nodes, simpson_path)
+from .structures import CotangentLcsStructure, _lift_base_field, cotangent_lcs
 
 __all__ = [
     "ParametricEmbedding", "ExactnessCertificate", "LagrangianReport",
@@ -399,53 +399,28 @@ def primitive_of(E: ParametricEmbedding, grid_shape=64) -> ScalarField:
 
 # -------------------------------------------------------------- constructions
 
-def _as_base_coeffs(S: CotangentLcsStructure, eta) -> tuple:
-    if eta is None:
-        return S.beta_base_coeffs
-    if isinstance(eta, str) and eta == "beta":
-        return S.beta_base_coeffs
-    out = []
-    for c in eta:
-        if isinstance(c, ScalarField):
-            out.append(c)
-        else:
-            out.append(ScalarField.constant(S.base, float(c)))
-    if len(out) != S.n:
-        raise DimensionError("translation form needs one coefficient per "
-                             "base coordinate")
-    return tuple(out)
-
-
-def _coeffs_equal_beta(S: CotangentLcsStructure, coeffs) -> bool:
-    if tuple(coeffs) == tuple(S.beta_base_coeffs):
-        return True
-    # the structure's coefficients live on the bundle chart (reading only the
-    # base slots); candidates may live on the base or the bundle
-    pts_total = sample_points(S.total, 64)
-    pts_base = pts_total[:, :S.n]
-
-    def values(c):
-        pts = (pts_total if c.domain.labels == S.total.labels else pts_base)
-        return c.value(pts)
-
-    for c, b in zip(coeffs, S.beta_base_coeffs):
-        if np.abs(values(c) - values(b)).max() > 1e-12:
-            return False
-    return True
-
-
 def translate_by_form(E: ParametricEmbedding, eta=None,
                       c: float = 0.0) -> ParametricEmbedding:
-    """Fiber translation by ``c * eta`` for a 1-form eta on the base.
+    """Fiber translation by ``c * eta`` for a 1-form eta on the base, given
+    by one coefficient (a constant or a base field) per base coordinate.
 
-    When ``eta`` is the structure's Lee form and E carries primitive f, the
-    translate carries primitive ``f - c`` (translation by +c*beta shifts the
-    primitive down by c; the sign is fixed by ``d_beta(f - c) = d_beta f
-    + c*beta``).
+    When ``eta`` is the structure's Lee form (``None`` or ``"beta"``) and E
+    carries primitive f, the translate carries primitive ``f - c``
+    (translation by +c*beta shifts the primitive down by c; the sign is
+    fixed by ``d_beta(f - c) = d_beta f + c*beta``).  Any other eta, even one
+    equal to beta, leaves the translate's primitive to be solved.
     """
     S = E.structure
-    coeffs = _as_base_coeffs(S, eta)
     n = S.n
+    by_beta = eta is None or (isinstance(eta, str) and eta == "beta")
+    if by_beta:
+        coeffs = S.beta_base_coeffs
+    else:
+        coeffs = [e if isinstance(e, ScalarField)
+                  else ScalarField.constant(S.base, float(e)) for e in eta]
+        if len(coeffs) != n:
+            raise DimensionError("translation form needs one coefficient per "
+                                 "base coordinate")
     inner = E.chart
 
     def fn(jets):
@@ -456,21 +431,17 @@ def translate_by_form(E: ParametricEmbedding, eta=None,
             out.append(comps[n + i] + coeffs[i].fn(base_jets) * c)
         return out
 
-    new_primitive = None
-    if (E.declared_primitive is not None and c != 0.0
-            and _coeffs_equal_beta(S, coeffs)):
-        f = E.declared_primitive
-        new_primitive = ScalarField(E.source,
-                                    lambda jets: f.fn(jets) - c,
-                                    name=f"{f.name}-{c}")
-    elif c == 0.0:
-        new_primitive = E.declared_primitive
+    primitive = E.declared_primitive
+    if primitive is not None and c != 0.0:
+        primitive = ScalarField(
+            E.source, lambda jets, f=primitive: f.fn(jets) - c,
+            name=f"{primitive.name}-{c}") if by_beta else None
 
     chart = SmoothMap(E.source, S.total, fn,
                       name=f"{E.name}+{c}*eta",
                       derivative_loss=inner.derivative_loss)
     return ParametricEmbedding(source=E.source, structure=S, chart=chart,
-                               declared_primitive=new_primitive,
+                               declared_primitive=primitive,
                                name=f"{E.name} translated by {c}*eta")
 
 
@@ -691,17 +662,10 @@ def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,
     j1 = M.jet1()
     n = M.dim
     alpha = _canonical_contact_form(M)
-    zfield = j1.coordinate_field(2 * n)
-    beta = None
-    for i in range(n):
-        ci = beta_coeffs[i] if i < len(beta_coeffs) else 0.0
-        f = (ci if isinstance(ci, ScalarField)
-             else ScalarField.constant(j1, float(ci)))
-        if isinstance(ci, ScalarField) and ci.domain.labels == M.labels:
-            f = ScalarField(j1, lambda jets, c=ci: c.fn(jets[:n]))
-        term = coordinate_differential(j1, i) * f
-        beta = term if beta is None else beta + term
-    alpha_p = alpha + (beta * zfield if beta is not None else alpha * 0.0)
+    coeffs = list(beta_coeffs) + [0.0] * (n - len(beta_coeffs))
+    beta = SumForm([coordinate_differential(j1, i) * _lift_base_field(M, j1, c)
+                    for i, c in enumerate(coeffs[:n])])
+    alpha_p = alpha + beta * j1.coordinate_field(2 * n)
 
     vol = alpha.wedge(_wedge_power(exterior_d(alpha), n))
     vol_p = alpha_p.wedge(_wedge_power(exterior_d(alpha_p), n))
@@ -769,6 +733,17 @@ def fiber_zeros(E: ParametricEmbedding, seeds: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------------- genericity
 
+def _base_volume(E: ParametricEmbedding, params, order: int) -> Jet2:
+    """Jet to ``order`` of the pullback of ``dq_1 ^ ... ^ dq_n`` along E's
+    chart at ``params``: the Jacobian determinant of the base projection,
+    read from the base components alone, so a chart's fiber components
+    never cost it a derivative order."""
+    coords = _coerce_coords(E.source, params)
+    rows = [[partial_jet(c, m) for m in range(E.n)]
+            for c in E.chart._jet(coords, order + 1)[:E.n]]
+    return _jet_determinant(rows, E.n, coords.shape[:-1])
+
+
 @dataclass
 class GenericityReport:
     degenerate_input: bool
@@ -797,8 +772,8 @@ def genericity_check(E: ParametricEmbedding,
 
     (1) transversality to the zero section at detected intersections (margin
     = smallest singular value of the fiber block of the chart Jacobian),
-    (2) the vertical-tangency locus, located as the zero set of the base-block
-    determinant, with the gradient norm of that determinant as margin,
+    (2) the vertical-tangency locus, located as the zero set of the base
+    volume (``_base_volume``), with the norm of its exact gradient as margin,
     (3) the minimum fiber norm over the located tangency locus.
     """
     src = E.source
@@ -822,37 +797,27 @@ def genericity_check(E: ParametricEmbedding,
         margins = np.linalg.svd(Jn[:, n:, :], compute_uv=False)[..., -1]
     min_trans = float(margins.min()) if margins.size else None
 
-    # (2) vertical tangencies: zeros of det(base block) along grid edges
-    Jall = E.chart.jacobian(params).reshape(-1, 2 * n, src.dim)
-    detb = np.linalg.det(Jall[:, :n, :]).reshape((grid,) * src.dim)
-    tang = []
+    # (2) vertical tangencies: zeros of the base volume along grid edges,
+    # found by linear interpolation, then its exact zeros on the grid
+    detb = _base_volume(E, params, 0).f.reshape((grid,) * src.dim)
     coords_nd = params.reshape((grid,) * src.dim + (src.dim,))
+    tang = []
     for ax in range(src.dim):
-        rolled = np.roll(detb, -1, axis=ax)
-        sign_change = (detb * rolled) < 0
-        idxs = np.argwhere(sign_change)
-        for idx in idxs:
-            a = coords_nd[tuple(idx)]
-            nxt = list(idx)
-            nxt[ax] = (nxt[ax] + 1) % grid
-            b = coords_nd[tuple(nxt)]
-            da, db = detb[tuple(idx)], detb[tuple(nxt)]
-            w = da / (da - db)
-            tang.append(src.normalize(a + w * src.difference(b, a)))
-    exact_zero = np.argwhere(np.abs(detb) <= 1e-8)
-    for idx in exact_zero:
-        tang.append(coords_nd[tuple(idx)])
-    tang = np.asarray(tang) if tang else np.zeros((0, src.dim))
+        db = np.roll(detb, -1, axis=ax)
+        cross = detb * db < 0
+        a = coords_nd[cross]
+        w = detb[cross] / (detb[cross] - db[cross])
+        b = np.roll(coords_nd, -1, axis=ax)[cross]
+        tang.append(src.normalize(a + w[:, None] * src.difference(b, a)))
+    tang.append(coords_nd[np.abs(detb) <= 1e-8])
+    tang = np.concatenate(tang)
     if tang.shape[0]:
-        reps = dedup_points(src.embed(tang), 1e-3)
-        tang = tang[reps]
+        tang = tang[dedup_points(src.embed(tang), 1e-3)]
 
     tmargins = np.zeros(0)
     min_fiber = None
     if tang.shape[0]:
-        _, grads = central_difference(
-            lambda u: np.linalg.det(E.chart.jacobian(u)[:, :n, :]), tang, 1e-5)
-        tmargins = np.linalg.norm(grads, axis=-1)
+        tmargins = np.linalg.norm(_base_volume(E, tang, 1).g, axis=-1)
         min_fiber = float(np.linalg.norm(E.fiber_values(tang), axis=-1).min())
 
     ok1 = margins.size == 0 or margins.min() > 1e-6

@@ -162,9 +162,6 @@ class Point:
                 f"expected {self.manifold.dim} coordinates, got {c.shape[0]}")
         object.__setattr__(self, "coords", self.manifold.normalize(c))
 
-    def distance(self, other: "Point") -> float:
-        return float(self.manifold.distance(self.coords, other.coords))
-
     def __repr__(self) -> str:  # pragma: no cover
         vals = ", ".join(f"{x:.6g}" for x in self.coords)
         return f"Point({vals})"
@@ -182,15 +179,28 @@ def _coerce_coords(manifold: ModelManifold, points) -> np.ndarray:
     return manifold.normalize(coords)
 
 
+def _as_jets(comps, dim: int, batch: tuple, order: int) -> list[Jet2]:
+    """Components with each constant one promoted to its jet of ``order``."""
+    return [c if isinstance(c, Jet2) else constant_jet(c, dim, batch, order)
+            for c in comps]
+
+
 def _component_jets(fn, coords: np.ndarray, order: int,
                     derivative_loss: int, count: int) -> list[Jet2]:
     """The ``count`` jets ``fn`` returns on coordinate jets seeded at
     normalized ``coords`` to order ``min(2, order + derivative_loss)``; a
-    constant component becomes the constant jet of ``order``."""
+    constant component becomes the constant jet of ``order``.  An
+    evaluation out of its domain names its first failing row."""
     jets = seed_jets(coords, order=min(2, order + derivative_loss))
-    comps = [c if isinstance(c, Jet2)
-             else constant_jet(c, coords.shape[-1], coords.shape[:-1], order)
-             for c in fn(jets)]
+    try:
+        comps = fn(jets)
+    except DomainEvaluationError as exc:
+        if exc.point is not None:
+            raise
+        rows, at = coords.reshape(-1, coords.shape[-1]), exc.index
+        point = rows[at] if at is not None and at < len(rows) else coords
+        raise DomainEvaluationError(str(exc), point=point) from None
+    comps = _as_jets(comps, coords.shape[-1], coords.shape[:-1], order)
     if len(comps) != count:
         raise DimensionError(
             f"{len(comps)} components where {count} are expected")
@@ -217,40 +227,12 @@ class ScalarField:
         return self._jet(_coerce_coords(self.domain, points), order)
 
     def _jet(self, coords: np.ndarray, order: int) -> Jet2:
-        try:
-            (out,) = _component_jets(lambda jets: (self.fn(jets),), coords,
-                                     order, self.derivative_loss, 1)
-        except DomainEvaluationError as exc:
-            if exc.point is not None:
-                raise
-            rows, at = coords.reshape(-1, self.domain.dim), exc.index
-            point = rows[at] if at is not None and at < len(rows) else coords
-            raise DomainEvaluationError(str(exc), point=point) from None
+        (out,) = _component_jets(lambda jets: (self.fn(jets),), coords,
+                                 order, self.derivative_loss, 1)
         return out.symmetrized()
 
     def value(self, points) -> np.ndarray:
         return self.jet(points, order=0).f
-
-    # small algebra, convenient when assembling derived fields
-    def _lift(self, op) -> "ScalarField":
-        return ScalarField(self.domain, lambda jets: op(self.fn(jets)))
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.domain,
-                               lambda jets: self.fn(jets) + other.fn(jets))
-        return self._lift(lambda j: j + other)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.domain,
-                               lambda jets: self.fn(jets) * other.fn(jets))
-        return self._lift(lambda j: j * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._lift(lambda j: -j)
 
     @staticmethod
     def constant(domain: ModelManifold, value: float) -> "ScalarField":

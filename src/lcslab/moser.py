@@ -29,15 +29,15 @@ from .errors import DimensionError, ObstructionError, PreconditionError
 from .extension import RadialField, nearest_direction
 from .forms import exterior_d, increasing_indices, pullback
 from .jets import Jet2, partial_jet, seed_jets
-from .lagrangians import ParametricEmbedding, base_preimages
-from .manifolds import (ScalarField, SmoothMap, VectorField, _coerce_coords,
-                        parameter_grid, sample_points)
+from .lagrangians import ParametricEmbedding, _base_volume, base_preimages
+from .manifolds import (ScalarField, SmoothMap, VectorField, _as_jets,
+                        _coerce_coords, parameter_grid, sample_points)
 # gauss_newton is no longer called here; it stays importable from this
 # module because perfbench/tests checks the tracer's rebinding through it
 from .numerics import (central_difference, gauss_newton,  # noqa: F401
                        simpson_path)
 from .structures import (CotangentLcsStructure, cotangent_lcs,
-                         radial_log_derivative)
+                         criterion_radial_log_derivative)
 
 __all__ = [
     "MoserProblem", "FlowResult", "moser_vector_field", "integrate_flow",
@@ -63,14 +63,12 @@ class MoserProblem:
                                     minimum=float(vals.min()))
         # family condition: lambda/g Liouville needs d ln g(Z) < 1; the
         # segment to the identity inherits it by convexity
-        slopes = radial_log_derivative(S, self.g, coords)
-        worst = float(slopes.max())
-        if worst >= 1.0:
-            i = int(np.argmax(slopes))
+        rep = criterion_radial_log_derivative(self.g, S, coords)
+        if not rep.passed:
             raise ObstructionError(
                 "d ln g(Z) reaches 1: lambda/g is not a Liouville form",
-                worst=worst,
-                point=np.array2string(coords[i], precision=6))
+                worst=rep.sup,
+                point=np.array2string(rep.worst_point, precision=6))
         # flow completeness: g must be 1 outside the stated radius
         far = coords.copy()
         norms = np.linalg.norm(far[:, S.n:], axis=-1, keepdims=True)
@@ -485,14 +483,16 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     S0 = cotangent_lcs(S.base, [])
 
     def chart_fn(jets):
-        comps = E.chart.fn(jets)
-        u_coords = np.stack([j.f for j in jets], axis=-1)
-        u2 = np.atleast_2d(u_coords)
-        dirs = np.swapaxes(E.chart.jacobian(u2), 1, 2)
-        (s_val,), (ds,) = _flow_scales(P, E.points(u2), (step,), 0.0, 1.0,
-                                       dirs=dirs)
-        s_jet = Jet2(s_val.reshape(u_coords.shape[:-1]),
-                     ds.reshape(u_coords.shape[:-1] + ds.shape[-1:]))
+        # E's chart once: its values are the flow seeds, its gradients the
+        # seed directions
+        batch = jets[0].f.shape
+        comps = _as_jets(E.chart.fn(jets), len(jets), batch, jets[0].order)
+        seeds = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
+        dirs = np.stack([c.g for c in comps], axis=-1)
+        (s_val,), (ds,) = _flow_scales(
+            P, seeds.reshape(-1, 2 * S.n), (step,), 0.0, 1.0,
+            dirs=dirs.reshape(-1, len(jets), 2 * S.n))
+        s_jet = Jet2(s_val.reshape(batch), ds.reshape(batch + ds.shape[-1:]))
         out = list(comps[:S.n])
         for i in range(S.n):
             fiber = s_jet * comps[S.n + i]
@@ -503,7 +503,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
 
     chart = SmoothMap(E.source, S.total, chart_fn,
                       name=f"straightened({E.name})",
-                      derivative_loss=max(1, E.chart.derivative_loss))
+                      derivative_loss=E.chart.derivative_loss + 1)
     straightened = ParametricEmbedding(
         source=E.source, structure=S0, chart=chart,
         name=f"straightened {E.name}")
@@ -514,8 +514,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     # a NaN stays NaN and fails
     closedness = float(np.abs(dlam).max(initial=0.0))
 
-    # holonomy: loop integrals of the final pullback must vanish (beta = 0)
-    lamL = pullback(E.chart, S.lam)
+    # holonomy: loop integrals of the final pullback must vanish (beta = 0);
+    # E's chart once per loop gives its points, base coordinates and dq
     hol = 0.0
     steps = 1024
     for ax in range(src.dim):
@@ -524,16 +524,16 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         s_nodes = np.linspace(0.0, 1.0, 2 * steps + 1)
         loop = np.zeros((s_nodes.shape[0], src.dim))
         loop[:, ax] = 2 * np.pi * s_nodes
-        pts_loop = E.points(loop)
+        comps = E.chart.jet(loop, 1)
+        pts_loop = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
+        dq = [c.g[:, ax] for c in comps[:S.n]]
         (s_loop,), _ = _flow_scales(P, pts_loop, (step,), 0.0, 1.0)
-        lam_loop = lamL.coefficients(loop)
-        integrand = s_loop * lam_loop[:, ax] * 2 * np.pi
-        if eta_fields:
-            base_loop = E.base_values(loop)
-            jb = E.chart.jet(loop, order=1)
-            for i, cfield in enumerate(eta_fields):
-                dqi = jb[i].g[:, ax]
-                integrand = integrand + cfield.value(base_loop) * dqi * 2 * np.pi
+        # (E* lambda)(d/du_ax) = sum_i p_i dq_i(d/du_ax)
+        lam_loop = sum(pts_loop[:, S.n + i] * dq[i] for i in range(S.n))
+        integrand = s_loop * lam_loop * 2 * np.pi
+        for i, cfield in enumerate(eta_fields):
+            integrand = (integrand
+                         + cfield.value(pts_loop[:, :S.n]) * dq[i] * 2 * np.pi)
         val = simpson_path(integrand, 1.0 / steps)
         hol = max(hol, abs(float(val)))
 
@@ -560,13 +560,11 @@ def projection_degree(E: ParametricEmbedding, seed: int = 0) -> int:
     params = parameter_grid(src, 48).reshape(-1, src.dim)
     bases = E.base_values(params)
     candidates = sample_points(S.base, 100, seed=seed)
-    n = S.n
     for y in candidates:
         good, _ = base_preimages(E, y[None], params, bases, nearest=12)
         if good.shape[0] == 0:
             continue
-        jac = E.chart.jacobian(good)[:, :n, :]
-        dets = np.linalg.det(jac)
+        dets = _base_volume(E, good, 0).f
         if np.abs(dets).min() < 1e-8:
             continue  # not a regular value
         return int(np.sign(dets).sum())

@@ -191,11 +191,13 @@ def _build_structure(scene: dict):
     return cotangent_lcs(base, coeffs)
 
 
-def _build_embedding(scene: dict, spec: dict | None = None,
+def _build_embedding(scene: dict, pointer: str = "/embedding",
                      structure=None):
-    spec = spec if spec is not None else scene.get("embedding")
+    """The embedding the scene spells out at ``pointer``, one of
+    ``/embedding`` and ``/second_embedding``."""
+    spec = scene.get(pointer[1:])
     if spec is None:
-        raise SceneError("scene has no embedding", pointer="/embedding")
+        raise SceneError("scene has no embedding", pointer=pointer)
     lib = spec.get("library")
     if lib == "example-torus-1":
         E = example_torus_1()
@@ -208,13 +210,13 @@ def _build_embedding(scene: dict, spec: dict | None = None,
         S = structure if structure is not None else _build_structure(scene)
         if "f" not in spec:
             raise SceneError("beta-graph needs an 'f' expression",
-                             pointer="/embedding/f")
+                             pointer=f"{pointer}/f")
         E = beta_graph(compile_field(spec["f"], S.base), S)
     elif lib == "legendrian-lift":
         base = _build_base(scene)
         if "jet_function" not in spec:
             raise SceneError("legendrian-lift needs 'jet_function'",
-                             pointer="/embedding/jet_function")
+                             pointer=f"{pointer}/jet_function")
         leg = jet_graph(compile_field(spec["jet_function"], base), base)
         qm = spec.get("q_manifold", {"circles": 1})
         Q = make_manifold(qm["circles"], qm.get("lines", 0),
@@ -234,7 +236,7 @@ def _build_embedding(scene: dict, spec: dict | None = None,
         if len(comps) != S.total.dim:
             raise SceneError(
                 f"need {S.total.dim} components, got {len(comps)}",
-                pointer="/embedding/components")
+                pointer=f"{pointer}/components")
         fields = [compile_field(c, src) for c in comps]
 
         def fn(jets):
@@ -246,18 +248,16 @@ def _build_embedding(scene: dict, spec: dict | None = None,
                                 name=scene["name"])
     else:
         raise SceneError("embedding needs 'library' or 'components'",
-                         pointer="/embedding")
+                         pointer=pointer)
 
     if "primitive" in spec:
         E.declared_primitive = compile_field(spec["primitive"], E.source,
                                              var_names=E.source.labels)
     tr = spec.get("translate")
     if tr:
-        eta = None
-        if "eta" in tr:
-            eta = [compile_field(e, E.structure.base) for e in tr["eta"]]
-        E = translate_by_form(E, eta if eta is not None else "beta",
-                              float(tr["c"]))
+        eta = ([compile_field(e, E.structure.base) for e in tr["eta"]]
+               if "eta" in tr else None)
+        E = translate_by_form(E, eta, float(tr["c"]))
     return E
 
 
@@ -381,8 +381,7 @@ def _cmd_scan_chords(scene, options):
     E1 = _build_embedding(scene)
     E2 = None
     if "second_embedding" in scene:
-        E2 = _build_embedding(scene, spec=scene["second_embedding"],
-                              structure=E1.structure)
+        E2 = _build_embedding(scene, "/second_embedding", E1.structure)
     grid = int(scene.get("grids", {}).get("chord_grid", 48))
     scan = scan_chords(E1, E2, grid=grid)
     f1 = primitive_of(E1)

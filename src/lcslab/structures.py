@@ -61,9 +61,6 @@ class CotangentLcsStructure:
     def point(self, coords) -> Point:
         return Point(self.total, coords)
 
-    def fiber_coords(self, coords: np.ndarray) -> np.ndarray:
-        return coords[..., self.n:]
-
     def samples(self, count: int = 4096, fiber_radius: float = 4.0,
                 seed: int = 0) -> np.ndarray:
         """Default verification grid: low-discrepancy, bounded fiber norm."""
@@ -133,19 +130,6 @@ def liouville_flow(S: CotangentLcsStructure, x, t: float):
     return out
 
 
-def radial_log_derivative(S: CotangentLcsStructure, g: ScalarField,
-                          coords: np.ndarray) -> np.ndarray:
-    """``d ln g (Z)`` at coords."""
-    jet = g.jet(coords, order=1)
-    p = S.fiber_coords(coords)
-    radial = np.einsum("...i,...i->...", jet.g[..., S.n:], p)
-    if np.any(jet.f <= 0.0):
-        bad = np.asarray(coords)[np.asarray(jet.f <= 0.0)]
-        raise DomainEvaluationError("log-derivative of a nonpositive field",
-                                    point=bad[0] if bad.size else None)
-    return radial / jet.f
-
-
 @dataclass
 class RadialCriterionReport:
     sup: float
@@ -165,16 +149,21 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     """Supremum of ``d ln g (Z)`` over samples, compared against 1.
 
     This is the sampled form of the bound under which ``lambda/g`` stays a
-    Liouville form.
+    Liouville form.  A field that is not positive on the samples is
+    refused, naming the first such sample.
     """
-    coords = S.samples() if samples is None else _coerce_coords(S.total, samples)
-    vals = radial_log_derivative(S, g, coords)
+    coords = _coerce_coords(S.total, S.samples() if samples is None
+                            else samples).reshape(-1, S.total.dim)
+    jet = g._jet(coords, 1)
+    if np.any(jet.f <= 0.0):
+        raise DomainEvaluationError("log-derivative of a nonpositive field",
+                                    point=coords[np.argmax(jet.f <= 0.0)])
+    vals = np.einsum("bi,bi->b", jet.g[:, S.n:], coords[:, S.n:]) / jet.f
     i = int(np.argmax(vals))
-    sup = float(vals.flat[i] if vals.ndim else vals)
+    sup = float(vals[i])
     return RadialCriterionReport(sup=sup, passed=bool(sup < 1.0),
-                                 threshold=1.0,
-                                 worst_point=np.asarray(coords).reshape(-1, S.total.dim)[i],
-                                 sample_count=int(np.asarray(vals).size))
+                                 threshold=1.0, worst_point=coords[i],
+                                 sample_count=int(vals.size))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Import guard for the demo scripts: every name a demo imports from
-``lcslab`` must still exist, so a library deletion cannot silently break
-a demo.  The demos are parsed, not run."""
+"""The demo scripts: every name a demo imports from ``lcslab`` must still
+exist, so a library deletion cannot silently break a demo, and each demo
+runs to its end."""
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,10 @@ def test_demo_imports_resolve(path):
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), \
             f"{path.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

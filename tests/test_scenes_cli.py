@@ -288,6 +288,88 @@ def test_cli_scan_chords_checks_a_declared_primitive(tmp_path):
     assert "not Lagrangian" in error["message"]
 
 
+def write_scene(tmp_path, base, **changes):
+    """A copy of the fixture scene ``base`` with top-level keys replaced."""
+    scene = json.loads((SCENES / base).read_text())
+    scene.update(changes)
+    path = tmp_path / f"{scene['name']}.json"
+    path.write_text(json.dumps(scene))
+    return path
+
+
+@pytest.mark.parametrize("second, pointer", [
+    ({"library": "beta-graph"}, "/second_embedding/f"),
+    ({"components": ["u1"]}, "/second_embedding/components"),
+    ({}, "/second_embedding"),
+], ids=["f", "components", "kind"])
+def test_second_embedding_errors_point_at_it(second, pointer, tmp_path):
+    path = write_scene(tmp_path, "two-graphs.json", second_embedding=second)
+    with pytest.raises(SceneError) as err:
+        run_command("scan-chords", path, tmp_path / "out")
+    assert err.value.pointer == pointer
+
+
+def test_cli_validate_structure_zero_section(tmp_path):
+    code = main(["validate-structure", str(SCENES / "zero-section.json"),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads(
+        (tmp_path / "zero-section-validate-structure.json").read_text())
+    assert sorted(rep["verdicts"]) == ["euler_contraction",
+                                       "lee_form_closed",
+                                       "omega_nondegenerate"]
+    assert all(v["passed"] for v in rep["verdicts"].values())
+
+
+def test_cli_legendrian_lift_library_embedding(tmp_path):
+    path = write_scene(
+        tmp_path, "legendrian-lift-pair.json", name="lift",
+        embedding={"library": "legendrian-lift",
+                   "jet_function": "2 + 0.5*sin(q1)"},
+        grids={"parameter": 32})
+    rep = run_command("verify-lagrangian", path, tmp_path)
+    assert rep["passed"]
+    assert rep["verdicts"]["lagrangian"]["passed"]
+    assert rep["verdicts"]["exactness"]["passed"]
+
+
+@pytest.mark.parametrize("embedding", [
+    # eta spelled out as beta's coefficients: the declared primitive is
+    # dropped, and the translate's primitive is solved
+    {"library": "example-torus-1", "translate": {"c": -2.0,
+                                                 "eta": ["0", "1"]}},
+    # the same translate written out as components, with no primitive
+    {"components": ["2*u1", "u2", "cos(u1)/2", "-sin(u1) - 2"]},
+], ids=["translate-eta", "components"])
+def test_cli_scan_chords_with_a_solved_primitive(embedding, tmp_path):
+    default = run_command("scan-chords", SCENES / "example1-translated.json",
+                          tmp_path / "default")
+    path = write_scene(tmp_path, "example1-translated.json",
+                       embedding=embedding)
+    rep = run_command("scan-chords", path, tmp_path / "solved")
+    assert not rep["passed"]
+    for name, verdict in default["verdicts"].items():
+        assert rep["verdicts"][name]["passed"] == verdict["passed"], name
+    assert rep["verdicts"]["mvt_strictness"]["extremal_ratio"] == \
+        pytest.approx(1.0, abs=1e-6)
+
+
+def test_cli_mvt_report_refuses_a_nonpositive_primitive(tmp_path):
+    # translated by +2 beta the primitive is sin(theta) - 2, down to -3
+    path = write_scene(tmp_path, "example1-translated.json",
+                       embedding={"library": "example-torus-1",
+                                  "translate": {"c": 2.0}})
+    code = main(["mvt-report", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / "example1-translated-mvt-report.json").read_text())
+    verdict = rep["verdicts"]["mvt_unobstructed"]
+    assert not verdict["passed"]
+    assert "primitive is not positive" in verdict["error"]
+    minimum = float(verdict["error"].rpartition("minimum=")[2].rstrip(")"))
+    assert minimum == pytest.approx(-3.0, abs=1e-3)
+
+
 def test_cli_nonexistent_scene(tmp_path):
     code = main(["verify-lagrangian", str(SCENES / "missing.json"),
                  "--out", str(tmp_path)])
