@@ -20,7 +20,7 @@ regular value gives the projection degree diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,8 @@ from .structures import (CotangentLcsStructure, cotangent_lcs,
 
 __all__ = [
     "MoserProblem", "FlowResult", "moser_vector_field", "integrate_flow",
-    "verify_conformal_pullback", "straighten_lagrangian", "StraightenReport",
-    "projection_degree", "radial_field_to_scalar_field",
+    "flow_and_check", "verify_conformal_pullback", "straighten_lagrangian",
+    "StraightenReport", "projection_degree", "radial_field_to_scalar_field",
 ]
 
 
@@ -316,28 +316,44 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
                       max_fiber_drift=0.0, step=step, t0=t0, t1=t1)
 
 
-def verify_conformal_pullback(P: MoserProblem,
-                              samples: int | np.ndarray = 256,
-                              tol: float = 1e-4) -> dict:
-    """Residual of ``phi_1^* d(lambda) = d(lambda/g)`` over samples.
+def flow_and_check(P: MoserProblem, seeds, step: float, checked: int,
+                   tol: float) -> tuple[FlowResult, dict | None]:
+    """Flow ``seeds`` once and check ``phi_1^* d(lambda) = d(lambda/g)``.
 
-    The Jacobian of the time-1 map (flow step 1e-3) comes from central
-    differences (step 1e-5); the target 2-form is evaluated with exact jets.
-    The K samples and their 2m stencil neighbours flow as one batch of
-    (2m+1)K seeds through a single time-1 map (``central_difference`` calls
-    it once), so one Richardson step serves the base images and both sides
-    of every central difference.
+    With ``checked`` 0 this is ``integrate_flow(P, seeds, step)``.  Else one
+    ``integrate_flow`` call serves the check too: its batch holds every seed
+    first, then the central-difference stencil (step 1e-5) of those among
+    the first ``checked`` seeds whose fiber norm is above 1e-2.  The check
+    reads those seeds' own images, so it certifies the map and step of the
+    returned flow; the target 2-form comes from exact jets.  Rows of the
+    flow are independent, so the seed rows equal a flow of the seeds alone
+    bit for bit (unless the stencil forces a step halving).  Returns the
+    seeds' ``FlowResult`` and the check's dict, None when unchecked.
     """
+    if not checked:
+        return integrate_flow(P, seeds, step=step), None
     S = P.structure
-    if isinstance(samples, (int, np.integer)):
-        coords = S.samples(int(samples), fiber_radius=3.0)
-    else:
-        coords = _coerce_coords(S.total, samples)
-    coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
-    m = S.total.dim
-    base_img, jac = central_difference(
-        lambda x: integrate_flow(P, x, step=1e-3).images,
-        coords, 1e-5, diff=S.total.difference)
+    seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
+    head = seeds[:checked]
+    keep = np.flatnonzero(np.linalg.norm(head[:, S.n:], axis=-1) > 1e-2)
+    if not keep.size:
+        raise PreconditionError("no seed with fiber norm above 1e-2 to check",
+                                checked=int(head.shape[0]))
+    coords = head[keep]
+    N, m = seeds.shape
+    flow = None
+
+    def time1(stencil):
+        # block 0 of the stencil is ``coords``: the seed rows stand in for it
+        nonlocal flow
+        flow = integrate_flow(P, np.concatenate([seeds, stencil[keep.size:]]),
+                              step=step)
+        return np.concatenate([flow.images[keep], flow.images[N:]])
+
+    base_img, jac = central_difference(time1, coords, 1e-5,
+                                       diff=S.total.difference)
+    flow = replace(flow, seeds=flow.seeds[:N], images=flow.images[:N],
+                   scales=flow.scales[:N])
 
     omega_coeffs = exterior_d(S.lam).coefficients(base_img)
     i, j = np.array(increasing_indices(m, 2)).T
@@ -351,8 +367,21 @@ def verify_conformal_pullback(P: MoserProblem,
                        name="1/g")
     target = exterior_d(S.lam * ginv).coefficients(coords)
     residual = float(np.abs(pulled[:, i, j] - target).max())
-    return {"residual": residual, "tol": tol, "passed": bool(residual <= tol),
-            "sample_count": int(coords.shape[0])}
+    return flow, {"residual": residual, "tol": tol,
+                  "passed": bool(residual <= tol),
+                  "sample_count": int(coords.shape[0])}
+
+
+def verify_conformal_pullback(P: MoserProblem,
+                              samples: int | np.ndarray = 256,
+                              tol: float = 1e-4) -> dict:
+    """Residual of ``phi_1^* d(lambda) = d(lambda/g)`` over samples: the
+    check of ``flow_and_check`` on all of them, at flow step 1e-3."""
+    S = P.structure
+    if isinstance(samples, (int, np.integer)):
+        samples = S.samples(int(samples), fiber_radius=3.0)
+    samples = np.atleast_2d(_coerce_coords(S.total, samples))
+    return flow_and_check(P, samples, 1e-3, samples.shape[0], tol)[1]
 
 
 def radial_field_to_scalar_field(F: RadialField,

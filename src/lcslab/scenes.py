@@ -30,8 +30,8 @@ from .lagrangians import (beta_graph, example_torus_1, example_torus_2,
                           solve_primitive, translate_by_form,
                           verify_lagrangian, zero_section)
 from .manifolds import ScalarField, SmoothMap, make_manifold, sample_points
-from .moser import (MoserProblem, integrate_flow, projection_degree,
-                    straighten_lagrangian, verify_conformal_pullback)
+from .moser import (MoserProblem, flow_and_check, projection_degree,
+                    straighten_lagrangian)
 from .structures import cotangent_lcs, liouville_vector_field, radial_blend
 
 __all__ = ["load_scene", "run_command", "report_digest", "SCENE_SCHEMA",
@@ -460,7 +460,10 @@ def _cmd_moser_deform(scene, options):
     n_seeds = int(mo.get("seeds", 256))
     seeds = sample_points(S.total, n_seeds, radius=3.0,
                           seed=options["seed"])
-    res = integrate_flow(P, seeds, step=float(mo.get("step", 1e-3)))
+    # one flow: the pullback check rides in it on the first 256 seeds
+    checked = 256 if mo.get("verify_pullback", True) else 0
+    res, vrep = flow_and_check(P, seeds, float(mo.get("step", 1e-3)),
+                               checked, _tol(scene, "pullback", 1e-4))
     displacement = float(np.abs(res.images - res.seeds).max())
     results = {"flow": res.as_dict(), "max_displacement": displacement}
 
@@ -476,10 +479,7 @@ def _cmd_moser_deform(scene, options):
                          + f",{sc:.17g}\n")
     verdicts = {"fiber_drift": _verdict(res.max_fiber_drift <= 1e-8,
                                         drift=res.max_fiber_drift)}
-    if mo.get("verify_pullback", True):
-        vrep = verify_conformal_pullback(
-            P, samples=min(n_seeds, 256),
-            tol=_tol(scene, "pullback", 1e-4))
+    if vrep is not None:
         results["pullback"] = vrep
         verdicts["conformal_pullback"] = _verdict(vrep["passed"], **vrep)
     if scene.get("expected", {}).get("zero_displacement"):

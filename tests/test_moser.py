@@ -10,8 +10,8 @@ from lcslab.lagrangians import (beta_graph, example_torus_1, example_torus_2,
                                 translate_by_form, zero_section)
 from lcslab.manifolds import (ScalarField, make_manifold, parameter_grid,
                               sample_points)
-from lcslab.moser import (MoserProblem, integrate_flow, moser_vector_field,
-                          projection_degree, radial_field_to_scalar_field,
+from lcslab.moser import (MoserProblem, flow_and_check, integrate_flow,
+                          moser_vector_field, projection_degree, radial_field_to_scalar_field,
                           straighten_lagrangian, verify_conformal_pullback)
 from lcslab.structures import cotangent_lcs
 
@@ -319,6 +319,26 @@ def test_positivity_error_matches_sequential_pair(case):
         with pytest.raises(PreconditionError) as coarse_alone:
             sequential_flow_scales(P, SPIKE_SEEDS, 1.0, 0.0, 1.0)
         assert coarse_alone.value.details != want.value.details
+
+
+def test_a_seed_losing_positivity_is_named_before_its_stencil():
+    # the check's stencil rows fail with their seeds, at the same rate
+    # call; the seed rows come first, so the error names a seed, as a flow
+    # of the seeds alone does
+    P = spiked_ball_problem(SPIKE_SEEDS[:0:-1])
+    with pytest.raises(PreconditionError, match="lost positivity") as want:
+        integrate_flow(P, SPIKE_SEEDS, step=0.5)
+    with pytest.raises(PreconditionError, match="lost positivity") as got:
+        flow_and_check(P, SPIKE_SEEDS, 0.5, 3, 1e-4)
+    assert got.value.details == want.value.details
+
+
+def test_conformal_pullback_needs_a_sample_off_the_zero_section():
+    P = MoserProblem(structure=S1, g=constant_ball_field(S1, c=2.0),
+                     outside_radius=3.0)
+    with pytest.raises(PreconditionError,
+                       match="no seed with fiber norm above 1e-2 to check"):
+        verify_conformal_pullback(P, samples=[[1.0, 0.0]])
 
 
 def test_conformal_pullback_identity():

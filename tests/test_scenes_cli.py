@@ -129,6 +129,111 @@ def test_cli_moser_constant_ball(tmp_path):
     assert rep["results"]["pullback"]["residual"] <= 1e-4
 
 
+def moser_ball_variant(tmp_path, name, **moser):
+    """``moser-constant-ball`` with its ``moser`` block updated."""
+    scene = json.loads((SCENES / "moser-constant-ball.json").read_text())
+    scene["name"] = name
+    scene["moser"].update(moser)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scene))
+    return path
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The problems that ``lcslab.moser.integrate_flow`` is called with,
+    also through a binding that ``lcslab.scenes`` would import."""
+    import lcslab.moser as moser
+    import lcslab.scenes as scenes
+    flow = moser.integrate_flow
+    calls = []
+
+    def counted(P, seeds, *args, **kwargs):
+        calls.append(P)
+        return flow(P, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(moser, "integrate_flow", counted)
+    monkeypatch.setattr(scenes, "integrate_flow", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("seed, checked", [(0, 256), (1, 255), (1, None)])
+def test_moser_deform_flows_once(tmp_path, flow_calls, seed, checked):
+    # the pullback check rides in the command's own flow batch: one flow
+    # with the check or without it, and the seed rows it reports are a
+    # flow of the seeds alone, bit for bit (at seed 1 one of the 256 seeds
+    # lies within 1e-2 of the zero section and is left out of the check)
+    from lcslab.moser import integrate_flow
+    scene = moser_ball_variant(tmp_path, "ball",
+                               verify_pullback=checked is not None)
+    rep = run_command("moser-deform", scene, tmp_path, seed=seed)
+    assert rep["passed"]
+    assert len(flow_calls) == 1
+    if checked is None:
+        assert "pullback" not in rep["results"]
+    else:
+        assert rep["results"]["pullback"]["sample_count"] == checked
+    P = flow_calls[0]
+    seeds = sample_points(P.structure.total, 256, radius=3.0, seed=seed)
+    want = integrate_flow(P, seeds, step=1e-3)
+    rows = (tmp_path / "ball-flow.csv").read_text().splitlines()[1:]
+    got = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert np.array_equal(got[:, :2].view(np.int64), seeds.view(np.int64))
+    assert np.array_equal(got[:, 2:4].view(np.int64),
+                          want.images.view(np.int64))
+    assert np.array_equal(got[:, 4].view(np.int64),
+                          want.scales.view(np.int64))
+
+
+def test_moser_deform_checks_its_own_seeds(tmp_path, flow_calls):
+    # at seed 7 the check covers the flowed seeds, not the seed-0 samples
+    from lcslab.moser import verify_conformal_pullback
+    rep = run_command("moser-deform", SCENES / "moser-constant-ball.json",
+                      tmp_path, seed=7)
+    P = flow_calls[0]
+    seeds = sample_points(P.structure.total, 256, radius=3.0, seed=7)
+    assert rep["results"]["pullback"]["residual"] == \
+        verify_conformal_pullback(P, seeds[:256])["residual"]
+    assert rep["results"]["pullback"]["residual"] != \
+        verify_conformal_pullback(P, 256)["residual"]
+
+
+def test_cli_moser_deform_fails_a_perturbed_flow(tmp_path, monkeypatch):
+    # the oracle through the command: a time-1 map whose fiber scale is 1%
+    # off must fail conformal_pullback with exit 2
+    import lcslab.moser as moser
+    flow = moser.integrate_flow
+
+    def perturbed_flow(P, seeds, *args, **kwargs):
+        res = flow(P, seeds, *args, **kwargs)
+        res.images[:, P.structure.n:] *= 1.01
+        return res
+
+    monkeypatch.setattr(moser, "integrate_flow", perturbed_flow)
+    code = main(["moser-deform", str(SCENES / "moser-constant-ball.json"),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / "moser-constant-ball-moser-deform.json").read_text())
+    verdict = rep["verdicts"]["conformal_pullback"]
+    assert not verdict["passed"] and verdict["residual"] > 1e-4
+    assert rep["verdicts"]["fiber_drift"]["passed"]
+
+
+def test_cli_moser_deform_with_no_seed_to_check(tmp_path):
+    # the one seed at --seed 363 lies within 1e-2 of the zero section
+    scene = moser_ball_variant(tmp_path, "one-seed", seeds=1)
+    code = main(["moser-deform", str(scene), "--seed", "363",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads((tmp_path / "one-seed-moser-deform.json").read_text())
+    assert not rep["passed"]
+    verdict = rep["verdicts"]["numeric_error"]
+    assert verdict["type"] == "PreconditionError"
+    assert verdict["message"].startswith(
+        "no seed with fiber norm above 1e-2 to check")
+
+
 def test_cli_lift_legendrian_pair(tmp_path):
     rep = run_command("lift-legendrian", SCENES / "legendrian-lift-pair.json",
                       tmp_path)
