@@ -121,7 +121,8 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
                           base_idx: Sequence[int], ray_idx: Sequence[int],
                           grid: int, same: bool, min_ray_norm: float):
     """Shared scanner: same selected base coordinates, positively
-    proportional ray blocks.  Returns (records, unresolved)."""
+    proportional ray blocks.  Returns the unclassified deduplicated chords,
+    the unresolved seeds and the seed count."""
     target = map1.target
     src1, src2 = map1.source, map2.source
     g1 = parameter_grid(src1, grid).reshape(-1, src1.dim)
@@ -229,34 +230,27 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
 
     # dedup in product parameter space (circle-aware, via the plane embedding
     # of circle coordinates: chord and arc distance agree at dedup scale)
-    prod = ModelManifold(src1.is_circle + src2.is_circle,
-                         tuple(f"a{i}" for i in range(d1))
-                         + tuple(f"b{i}" for i in range(d2)))
-    w = np.concatenate([u, v], axis=1)
-    order = np.lexsort(tuple(w[:, k] for k in reversed(range(w.shape[1]))))
-    w, u, v = w[order], u[order], v[order]
-    y1, y2, scale = y1[order], y2[order], scale[order]
-    emb = prod.embed(w)
+    order = np.lexsort(tuple(np.concatenate([u, v], axis=1).T[::-1]))
+    u, v, y1, y2 = u[order], v[order], y1[order], y2[order]
+    scale = scale[order]
+    emb = np.concatenate([src1.embed(u), src2.embed(v)], axis=1)
     reps = dedup_points(emb, DEDUP_RADIUS)
-
-    records = []
-    for i in reps:
-        records.append({
-            "u": u[i], "v": v[i], "x1": y1[i], "x2": y2[i],
-            "scale": float(scale[i]),
-        })
 
     # family grouping: representatives adjacent at seed-grid scale with
     # matching scale belong to one chord family
     group_radius = max(10 * DEDUP_RADIUS, 1.6 * spacing)
-    rep_emb = emb[reps]
-    logs = np.log(np.asarray([r["scale"] for r in records]))
-    assigned = cluster_labels(rep_emb, group_radius, keys=logs, key_tol=1e-3)
-    sizes = {g: int((assigned == g).sum()) for g in set(assigned.tolist())}
-    for rec, g in zip(records, assigned):
-        rec["family_id"] = int(g)
-        rec["family"] = sizes[int(g)] > 1
-    return records, unresolved, seeds.shape[0]
+    assigned = cluster_labels(emb[reps], group_radius,
+                              keys=np.log(scale[reps]), key_tol=1e-3)
+    sizes = np.bincount(assigned)
+    chords = []
+    for i, g in zip(reps, assigned.tolist()):
+        t = float(scale[i])
+        chords.append(LiouvilleChord(
+            start_param=u[i], end_param=v[i], start_point=y1[i],
+            end_point=y2[i], scale=t, length=float(np.log(t)),
+            sign="positive" if t > 1.0 else "negative",
+            family_id=g, family=bool(sizes[g] > 1)))
+    return chords, unresolved, seeds.shape[0]
 
 
 def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
@@ -273,19 +267,10 @@ def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
     if E1.structure.total.labels != E2.structure.total.labels:
         raise DimensionError("embeddings live in different bundles")
     n = E1.n
-    records, unresolved, seed_count = _ray_coincidence_scan(
+    chords, unresolved, seed_count = _ray_coincidence_scan(
         E1.chart, E2.chart, base_idx=list(range(n)),
         ray_idx=list(range(n, 2 * n)), grid=grid, same=same,
         min_ray_norm=MIN_FIBER_NORM)
-    chords = []
-    for rec in records:
-        t = rec["scale"]
-        chords.append(LiouvilleChord(
-            start_param=rec["u"], end_param=rec["v"],
-            start_point=rec["x1"], end_point=rec["x2"],
-            scale=t, length=float(np.log(t)),
-            sign="positive" if t > 1.0 else "negative",
-            family_id=rec["family_id"], family=rec["family"]))
     return ChordScanResult(chords=chords, unresolved_seeds=unresolved,
                            seed_count=seed_count,
                            min_fiber_norm=MIN_FIBER_NORM,
@@ -391,18 +376,6 @@ class ReebReport:
     all_essential: bool
     max_defect: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "reeb_identity_sup": self.reeb_identity_sup,
-            "contraction_sup": self.contraction_sup,
-            "reeb_chord_families": len(self.reeb_chords),
-            "lift_chord_families": len(self.lift_chords),
-            "matched_families": len(self.matched),
-            "all_matched": bool(self.all_matched),
-            "all_essential": bool(self.all_essential),
-            "max_defect": self.max_defect,
-        }
-
 
 def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
                         eps: float = 0.25, grid: int = 32,
@@ -445,67 +418,45 @@ def reeb_correspondence(legendrians: Sequence[SmoothMap], M: ModelManifold,
     contraction = interior_product(R, exterior_d(alpha_s)).coefficients(pts)
     con_sup = float(np.abs(contraction).max())
 
-    # Reeb chords: ray coincidences in the (p, s) block
-    reeb = []
-    for a in range(len(legendrians)):
-        for b in range(len(legendrians)):
-            if a == b and len(legendrians) > 1:
-                continue
-            recs, _, _ = _ray_coincidence_scan(
-                legendrians[a], legendrians[b], base_idx=list(range(n)),
-                ray_idx=list(range(n, 2 * n + 1)), grid=grid,
-                same=(a == b), min_ray_norm=eps / 2)
-            for r in recs:
-                r["pair"] = (a, b)
-            reeb.extend(recs)
-
-    # lifts and their Liouville chords
+    # per ordered Legendrian pair: its Reeb chords (ray coincidences in the
+    # (p, s) block) and the Liouville chords of the circle lifts; a Reeb
+    # chord matches the first lift chord of the same scale whose M-part of
+    # the start parameter lies near the Reeb start parameter
     Q = make_manifold(1, 0, labels=("theta",))
     lifts = [lift_legendrian(L, Q, [1.0]) for L in legendrians]
-    lift_chords = []
-    for a in range(len(lifts)):
-        for b in range(len(lifts)):
-            if a == b and len(lifts) > 1:
-                continue
-            scan = scan_chords(lifts[a], lifts[b] if b != a else None,
-                               grid=grid)
-            classify_chords(scan.chords, lifts[a].declared_primitive,
-                            lifts[b].declared_primitive)
-            lift_chords.extend((a, b, c) for c in scan.chords)
-
-    # match family representatives: same Legendrian pair, same scale, and the
-    # M-part of the lift parameters near the Reeb parameters
-    matched = []
-    for r in reeb:
-        found = None
-        for a, b, c in lift_chords:
-            if (a, b) != r["pair"]:
-                continue
-            if abs(np.log(c.scale) - np.log(r["scale"])) > 1e-6:
-                continue
-            du = legendrians[a].source.difference(
-                c.start_param[:legendrians[a].source.dim], r["u"])
-            if np.linalg.norm(du) <= 2.5 * (2 * np.pi / grid):
-                found = (r, c)
-                break
-        if found:
-            matched.append(found)
-    essential = [c.essential for _, _, c in lift_chords]
-    defects = [abs(c.defect) for _, _, c in lift_chords if c.defect is not None]
-    # family-level matching: every Reeb family must have a lift family
-    rep_families = {}
-    for r in reeb:
-        key = (r["pair"], round(np.log(r["scale"]), 5))
-        rep_families.setdefault(key, []).append(r)
-    matched_keys = {(r["pair"], round(np.log(r["scale"]), 5))
-                    for r, _ in matched}
-    all_matched = set(rep_families) == matched_keys if rep_families else True
+    pairs = [(a, b) for a in range(len(legendrians))
+             for b in range(len(legendrians))
+             if a != b or len(legendrians) == 1]
+    reeb, lift_chords, matched = [], [], []
+    reeb_keys, matched_keys = set(), set()
+    for a, b in pairs:
+        found, _, _ = _ray_coincidence_scan(
+            legendrians[a], legendrians[b], base_idx=list(range(n)),
+            ray_idx=list(range(n, 2 * n + 1)), grid=grid, same=(a == b),
+            min_ray_norm=eps / 2)
+        scan = scan_chords(lifts[a], None if a == b else lifts[b], grid=grid)
+        classify_chords(scan.chords, lifts[a].declared_primitive,
+                        lifts[b].declared_primitive)
+        src = legendrians[a].source
+        for r in found:
+            key = (a, b, round(r.length, 5))
+            reeb_keys.add(key)
+            c = next((c for c in scan.chords
+                      if abs(c.length - r.length) <= 1e-6
+                      and np.linalg.norm(src.difference(
+                          c.start_param[:src.dim], r.start_param))
+                      <= 2.5 * (2 * np.pi / grid)), None)
+            if c is not None:
+                matched.append((r, c))
+                matched_keys.add(key)
+        reeb.extend(found)
+        lift_chords.extend(scan.chords)
     return ReebReport(
         reeb_identity_sup=id_sup, contraction_sup=con_sup,
-        reeb_chords=reeb, lift_chords=[c for _, _, c in lift_chords],
-        matched=matched, all_matched=all_matched,
-        all_essential=bool(all(essential)) if essential else True,
-        max_defect=max(defects) if defects else None)
+        reeb_chords=reeb, lift_chords=lift_chords, matched=matched,
+        all_matched=reeb_keys == matched_keys,
+        all_essential=all(c.essential for c in lift_chords),
+        max_defect=max((abs(c.defect) for c in lift_chords), default=None))
 
 
 # ------------------------------------------------------------------- export

@@ -2,7 +2,8 @@
 
 One scene per invocation; subcommands select the pipeline.  Exit codes:
 0 when every verdict passes, 1 on scene/schema errors (the message carries a
-JSON pointer), 2 when a numeric verdict fails (the report is still written).
+JSON pointer) and on scene or output paths the system refuses, 2 when a
+numeric verdict fails (the report is still written).
 
 The default output directory comes from the LCSLAB_OUT environment variable
 (falling back to ./reports).
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name, verdict in report["verdicts"].items():

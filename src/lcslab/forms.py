@@ -51,15 +51,8 @@ def merge_with_sign(I: tuple, J: tuple):
     combined = I + J
     if len(set(combined)) != len(combined):
         return None, 0
-    perm = sorted(range(len(combined)), key=lambda t: combined[t])
-    sign = 1
-    seen = list(perm)
-    for i in range(len(seen)):
-        while seen[i] != i:
-            j = seen[i]
-            seen[i], seen[j] = seen[j], seen[i]
-            sign = -sign
-    return tuple(sorted(combined)), sign
+    inversions = sum(a > b for a, b in itertools.combinations(combined, 2))
+    return tuple(sorted(combined)), -1 if inversions % 2 else 1
 
 
 def _values(jets: list, batch: tuple) -> np.ndarray:
@@ -314,10 +307,16 @@ def _pullback_jets(phi: SmoothMap, forms, coords, order) -> list:
         pulled = []
         for J in increasing_indices(n_src, k):
             acc = constant_jet(0.0, n_src, batch, order)
-            for pos, I in enumerate(tgt_idx):
+            for coeff, I in zip(base_composed, tgt_idx):
+                # a coefficient zero to the requested order adds nothing,
+                # and its minor may carry one order less (derivative loss)
+                if coeff.order >= order and not any(
+                        np.any(x) for x in (coeff.f, coeff.g, coeff.h)
+                        if x is not None):
+                    continue
                 minor = _jet_determinant(
                     [[jac[i][j] for j in J] for i in I], n_src, batch)
-                acc = acc + base_composed[pos] * minor
+                acc = acc + coeff * minor
             pulled.append(acc)
         out.append(pulled)
     return out

@@ -265,28 +265,18 @@ def _fill_grid(chart: SmoothMap, forms, grid: np.ndarray, f0: float,
     values[(0,) * k] = f0
     filled: list[int] = []
     for ax in axis_order:
-        slicer_prev = [slice(None) if a in filled else 0 for a in range(k)]
-        m = dims[ax]
-        starts, deltas, prevs = [], [], []
-        for j in range(1, m):
-            s_prev = list(slicer_prev)
-            s_next = list(slicer_prev)
-            s_prev[ax] = j - 1
-            s_next[ax] = j
-            starts.append(grid[tuple(s_prev)])
-            deltas.append(grid[tuple(s_next)] - grid[tuple(s_prev)])
-        if m > 1:
-            start = np.stack(starts, axis=0)
-            delta = np.stack(deltas, axis=0)
-            (a, b), h = _path_data(chart, forms, start, delta, n_sub)
-            f_prev_slice = list(slicer_prev)
-            f_prev_slice[ax] = 0
-            f = values[tuple(f_prev_slice)]
-            for j in range(1, m):
-                f = rk4_linear_path(a[j - 1], b[j - 1], f, h)
-                s_next = list(slicer_prev)
-                s_next[ax] = j
-                values[tuple(s_next)] = f
+        if dims[ax] > 1:
+            # the slab spanned by the filled axes and ax, ax first: views,
+            # so each node written lands in ``values``
+            slab = tuple(slice(None) if i in filled or i == ax else 0
+                         for i in range(k))
+            pos = sum(i < ax for i in filled)
+            pts = np.moveaxis(grid[slab], pos, 0)
+            vals = np.moveaxis(values[slab], pos, 0)
+            (a, b), h = _path_data(chart, forms, pts[:-1], pts[1:] - pts[:-1],
+                                   n_sub)
+            for j in range(1, dims[ax]):
+                vals[j] = rk4_linear_path(a[j - 1], b[j - 1], vals[j - 1], h)
         filled.append(ax)
     return values
 
@@ -399,6 +389,14 @@ def primitive_of(E: ParametricEmbedding, grid_shape=64) -> ScalarField:
 
 # -------------------------------------------------------------- constructions
 
+def _shift_fibers(comps: list, n: int, coeffs, weight=1.0) -> list:
+    """The base components of ``comps`` and each fiber ``p_i + weight *
+    coeffs[i](base)``; fibers past the last coefficient stay as they are."""
+    base, fibers = list(comps[:n]), list(comps[n:])
+    return (base + [p + weight * c.fn(base) for p, c in zip(fibers, coeffs)]
+            + fibers[len(coeffs):])
+
+
 def translate_by_form(E: ParametricEmbedding, eta=None,
                       c: float = 0.0) -> ParametricEmbedding:
     """Fiber translation by ``c * eta`` for a 1-form eta on the base, given
@@ -424,12 +422,7 @@ def translate_by_form(E: ParametricEmbedding, eta=None,
     inner = E.chart
 
     def fn(jets):
-        comps = inner.fn(jets)
-        base_jets = comps[:n]
-        out = list(comps[:n])
-        for i in range(n):
-            out.append(comps[n + i] + coeffs[i].fn(base_jets) * c)
-        return out
+        return _shift_fibers(inner.fn(jets), n, coeffs, c)
 
     primitive = E.declared_primitive
     if primitive is not None and c != 0.0:
@@ -581,11 +574,6 @@ class SymplectizationReport:
     loop_integrals: dict
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"closedness_sup": self.closedness_sup,
-                "loop_integrals": dict(self.loop_integrals),
-                "passed": bool(self.passed)}
-
 
 def symplectization_immersion(E: ParametricEmbedding,
                               f: ScalarField | None = None, samples=None):
@@ -602,18 +590,11 @@ def symplectization_immersion(E: ParametricEmbedding,
     if f is None:
         raise PreconditionError(
             "need a primitive (declared or solved) to untwist")
-    n = S.n
     inner = E.chart
 
     def fn(jets):
-        comps = inner.fn(jets)
-        base_jets = comps[:n]
-        fj = f.fn(jets)
-        out = list(comps[:n])
-        for i in range(n):
-            beta_i = S.beta_base_coeffs[i].fn(base_jets)
-            out.append(comps[n + i] + fj * beta_i)
-        return out
+        return _shift_fibers(inner.fn(jets), S.n, S.beta_base_coeffs,
+                             f.fn(jets))
 
     jmap = SmoothMap(E.source, S.total, fn, name=f"sympl({E.name})",
                      derivative_loss=inner.derivative_loss)
@@ -647,11 +628,6 @@ class ContactLiftReport:
     equality_sup: float
     min_abs_coefficient: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {"equality_sup": self.equality_sup,
-                "min_abs_coefficient": self.min_abs_coefficient,
-                "passed": bool(self.passed)}
 
 
 def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,

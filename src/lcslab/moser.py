@@ -29,7 +29,8 @@ from .errors import DimensionError, ObstructionError, PreconditionError
 from .extension import RadialField, nearest_direction
 from .forms import exterior_d, increasing_indices, pullback
 from .jets import Jet2, partial_jet, seed_jets
-from .lagrangians import ParametricEmbedding, _base_volume, base_preimages
+from .lagrangians import (ParametricEmbedding, _base_volume, _shift_fibers,
+                          base_preimages)
 from .manifolds import (ScalarField, SmoothMap, VectorField, _as_jets,
                         _coerce_coords, parameter_grid, sample_points)
 # gauss_newton is no longer called here; it stays importable from this
@@ -522,13 +523,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
             P, seeds.reshape(-1, 2 * S.n), (step,), 0.0, 1.0,
             dirs=dirs.reshape(-1, len(jets), 2 * S.n))
         s_jet = Jet2(s_val.reshape(batch), ds.reshape(batch + ds.shape[-1:]))
-        out = list(comps[:S.n])
-        for i in range(S.n):
-            fiber = s_jet * comps[S.n + i]
-            if i < len(eta_fields):
-                fiber = fiber + eta_fields[i].fn(comps[:S.n])
-            out.append(fiber)
-        return out
+        return _shift_fibers(comps[:S.n] + [s_jet * p for p in comps[S.n:]],
+                             S.n, eta_fields)
 
     chart = SmoothMap(E.source, S.total, chart_fn,
                       name=f"straightened({E.name})",

@@ -179,13 +179,17 @@ def _tol(scene: dict, key: str, default: float) -> float:
     return float(scene.get("tolerances", {}).get(key, default))
 
 
-def _build_base(scene: dict):
-    m = scene["manifold"]
-    return make_manifold(m["circles"], m.get("lines", 0))
+def _manifold(spec: dict, prefix: str | None = None):
+    """The model manifold of a ``{"circles", "lines"}`` spec, its coordinates
+    labelled ``prefix1, prefix2, ...`` when a prefix is given."""
+    circles, lines = spec["circles"], spec.get("lines", 0)
+    labels = None if prefix is None else tuple(
+        f"{prefix}{i + 1}" for i in range(circles + lines))
+    return make_manifold(circles, lines, labels)
 
 
 def _build_structure(scene: dict):
-    base = _build_base(scene)
+    base = _manifold(scene["manifold"])
     beta_exprs = scene.get("structure", {}).get("beta", [])
     coeffs = [compile_field(e, base) for e in beta_exprs]
     return cotangent_lcs(base, coeffs)
@@ -213,25 +217,19 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
                              pointer=f"{pointer}/f")
         E = beta_graph(compile_field(spec["f"], S.base), S)
     elif lib == "legendrian-lift":
-        base = _build_base(scene)
+        base = _manifold(scene["manifold"])
         if "jet_function" not in spec:
             raise SceneError("legendrian-lift needs 'jet_function'",
                              pointer=f"{pointer}/jet_function")
         leg = jet_graph(compile_field(spec["jet_function"], base), base)
         qm = spec.get("q_manifold", {"circles": 1})
-        Q = make_manifold(qm["circles"], qm.get("lines", 0),
-                          labels=tuple(f"theta{i+1}"
-                                       for i in range(qm["circles"]
-                                                      + qm.get("lines", 0))))
+        Q = _manifold(qm, "theta")
         q_form = [compile_field(e, Q) for e in spec.get("q_form", ["1"])]
         E = lift_legendrian(leg, Q, q_form)
     elif "components" in spec:
         S = structure if structure is not None else _build_structure(scene)
         src_spec = spec.get("source", scene["manifold"])
-        src = make_manifold(src_spec["circles"], src_spec.get("lines", 0),
-                            labels=tuple(
-                                f"u{i+1}" for i in range(src_spec["circles"]
-                                                         + src_spec.get("lines", 0))))
+        src = _manifold(src_spec, "u")
         comps = spec["components"]
         if len(comps) != S.total.dim:
             raise SceneError(
@@ -490,7 +488,7 @@ def _cmd_moser_deform(scene, options):
 
 
 def _cmd_lift_legendrian(scene, options):
-    base = _build_base(scene)
+    base = _manifold(scene["manifold"])
     exprs = scene.get("legendrians")
     if not exprs:
         raise SceneError("scene has no legendrians", pointer="/legendrians")
@@ -608,8 +606,17 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
     options = {"seed": int(seed)}
     if options["seed"] < 0:
         raise SceneError(f"seed must be nonnegative, got {seed}")
+    # a bad out_dir fails here, before any work; a scene error found by the
+    # command removes the directories made for it, so it writes nothing
+    out_dir = Path(out_dir)
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         body, artifacts = COMMANDS[command](scene, options)
+    except SceneError:
+        for p in made:
+            p.rmdir()
+        raise
     except (PreconditionError, DomainEvaluationError, DimensionError) as exc:
         # a numeric failure is a failed verdict: the report is still written
         error = _verdict(False, type=type(exc).__name__, message=str(exc),
@@ -617,8 +624,6 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
         body = {"results": {}, "verdicts": {"numeric_error": error}}
         artifacts = {}
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifact_paths = []
     for name, writer in artifacts.items():
         path = out_dir / f"{scene['name']}-{name}"

@@ -138,11 +138,6 @@ class RadialCriterionReport:
     worst_point: np.ndarray
     sample_count: int
 
-    def as_dict(self) -> dict:
-        return {"sup": self.sup, "passed": bool(self.passed),
-                "threshold": self.threshold,
-                "sample_count": self.sample_count}
-
 
 def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
                                     samples=None) -> RadialCriterionReport:

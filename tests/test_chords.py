@@ -198,6 +198,35 @@ def test_reeb_identities_and_matching():
     assert rep.max_defect <= 1e-8
 
 
+def two_legendrians():
+    return [jet_graph(ScalarField.constant(T1, 1.0), T1),
+            jet_graph(ScalarField.constant(T1, 2.0), T1)]
+
+
+def test_reeb_two_legendrians_counts_are_pinned():
+    rep = reeb_correspondence(two_legendrians(), T1, eps=0.5, grid=16)
+    assert (len(rep.reeb_chords), len(rep.lift_chords),
+            len(rep.matched)) == (64, 2048, 64)
+    assert rep.all_matched and rep.max_defect == 0.0
+
+
+def test_reeb_chords_without_lift_chords_are_unmatched(monkeypatch):
+    # a matcher that always agrees would pass every other Reeb test
+    import lcslab.chords as chords_mod
+    real_scan = chords_mod.scan_chords
+
+    def no_chords(*args, **kwargs):
+        scan = real_scan(*args, **kwargs)
+        scan.chords = []
+        return scan
+
+    monkeypatch.setattr(chords_mod, "scan_chords", no_chords)
+    rep = reeb_correspondence(two_legendrians(), T1, eps=0.5, grid=16)
+    assert len(rep.reeb_chords) == 64
+    assert rep.lift_chords == [] and rep.matched == []
+    assert not rep.all_matched
+
+
 def test_reeb_single_sheet_no_chords():
     rep = reeb_correspondence(
         [jet_graph(ScalarField.constant(T1, 1.5), T1)], T1, eps=0.5, grid=16)

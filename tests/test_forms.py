@@ -12,8 +12,10 @@ from lcslab.forms import (ScaledForm, check_nondegenerate, constant_form,
                           coordinate_differential, exterior_d, field_form,
                           forms_allclose, interior_product, lichnerowicz_d,
                           pullback, zero_form)
+from lcslab.lagrangians import _base_volume, beta_graph, solve_primitive
 from lcslab.manifolds import (ScalarField, SmoothMap, VectorField,
                               make_manifold, sample_points)
+from lcslab.structures import cotangent_lcs
 
 T2 = make_manifold(2, 0, labels=("theta", "phi"))
 COT_T1 = make_manifold(1, 0).cotangent()          # (q1, p1)
@@ -122,6 +124,46 @@ def test_pullback_above_source_dimension_is_the_empty_zero_form():
     assert coeffs.shape == (16, 0)
     assert pulled.jets(np.zeros(1)) == []
     assert calls == []
+
+
+def twisted_graph_t2():
+    """The beta-graph of cos(q1) + 2 over T^2 with beta = (0.3 cos q1, 1): a
+    chart of derivative loss 1, so its fiber rows carry one order less."""
+    S = cotangent_lcs(make_manifold(2, 0), [
+        ScalarField(make_manifold(2, 0), lambda j: j[0].cos() * 0.3), 1.0])
+    f = ScalarField(S.base, lambda j: j[0].cos() + 2.0)
+    return beta_graph(f, S), S
+
+
+def test_zero_coefficients_keep_the_pullback_order():
+    # lambda = p1 dq1 + p2 dq2 has zero dp-coefficients, whose minors (the
+    # fiber rows) lose an order; leaving those terms out keeps order 1
+    E, S = twisted_graph_t2()
+    pts = sample_points(E.source, 16)
+    assert [j.order for j in pullback(E.chart, S.lam).jets(pts, 1)] == [1, 1]
+    # so d(i*lambda) evaluates, and equals i*(d lambda)
+    d_pulled = exterior_d(pullback(E.chart, S.lam)).coefficients(pts[:2])
+    pulled_d = pullback(E.chart, exterior_d(S.lam)).coefficients(pts[:2])
+    assert np.abs(d_pulled - pulled_d).max() == 0.0
+    # the pullback of dq1 ^ dq2 is the base volume, bit for bit
+    vol = pullback(E.chart, constant_form(S.total, 2, [1, 0, 0, 0, 0, 0]))
+    jet, base = vol.jets(pts, 1)[0], _base_volume(E, pts, 1)
+    assert jet.order == base.order == 1
+    assert np.array_equal(jet.f, base.f) and np.array_equal(jet.g, base.g)
+    # the solved primitive's jet keeps its Hessian
+    f = solve_primitive(E, grid_shape=16).solved_primitive
+    assert f.jet(pts, 2).order == 2
+
+
+def test_pullback_keeps_a_coefficient_zero_only_at_the_points():
+    # sin(p1) dp1 vanishes at p1 = 0 but not to first order: along
+    # u -> (u, sin u) its pullback sin(sin u) cos u du has derivative 1 at 0
+    alpha = coordinate_differential(COT_T1, 1) * ScalarField(
+        COT_T1, lambda j: j[1].sin())
+    phi = SmoothMap(make_manifold(1, 0), COT_T1,
+                    lambda j: [j[0], j[0].sin()])
+    jet = pullback(phi, alpha).jets(np.array([[0.0]]), 1)[0]
+    assert jet.f[0] == 0.0 and jet.g[0, 0] == 1.0
 
 
 def test_pullback_along_identity_is_identity():

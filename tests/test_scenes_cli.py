@@ -481,6 +481,93 @@ def test_cli_nonexistent_scene(tmp_path):
     assert code == 1
 
 
+def test_cli_scene_that_is_a_directory(tmp_path, capsys):
+    code = main(["verify-lagrangian", str(SCENES), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21]")
+
+
+@pytest.mark.parametrize("out, errno", [("taken", 17), ("taken/sub", 20)],
+                         ids=["file", "under-a-file"])
+def test_cli_unwritable_out_fails_before_the_command(out, errno, tmp_path,
+                                                      capsys, monkeypatch):
+    # --out naming a file, or a path under one, fails before any work: the
+    # command is replaced by None, which would raise if it were called
+    import lcslab.scenes as scenes
+    monkeypatch.setitem(scenes.COMMANDS, "verify-lagrangian", None)
+    (tmp_path / "taken").write_text("")
+    code = main(["verify-lagrangian", str(SCENES / "example1.json"),
+                 "--out", str(tmp_path / out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno}]")
+
+
+def test_cli_scene_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    code = main(["validate-structure", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, base, changes, pointer", [
+    ("moser-deform", "moser-constant-ball.json",
+     {"moser": {"g": {}, "seeds": 8}}, "/moser/g"),
+    ("verify-lagrangian", "legendrian-lift-pair.json",
+     {"embedding": {"library": "legendrian-lift"}}, "/embedding/jet_function"),
+    ("verify-lagrangian", "moser-identity.json", {}, "/embedding"),
+    ("build-extension", "example1.json", {}, "/extension"),
+    ("lift-legendrian", "example1.json", {}, "/legendrians"),
+], ids=["moser-g", "jet-function", "embedding", "extension", "legendrians"])
+def test_cli_missing_scene_block_names_its_pointer(command, base, changes,
+                                                   pointer, tmp_path, capsys):
+    path = write_scene(tmp_path, base, name="refused", **changes)
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"scene error: {pointer}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base, block, key, value, message", [
+    ("moser-deform", "moser-constant-ball.json", "moser", "g",
+     {"expression": "0.5"},
+     "conformal factor must equal 1 outside the stated radius"),
+    ("moser-deform", "moser-constant-ball.json", "moser", "g",
+     {"expression": "0 - 1"}, "conformal factor must be positive"),
+    ("build-extension", "extension-tube.json", "extension", "h", "0 - 1",
+     "h must be positive near L"),
+], ids=["g-not-one-outside", "g-negative", "h-negative"])
+def test_cli_refused_factor_writes_a_report(command, base, block, key, value,
+                                            message, tmp_path):
+    scene = json.loads((SCENES / base).read_text())
+    scene["name"] = "refused"
+    scene[block][key] = value
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(scene))
+    code = main([command, str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads((tmp_path / f"refused-{command}.json").read_text())
+    verdict = rep["verdicts"]["numeric_error"]
+    assert not rep["passed"] and not verdict["passed"]
+    assert verdict["message"].startswith(message)
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "error: no scene file given"),
+    (["zero-section.json", "--tol-override", "lagrangian"],
+     "error: bad --tol-override"),
+    (["zero-section.json", "--tol-override", "lagrangian=abc"],
+     "error: --tol-override value not a number"),
+], ids=["no-scene", "no-value", "not-a-number"])
+def test_cli_bad_arguments_exit_1(args, message, tmp_path, capsys):
+    args = [str(SCENES / a) if a.endswith(".json") else a for a in args]
+    code = main(["validate-structure", *args, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_bad_schema_exit_1(tmp_path):
     code = main(["validate-structure", str(SCENES / "bad-schema.json"),
                  "--out", str(tmp_path)])
