@@ -10,6 +10,7 @@ which is excluded from the digest.
 
 from __future__ import annotations
 
+import bisect
 import datetime as _dt
 import hashlib
 import json
@@ -323,6 +324,21 @@ def report_digest(report: dict) -> str:
         canonical_report_json(stripped).encode()).hexdigest()
 
 
+def _splice_top_level(text: str, keys, entries: dict) -> str:
+    """``canonical_report_json`` of a dict with ``keys``, given as ``text``,
+    extended by the scalar ``entries`` without encoding it again.  Top-level
+    keys are the only lines indented by one space, so each entry goes in
+    before the first key that sorts after it ("passed" is in every report,
+    so one does)."""
+    lines = text.split("\n")
+    tops = [i for i, line in enumerate(lines) if line.startswith(' "')]
+    keys = sorted(keys)
+    for k in sorted(entries, reverse=True):
+        lines.insert(tops[bisect.bisect(keys, k)],
+                     f" {json.dumps(k)}: {json.dumps(entries[k])},")
+    return "\n".join(lines)
+
+
 def _scene_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -365,7 +381,7 @@ def _cmd_verify_lagrangian(scene, options, E):
     rep = verify_lagrangian(E, samples=params,
                             tol=_tol(scene, "lagrangian", 1e-9))
     cert = solve_primitive(E, grid_shape=min(grid, 128),
-                           tol=_tol(scene, "primitive", 1e-8))
+                           tol=_tol(scene, "primitive", 1e-8), lagrangian=rep)
     verdicts = {
         "lagrangian": _verdict(rep.passed, **rep.as_dict()),
         "exactness": _verdict(cert.valid, **cert.as_dict()),
@@ -499,7 +515,7 @@ def _cmd_lift_legendrian(scene, options):
     results = {"lift_count": len(lifts)}
     for i, L in enumerate(lifts):
         rep = verify_lagrangian(L)
-        cert = solve_primitive(L, grid_shape=32)
+        cert = solve_primitive(L, grid_shape=32, lagrangian=rep)
         verdicts[f"lift_{i}_exact"] = _verdict(rep.passed and cert.valid,
                                                residual=rep.residual_sup,
                                                **cert.as_dict())
@@ -645,17 +661,20 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
         "passed": bool(passed),
     }
     try:
-        report["digest"] = report_digest(report)
+        text = canonical_report_json(report)
     except ValueError:
         # strict JSON refused a non-finite float (an infinite tolerance, an
         # inf residual norm): write each as null and list its pointer
         non_finite = []
         report = _null_non_finite(report, "", non_finite)
         report["non_finite"] = non_finite
-        report["digest"] = report_digest(report)
-    report["generated_at"] = _dt.datetime.now(
-        _dt.timezone.utc).isoformat()
+        text = canonical_report_json(report)
+    # one encoding serves the digest (``report_digest``'s bytes) and the file
+    stamp = {"digest": hashlib.sha256(text.encode()).hexdigest(),
+             "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat()}
+    text = _splice_top_level(text, report, stamp)
+    report.update(stamp)
     report_path = out_dir / f"{scene['name']}-{command}.json"
     with open(report_path, "w") as fh:
-        fh.write(canonical_report_json(report))
+        fh.write(text)
     return report

@@ -512,3 +512,38 @@ def test_path_data_evaluates_the_chart_once_per_chunk(monkeypatch):
                            start, delta, n_steps)
     assert a.shape == b.shape == (per_chunk + 5, 33)
     assert calls == [per_chunk * 33, 5 * 33]
+
+
+@pytest.mark.parametrize("E", [_shared_map_cases()[i] for i in (0, 3)],
+                         ids=["torus-1", "lift"])
+def test_path_chunk_size_changes_no_number(E, monkeypatch):
+    # chunks hold whole segments and every op is elementwise per node, so
+    # the integrands and the solved grid are the same bits at any size
+    forms = (E.structure.beta, E.structure.lam)
+    rng = np.random.default_rng(7)
+    start = sample_points(E.source, 600)   # 19,800 nodes: 2 chunks at 16384
+    delta = rng.uniform(-1.0, 1.0, start.shape)
+    sizes = []
+    inner = E.chart.fn
+
+    def counted(jets):
+        sizes.append(jets[0].f.size)
+        return inner(jets)
+
+    def run():
+        sizes.clear()
+        monkeypatch.setattr(E.chart, "fn", counted)
+        (a, b), _ = _path_data(E.chart, forms, start, delta, 16)
+        monkeypatch.setattr(E.chart, "fn", inner)
+        cert = solve_primitive(E, grid_shape=12, steps_per_loop=128)
+        return a, b, cert.solved_primitive.grid_values, cert.residual_sup
+
+    runs = []
+    for chunk in (PATH_CHUNK, 65536, 7 * 33):    # 7 segments of 33 nodes
+        monkeypatch.setattr("lcslab.lagrangians.PATH_CHUNK", chunk)
+        runs.append(run())
+        assert sum(sizes) == 600 * 33
+        assert all(n % 33 == 0 and n <= chunk for n in sizes)
+    for got in runs[1:]:
+        for x, y in zip(runs[0], got):
+            assert np.array_equal(x, y)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcslab import lagrangians, scenes
 from lcslab.cli import main
 from lcslab.errors import SceneError
 from lcslab.expressions import compile_field, parse_expression
@@ -636,15 +637,73 @@ WORKLOADS = json.loads((SCENES.parent / "perfbench" / "workloads.json")
 @pytest.mark.parametrize(
     "entry", [e for entries in WORKLOADS.values() for e in entries],
     ids=lambda e: f"{e['command']}-{e['scene']}")
-def test_seed0_report_digest_is_pinned(entry, tmp_path):
+def test_seed0_report_digest_is_pinned(entry, tmp_path, monkeypatch):
     # reports are byte-identical to the recorded ones, not only repeatable
     scene = SCENES / entry["scene"]
     if entry["outcome"] == "scene-error":
         with pytest.raises(SceneError):
             run_command(entry["command"], scene, tmp_path, seed=0, threads=1)
         return
+    encodings = _count_encodings(monkeypatch)
     rep = run_command(entry["command"], scene, tmp_path, seed=0, threads=1)
+    assert encodings == [1]
     assert rep["digest"] == entry["digest_seed0"]
+    _assert_spliced_report(rep, tmp_path)
+
+
+def _count_encodings(monkeypatch) -> list:
+    count = [0]
+    encode = scenes.canonical_report_json
+
+    def counted(report):
+        count[0] += 1
+        return encode(report)
+
+    monkeypatch.setattr(scenes, "canonical_report_json", counted)
+    return count
+
+
+def _assert_spliced_report(rep, out_dir):
+    # the digest and timestamp lines spliced into the one encoding give the
+    # canonical JSON of the full report, and the digest is report_digest's
+    text = (out_dir / f"{rep['scene']}-{rep['command']}.json").read_text()
+    assert text == json.dumps(rep, sort_keys=True, indent=1, allow_nan=False)
+    written = json.loads(text)
+    assert written["digest"] == report_digest(
+        {k: v for k, v in written.items() if k != "digest"})
+
+
+def test_non_finite_report_is_spliced(tmp_path, monkeypatch):
+    encodings = _count_encodings(monkeypatch)
+    rep = run_command("verify-lagrangian", SCENES / "example1.json", tmp_path,
+                      tol_overrides={"lagrangian": float("inf")})
+    assert encodings == [2]      # strict JSON refuses the first encoding
+    assert rep["non_finite"] == ["/verdicts/lagrangian/tol"]
+    _assert_spliced_report(rep, tmp_path)
+
+
+@pytest.mark.parametrize("scene, command, tol, count", [
+    ("example1.json", "verify-lagrangian", None, 1),
+    ("legendrian-lift-pair.json", "lift-legendrian", None, 2),
+    ("example1.json", "verify-lagrangian", float("inf"), 2)])
+def test_lagrangian_check_runs_once_per_embedding(scene, command, tol, count,
+                                                  tmp_path, monkeypatch):
+    # solve_primitive reuses the command's passing check; one at an
+    # infinite tolerance proves nothing, so the 256-sample check runs too
+    calls = []
+    check = lagrangians.verify_lagrangian
+
+    def counted(E, *args, **kwargs):
+        calls.append(E)
+        return check(E, *args, **kwargs)
+
+    monkeypatch.setattr(lagrangians, "verify_lagrangian", counted)
+    monkeypatch.setattr(scenes, "verify_lagrangian", counted)
+    overrides = None if tol is None else {"lagrangian": tol}
+    rep = run_command(command, SCENES / scene, tmp_path,
+                      tol_overrides=overrides)
+    assert rep["passed"]
+    assert len(calls) == count
 
 
 def test_determinism_double_run(tmp_path):
