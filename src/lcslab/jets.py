@@ -232,24 +232,34 @@ def constant_jet(value, dim: int, batch_shape=(), order: int = 2) -> Jet2:
     return Jet2(f, g, h)
 
 
-def seed_jets(coords: np.ndarray, order: int = 2) -> list[Jet2]:
+def seed_jets(coords: np.ndarray, order: int = 2,
+              first: int = 0) -> list[Jet2]:
     """Coordinate jets at ``coords`` of shape ``(..., n)``.
 
     The i-th jet has value ``coords[..., i]``, gradient ``e_i`` and zero
     Hessian, so evaluating a composite expression on these seeds yields the
     exact first and second derivatives of the expression.
+
+    With ``first`` > 0 only the coordinates from ``first`` on are
+    differentiated: derivatives have width ``n - first``, coordinate i >=
+    ``first`` carries ``e_(i - first)`` and the ones before it are constants
+    with zero derivatives.  An expression whose arithmetic computes each
+    gradient column from the same column of its operands then yields
+    exactly the last ``n - first`` columns of the full-width gradient.
     """
     coords = _as_array(coords)
     n = coords.shape[-1]
+    m = n - first
     batch = coords.shape[:-1]
     out = []
     for i in range(n):
         g = h = None
         if order >= 1:
-            g = np.zeros(batch + (n,))
-            g[..., i] = 1.0
+            g = np.zeros(batch + (m,))
+            if i >= first:
+                g[..., i - first] = 1.0
         if order >= 2:
-            h = np.zeros(batch + (n, n))
+            h = np.zeros(batch + (m, m))
         out.append(Jet2(coords[..., i], g, h))
     return out
 

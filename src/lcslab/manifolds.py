@@ -186,12 +186,20 @@ def _as_jets(comps, dim: int, batch: tuple, order: int) -> list[Jet2]:
 
 
 def _component_jets(fn, coords: np.ndarray, order: int,
-                    derivative_loss: int, count: int) -> list[Jet2]:
+                    derivative_loss: int, count: int,
+                    first: int = 0) -> list[Jet2]:
     """The ``count`` jets ``fn`` returns on coordinate jets seeded at
-    normalized ``coords`` to order ``min(2, order + derivative_loss)``; a
-    constant component becomes the constant jet of ``order``.  An
-    evaluation out of its domain names its first failing row."""
-    jets = seed_jets(coords, order=min(2, order + derivative_loss))
+    normalized ``coords`` to order ``min(2, order + derivative_loss)``,
+    differentiated in the coordinates from ``first`` on (see
+    ``seed_jets``); a constant component becomes the constant jet of
+    ``order``.  An evaluation out of its domain names its first failing
+    row.  A positive ``first`` is refused with a ``derivative_loss``: such
+    an ``fn`` indexes gradient columns by coordinate."""
+    if first and derivative_loss:
+        raise DimensionError(
+            "partly seeded jets need a field that reads no derivatives")
+    jets = seed_jets(coords, order=min(2, order + derivative_loss),
+                     first=first)
     try:
         comps = fn(jets)
     except DomainEvaluationError as exc:
@@ -200,7 +208,8 @@ def _component_jets(fn, coords: np.ndarray, order: int,
         rows, at = coords.reshape(-1, coords.shape[-1]), exc.index
         point = rows[at] if at is not None and at < len(rows) else coords
         raise DomainEvaluationError(str(exc), point=point) from None
-    comps = _as_jets(comps, coords.shape[-1], coords.shape[:-1], order)
+    comps = _as_jets(comps, coords.shape[-1] - first, coords.shape[:-1],
+                     order)
     if len(comps) != count:
         raise DimensionError(
             f"{len(comps)} components where {count} are expected")
@@ -226,9 +235,9 @@ class ScalarField:
     def jet(self, points, order: int = 2) -> Jet2:
         return self._jet(_coerce_coords(self.domain, points), order)
 
-    def _jet(self, coords: np.ndarray, order: int) -> Jet2:
+    def _jet(self, coords: np.ndarray, order: int, first: int = 0) -> Jet2:
         (out,) = _component_jets(lambda jets: (self.fn(jets),), coords,
-                                 order, self.derivative_loss, 1)
+                                 order, self.derivative_loss, 1, first)
         return out.symmetrized()
 
     def value(self, points) -> np.ndarray:

@@ -89,14 +89,17 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
     ``c = (1/g - 1) / (g_tau + dg_tau(Z))`` with ``g_tau = tau/g + 1 - tau``
     at normalized coords of shape (B, 2n); ``tau`` is a scalar or one time
     per row.  With ``need_grad`` also returns dc/dq and dc/dw at the fiber
-    point w, read off the same quotient taken on the order-2 jet of g;
+    point w, read off the same quotient taken on the full order-2 jet of g;
     otherwise those are None.  The last value marks the rows whose
     denominator is not positive, where the rate is meaningless.
+
+    The value alone reads only dg/dp, so without ``need_grad`` g's jet is
+    seeded in the fiber coordinates only: half the width, the same bits.
     """
     n = P.structure.n
-    jet = P.g._jet(coords, 2 if need_grad else 1)
+    jet = P.g._jet(coords, 2, 0) if need_grad else P.g._jet(coords, 1, n)
     ginv = 1.0 / jet.f
-    dginv_Z = -np.einsum("bi,bi->b", jet.g[:, n:], coords[:, n:]) * ginv ** 2
+    dginv_Z = -np.einsum("bi,bi->b", jet.g[:, -n:], coords[:, n:]) * ginv ** 2
     denom = tau * ginv + (1 - tau) + tau * dginv_Z
     bad = denom <= 0.0
     c = (ginv - 1.0) / denom

@@ -514,8 +514,10 @@ def _cmd_lift_legendrian(scene, options):
     verdicts = {}
     results = {"lift_count": len(lifts)}
     for i, L in enumerate(lifts):
-        rep = verify_lagrangian(L)
-        cert = solve_primitive(L, grid_shape=32, lagrangian=rep)
+        rep = verify_lagrangian(L, tol=_tol(scene, "lagrangian", 1e-9))
+        cert = solve_primitive(L, grid_shape=32,
+                               tol=_tol(scene, "primitive", 1e-8),
+                               lagrangian=rep)
         verdicts[f"lift_{i}_exact"] = _verdict(rep.passed and cert.valid,
                                                residual=rep.residual_sup,
                                                **cert.as_dict())

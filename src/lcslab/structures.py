@@ -145,15 +145,16 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
 
     This is the sampled form of the bound under which ``lambda/g`` stays a
     Liouville form.  A field that is not positive on the samples is
-    refused, naming the first such sample.
+    refused, naming the first such sample.  Only dg/dp is read, so g's jet
+    is seeded in the fiber coordinates only.
     """
     coords = _coerce_coords(S.total, S.samples() if samples is None
                             else samples).reshape(-1, S.total.dim)
-    jet = g._jet(coords, 1)
+    jet = g._jet(coords, 1, S.n)
     if np.any(jet.f <= 0.0):
         raise DomainEvaluationError("log-derivative of a nonpositive field",
                                     point=coords[np.argmax(jet.f <= 0.0)])
-    vals = np.einsum("bi,bi->b", jet.g[:, S.n:], coords[:, S.n:]) / jet.f
+    vals = np.einsum("bi,bi->b", jet.g, coords[:, S.n:]) / jet.f
     i = int(np.argmax(vals))
     sup = float(vals[i])
     return RadialCriterionReport(sup=sup, passed=bool(sup < 1.0),

@@ -1,9 +1,16 @@
 """Radial deformation flow: analytic oracles, pullback residual, degrees."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcslab.errors import ObstructionError, PreconditionError
+from field_strategies import grammar_fields
+from lcslab.errors import (DimensionError, DomainEvaluationError,
+                           ObstructionError, PreconditionError)
+from lcslab.expressions import compile_field
 from lcslab.extension import RadialField, fiber_directions, log_radii
 from lcslab.jets import Jet2
 from lcslab.lagrangians import (beta_graph, example_torus_1, example_torus_2,
@@ -13,7 +20,7 @@ from lcslab.manifolds import (ScalarField, make_manifold, parameter_grid,
 from lcslab.moser import (MoserProblem, flow_and_check, integrate_flow,
                           moser_vector_field, projection_degree, radial_field_to_scalar_field,
                           straighten_lagrangian, verify_conformal_pullback)
-from lcslab.structures import cotangent_lcs
+from lcslab.structures import cotangent_lcs, criterion_radial_log_derivative
 
 T1 = make_manifold(1, 0)
 T2 = make_manifold(2, 0)
@@ -828,3 +835,120 @@ def test_interpolant_composes_as_a_field():
     inverse = ScalarField(S.total, lambda j: G.fn(j).reciprocal())
     assert np.array_equal(inverse.value(pts), 1.0 / G.value(pts))
     assert G.value(pts[3]) == G.value(pts)[3]
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 arrays bit for bit: -0.0 differs from 0.0, and a NaN
+    equals a NaN of the same payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def rate_points(S, rng, k=96):
+    """Normalized points of T*M: wrapped and unwrapped base coordinates,
+    fibers from the zero section out past every factor's radius."""
+    n = S.n
+    q = rng.uniform(-1.0, 8.0, (k, n))
+    v = rng.normal(size=(k, n))
+    r = np.concatenate([[0.0, 1e-9, 1.0, 1.5, 2.0],
+                        np.exp(rng.uniform(-4.0, 3.0, k - 5))])
+    p = r[:, None] * v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return S.total.normalize(np.concatenate([q, p], axis=-1))
+
+
+def assert_fiber_seeding_is_exact(S, g, coords):
+    """The fiber-seeded value path of the Moser rate and of the radial
+    criterion gives the bits of the full-width jet of g."""
+    from lcslab.moser import _moser_rate
+    n = S.n
+    full = g._jet(coords, 2)
+    assert same_bits(g._jet(coords, 1, n).g, full.g[:, n:])
+    P = SimpleNamespace(structure=S, g=g)    # the rate reads only these
+    for tau in (0.0, 0.3, 1.0, np.linspace(0.0, 1.0, len(coords))):
+        c, _, _, bad = _moser_rate(P, coords, tau, False)
+        c_full, _, _, bad_full = _moser_rate(P, coords, tau, True)
+        assert same_bits(c, c_full)
+        assert np.array_equal(bad, bad_full)
+    if (full.f > 0.0).all():
+        rep = criterion_radial_log_derivative(g, S, coords)
+        vals = np.einsum("bi,bi->b", full.g[:, n:], coords[:, n:]) / full.f
+        i = int(np.argmax(vals))
+        assert same_bits(rep.sup, vals[i])
+        assert same_bits(rep.worst_point, coords[i])
+
+
+def fiber_seeding_factor(name):
+    """(S, g) for each kind of Moser factor the program flows."""
+    if name == "identity":
+        return S2, ScalarField.constant(S2.total, 1.0)
+    if name == "constant-ball-scene":
+        P, _, _ = scene_flow_problem("moser-constant-ball.json")
+        return P.structure, P.g
+    if name == "constant-ball":
+        return S2, constant_ball_field(S2, c=2.0)
+    if name == "expression":
+        return S2, compile_field(
+            "1 + 0.4*exp(-p1*p1 - 2*p2*p2)*(1 + 0.5*sin(q1)*cos(2*q2))"
+            " + 0.1*p1*exp(-p2*p2)", S2.total)
+    if name == "interpolant-scene":
+        P, _, _ = scene_flow_problem("beta-graph-pipeline.json")
+        return P.structure, P.g
+    F = random_radial_field(T2, 4, np.random.default_rng(5))
+    return S2, radial_field_to_scalar_field(F, S2)
+
+
+@pytest.mark.parametrize("name", ["identity", "constant-ball-scene",
+                                  "constant-ball", "expression",
+                                  "interpolant-scene", "interpolant"])
+def test_fiber_seeded_rate_matches_full_jet(name):
+    # the rate's value path and the radial criterion seed only the fiber
+    # coordinates; every operation a factor reaches computes a gradient
+    # column from the same column of its operands, so the bits are those of
+    # the full-width jet at n = 1 and n = 2
+    S, g = fiber_seeding_factor(name)
+    coords = rate_points(S, np.random.default_rng(3))
+    assert_fiber_seeding_is_exact(S, g, coords)
+
+
+@pytest.mark.parametrize("S", [S1, S2], ids=["n1", "n2"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fiber_seeded_rate_matches_full_jet_on_grammar_fields(S, data):
+    # 1 + f^2 keeps the factor positive, as the rate and the criterion
+    # need, also where an exp term of f overflows
+    field, _ = data.draw(grammar_fields(S.total))
+    g = ScalarField(S.total, lambda jets: field.fn(jets) ** 2 + 1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    assert_fiber_seeding_is_exact(S, g, rate_points(S, rng, k=32))
+
+
+def test_fiber_seeding_refuses_a_field_that_reads_derivatives():
+    # a derivative_loss field indexes gradient columns by coordinate, which
+    # a fiber-seeded jet renumbers
+    g = ScalarField(S2.total, lambda jets: jets[2] * 0.0 + 1.0,
+                    derivative_loss=1)
+    coords = rate_points(S2, np.random.default_rng(0), k=8)
+    assert g._jet(coords, 1).g.shape == (8, 4)
+    with pytest.raises(DimensionError):
+        g._jet(coords, 1, 2)
+    with pytest.raises(DimensionError):
+        criterion_radial_log_derivative(g, S2, coords)
+
+
+def test_fiber_seeded_domain_error_names_its_row():
+    # ln(p2) leaves its domain at row 5 alone: the fiber-seeded path names
+    # that row's point, as the full-width one does
+    from lcslab.moser import _moser_rate
+    coords = np.column_stack([np.full(8, 0.5), np.full(8, 1.5),
+                              np.linspace(-1.0, 1.0, 8),
+                              np.linspace(1.0, 2.0, 8)])
+    coords[5, 3] = -0.25
+    g = ScalarField(S2.total, lambda jets: jets[3].log() + 2.0)
+    P = SimpleNamespace(structure=S2, g=g)
+    for call in (lambda: g._jet(coords, 1, 2), lambda: g._jet(coords, 2),
+                 lambda: _moser_rate(P, coords, 0.5, False),
+                 lambda: criterion_radial_log_derivative(g, S2, coords)):
+        with pytest.raises(DomainEvaluationError) as info:
+            call()
+        assert same_bits(info.value.point, coords[5])

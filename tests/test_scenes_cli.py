@@ -706,6 +706,27 @@ def test_lagrangian_check_runs_once_per_embedding(scene, command, tol, count,
     assert len(calls) == count
 
 
+def test_lift_legendrian_honours_tolerance_overrides(tmp_path, monkeypatch):
+    # both lifts are checked at the scene's own tolerances; the Lagrangian
+    # residual of a lift is exactly 0, so its tolerance is read off the call
+    tols = []
+    check = scenes.verify_lagrangian
+
+    def recorded(E, *args, tol=1e-9, **kwargs):
+        tols.append(tol)
+        return check(E, *args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(scenes, "verify_lagrangian", recorded)
+    rep = run_command("lift-legendrian", SCENES / "legendrian-lift-pair.json",
+                      tmp_path, tol_overrides={"primitive": 1e-30,
+                                               "lagrangian": 1e-20})
+    assert tols == [1e-20, 1e-20]
+    for name in ("lift_0_exact", "lift_1_exact"):
+        assert rep["verdicts"][name]["tol"] == 1e-30
+        assert not rep["verdicts"][name]["passed"]
+    assert not rep["passed"]
+
+
 def test_determinism_double_run(tmp_path):
     # every fixture scene run twice with seed 0 produces byte-identical
     # reports modulo the timestamp field
