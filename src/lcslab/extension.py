@@ -200,20 +200,16 @@ class InnerPatch:
 
 
 def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
-                        mvt: MvtReport | None = None,
                         blend_radius: float = 0.5) -> InnerPatch:
-    """Extend h near the zero section without creating an obstruction.
+    """Extend h near the zero section.
 
     Away from the (transverse) intersections of L with the section the patch
-    is the constant max(h); near them it blends to h.  Requires the chord
-    scan to report no obstruction; an obstructed input is rejected with the
-    offending chord.
+    is the constant max(h); near them it blends to h.  The intersections are
+    ``fiber_zeros`` on a 48-node parameter grid.  The patch does not scan
+    chords: ``build_positive_extension`` refuses an obstructed L before it
+    builds the patch.
     """
     S = E.structure
-    if mvt is None:
-        mvt = mvt_obstruction_report(E)
-    if mvt.obstructed:
-        mvt.refuse("the mean-value bound obstructs this extension")
     pts = E.points(parameter_grid(E.source, 64).reshape(-1, E.source.dim))
     hv = h.value(pts)
     if hv.min() <= 0.0:
@@ -223,15 +219,14 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
 
     # intersections with the zero section: Newton on fiber(u) = 0
     n = S.n
-    params = parameter_grid(E.source, 48).reshape(-1, E.source.dim)
+    params = parameter_grid(E.source, 48)
     fib_norm = np.linalg.norm(E.fiber_values(params), axis=-1)
     if fib_norm.max() <= 1e-12:
         # degenerate input: L is the section, the patch is h itself
         return InnerPatch(structure=S, h=h, h_max=h_max,
                           intersection_bases=np.zeros((0, n)),
                           blend_radius=blend_radius, everywhere=True)
-    zeros = fiber_zeros(
-        E, params[fib_norm <= max(2 * fib_norm.min(), 1e-2)])
+    zeros = fiber_zeros(E, params, fib_norm)
     inters = E.base_values(zeros) if zeros.shape[0] else np.zeros((0, n))
     return InnerPatch(structure=S, h=h, h_max=h_max,
                       intersection_bases=inters, blend_radius=blend_radius)
@@ -240,25 +235,25 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
 # ------------------------------------------------------- ray interpolation
 
 def _ray_crossings(E: ParametricEmbedding, h: ScalarField,
-                   base_points: np.ndarray, directions: np.ndarray,
-                   min_norm: float) -> tuple:
+                   base_points: np.ndarray, directions: np.ndarray) -> tuple:
     """Crossings of the fiber rays with L, for fibers of any dimension.
 
     One Newton batch solves base(u) = q for every base point q.  Each
     preimage gives one crossing: its covector p picks its ray by
     ``nearest_direction``, at radius |p|, with the value of h at that point
     of L.  Returns flat arrays ``(ray, radius, value)`` with ``ray = b*D +
-    d``, sorted by ray and then by radius.
+    d``, sorted by ray and then by radius.  Every crossing is returned, the
+    ones near the zero section too: ``radial_log_interpolation`` decides
+    which ones count.
     """
     src = E.source
     params = parameter_grid(src, 96).reshape(-1, src.dim)
     good, owner = base_preimages(E, base_points, params, E.base_values(params),
                                  nearest=8)
-    fib = E.fiber_values(good)
-    hv = h.value(E.points(good))
+    pts = E.points(good)
+    fib = pts[:, E.n:]
+    hv = h.value(pts)
     r = np.linalg.norm(fib, axis=-1)
-    keep = r >= min_norm
-    fib, r, hv, owner = fib[keep], r[keep], hv[keep], owner[keep]
     ray = owner * directions.shape[0] + nearest_direction(fib, r, directions)
     order = np.lexsort((r, ray))
     return ray[order], r[order], hv[order]
@@ -563,13 +558,13 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     if mvt.obstructed:
         mvt.refuse("extension refused: the mean-value bound obstructs")
 
-    patch = near_zero_extension(h, E, mvt=mvt)
+    patch = near_zero_extension(h, E)
 
     base_points = parameter_grid(S.base, base_grid).reshape(-1, S.n)
     dirs = fiber_directions(S.n, directions)
     radii = log_radii(r_min, r_max, shells)
 
-    crossings = _ray_crossings(E, h, base_points, dirs, min_norm=4 * r_min)
+    crossings = _ray_crossings(E, h, base_points, dirs)
     interp, collar, top = radial_log_interpolation(
         patch, crossings, base_points, dirs, radii, h)
     stage = {"interpolation": float(interp.log_slopes().max())}
@@ -586,9 +581,8 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     r_inner = min(top * COLLAR_FACTOR * 2.0, radii[-3])
     flat = outer_flatten(smooth, r_inner=r_inner, r_outer=radii[-1],
                          margin=0.25)
-    stage["flattened"] = float(flat.log_slopes().max())
-
     final = verify_radial_bound(flat, h=h, collar_nodes=collar)
+    stage["flattened"] = final.max_slope
     report = ExtensionReport(stage_max_slopes=stage, final=final,
                              collar_nodes=collar, mvt=mvt)
     return flat, report

@@ -702,10 +702,22 @@ def base_preimages(E: ParametricEmbedding, targets: np.ndarray,
     return good[first], owner[first]
 
 
-def fiber_zeros(E: ParametricEmbedding, seeds: np.ndarray) -> np.ndarray:
+def fiber_zeros(E: ParametricEmbedding, params: np.ndarray,
+                fib_norm: np.ndarray) -> np.ndarray:
     """Parameters where L meets the zero section (``fiber(u) = 0``), one per
-    intersection, normalized; Newton from ``seeds``."""
+    intersection, normalized.
+
+    Newton starts from every node of the grid ``params`` (laid out as by
+    ``parameter_grid``) whose fiber norm ``fib_norm`` is at most each grid
+    neighbour's, so each transverse crossing seeds its nearest node.
+    """
     n = E.n
+    seed = np.ones(fib_norm.shape, dtype=bool)
+    for ax, circle in enumerate(E.source.is_circle):
+        # circle axes wrap; a line axis pads its end nodes with themselves
+        x = np.pad(np.moveaxis(fib_norm, ax, 0), [(1, 1)] + [(0, 0)] *
+                   (fib_norm.ndim - 1), "wrap" if circle else "edge")
+        seed &= np.moveaxis((x[1:-1] <= x[:-2]) & (x[1:-1] <= x[2:]), 0, ax)
 
     def residual(u, _rows):
         jets = E.chart.jet(u, order=1)
@@ -713,7 +725,7 @@ def fiber_zeros(E: ParametricEmbedding, seeds: np.ndarray) -> np.ndarray:
         J = np.stack([c.g for c in jets[n:]], axis=-2)
         return r, J
 
-    sol, _, ok = gauss_newton(residual, seeds, tol=1e-12)
+    sol, _, ok = gauss_newton(residual, params[seed], tol=1e-12)
     good = E.source.normalize(sol[ok])
     return good[dedup_points(E.source.embed(good), 1e-4)]
 
@@ -774,8 +786,8 @@ def genericity_check(E: ParametricEmbedding,
                                 None, False)
 
     # (1) intersections with the zero section
-    inters = fiber_zeros(
-        E, params[fib_norm < np.quantile(fib_norm, 0.05) + 1e-9])
+    coords_nd = params.reshape((grid,) * src.dim + (src.dim,))
+    inters = fiber_zeros(E, coords_nd, fib_norm.reshape(coords_nd.shape[:-1]))
     margins = np.zeros(0)
     if inters.shape[0]:
         J = E.chart.jacobian(inters)
@@ -787,7 +799,6 @@ def genericity_check(E: ParametricEmbedding,
     # (2) vertical tangencies: zeros of the base volume along grid edges,
     # found by linear interpolation, then its exact zeros on the grid
     detb = _base_volume(E, params, 0).f.reshape((grid,) * src.dim)
-    coords_nd = params.reshape((grid,) * src.dim + (src.dim,))
     tang = []
     for ax in range(src.dim):
         db = np.roll(detb, -1, axis=ax)

@@ -14,8 +14,8 @@ exact jets of g).
 The straightening pipeline composes the time-1 map with a fiber translation
 and certifies, through the chart it returns, that the image is exact for
 the untwisted form; an extension field violating the radial bound is
-refused, pointing back at the chord report.  A signed-preimage count of a
-regular value gives the projection degree diagnostic.
+refused by ``MoserProblem``.  A signed-preimage count of a regular value
+gives the projection degree diagnostic.
 """
 
 from __future__ import annotations
@@ -58,12 +58,9 @@ class MoserProblem:
     def __post_init__(self):
         S = self.structure
         coords = S.samples(2048)
-        vals = self.g.jet(coords, order=0).f
-        if vals.min() <= 0.0:
-            raise PreconditionError("conformal factor must be positive",
-                                    minimum=float(vals.min()))
         # family condition: lambda/g Liouville needs d ln g(Z) < 1; the
-        # segment to the identity inherits it by convexity
+        # segment to the identity inherits it by convexity.  The criterion
+        # refuses a g that is not positive on the samples.
         rep = criterion_radial_log_derivative(self.g, S, coords)
         if not rep.passed:
             raise ObstructionError(
@@ -91,7 +88,8 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
     per row.  With ``need_grad`` also returns dc/dq and dc/dw at the fiber
     point w, read off the same quotient taken on the full order-2 jet of g;
     otherwise those are None.  The last value marks the rows whose
-    denominator is not positive, where the rate is meaningless.
+    denominator is not positive (NaN included), where the rate is
+    meaningless.
 
     The value alone reads only dg/dp, so without ``need_grad`` g's jet is
     seeded in the fiber coordinates only: half the width, the same bits.
@@ -99,9 +97,10 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
     n = P.structure.n
     jet = P.g._jet(coords, 2, 0) if need_grad else P.g._jet(coords, 1, n)
     ginv = 1.0 / jet.f
-    dginv_Z = -np.einsum("bi,bi->b", jet.g[:, -n:], coords[:, n:]) * ginv ** 2
-    denom = tau * ginv + (1 - tau) + tau * dginv_Z
-    bad = denom <= 0.0
+    # d(1/g)(Z) = -dg(Z)/g^2, subtracted: the bits of adding it negated
+    dg_Z = np.einsum("bi,bi->b", jet.g[:, -n:], coords[:, n:])
+    denom = tau * ginv + (1 - tau) - tau * (dg_Z * ginv ** 2)
+    bad = ~(denom > 0.0)
     c = (ginv - 1.0) / denom
     if not need_grad:
         return c, None, None, bad
@@ -232,9 +231,6 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
             if failed is None or row // B < failed[0]:
                 failed = (row // B, error)
             c[bad] = 0.0
-            if dc_dq is not None:
-                dc_dq[bad] = 0.0
-                dc_dw[bad] = 0.0
         f = c * rcur
         if len(state) == 1:
             return [f]
@@ -302,13 +298,13 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
     (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0), t0, t1)
     err = np.abs(scales - halved).max(initial=0.0) / 15.0
     fails = 0
-    while err > 1e-10 and fails < 10:
+    while not err <= 1e-10 and fails < 10:   # a NaN error fails too
         step *= 0.5
         halved = scales
         (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1)
         err = np.abs(scales - halved).max(initial=0.0) / 15.0
         fails += 1
-    if err > 1e-10:
+    if not err <= 1e-10:
         worst = int(np.argmax(np.abs(scales - halved)))
         raise PreconditionError(
             "flow integration diverged after 10 step halvings",
@@ -476,13 +472,12 @@ class StraightenReport:
 
 def straighten_lagrangian(E: ParametricEmbedding, g,
                           eta_prime: Sequence = (),
-                          step: float = 5e-3, grid: int = 48,
-                          chord_report=None):
+                          step: float = 5e-3, grid: int = 48):
     """Carry a twisted-exact Lagrangian to an exact one for the untwisted form.
 
     ``g`` is a positive conformal factor matching the extension contract
-    (equal to 1 outside a compact, radial log-derivative below 1); a factor
-    violating the bound is refused, pointing at the chord report when given.
+    (equal to 1 outside a compact, radial log-derivative below 1);
+    ``MoserProblem`` refuses a factor that is not, with its own error.
     The returned chart composes the time-1 radial flow (RK4 at ``step``,
     its scale sensitivities from the first-variation flow) with a fiber
     translation by the base form ``eta_prime``, and the report certifies
@@ -497,16 +492,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     if isinstance(g, RadialField):
         outside_radius = float(g.radii[-1])
         g = radial_field_to_scalar_field(g, S)
-    try:
-        P = MoserProblem(structure=S, g=g, outside_radius=outside_radius)
-    except ObstructionError as exc:
-        if chord_report is not None:
-            raise ObstructionError(
-                "straightening refused: conformal factor violates the "
-                "radial bound; see the chord report",
-                chords=getattr(chord_report, "as_dict", lambda: None)(),
-                cause=str(exc))
-        raise
+    P = MoserProblem(structure=S, g=g, outside_radius=outside_radius)
     eta_fields = [c if isinstance(c, ScalarField) else
                   ScalarField.constant(S.base, float(c)) for c in eta_prime]
 

@@ -416,12 +416,7 @@ def _cmd_scan_chords(scene, options):
 
 def _cmd_mvt_report(scene, options, E):
     grid = int(scene.get("grids", {}).get("chord_grid", 48))
-    try:
-        rep = mvt_obstruction_report(E, grid=grid)
-    except PreconditionError as exc:
-        return {"results": {"error": str(exc)},
-                "verdicts": {"mvt_unobstructed": _verdict(False,
-                                                          error=str(exc))}}, {}
+    rep = mvt_obstruction_report(E, grid=grid)
     verdicts = {"mvt_unobstructed": _verdict(not rep.obstructed,
                                              **rep.as_dict())}
     return {"results": rep.as_dict(), "verdicts": verdicts}, {}

@@ -151,9 +151,9 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     coords = _coerce_coords(S.total, S.samples() if samples is None
                             else samples).reshape(-1, S.total.dim)
     jet = g._jet(coords, 1, S.n)
-    if np.any(jet.f <= 0.0):
+    if not np.all(jet.f > 0.0):     # a NaN value fails too
         raise DomainEvaluationError("log-derivative of a nonpositive field",
-                                    point=coords[np.argmax(jet.f <= 0.0)])
+                                    point=coords[np.argmin(jet.f > 0.0)])
     vals = np.einsum("bi,bi->b", jet.g, coords[:, S.n:]) / jet.f
     i = int(np.argmax(vals))
     sup = float(vals[i])

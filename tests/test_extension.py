@@ -63,14 +63,6 @@ def test_near_zero_extension_for_section_like_lagrangian():
     assert jumps.max() <= 10 * step
 
 
-def test_near_zero_extension_rejects_obstructed():
-    E = translate_by_form(example_torus_1(), "beta", -2.0)
-    h = ScalarField.constant(E.structure.total, 1.0)
-    with pytest.raises(ObstructionError) as err:
-        near_zero_extension(h, E)
-    assert "chord" in str(err.value) or "ratio" in str(err.value)
-
-
 # ------------------------------------------------------------- ray algebra
 
 def test_ray_log_slope_cases():
@@ -121,9 +113,32 @@ def test_interpolation_accepts_half_slope():
     assert np.all(f.values[collar] == 1.0)
 
 
+def test_interpolation_ignores_crossings_below_the_patch_collar():
+    # radial_log_interpolation is the one filter of which crossings count:
+    # one planted on ray 0 just inside l' * COLLAR_FACTOR and one on the
+    # zero section (ray 3) leave the field, the collar and the top unchanged
+    from lcslab.extension import COLLAR_FACTOR, radial_log_interpolation
+    S = S1
+    patch = near_zero_extension(ScalarField.constant(S.total, 1.0),
+                                graph_embedding(S, p0=1.0))
+    base = parameter_grid(T1, 8).reshape(-1, 1)
+    dirs = fiber_directions(1)
+    radii = log_radii(1e-3, 16.0, 64)
+    h = ScalarField.constant(S.total, 1.0)
+    low = 4e-3 * COLLAR_FACTOR * 0.99
+    plain = (np.array([0, 0]), np.array([1.0, 4.0]), np.array([1.0, 2.0]))
+    planted = (np.array([0, 0, 0, 3]), np.array([low, 1.0, 4.0, 1e-17]),
+               np.array([1.0, 1.0, 2.0, 1.0]))
+    want = radial_log_interpolation(patch, plain, base, dirs, radii, h)
+    got = radial_log_interpolation(patch, planted, base, dirs, radii, h)
+    assert np.array_equal(got[0].values, want[0].values)
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2] == 4.0
+
+
 # ------------------------------------------------------------ ray crossings
 
-def per_point_ray_crossings(E, h, base_points, directions, min_norm):
+def per_point_ray_crossings(E, h, base_points, directions):
     """Reference crossings: one Newton solve, one deduplication and one loop
     per base point, then a stable sort by ray and radius (the per-base-point
     form of ``_ray_crossings``).  Returns ``(ray, radius, value)`` tuples."""
@@ -154,9 +169,9 @@ def per_point_ray_crossings(E, h, base_points, directions, min_norm):
             continue
         for p, val in zip(E.fiber_values(good), h.value(E.points(good))):
             r = float(np.linalg.norm(p))
-            if r < min_norm:
-                continue
-            di = int(np.argmax(directions @ (p / r)))
+            # a crossing on the zero section takes direction 0, as in
+            # ``nearest_direction``
+            di = 0 if r <= 1e-12 else int(np.argmax(directions @ (p / r)))
             out.append((bi * len(directions) + di, r, float(val)))
     return sorted(out, key=lambda c: c[:2])
 
@@ -190,11 +205,10 @@ def test_batched_crossings_match_per_point_reference(scene_name):
     base = parameter_grid(E.structure.base,
                           int(ext["base_grid"])).reshape(-1, 1)
     dirs = fiber_directions(1)
-    min_norm = 4 * float(ext.get("r_min", 1e-3))
-    ray, radius, value = _ray_crossings(E, h, base, dirs, min_norm)
+    ray, radius, value = _ray_crossings(E, h, base, dirs)
     got = [(int(k), float(r), float(v))
            for k, r, v in zip(ray, radius, value)]
-    assert got == per_point_ray_crossings(E, h, base, dirs, min_norm)
+    assert got == per_point_ray_crossings(E, h, base, dirs)
     counts = np.bincount(ray, minlength=base.shape[0] * 2)
     assert counts.sum() > 0
     if scene_name == "double-cover":
@@ -218,7 +232,7 @@ def test_extension_over_two_torus_crosses_each_nearest_ray():
 
     base = parameter_grid(T2, 8).reshape(-1, 2)
     dirs = fiber_directions(2, 16)
-    ray, radius, value = _ray_crossings(E, h, base, dirs, 4e-3)
+    ray, radius, value = _ray_crossings(E, h, base, dirs)
     p = E.fiber_values(base)
     r = np.linalg.norm(p, axis=-1)
     nearest = np.argmax((p / r[:, None]) @ dirs.T, axis=-1)

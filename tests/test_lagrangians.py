@@ -407,6 +407,42 @@ def test_genericity_morse_graph():
     assert rep.hypothesis_ok
 
 
+def wave_graph(s):
+    """The graph p = 0.7 sin(2q + s) + 0.4 cos(q + 0.3) - 0.2 over the
+    circle, and its four transverse crossings of the zero section, from the
+    sign changes of p on 4096 nodes refined by bisection."""
+    from scipy.optimize import brentq
+    S = cotangent_lcs(T1, [0.0])
+
+    def fiber(q):
+        return 0.7 * np.sin(2 * q + s) + 0.4 * np.cos(q + 0.3) - 0.2
+
+    chart = SmoothMap(T1, S.total, lambda j: [
+        j[0], (j[0] * 2.0 + s).sin() * 0.7 + (j[0] + 0.3).cos() * 0.4 - 0.2])
+    E = ParametricEmbedding(source=T1, structure=S, chart=chart)
+    q = np.linspace(0.0, 2 * np.pi, 4097)
+    v = fiber(q)
+    roots = [brentq(fiber, q[i], q[i + 1], xtol=1e-14)
+             for i in np.flatnonzero(np.sign(v[:-1]) != np.sign(v[1:]))]
+    return E, np.sort(np.mod(roots, 2 * np.pi))
+
+
+@pytest.mark.parametrize("s", np.round(np.arange(21) * 0.05, 2))
+def test_both_zero_section_finders_see_every_transverse_crossing(s):
+    # grid local minima of |fiber| seed Newton in both finders: each of the
+    # four crossings is found, including the ones a narrow band around the
+    # global minimum misses (at s = 0.2 one near 3.4653)
+    from lcslab.extension import near_zero_extension
+    E, roots = wave_graph(s)
+    assert roots.size == 4
+    h = ScalarField.constant(E.structure.total, 1.0)
+    found = {
+        "patch": near_zero_extension(h, E).intersection_bases[:, 0],
+        "genericity": genericity_check(E, grid=48).intersections[:, 0]}
+    for name, q in found.items():
+        assert np.allclose(np.sort(q), roots, rtol=0, atol=1e-9), name
+
+
 def test_rank_deficient_chart_raises_immersion_error():
     from lcslab.errors import ImmersionError
     S = cotangent_lcs(T2, [0.0, 1.0])

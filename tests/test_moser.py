@@ -573,10 +573,52 @@ def test_straighten_refuses_obstructed_scene():
     E = translate_by_form(example_torus_1(), "beta", -2.0)
     bad_g = ScalarField(E.structure.total,
                         lambda j: ((j[2] * j[2] + j[3] * j[3]) * 0.5).exp())
-    from lcslab.chords import mvt_obstruction_report
-    chords = mvt_obstruction_report(E, grid=32)
-    with pytest.raises(ObstructionError):
-        straighten_lagrangian(E, bad_g, chord_report=chords)
+    # MoserProblem owns the refusal: d ln g(Z) = |p|^2 reaches 1
+    with pytest.raises(ObstructionError) as err:
+        straighten_lagrangian(E, bad_g)
+    assert str(err.value).startswith("d ln g(Z) reaches 1")
+    assert err.value.details["worst"] >= 1.0
+
+
+def test_rate_refuses_a_nan_denominator():
+    # g reaches 0 at (0.5, 1.5), where its gradient vanishes too: 1/g is
+    # inf, the denominator NaN, and the flow must refuse the seed there
+    ball = constant_ball_field(S1)
+    g = ScalarField(S1.total, lambda j: ball.fn(j) * (1.0 - (
+        ((j[0] - 0.5) * (j[0] - 0.5) + (j[1] - 1.5) * (j[1] - 1.5))
+        * -1e8).exp()))
+    P = MoserProblem(structure=S1, g=g, outside_radius=3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError) as err:
+            integrate_flow(P, [[0.5, 1.5]])
+    assert str(err.value).startswith(
+        "Moser denominator g_tau + dg_tau(Z) lost positivity")
+    assert err.value.details == {"point": "[0.5 1.5]", "tau": 1.0}
+
+
+def test_richardson_check_refuses_a_nan_scale(monkeypatch):
+    # a NaN scale is a failed accuracy check, not an accepted step
+    import lcslab.moser as moser
+
+    def nan_scales(P, seeds, steps, t0, t1, dirs=None):
+        return np.full((len(steps), seeds.shape[0]), np.nan), None
+
+    monkeypatch.setattr(moser, "_flow_scales", nan_scales)
+    P = MoserProblem(structure=S1, g=constant_ball_field(S1))
+    with pytest.raises(PreconditionError, match="diverged after 10"):
+        integrate_flow(P, [[0.5, 1.5]])
+
+
+def test_moser_problem_refuses_a_nan_factor():
+    # exp(1000 p^2) overflows on the samples, so g is NaN there: the radial
+    # criterion refuses it as not positive, naming the point
+    g = ScalarField(S1.total,
+                    lambda j: (j[1] * j[1] * 1000.0).exp() * 0.0 + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainEvaluationError,
+                           match="log-derivative of a nonpositive field "
+                                 "at point"):
+            MoserProblem(structure=S1, g=g)
 
 
 def test_projection_degree_zero_section():

@@ -469,11 +469,29 @@ def test_cli_mvt_report_refuses_a_nonpositive_primitive(tmp_path):
     assert code == 2
     rep = json.loads(
         (tmp_path / "example1-translated-mvt-report.json").read_text())
-    verdict = rep["verdicts"]["mvt_unobstructed"]
+    assert not rep["passed"] and list(rep["verdicts"]) == ["numeric_error"]
+    verdict = rep["verdicts"]["numeric_error"]
     assert not verdict["passed"]
-    assert "primitive is not positive" in verdict["error"]
-    minimum = float(verdict["error"].rpartition("minimum=")[2].rstrip(")"))
-    assert minimum == pytest.approx(-3.0, abs=1e-3)
+    assert verdict["type"] == "PreconditionError"
+    assert verdict["message"].startswith("primitive is not positive")
+    assert verdict["details"]["minimum"] == pytest.approx(-3.0, abs=1e-3)
+
+
+def test_cli_full_pipeline_stops_at_a_nonpositive_primitive(tmp_path):
+    # no extension block: the pipeline's own MVT step ends the run with the
+    # one numeric_error verdict, the verify step's verdicts dropped with it
+    path = write_scene(tmp_path, "example1-translated.json",
+                       embedding={"library": "example-torus-1",
+                                  "translate": {"c": 2.0}})
+    code = main(["full-pipeline", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / "example1-translated-full-pipeline.json").read_text())
+    assert list(rep["verdicts"]) == ["numeric_error"]
+    assert rep["results"] == {} and rep["artifacts"] == []
+    verdict = rep["verdicts"]["numeric_error"]
+    assert verdict["message"].startswith("primitive is not positive")
+    assert verdict["details"]["minimum"] == pytest.approx(-3.0, abs=1e-3)
 
 
 def test_cli_nonexistent_scene(tmp_path):
@@ -535,7 +553,8 @@ def test_cli_missing_scene_block_names_its_pointer(command, base, changes,
      {"expression": "0.5"},
      "conformal factor must equal 1 outside the stated radius"),
     ("moser-deform", "moser-constant-ball.json", "moser", "g",
-     {"expression": "0 - 1"}, "conformal factor must be positive"),
+     {"expression": "0 - 1"},
+     "log-derivative of a nonpositive field at point ["),
     ("build-extension", "extension-tube.json", "extension", "h", "0 - 1",
      "h must be positive near L"),
 ], ids=["g-not-one-outside", "g-negative", "h-negative"])
