@@ -37,8 +37,8 @@ from .manifolds import (ModelManifold, Point, ScalarField, SmoothMap,
                         VectorField, make_manifold, parameter_grid,
                         sample_points)
 from .moser import (FlowResult, MoserProblem, integrate_flow,
-                    moser_vector_field, projection_degree,
-                    straighten_lagrangian, verify_conformal_pullback)
+                    projection_degree, straighten_lagrangian,
+                    verify_conformal_pullback)
 from .scenes import load_scene, run_command
 from .structures import (CotangentLcsStructure, GaugeTransform,
                          cotangent_lcs, criterion_radial_log_derivative,

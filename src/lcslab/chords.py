@@ -101,8 +101,6 @@ class ChordScanResult:
     chords: list
     unresolved_seeds: list
     seed_count: int
-    min_fiber_norm: float
-    exclusion_band: float
     grid: int
 
     def as_dict(self) -> dict:
@@ -110,8 +108,8 @@ class ChordScanResult:
             "chords": [c.as_dict() for c in self.chords],
             "unresolved_seed_count": len(self.unresolved_seeds),
             "seed_count": self.seed_count,
-            "min_fiber_norm": self.min_fiber_norm,
-            "exclusion_band": self.exclusion_band,
+            "min_fiber_norm": MIN_FIBER_NORM,
+            "exclusion_band": EXCLUSION_BAND,
             "grid": self.grid,
             "family_count": len({c.family_id for c in self.chords}),
         }
@@ -272,9 +270,7 @@ def scan_chords(E1: ParametricEmbedding, E2: ParametricEmbedding | None = None,
         ray_idx=list(range(n, 2 * n)), grid=grid, same=same,
         min_ray_norm=MIN_FIBER_NORM)
     return ChordScanResult(chords=chords, unresolved_seeds=unresolved,
-                           seed_count=seed_count,
-                           min_fiber_norm=MIN_FIBER_NORM,
-                           exclusion_band=EXCLUSION_BAND, grid=grid)
+                           seed_count=seed_count, grid=grid)
 
 
 def classify_chord(c: LiouvilleChord, f1: ScalarField,
@@ -466,15 +462,14 @@ CSV_COLUMNS = ["base", "start_fiber", "t", "length", "ratio", "defect",
 
 
 def chords_to_csv(chords: Sequence[LiouvilleChord], path: str,
-                  n_base: int | None = None) -> None:
+                  n_base: int) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for c in chords:
-            nb = n_base if n_base is not None else c.start_point.shape[0] // 2
             w.writerow([
-                " ".join(f"{x:.12g}" for x in c.start_point[:nb]),
-                " ".join(f"{x:.12g}" for x in c.start_point[nb:]),
+                " ".join(f"{x:.12g}" for x in c.start_point[:n_base]),
+                " ".join(f"{x:.12g}" for x in c.start_point[n_base:]),
                 f"{c.scale:.12g}", f"{c.length:.12g}",
                 "" if c.mvt_ratio is None else f"{c.mvt_ratio:.12g}",
                 "" if c.defect is None else f"{c.defect:.12g}",

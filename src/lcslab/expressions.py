@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -206,20 +205,13 @@ def _evaluate(node, env: dict) -> Jet2:
     raise SceneError(f"unknown node {kind!r}")  # pragma: no cover
 
 
-def compile_field(src: str, domain: ModelManifold,
-                  var_names: Sequence[str] | None = None) -> ScalarField:
-    """Compile an expression into a scalar field on ``domain``.
-
-    Identifiers bind to coordinates by name: the manifold's labels by
-    default, or the given ``var_names`` (one per coordinate).
-    """
-    names = tuple(var_names) if var_names is not None else domain.labels
-    if len(names) != domain.dim:
-        raise SceneError("one variable name per coordinate required")
+def compile_field(src: str, domain: ModelManifold) -> ScalarField:
+    """Compile an expression into a scalar field on ``domain``; identifiers
+    bind to coordinates by the manifold's labels."""
     ast = parse_expression(src)
 
     def fn(jets):
-        env = {nm: j for nm, j in zip(names, jets)}
+        env = {nm: j for nm, j in zip(domain.labels, jets)}
         return _evaluate(ast, env)
 
     return ScalarField(domain, fn, name=src)

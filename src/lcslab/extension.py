@@ -47,7 +47,13 @@ __all__ = [
 
 # The interpolation keeps exact h on [r / COLLAR_FACTOR, r * COLLAR_FACTOR]
 # around each crossing r; the restored collar is its middle half in ln r.
+# The patch blends to h within BLEND_RADIUS (base distance) of L meeting the
+# section, the mollifier's bump spans KERNEL_CELLS grid cells each way, and
+# the outer taper keeps its log-slope below 1 - FLATTEN_MARGIN.
 COLLAR_FACTOR = 1.12
+BLEND_RADIUS = 0.5
+KERNEL_CELLS = 3
+FLATTEN_MARGIN = 0.25
 
 
 def fiber_directions(n: int, count: int = 256) -> np.ndarray:
@@ -173,7 +179,6 @@ class InnerPatch:
     h: ScalarField
     h_max: float
     intersection_bases: np.ndarray     # (I, n)
-    blend_radius: float
     everywhere: bool = False
 
     def values(self, base_points: np.ndarray, directions: np.ndarray,
@@ -189,7 +194,7 @@ class InnerPatch:
                 [S.base.distance(base_points, q)
                  for q in self.intersection_bases], axis=0), axis=0)
             # 1 at intersections
-            w = 1.0 - smoothstep(np.clip(d / self.blend_radius, 0.0, 1.0))
+            w = 1.0 - smoothstep(np.clip(d / BLEND_RADIUS, 0.0, 1.0))
             if not np.any(w > 0):
                 return out
         nodes = _grid_nodes(base_points, directions, radii)
@@ -199,8 +204,7 @@ class InnerPatch:
         return (1.0 - w)[:, None, None] * out + w[:, None, None] * hv
 
 
-def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
-                        blend_radius: float = 0.5) -> InnerPatch:
+def near_zero_extension(h: ScalarField, E: ParametricEmbedding) -> InnerPatch:
     """Extend h near the zero section.
 
     Away from the (transverse) intersections of L with the section the patch
@@ -225,11 +229,11 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding,
         # degenerate input: L is the section, the patch is h itself
         return InnerPatch(structure=S, h=h, h_max=h_max,
                           intersection_bases=np.zeros((0, n)),
-                          blend_radius=blend_radius, everywhere=True)
+                          everywhere=True)
     zeros = fiber_zeros(E, params, fib_norm)
     inters = E.base_values(zeros) if zeros.shape[0] else np.zeros((0, n))
     return InnerPatch(structure=S, h=h, h_max=h_max,
-                      intersection_bases=inters, blend_radius=blend_radius)
+                      intersection_bases=inters)
 
 
 # ------------------------------------------------------- ray interpolation
@@ -340,7 +344,7 @@ def _bump_kernel(half_width: int) -> np.ndarray:
     return k / k.sum()
 
 
-def mollify(F: RadialField, is_circle, kernel_cells: int = 3) -> RadialField:
+def mollify(F: RadialField, is_circle) -> RadialField:
     """Convolve with a compactly supported positive bump, unit mass on the
     grid; smooths seams at grid scale.
 
@@ -350,13 +354,10 @@ def mollify(F: RadialField, is_circle, kernel_cells: int = 3) -> RadialField:
     in ``is_circle`` convolve periodically; line axes replicate their end
     values, as the radius axis does.
     """
-    if kernel_cells < 2:
-        raise PreconditionError("kernel radius must be at least 2 grid cells",
-                                kernel_cells=kernel_cells)
-    k = _bump_kernel(kernel_cells)
+    k = _bump_kernel(KERNEL_CELLS)
     vals = F.values.copy()
     # radius axis: replicate edges (field is constant near both ends)
-    pad = kernel_cells
+    pad = KERNEL_CELLS
     padded = np.concatenate([np.repeat(vals[..., :1], pad, axis=-1), vals,
                              np.repeat(vals[..., -1:], pad, axis=-1)], axis=-1)
     out = np.zeros_like(vals)
@@ -365,12 +366,12 @@ def mollify(F: RadialField, is_circle, kernel_cells: int = 3) -> RadialField:
     vals = out
 
     def convolve(a, axis, wrap):
-        # the taps of np.roll(a, i - kernel_cells); a line axis clamps them
+        # the taps of np.roll(a, i - KERNEL_CELLS); a line axis clamps them
         # to its end nodes instead of wrapping
         idx = np.arange(a.shape[axis])
         acc = np.zeros_like(a)
         for i, w in enumerate(k):
-            src = idx - (i - kernel_cells)
+            src = idx - (i - KERNEL_CELLS)
             src = src % idx.size if wrap else np.clip(src, 0, idx.size - 1)
             acc += w * np.take(a, src, axis=axis)
         return acc
@@ -390,12 +391,13 @@ def mollify(F: RadialField, is_circle, kernel_cells: int = 3) -> RadialField:
 
 # ------------------------------------------------------------ outer flatten
 
-def outer_flatten(F: RadialField, r_inner: float, r_outer: float,
-                  margin: float = 0.0) -> RadialField:
+def outer_flatten(F: RadialField, r_inner: float,
+                  r_outer: float) -> RadialField:
     """Taper log-linearly to 1 between two radii; exactly 1 beyond.
 
     Admissibility per ray: |ln F(r_inner)| / ln(r_outer / r_inner) must stay
-    below 1 - margin; rejection reports the minimal admissible outer radius.
+    below 1 - FLATTEN_MARGIN; rejection reports the minimal admissible outer
+    radius.
     """
     radii = F.radii
     if r_outer <= r_inner:
@@ -405,8 +407,8 @@ def outer_flatten(F: RadialField, r_inner: float, r_outer: float,
     anchor = F.values[..., i_in]
     worst = float(np.abs(np.log(anchor)).max())
     denom = np.log(r_outer / radii[i_in])
-    if worst / denom >= 1.0 - margin:
-        minimal = float(radii[i_in] * np.exp(worst / max(1.0 - margin, 1e-12)))
+    if worst / denom >= 1.0 - FLATTEN_MARGIN:
+        minimal = float(radii[i_in] * np.exp(worst / (1.0 - FLATTEN_MARGIN)))
         raise PreconditionError(
             "outer radius too small for an admissible taper",
             minimal_admissible_r_outer=minimal, worst_log_value=worst)
@@ -579,8 +581,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
 
     # outer flatten beyond every crossing
     r_inner = min(top * COLLAR_FACTOR * 2.0, radii[-3])
-    flat = outer_flatten(smooth, r_inner=r_inner, r_outer=radii[-1],
-                         margin=0.25)
+    flat = outer_flatten(smooth, r_inner=r_inner, r_outer=radii[-1])
     final = verify_radial_bound(flat, h=h, collar_nodes=collar)
     stage["flattened"] = final.max_slope
     report = ExtensionReport(stage_max_slopes=stage, final=final,

@@ -298,9 +298,6 @@ def _pullback_jets(phi: SmoothMap, forms, coords, order) -> list:
     out = []
     for form in forms:
         k = form.degree
-        if k > n_src:
-            out.append([])
-            continue
         base_composed = [compose_jet(c, phi_jets)
                          for c in form._jets(target_coords, min(order, 2))]
         tgt_idx = increasing_indices(form.domain.dim, k)

@@ -20,7 +20,7 @@ jet-graph Legendrians with their product lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,9 +79,6 @@ class ParametricEmbedding:
     def fiber_values(self, params) -> np.ndarray:
         return self.chart(params)[..., self.n:]
 
-    def parameter_samples(self, count: int = 512) -> np.ndarray:
-        return sample_points(self.source, count)
-
 
 @dataclass
 class LagrangianReport:
@@ -90,7 +87,6 @@ class LagrangianReport:
     passed: bool
     tol: float
     sample_count: int
-    worst_param: np.ndarray = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {"residual_sup": self.residual_sup,
@@ -102,7 +98,7 @@ class LagrangianReport:
 def verify_lagrangian(E: ParametricEmbedding, samples=None,
                       tol: float = 1e-9) -> LagrangianReport:
     """Sup of the pulled-back twisted 2-form over samples; immersion checked."""
-    params = (E.parameter_samples() if samples is None
+    params = (sample_points(E.source, 512) if samples is None
               else _coerce_coords(E.source, samples))
     flat = params.reshape(-1, E.source.dim)
     J = E.chart.jacobian(flat)
@@ -114,13 +110,10 @@ def verify_lagrangian(E: ParametricEmbedding, samples=None,
                              min_singular_value=min_sv,
                              parameter=np.array2string(worst, precision=6))
     res = np.abs(pullback(E.chart, E.structure.omega).coefficients(flat))
-    per_sample = res.max(axis=-1, initial=0.0)
-    worst_i = int(np.argmax(per_sample))
-    sup = float(per_sample[worst_i])
+    sup = float(res.max(initial=0.0))
     return LagrangianReport(residual_sup=sup, min_singular_value=min_sv,
                             passed=bool(sup <= tol), tol=tol,
-                            sample_count=flat.shape[0],
-                            worst_param=flat[worst_i])
+                            sample_count=flat.shape[0])
 
 
 def require_lagrangian(E: ParametricEmbedding, report=None) -> None:
@@ -129,7 +122,7 @@ def require_lagrangian(E: ParametricEmbedding, report=None) -> None:
     own ``report`` on E stands in for it if it passed at tol <= 1e-9."""
     if report is not None and report.passed and report.tol <= 1e-9:
         return
-    rep = verify_lagrangian(E, samples=E.parameter_samples(256))
+    rep = verify_lagrangian(E, samples=sample_points(E.source, 256))
     if not rep.passed:
         raise PreconditionError(
             "embedding is not Lagrangian on the sample set",
@@ -477,9 +470,8 @@ def beta_graph(f: ScalarField, S: CotangentLcsStructure,
 
 
 def zero_section(S: CotangentLcsStructure) -> ParametricEmbedding:
-    E = beta_graph(ScalarField.constant(S.base, 0.0), S, name="zero-section")
-    E.name = "zero-section"
-    return E
+    return beta_graph(ScalarField.constant(S.base, 0.0), S,
+                      name="zero-section")
 
 
 def jet_graph(c: ScalarField, M: ModelManifold) -> SmoothMap:
@@ -609,7 +601,7 @@ def symplectization_immersion(E: ParametricEmbedding,
 
     jmap = SmoothMap(E.source, S.total, fn, name=f"sympl({E.name})",
                      derivative_loss=inner.derivative_loss)
-    pts = (E.parameter_samples(256) if samples is None
+    pts = (sample_points(E.source, 256) if samples is None
            else _coerce_coords(E.source, samples))
     # d(i*lambda) = i*(d lambda), which needs one jet order less
     closed = pullback(jmap, exterior_d(S.lam)).coefficients(pts)

@@ -349,11 +349,13 @@ def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
     ``[-radius, radius]`` unless overridden per index through ``ranges``.
     ``seed`` picks the block of ``n`` Halton points that starts at index
     ``1 + seed * n`` (index 0 is the degenerate all-zeros point), so
-    distinct seeds give distinct (still reproducible) sets; a negative seed
-    is refused.
+    distinct seeds give distinct (still reproducible) sets; a negative seed,
+    or one whose last index ``(seed + 1) * n`` leaves int64, is refused.
     """
     if seed < 0:
         raise ValueError(f"sample seed must be nonnegative, got {seed}")
+    if (seed + 1) * n >= 2 ** 63:
+        raise ValueError(f"seed {seed} overflows the int64 Halton index")
     u = _halton(manifold.dim, 1 + seed * n, n)
     coords = np.empty_like(u)
     for i, circ in enumerate(manifold.is_circle):

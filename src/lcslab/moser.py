@@ -31,8 +31,8 @@ from .forms import exterior_d, increasing_indices, pullback
 from .jets import Jet2, partial_jet, seed_jets
 from .lagrangians import (ParametricEmbedding, _base_volume, _shift_fibers,
                           base_preimages)
-from .manifolds import (ScalarField, SmoothMap, VectorField, _as_jets,
-                        _coerce_coords, parameter_grid, sample_points)
+from .manifolds import (ScalarField, SmoothMap, _as_jets, _coerce_coords,
+                        parameter_grid, sample_points)
 # gauss_newton is no longer called here; it stays importable from this
 # module because perfbench/tests checks the tracer's rebinding through it
 from .numerics import (central_difference, gauss_newton,  # noqa: F401
@@ -41,7 +41,7 @@ from .structures import (CotangentLcsStructure, cotangent_lcs,
                          criterion_radial_log_derivative)
 
 __all__ = [
-    "MoserProblem", "FlowResult", "moser_vector_field", "integrate_flow",
+    "MoserProblem", "FlowResult", "integrate_flow",
     "flow_and_check", "verify_conformal_pullback", "straighten_lagrangian",
     "StraightenReport", "projection_degree", "radial_field_to_scalar_field",
 ]
@@ -114,35 +114,6 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
     return c, rate.g[:, :n], rate.g[:, n:], bad
 
 
-def _positivity_error(coords: np.ndarray, row: int,
-                      tau: float) -> PreconditionError:
-    """The error for a Moser denominator that is not positive at ``row``."""
-    return PreconditionError(
-        "Moser denominator g_tau + dg_tau(Z) lost positivity",
-        point=np.array2string(coords[row], precision=6), tau=tau)
-
-
-def moser_vector_field(P: MoserProblem, t: float):
-    """The radial generating field at time t, colinear with the Euler field.
-
-    The denominator ``g_t + dg_t(Z)`` stays positive under the problem's
-    bound; a violation is reported with the first offending point.
-    """
-    n = P.structure.n
-
-    def fn(jets):
-        coords = np.stack([j.f for j in jets], axis=-1)
-        flat = P.structure.total.normalize(coords.reshape(-1, 2 * n))
-        c, _, _, bad = _moser_rate(P, flat, t, False)
-        if bad.any():
-            raise _positivity_error(flat, int(np.argmax(bad)), t)
-        c = c.reshape(coords.shape[:-1])
-        zero = jets[0] * 0.0
-        return [zero] * n + [Jet2(c * jets[n + i].f) for i in range(n)]
-
-    return VectorField(P.structure.total, fn, name=f"X_{t}")
-
-
 @dataclass
 class FlowResult:
     seeds: np.ndarray
@@ -178,9 +149,9 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
     its own step count runs out; the finest runs longest, so the live rows
     are always a prefix.  Each row does exactly the arithmetic of a run at
     its own step alone, so its scale is that run's bit for bit.  A Moser
-    denominator that loses positivity raises what those runs, made one after
-    the other in the order of ``steps``, would raise: the first failing
-    block's first failing row.
+    denominator that loses positivity raises at the first rate call that
+    meets it, naming its first failing row (the finest block's rows come
+    first).
     """
     n = P.structure.n
     seeds = np.atleast_2d(seeds)
@@ -206,10 +177,8 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
         dv = (dp - dr0[:, :, None] * v[:, None, :]) / \
             np.maximum(r0[:, None, None], 1e-300)
         state.append(dr0)
-    failed = None   # (block, error): the finest coarser block that failed
 
     def rhs(state, t):
-        nonlocal failed
         rcur = state[0]
         L = rcur.shape[0]
         coords = np.concatenate([q[:L], rcur[:, None] * v[:L]], axis=1)
@@ -223,14 +192,10 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
         c, dc_dq, dc_dw, bad = _moser_rate(P, coords, tau, len(state) > 1)
         if bad.any():
             row = int(np.argmax(bad))
-            error = _positivity_error(coords, row, float(tau[row]))
-            if row < B:
-                raise error
-            # a coarser block failed: a finer one may still fail and win, so
-            # its error waits for the loop's end; zero rates keep it finite
-            if failed is None or row // B < failed[0]:
-                failed = (row // B, error)
-            c[bad] = 0.0
+            raise PreconditionError(
+                "Moser denominator g_tau + dg_tau(Z) lost positivity",
+                point=np.array2string(coords[row], precision=6),
+                tau=float(tau[row]))
         f = c * rcur
         if len(state) == 1:
             return [f]
@@ -268,8 +233,6 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
         done = counts[k]
         for out, x in zip(final, state):
             out[k * B:L] = x[k * B:]
-    if failed is not None:
-        raise failed[1]
     r = final[0]
     scales = np.ones(K * B)
     scales[live] = r[live] / r0[live]
@@ -488,6 +451,9 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     loop holonomy within 1e-6.
     """
     S = E.structure
+    if len(eta_prime) > S.n:
+        raise DimensionError(f"eta_prime has {len(eta_prime)} coefficients "
+                             f"for a base of dimension {S.n}")
     outside_radius = 8.0
     if isinstance(g, RadialField):
         outside_radius = float(g.radii[-1])

@@ -65,8 +65,6 @@ def gauss_newton(residual: Callable[[np.ndarray, np.ndarray], tuple],
     and a convergence mask.
     """
     u = np.array(seeds, dtype=float, copy=True)
-    if u.ndim == 1:
-        u = u[None, :]
     B = u.shape[0]
     final_norms = np.full(B, np.inf)
     active = np.arange(B)

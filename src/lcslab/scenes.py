@@ -75,8 +75,9 @@ _EMBEDDING = {
     "additionalProperties": False,
 }
 
-# the tolerance names that _tol reads
-TOLERANCES = ("nondegenerate", "closed", "lagrangian", "primitive", "pullback")
+# each tolerance _tol reads, with its default
+TOLERANCES = {"nondegenerate": 1e-9, "closed": 1e-9, "lagrangian": 1e-9,
+              "primitive": 1e-8, "pullback": 1e-4}
 
 SCENE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -176,8 +177,8 @@ def load_scene(path) -> dict:
 
 # ------------------------------------------------------------- construction
 
-def _tol(scene: dict, key: str, default: float) -> float:
-    return float(scene.get("tolerances", {}).get(key, default))
+def _tol(scene: dict, key: str) -> float:
+    return float(scene.get("tolerances", {}).get(key, TOLERANCES[key]))
 
 
 def _manifold(spec: dict, prefix: str | None = None):
@@ -250,8 +251,7 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
                          pointer=pointer)
 
     if "primitive" in spec:
-        E.declared_primitive = compile_field(spec["primitive"], E.source,
-                                             var_names=E.source.labels)
+        E.declared_primitive = compile_field(spec["primitive"], E.source)
     tr = spec.get("translate")
     if tr:
         eta = ([compile_field(e, E.structure.base) for e in tr["eta"]]
@@ -358,13 +358,13 @@ def _cmd_validate_structure(scene, options):
                         seed=options["seed"])
     closed = float(np.abs(exterior_d(S.beta).coefficients(samples)).max())
     rep = check_nondegenerate(S.omega, samples,
-                              tol=_tol(scene, "nondegenerate", 1e-9))
+                              tol=_tol(scene, "nondegenerate"))
     Z = liouville_vector_field(S)
     contraction = float(np.abs(
         interior_product(Z, exterior_d(S.lam)).coefficients(samples)
         - S.lam.coefficients(samples)).max())
     verdicts = {
-        "lee_form_closed": _verdict(closed <= _tol(scene, "closed", 1e-9),
+        "lee_form_closed": _verdict(closed <= _tol(scene, "closed"),
                                     residual=closed),
         "omega_nondegenerate": _verdict(rep.nondegenerate, **rep.as_dict()),
         "euler_contraction": _verdict(contraction <= 1e-10,
@@ -379,9 +379,9 @@ def _cmd_verify_lagrangian(scene, options, E):
     from .manifolds import parameter_grid
     params = parameter_grid(E.source, grid).reshape(-1, E.source.dim)
     rep = verify_lagrangian(E, samples=params,
-                            tol=_tol(scene, "lagrangian", 1e-9))
+                            tol=_tol(scene, "lagrangian"))
     cert = solve_primitive(E, grid_shape=min(grid, 128),
-                           tol=_tol(scene, "primitive", 1e-8), lagrangian=rep)
+                           tol=_tol(scene, "primitive"), lagrangian=rep)
     verdicts = {
         "lagrangian": _verdict(rep.passed, **rep.as_dict()),
         "exactness": _verdict(cert.valid, **cert.as_dict()),
@@ -472,7 +472,7 @@ def _cmd_moser_deform(scene, options):
     # one flow: the pullback check rides in it on the first 256 seeds
     checked = 256 if mo.get("verify_pullback", True) else 0
     res, vrep = flow_and_check(P, seeds, float(mo.get("step", 1e-3)),
-                               checked, _tol(scene, "pullback", 1e-4))
+                               checked, _tol(scene, "pullback"))
     displacement = float(np.abs(res.images - res.seeds).max())
     results = {"flow": res.as_dict(), "max_displacement": displacement}
 
@@ -509,9 +509,9 @@ def _cmd_lift_legendrian(scene, options):
     verdicts = {}
     results = {"lift_count": len(lifts)}
     for i, L in enumerate(lifts):
-        rep = verify_lagrangian(L, tol=_tol(scene, "lagrangian", 1e-9))
+        rep = verify_lagrangian(L, tol=_tol(scene, "lagrangian"))
         cert = solve_primitive(L, grid_shape=32,
-                               tol=_tol(scene, "primitive", 1e-8),
+                               tol=_tol(scene, "primitive"),
                                lagrangian=rep)
         verdicts[f"lift_{i}_exact"] = _verdict(rep.passed and cert.valid,
                                                residual=rep.residual_sup,
@@ -619,6 +619,8 @@ def run_command(command: str, scene_path, out_dir, seed: int = 0,
     options = {"seed": int(seed)}
     if options["seed"] < 0:
         raise SceneError(f"seed must be nonnegative, got {seed}")
+    if options["seed"] >= 2 ** 32:
+        raise SceneError(f"seed must be below 2**32, got {seed}")
     # a bad out_dir fails here, before any work; a scene error found by the
     # command removes the directories made for it, so it writes nothing
     out_dir = Path(out_dir)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainEvaluationError
 from .forms import (FormExpression, SumForm, coordinate_differential,
-                    exterior_d, field_form, lichnerowicz_d, zero_form)
+                    exterior_d, field_form, lichnerowicz_d)
 from .jets import Jet2
 from .manifolds import (ModelManifold, Point, ScalarField, VectorField,
                         _coerce_coords, sample_points)
@@ -26,7 +26,7 @@ __all__ = [
     "CotangentLcsStructure", "GaugeTransform", "LcsPair", "cotangent_lcs",
     "liouville_vector_field", "liouville_flow",
     "criterion_radial_log_derivative", "gauge_apply", "RadialCriterionReport",
-    "structure_scene_fragment", "radial_blend", "smoothstep",
+    "radial_blend", "smoothstep",
 ]
 
 
@@ -67,20 +67,6 @@ class CotangentLcsStructure:
         return sample_points(self.total, count, radius=fiber_radius, seed=seed)
 
 
-def structure_scene_fragment(S: CotangentLcsStructure) -> dict:
-    """Scene-file fragment describing this structure.
-
-    Coefficient fields carry their defining expression in ``name`` when they
-    were built from one (scene-compiled fields always are); hand-built
-    lambdas serialize by name too, which may not re-parse.
-    """
-    return {
-        "manifold": {"circles": S.base.circle_count,
-                     "lines": S.base.line_count},
-        "structure": {"beta": [c.name for c in S.beta_base_coeffs]},
-    }
-
-
 def cotangent_lcs(base: ModelManifold,
                   beta_coeffs: Sequence = ()) -> CotangentLcsStructure:
     """Canonical structure on T*(base) with ``beta = sum c_i(q) dq_i``.
@@ -102,7 +88,7 @@ def cotangent_lcs(base: ModelManifold,
     lifted = tuple(_lift_base_field(base, total, c) for c in coeffs)
     beta_terms = [coordinate_differential(total, i) * lifted[i]
                   for i in range(n)]
-    beta = SumForm(beta_terms) if beta_terms else zero_form(total, 1)
+    beta = SumForm(beta_terms)
 
     omega = lichnerowicz_d(lam, beta)
     return CotangentLcsStructure(base=base, total=total, lam=lam, beta=beta,
@@ -134,9 +120,7 @@ def liouville_flow(S: CotangentLcsStructure, x, t: float):
 class RadialCriterionReport:
     sup: float
     passed: bool
-    threshold: float
     worst_point: np.ndarray
-    sample_count: int
 
 
 def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
@@ -158,8 +142,7 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     i = int(np.argmax(vals))
     sup = float(vals[i])
     return RadialCriterionReport(sup=sup, passed=bool(sup < 1.0),
-                                 threshold=1.0, worst_point=coords[i],
-                                 sample_count=int(vals.size))
+                                 worst_point=coords[i])
 
 
 @dataclass(frozen=True)

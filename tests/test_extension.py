@@ -52,7 +52,7 @@ def test_near_zero_extension_for_section_like_lagrangian():
     E = beta_graph(ScalarField(T1, lambda j: j[0].cos(), name="cos"), S)
     h = ScalarField(S.total, lambda j: j[0].sin() * 0.0 + 2.0
                     + j[0].sin() * 0.5)
-    patch = near_zero_extension(h, E, blend_radius=0.6)
+    patch = near_zero_extension(h, E)
     assert patch.h_max == pytest.approx(2.5, abs=1e-6)
     assert patch.intersection_bases.shape[0] > 0
     base = parameter_grid(T1, 64).reshape(-1, 1)
@@ -254,7 +254,7 @@ def _toy_field(vals_fn, shells=64):
 
 def test_mollify_constant_unchanged():
     F = _toy_field(lambda r: np.ones_like(r))
-    out = mollify(F, (True,), kernel_cells=3)
+    out = mollify(F, (True,))
     assert np.abs(out.values - 1.0).max() <= 1e-12
 
 
@@ -267,7 +267,7 @@ def test_mollify_slope_hull():
         return v
 
     F = _toy_field(vals)
-    out = mollify(F, (True,), kernel_cells=4)
+    out = mollify(F, (True,))
     slopes = out.log_slopes()
     assert slopes.min() >= -1e-9
     assert slopes.max() <= 0.5 + 1e-9
@@ -275,7 +275,7 @@ def test_mollify_slope_hull():
 
 def test_mollify_uniform_slope_barely_grows():
     F = _toy_field(lambda r: r ** 0.9)
-    out = mollify(F, (True,), kernel_cells=3)
+    out = mollify(F, (True,))
     assert out.log_slopes().max() <= 0.9 + 1e-3
 
 
@@ -328,7 +328,7 @@ def test_mollify_matches_three_loop_reference(base_shape, directions):
     vals = np.random.default_rng(7).uniform(0.5, 2.0,
                                             (B, dirs.shape[0], 24))
     F = RadialField(base, dirs, radii, vals)
-    out = mollify(F, (True,) * n, kernel_cells=3)
+    out = mollify(F, (True,) * n)
     assert np.array_equal(out.values,
                           three_loop_mollify(F, 3, base_shape))
 
@@ -364,12 +364,6 @@ def test_mollify_keeps_the_ends_of_a_line_axis_apart():
     assert out.values[np.argmin(base[:, 0])].min() > 1.0
 
 
-def test_mollify_requires_wide_kernel():
-    F = _toy_field(lambda r: np.ones_like(r))
-    with pytest.raises(PreconditionError):
-        mollify(F, (True,), kernel_cells=1)
-
-
 # ------------------------------------------------------------ outer flatten
 
 def test_outer_flatten_identity_on_ones():
@@ -381,19 +375,19 @@ def test_outer_flatten_identity_on_ones():
 
 
 def test_outer_flatten_minimal_radius():
-    # value e at r_inner = 1 with margin 0.5 needs r_outer >= e^2
-    F = _toy_field(lambda r: np.full_like(r, np.e), shells=128)
+    # value e^0.75 at r_inner = 1 with margin 0.25 needs r_outer >= e
+    F = _toy_field(lambda r: np.full_like(r, np.exp(0.75)), shells=128)
     with pytest.raises(PreconditionError) as err:
-        outer_flatten(F, r_inner=1.0, r_outer=np.e ** 2 * 0.98, margin=0.5)
+        outer_flatten(F, r_inner=1.0, r_outer=np.e * 0.98)
     assert err.value.details["minimal_admissible_r_outer"] == pytest.approx(
-        np.e ** 2, rel=0.05)
-    out = outer_flatten(F, r_inner=1.0, r_outer=np.e ** 2 * 1.1, margin=0.5)
+        np.e, rel=0.05)
+    out = outer_flatten(F, r_inner=1.0, r_outer=np.e * 1.1)
     assert np.all(out.values[..., -1] == 1.0)
 
 
 def test_outer_flatten_half_value():
     F = _toy_field(lambda r: np.full_like(r, 0.5), shells=128)
-    out = outer_flatten(F, r_inner=2.0, r_outer=9.9, margin=0.0)
+    out = outer_flatten(F, r_inner=2.0, r_outer=9.9)
     s = np.abs(out.log_slopes())
     expected = abs(np.log(0.5)) / np.log(9.9 / 2.0)
     assert s.max() == pytest.approx(expected, rel=0.05)
@@ -499,7 +493,7 @@ def test_near_zero_extension_zero_section_returns_h():
     S = cotangent_lcs(T1, [1.0])
     E = zero_section(S)
     h = ScalarField(S.total, lambda j: j[0].sin() * 0.3 + 2.0)
-    patch = near_zero_extension(h, E, blend_radius=0.5)
+    patch = near_zero_extension(h, E)
     base = parameter_grid(T1, 32).reshape(-1, 1)
     radii = log_radii(1e-3, 0.05, 8)   # a thin collar of the section
     vals = patch.values(base, fiber_directions(1), radii)

@@ -246,6 +246,21 @@ def test_sampling_refuses_negative_seed(seed):
         sample_points(make_manifold(1, 0).cotangent(), 8, seed=seed)
 
 
+def test_sampling_refuses_a_seed_past_the_int64_index():
+    # the block's last Halton index, (seed + 1) * n, must fit in int64;
+    # past it the index overflows or wraps negative, where the digit loop
+    # never ends
+    M = make_manifold(1, 0)
+    with pytest.raises(ValueError, match="int64"):
+        sample_points(M, 4, seed=2 ** 62)
+    with pytest.raises(ValueError, match="int64"):
+        sample_points(M, 4, seed=2 ** 61 - 1)       # last index 2**63
+    # last index 2**63 - 1: 63 binary ones, a radical inverse that rounds
+    # to 1
+    last = sample_points(M, 1, seed=2 ** 63 - 2)
+    assert last[0, 0] == TWO_PI
+
+
 def test_normalize_and_difference_leave_inputs_unmodified():
     mixed = make_manifold(1, 1)
     a = np.array([[7.0, 1.5], [-0.5, -9.0]])

@@ -17,9 +17,10 @@ from lcslab.lagrangians import (beta_graph, example_torus_1, example_torus_2,
                                 translate_by_form, zero_section)
 from lcslab.manifolds import (ScalarField, make_manifold, parameter_grid,
                               sample_points)
-from lcslab.moser import (MoserProblem, flow_and_check, integrate_flow,
-                          moser_vector_field, projection_degree, radial_field_to_scalar_field,
-                          straighten_lagrangian, verify_conformal_pullback)
+from lcslab.moser import (MoserProblem, _moser_rate, flow_and_check,
+                          integrate_flow, projection_degree,
+                          radial_field_to_scalar_field, straighten_lagrangian,
+                          verify_conformal_pullback)
 from lcslab.structures import cotangent_lcs, criterion_radial_log_derivative
 
 T1 = make_manifold(1, 0)
@@ -53,9 +54,10 @@ def constant_ball_field(S, c=2.0, r_in=1.0, r_out=2.0):
 def test_identity_factor_gives_zero_field_and_flow():
     g = ScalarField.constant(S2.total, 1.0)
     P = MoserProblem(structure=S2, g=g)
-    X = moser_vector_field(P, 0.5)
     pts = sample_points(S2.total, 50)
-    assert np.abs(X.values(pts)).max() == 0.0
+    c, _, _, bad = _moser_rate(P, S2.total.normalize(pts), 0.5, False)
+    assert not bad.any()
+    assert np.abs(c).max() == 0.0
     res = integrate_flow(P, pts)
     assert np.abs(res.images - res.seeds).max() <= 1e-12
     assert res.max_fiber_drift == 0.0
@@ -74,17 +76,19 @@ def test_constant_factor_closed_form_flow():
 
 
 def test_constant_factor_vector_field_formula():
-    # X_t = ((1/c - 1)/(t/c + 1 - t)) Z inside the constant region
+    # X_t = ((1/c - 1)/(t/c + 1 - t)) Z inside the constant region, where
+    # the rate does not vary
     c = 2.0
     g = constant_ball_field(S1, c=c)
     P = MoserProblem(structure=S1, g=g, outside_radius=3.0)
+    pts = np.array([[0.2, 0.4], [1.0, -0.6]])
     for t in (0.0, 0.3, 0.9):
-        X = moser_vector_field(P, t)
-        pts = np.array([[0.2, 0.4], [1.0, -0.6]])
-        expected = ((1 / c - 1) / (t / c + 1 - t)) * pts[:, 1]
-        vals = X.values(pts)
-        assert np.abs(vals[:, 0]).max() == 0.0
-        assert np.abs(vals[:, 1] - expected).max() <= 1e-12
+        expected = (1 / c - 1) / (t / c + 1 - t)
+        rate, dc_dq, dc_dw, bad = _moser_rate(P, pts, t, True)
+        assert not bad.any()
+        assert np.abs(rate - expected).max() <= 1e-12
+        assert np.abs(dc_dq).max() <= 1e-12
+        assert np.abs(dc_dw).max() <= 1e-12
 
 
 def test_radial_factor_keeps_base_frozen():
@@ -297,21 +301,22 @@ SPIKE_SEEDS = np.array([[0.5, 1.5], [2.5, 0.8], [4.0, -1.2]])
 
 
 @pytest.mark.parametrize("case", ["coarse only", "fine later", "first call"])
-def test_positivity_error_matches_sequential_pair(case):
+def test_positivity_error_names_the_first_failing_rate_call(case):
     # integrate_flow at step 0.5 runs h = 0.5 and h = 1 in lockstep.  A bump
-    # where the coarse run's 2nd rate call lands fails only the coarse run.
-    # One more where the fine run's 5th call lands, on another seed, fails
-    # the fine run later, and that failure is the one reported.  Bumps on
-    # two seeds fail both runs at their first call; the first row wins.
+    # where the coarse run's 2nd rate call lands fails the coarse run there.
+    # One more where the fine run's 5th call lands, on another seed, would
+    # fail the fine run later; the coarse failure comes first and is the one
+    # raised.  Bumps on two seeds fail both runs at their first call; the
+    # fine block's rows come first, so the fine run is named.
     q, p = SPIKE_SEEDS.T
     coarse = (q[0], ball_stage_points(p[0], 1.0)[0])
     fine = (q[1], ball_stage_points(p[1], 0.5)[1])
-    spots, tau = {"coarse only": ([coarse], 0.5),
-                  "fine later": ([coarse, fine], 0.5),
-                  "first call": (SPIKE_SEEDS[:0:-1], 1.0)}[case]
+    spots, first, tau = {"coarse only": ([coarse], 1.0, 0.5),
+                         "fine later": ([coarse, fine], 1.0, 0.5),
+                         "first call": (SPIKE_SEEDS[:0:-1], 0.5, 1.0)}[case]
     P = spiked_ball_problem(spots)
     with pytest.raises(PreconditionError, match="lost positivity") as want:
-        sequential_integrate_flow(P, SPIKE_SEEDS, 0.5)
+        sequential_flow_scales(P, SPIKE_SEEDS, first, 0.0, 1.0)
     with pytest.raises(PreconditionError, match="lost positivity") as got:
         integrate_flow(P, SPIKE_SEEDS, step=0.5)
     assert str(got.value) == str(want.value)
@@ -319,13 +324,13 @@ def test_positivity_error_matches_sequential_pair(case):
     assert type(got.value.details["tau"]) is float
     assert got.value.details["tau"] == tau
     if case == "coarse only":
-        # the fine run alone is clean: the coarse error waited for it
+        # the fine run alone is clean
         sequential_flow_scales(P, SPIKE_SEEDS, 0.5, 0.0, 1.0)
     if case == "fine later":
-        # the coarse run alone fails elsewhere, and earlier
-        with pytest.raises(PreconditionError) as coarse_alone:
-            sequential_flow_scales(P, SPIKE_SEEDS, 1.0, 0.0, 1.0)
-        assert coarse_alone.value.details != want.value.details
+        # the fine run alone fails elsewhere
+        with pytest.raises(PreconditionError) as fine_alone:
+            sequential_flow_scales(P, SPIKE_SEEDS, 0.5, 0.0, 1.0)
+        assert fine_alone.value.details != want.value.details
 
 
 def test_a_seed_losing_positivity_is_named_before_its_stencil():

@@ -35,12 +35,6 @@ def test_expression_unary_minus_and_pi():
     assert f.value(np.array([0.0])) == pytest.approx(1.0)
 
 
-def test_expression_custom_variable_names():
-    t2 = make_manifold(2, 0, labels=("theta", "phi"))
-    f = compile_field("2*u1 + u2", t2, var_names=("u1", "u2"))
-    assert f.value(np.array([1.0, 2.0])) == pytest.approx(4.0)
-
-
 def test_expression_jets_are_exact():
     t1 = make_manifold(1, 0)
     f = compile_field("exp(sin(q1))", t1)
@@ -300,6 +294,23 @@ def test_cli_negative_seed_exit_1(tmp_path, capsys):
         run_command("moser-deform", SCENES / "moser-constant-ball.json",
                     tmp_path, seed=-1)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [2 ** 32, 2 ** 55, 99999999999999999999])
+def test_cli_seed_from_2_32_exit_1(seed, tmp_path, capsys):
+    # past int64 the Halton block's index would wrap negative (a digit loop
+    # that never ends) or overflow (a traceback); every seed from 2**32 on
+    # is refused before any work, and nothing is written
+    out = tmp_path / "out"
+    code = main(["moser-deform", str(SCENES / "moser-identity.json"),
+                 "--seed", str(seed), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scene error:") and "below 2**32" in err
+    assert not out.exists()
+    code = main(["moser-deform", str(SCENES / "moser-identity.json"),
+                 "--seed", str(2 ** 32 - 1), "--out", str(out)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".hidden", "",
@@ -792,23 +803,6 @@ def test_cli_two_lagrangian_scan(tmp_path):
         pytest.approx(1.0, abs=1e-9)
 
 
-def test_structure_scene_fragment_roundtrip(tmp_path):
-    from lcslab.scenes import _build_structure
-    from lcslab.structures import structure_scene_fragment
-    scene = load_scene(SCENES / "beta-graph-pipeline.json")
-    S = _build_structure(scene)
-    frag = structure_scene_fragment(S)
-    assert frag["manifold"] == {"circles": 1, "lines": 0}
-    assert frag["structure"]["beta"] == ["0.3*cos(q1)"]
-    # the fragment rebuilds the same structure
-    scene2 = dict(scene)
-    scene2.update(frag)
-    S2 = _build_structure(scene2)
-    pts = sample_points(S.total, 32)
-    assert np.abs(S.beta.coefficients(pts)
-                  - S2.beta.coefficients(pts)).max() == 0.0
-
-
 def test_cli_full_pipeline_end_to_end(tmp_path):
     code = main(["full-pipeline", str(SCENES / "beta-graph-pipeline.json"),
                  "--out", str(tmp_path)])
@@ -925,3 +919,20 @@ def test_asymmetric_straightening_without_translation_fails(tmp_path):
     assert not rep["verdicts"]["straightened_exact"]["passed"]
     assert rep["results"]["straighten"]["holonomy_sup"] == pytest.approx(
         1.1843793496623491e-3, abs=1e-9)
+
+
+def test_cli_full_pipeline_refuses_eta_prime_longer_than_the_base(tmp_path):
+    # three coefficients of a 1-form on T^1: a numeric error with a written
+    # report, not an IndexError in the holonomy loop
+    scene = json.loads((SCENES / "beta-graph-pipeline.json").read_text())
+    scene["moser"]["eta_prime"] = ["0", "1", "2"]
+    path = tmp_path / "long-eta.json"
+    path.write_text(json.dumps(scene))
+    code = main(["full-pipeline", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / "beta-graph-pipeline-full-pipeline.json").read_text())
+    error = rep["verdicts"]["numeric_error"]
+    assert list(rep["verdicts"]) == ["numeric_error"]
+    assert error["type"] == "DimensionError"
+    assert "eta_prime has 3 coefficients" in error["message"]
