@@ -34,7 +34,7 @@ print(f"sup |i_Z d(lambda) - lambda|: {np.abs(res).max():.3e}")
 
 print()
 print("== its flow scales fibers exactly ==")
-x = S.point([0.3, 0.4, 0.0, 1.0])
+x = np.array([0.3, 0.4, 0.0, 1.0])
 y = liouville_flow(S, x, np.log(3.0))
 print(f"Phi_ln3 (q, (0,1)) = {y}")
 
@@ -43,7 +43,8 @@ print("== where does lambda/g stop being a Liouville form? ==")
 # g = exp(r^2 / 2): the radial log-derivative is r^2, so the rescaled
 # 2-form d(lambda/g) degenerates exactly on the unit sphere bundle.
 g = ScalarField(S.total, lambda j: ((j[2] * j[2] + j[3] * j[3]) * 0.5).exp())
-rep = criterion_radial_log_derivative(g, S)
+grid = sample_points(S.total, 4096)
+rep = criterion_radial_log_derivative(g, S, grid)
 print(f"sup d(ln g)(Z) over the default grid: {rep.sup:.3f} "
       f"(pass below 1: {rep.passed})")
 

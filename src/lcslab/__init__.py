@@ -24,8 +24,7 @@ from .extension import (RadialField, SqueezeProfile,
                         verify_radial_bound)
 from .forms import (FormExpression, check_nondegenerate, constant_form,
                     coordinate_differential, exterior_d, field_form,
-                    forms_allclose, interior_product, lichnerowicz_d,
-                    pullback, zero_form)
+                    interior_product, lichnerowicz_d, pullback)
 from .jets import Jet2, compose_jet, constant_jet, partial_jet, seed_jets
 from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
                           beta_graph, contact_lift_check, example_torus_1,
@@ -33,9 +32,8 @@ from .lagrangians import (ExactnessCertificate, ParametricEmbedding,
                           lift_legendrian, primitive_of, solve_primitive,
                           symplectization_immersion, translate_by_form,
                           verify_lagrangian, zero_section)
-from .manifolds import (ModelManifold, Point, ScalarField, SmoothMap,
-                        VectorField, make_manifold, parameter_grid,
-                        sample_points)
+from .manifolds import (ModelManifold, ScalarField, SmoothMap, VectorField,
+                        make_manifold, parameter_grid, sample_points)
 from .moser import (FlowResult, MoserProblem, integrate_flow,
                     projection_degree, straighten_lagrangian,
                     verify_conformal_pullback)

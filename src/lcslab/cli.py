@@ -1,9 +1,9 @@
 """Command-line front door.
 
 One scene per invocation; subcommands select the pipeline.  Exit codes:
-0 when every verdict passes, 1 on scene/schema errors (the message carries a
-JSON pointer) and on scene or output paths the system refuses, 2 when a
-numeric verdict fails (the report is still written).
+0 when every verdict passes, 1 on usage errors, on scene/schema errors (the
+message carries a JSON pointer) and on scene or output paths the system
+refuses, 2 when a numeric verdict fails (the report is still written).
 
 The default output directory comes from the LCSLAB_OUT environment variable
 (falling back to ./reports).
@@ -21,8 +21,17 @@ from .scenes import COMMANDS, run_command
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: exit 2 means a failed
+    verdict whose report was written.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcslab",
         description="scene-driven checks for twisted cotangent geometry")
     sub = parser.add_subparsers(dest="command", required=True)

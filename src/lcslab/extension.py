@@ -110,10 +110,6 @@ class RadialField:
                                  self.radii.shape[0]):
             raise DimensionError("value block does not match the axes")
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.base_points, self.directions, self.radii,
-                           self.values.copy())
-
     def check_positive(self) -> None:
         if not np.all(self.values > 0.0):
             raise DomainEvaluationError("radial field lost positivity")
@@ -214,7 +210,7 @@ def near_zero_extension(h: ScalarField, E: ParametricEmbedding) -> InnerPatch:
     builds the patch.
     """
     S = E.structure
-    pts = E.points(parameter_grid(E.source, 64).reshape(-1, E.source.dim))
+    pts = E.chart(parameter_grid(E.source, 64).reshape(-1, E.source.dim))
     hv = h.value(pts)
     if hv.min() <= 0.0:
         raise PreconditionError("h must be positive near L",
@@ -254,7 +250,7 @@ def _ray_crossings(E: ParametricEmbedding, h: ScalarField,
     params = parameter_grid(src, 96).reshape(-1, src.dim)
     good, owner = base_preimages(E, base_points, params, E.base_values(params),
                                  nearest=8)
-    pts = E.points(good)
+    pts = E.chart(good)
     fib = pts[:, E.n:]
     hv = h.value(pts)
     r = np.linalg.norm(fib, axis=-1)
@@ -430,7 +426,6 @@ def outer_flatten(F: RadialField, r_inner: float,
 class RadialBoundReport:
     max_slope: float
     passed: bool
-    worst_node: tuple
     outer_shell_is_one: bool
     collar_match_sup: float | None
 
@@ -447,9 +442,7 @@ def verify_radial_bound(F: RadialField, h: ScalarField | None = None,
     logarithmic derivative); pass iff below 1.  Also checks the outer shell
     is exactly 1 and, given collar nodes, agreement with h there (within
     1e-6)."""
-    slopes = F.log_slopes()
-    idx = np.unravel_index(int(np.argmax(slopes)), slopes.shape)
-    max_slope = float(slopes[idx])
+    max_slope = float(F.log_slopes().max())
     outer_one = bool(np.all(F.values[..., -1] == 1.0))
     collar_sup = None
     if h is not None and collar_nodes is not None and collar_nodes.any():
@@ -460,8 +453,6 @@ def verify_radial_bound(F: RadialField, h: ScalarField | None = None,
     passed = max_slope < 1.0 and outer_one and (
         collar_sup is None or collar_sup <= 1e-6)
     return RadialBoundReport(max_slope=max_slope, passed=passed,
-                             worst_node=(int(idx[0]), int(idx[1]),
-                                         int(idx[2]) + 1),
                              outer_shell_is_one=outer_one,
                              collar_match_sup=collar_sup)
 
@@ -534,7 +525,6 @@ def squeeze_profile(P: SqueezeProfile, t) -> tuple:
 class ExtensionReport:
     stage_max_slopes: dict
     final: RadialBoundReport
-    collar_nodes: np.ndarray = field(repr=False, default=None)
     mvt: MvtReport = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
@@ -551,7 +541,7 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     """Run the whole pipeline; refuse obstructed scenes citing the chord.
 
     Returns ``(RadialField, ExtensionReport)``; the report carries per-stage
-    maxima of the radial log-slope, the restored collar nodes, and the final
+    maxima of the radial log-slope, the mean-value report and the final
     bound verification (including exact-1 outer shell and collar
     agreement with h).
     """
@@ -584,6 +574,5 @@ def build_positive_extension(E: ParametricEmbedding, h: ScalarField,
     flat = outer_flatten(smooth, r_inner=r_inner, r_outer=radii[-1])
     final = verify_radial_bound(flat, h=h, collar_nodes=collar)
     stage["flattened"] = final.max_slope
-    report = ExtensionReport(stage_max_slopes=stage, final=final,
-                             collar_nodes=collar, mvt=mvt)
+    report = ExtensionReport(stage_max_slopes=stage, final=final, mvt=mvt)
     return flat, report

@@ -26,10 +26,10 @@ from .manifolds import ModelManifold, ScalarField, SmoothMap, VectorField, \
     _coerce_coords, sample_points
 
 __all__ = [
-    "FormExpression", "constant_form", "coordinate_differential", "zero_form",
+    "FormExpression", "constant_form", "coordinate_differential",
     "field_form", "exterior_d", "lichnerowicz_d", "pullback",
     "pullback_coefficients", "interior_product", "check_nondegenerate",
-    "NondegeneracyReport", "forms_allclose", "increasing_indices",
+    "NondegeneracyReport", "increasing_indices",
 ]
 
 
@@ -132,11 +132,6 @@ class ConstantForm(FormExpression):
 
 def constant_form(domain, degree, coeffs) -> ConstantForm:
     return ConstantForm(domain, degree, coeffs)
-
-
-def zero_form(domain: ModelManifold, degree: int) -> ConstantForm:
-    n = len(increasing_indices(domain.dim, degree))
-    return ConstantForm(domain, degree, np.zeros(n))
 
 
 def coordinate_differential(domain: ModelManifold, index: int) -> ConstantForm:
@@ -422,7 +417,6 @@ def interior_product(X: VectorField, alpha: FormExpression) -> FormExpression:
 
 @dataclass
 class NondegeneracyReport:
-    determinants: np.ndarray
     min_abs_determinant: float
     nondegenerate: bool
     tol: float
@@ -450,20 +444,11 @@ def check_nondegenerate(omega: FormExpression, samples,
     for pos, (i, j) in enumerate(increasing_indices(n, 2)):
         mat[..., i, j] = coeffs[..., pos]
         mat[..., j, i] = -coeffs[..., pos]
-    dets = np.linalg.det(mat)
-    absdets = np.abs(dets)
+    absdets = np.abs(np.linalg.det(mat))
     imin = int(np.argmin(absdets.reshape(-1)))
     return NondegeneracyReport(
-        determinants=dets,
         min_abs_determinant=float(absdets.reshape(-1)[imin]),
         nondegenerate=bool(absdets.min() > tol),
         tol=tol,
         worst_point=coords.reshape(-1, n)[imin],
     )
-
-
-def forms_allclose(a: FormExpression, b: FormExpression, points,
-                   tol: float = 1e-9) -> bool:
-    """Pointwise equality on samples, the library's working notion of equality."""
-    return bool(np.max(np.abs(a.coefficients(points) - b.coefficients(points)),
-                       initial=0.0) <= tol)

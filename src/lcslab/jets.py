@@ -200,10 +200,6 @@ class Jet2:
         r = np.sqrt(self.f)
         return self.chain(r, 0.5 / r, -0.25 / self.f / r)
 
-    def arctan(self) -> "Jet2":
-        d = 1.0 + self.f ** 2
-        return self.chain(np.arctan(self.f), 1.0 / d, -2.0 * self.f / d ** 2)
-
     # ---------------------------------------------------------------- helpers
 
     @staticmethod

@@ -70,9 +70,6 @@ class ParametricEmbedding:
     def n(self) -> int:
         return self.structure.n
 
-    def points(self, params) -> np.ndarray:
-        return self.chart(params)
-
     def base_values(self, params) -> np.ndarray:
         return self.chart(params)[..., :self.n]
 
@@ -140,6 +137,9 @@ def require_lagrangian(E: ParametricEmbedding, report=None) -> None:
 # 1.269 / 1.229 s.  Every op is elementwise per node, so no number moves.
 PATH_CHUNK = 16384
 
+# RK4 steps of a generator loop; a grid edge gets its share, at least 4
+STEPS_PER_LOOP = 2048
+
 
 def _path_data(chart: SmoothMap, forms, start: np.ndarray, delta: np.ndarray,
                n_steps: int):
@@ -177,7 +177,6 @@ class ExactnessCertificate:
     holonomies: dict
     solved_primitive: "IntegratedPrimitive"
     unique_primitive: bool
-    base_point: np.ndarray
     base_value: float
     tol: float
     declared_residual_sup: float | None = None
@@ -296,27 +295,25 @@ def _loop_transport(chart: SmoothMap, forms, base: np.ndarray, axis: int,
     return H, B
 
 
-def solve_primitive(E: ParametricEmbedding, base_point=None, grid_shape=64,
-                    steps_per_loop: int = 2048, tol: float = 1e-8,
+def solve_primitive(E: ParametricEmbedding, grid_shape=64, tol: float = 1e-8,
                     lagrangian=None) -> ExactnessCertificate:
     """Integrate the primitive ODE over a parameter grid and certify exactness.
 
-    The primitive value at the base point is pinned by the affine return map
-    of any generator loop whose multiplicative holonomy differs from 1
-    (uniqueness); otherwise it is taken from the declared primitive (or 0).
-    The certificate's ``residual_sup`` is the sup over grid nodes of the
-    discrepancy between two independent integration orders, combined with the
-    generator-loop defects; both vanish exactly when ``i*lambda - f i*beta``
-    is closed, so this is the sampled content of the defining equation.
+    The primitive value at the base point, the parameter origin, is pinned
+    by the affine return map of any generator loop whose multiplicative
+    holonomy differs from 1 (uniqueness); otherwise it is taken from the
+    declared primitive (or 0).  Either way it is then carried to the first
+    grid node.  The certificate's ``residual_sup`` is the sup over grid nodes
+    of the discrepancy between two independent integration orders, combined
+    with the generator-loop defects; both vanish exactly when ``i*lambda -
+    f i*beta`` is closed, so this is the sampled content of the defining
+    equation.
     ``lagrangian``, the caller's own ``LagrangianReport`` on E, goes to
     ``require_lagrangian``.
     """
     require_lagrangian(E, lagrangian)
     src = E.source
-    if base_point is None:
-        base = np.zeros(src.dim)
-    else:
-        base = _coerce_coords(src, base_point)
+    base = np.zeros(src.dim)
     forms = (E.structure.beta, E.structure.lam)
 
     grid = parameter_grid(src, grid_shape)
@@ -326,7 +323,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None, grid_shape=64,
     holonomies, inhomog = {}, {}
     for ax in range(k):
         if src.is_circle[ax]:
-            H, B = _loop_transport(E.chart, forms, base, ax, steps_per_loop)
+            H, B = _loop_transport(E.chart, forms, base, ax, STEPS_PER_LOOP)
             holonomies[src.labels[ax]] = H
             inhomog[src.labels[ax]] = B
 
@@ -353,7 +350,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None, grid_shape=64,
     else:
         f_origin = f0
 
-    n_sub = max(4, int(round(steps_per_loop / max(max(dims) - 1, 1))))
+    n_sub = max(4, int(round(STEPS_PER_LOOP / max(max(dims) - 1, 1))))
     vals_fwd = _fill_grid(E.chart, forms, grid, f_origin, list(range(k)),
                           n_sub)
     if k > 1:
@@ -378,7 +375,7 @@ def solve_primitive(E: ParametricEmbedding, base_point=None, grid_shape=64,
     return ExactnessCertificate(
         residual_sup=residual_sup, holonomy_defects=defects,
         holonomies=holonomies, solved_primitive=primitive,
-        unique_primitive=unique, base_point=base, base_value=f0, tol=tol,
+        unique_primitive=unique, base_value=f0, tol=tol,
         declared_residual_sup=declared_res, declared_match_sup=declared_match)
 
 
@@ -739,7 +736,6 @@ def _base_volume(E: ParametricEmbedding, params, order: int) -> Jet2:
 class GenericityReport:
     degenerate_input: bool
     intersections: np.ndarray
-    intersection_margins: np.ndarray
     min_transversality: float | None
     tangency_params: np.ndarray
     tangency_margins: np.ndarray
@@ -773,9 +769,9 @@ def genericity_check(E: ParametricEmbedding,
     fib = E.fiber_values(params)
     fib_norm = np.linalg.norm(fib, axis=-1)
     if fib_norm.max() <= 1e-8:
-        return GenericityReport(True, np.zeros((0, src.dim)), np.zeros(0),
-                                None, np.zeros((0, src.dim)), np.zeros(0),
-                                None, False)
+        return GenericityReport(True, np.zeros((0, src.dim)), None,
+                                np.zeros((0, src.dim)), np.zeros(0), None,
+                                False)
 
     # (1) intersections with the zero section
     coords_nd = params.reshape((grid,) * src.dim + (src.dim,))
@@ -813,7 +809,7 @@ def genericity_check(E: ParametricEmbedding,
     ok1 = margins.size == 0 or margins.min() > 1e-6
     ok3 = min_fiber is None or min_fiber > 1e-6
     ok2 = tmargins.size == 0 or tmargins.min() > 1e-6
-    return GenericityReport(False, inters, margins, min_trans, tang, tmargins,
+    return GenericityReport(False, inters, min_trans, tang, tmargins,
                             min_fiber, bool(ok1 and ok2 and ok3))
 
 

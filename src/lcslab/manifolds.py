@@ -28,7 +28,7 @@ from .jets import Jet2, constant_jet, seed_jets
 TWO_PI = 2.0 * np.pi
 
 __all__ = [
-    "ModelManifold", "Point", "ScalarField", "VectorField", "SmoothMap",
+    "ModelManifold", "ScalarField", "VectorField", "SmoothMap",
     "make_manifold", "sample_points", "parameter_grid",
 ]
 
@@ -49,14 +49,6 @@ class ModelManifold:
     @property
     def dim(self) -> int:
         return len(self.is_circle)
-
-    @property
-    def circle_count(self) -> int:
-        return int(sum(self.is_circle))
-
-    @property
-    def line_count(self) -> int:
-        return self.dim - self.circle_count
 
     def cotangent(self) -> "ModelManifold":
         """T*M: base coordinates followed by one line fiber coordinate each."""
@@ -148,31 +140,9 @@ def make_manifold(circle_count: int, line_count: int,
                          tuple(labels))
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of a model manifold; circle coordinates stored normalized."""
-
-    manifold: ModelManifold
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float).reshape(-1)
-        if c.shape[0] != self.manifold.dim:
-            raise DimensionError(
-                f"expected {self.manifold.dim} coordinates, got {c.shape[0]}")
-        object.__setattr__(self, "coords", self.manifold.normalize(c))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        vals = ", ".join(f"{x:.6g}" for x in self.coords)
-        return f"Point({vals})"
-
-
 def _coerce_coords(manifold: ModelManifold, points) -> np.ndarray:
-    """Accept a Point, a coordinate vector or a (B, n) batch; normalize."""
-    if isinstance(points, Point):
-        coords = points.coords
-    else:
-        coords = np.asarray(points, dtype=float)
+    """Accept a coordinate vector or a (B, n) batch; normalize."""
+    coords = np.asarray(points, dtype=float)
     if coords.shape[-1] != manifold.dim:
         raise DimensionError(
             f"expected {manifold.dim} coordinates, got shape {coords.shape}")
@@ -302,23 +272,6 @@ class SmoothMap:
         comps = self.jet(points, order=1)
         return np.stack([c.g for c in comps], axis=-2)
 
-    def compose(self, inner: "SmoothMap") -> "SmoothMap":
-        if inner.target.labels != self.source.labels:
-            raise DimensionError("composition domain mismatch")
-
-        def fn(jets):
-            mids = inner.fn(jets)
-            return self.fn(mids)
-
-        return SmoothMap(inner.source, self.target, fn,
-                         name=f"{self.name}*{inner.name}",
-                         derivative_loss=self.derivative_loss
-                         + inner.derivative_loss)
-
-    @staticmethod
-    def identity(manifold: ModelManifold) -> "SmoothMap":
-        return SmoothMap(manifold, manifold, lambda jets: list(jets), name="id")
-
 
 def _halton(dim: int, start: int, n: int) -> np.ndarray:
     """Unscrambled Halton points of indices ``start .. start + n - 1``,
@@ -363,6 +316,9 @@ def sample_points(manifold: ModelManifold, n: int, radius: float = 4.0,
         if ranges and i in ranges:
             lo, hi = ranges[i]
         coords[:, i] = lo + (hi - lo) * u[:, i]
+        if circ:
+            # a radical inverse that rounds to 1.0 lands on 2*pi itself
+            coords[coords[:, i] == TWO_PI, i] = 0.0
     return coords
 
 

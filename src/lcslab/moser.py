@@ -57,7 +57,7 @@ class MoserProblem:
 
     def __post_init__(self):
         S = self.structure
-        coords = S.samples(2048)
+        coords = sample_points(S.total, 2048)
         # family condition: lambda/g Liouville needs d ln g(Z) < 1; the
         # segment to the identity inherits it by convexity.  The criterion
         # refuses a g that is not positive on the samples.
@@ -121,25 +121,24 @@ class FlowResult:
     scales: np.ndarray
     max_fiber_drift: float
     step: float
-    t0: float
-    t1: float
     pullback_residual: float | None = None
 
     def as_dict(self) -> dict:
         return {"seed_count": int(self.seeds.shape[0]),
                 "max_fiber_drift": self.max_fiber_drift,
-                "step": self.step, "t0": self.t0, "t1": self.t1,
+                "step": self.step, "t0": 0.0, "t1": 1.0,
                 "pullback_residual": self.pullback_residual}
 
 
 def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
-                 t0: float, t1: float, dirs: np.ndarray | None = None):
-    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r at each step size.
+                 dirs: np.ndarray | None = None):
+    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r from t = 0 to 1
+    at each step size.
 
     Classical RK4 from normalized seeds; the flow never moves their base
     coordinates, so no rate call wraps them again.  Given ``dirs`` (shape
     (B, m, 2n): d(seed)/d(param)) the first variation of r integrates
-    alongside.  Returns scales s = r(t1)/r(t0) of shape (len(steps), B) and
+    alongside.  Returns scales s = r(1)/r(0) of shape (len(steps), B) and
     ds/d(param) of shape (len(steps), B, m), the latter None without
     ``dirs``.
 
@@ -164,9 +163,9 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
     v = np.zeros_like(p)
     v[live] = p[live] / r0[live, None]
 
-    counts = [max(1, int(np.ceil((t1 - t0) / step))) for step in steps]
-    h = np.repeat([(t1 - t0) / count for count in counts], B)
-    t = np.full(K * B, float(t0))
+    counts = [max(1, int(np.ceil(1.0 / step))) for step in steps]
+    h = np.repeat([1.0 / count for count in counts], B)
+    t = np.zeros(K * B)
     state = [r0]
     if dirs is not None:
         dirs = np.tile(dirs, (K, 1, 1))
@@ -245,9 +244,8 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
     return scales.reshape(K, B), dscale.reshape(K, B, dirs.shape[1])
 
 
-def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
-                   t0: float = 0.0, t1: float = 1.0) -> FlowResult:
-    """Flow the seeds from t0 to t1 along the radial Moser field.
+def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
+    """Flow the seeds from t = 0 to 1 along the radial Moser field.
 
     The reduction to a scalar ODE per fiber ray keeps base coordinates fixed
     exactly, so the reported fiber drift is structural.  A Richardson check
@@ -258,13 +256,13 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
-    (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0), t0, t1)
+    (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0))
     err = np.abs(scales - halved).max(initial=0.0) / 15.0
     fails = 0
     while not err <= 1e-10 and fails < 10:   # a NaN error fails too
         step *= 0.5
         halved = scales
-        (scales,), _ = _flow_scales(P, seeds, (step,), t0, t1)
+        (scales,), _ = _flow_scales(P, seeds, (step,))
         err = np.abs(scales - halved).max(initial=0.0) / 15.0
         fails += 1
     if not err <= 1e-10:
@@ -276,7 +274,7 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3,
     images = seeds.copy()
     images[:, S.n:] *= scales[:, None]
     return FlowResult(seeds=seeds, images=images, scales=scales,
-                      max_fiber_drift=0.0, step=step, t0=t0, t1=t1)
+                      max_fiber_drift=0.0, step=step)
 
 
 def flow_and_check(P: MoserProblem, seeds, step: float, checked: int,
@@ -342,7 +340,7 @@ def verify_conformal_pullback(P: MoserProblem,
     check of ``flow_and_check`` on all of them, at flow step 1e-3."""
     S = P.structure
     if isinstance(samples, (int, np.integer)):
-        samples = S.samples(int(samples), fiber_radius=3.0)
+        samples = sample_points(S.total, int(samples), radius=3.0)
     samples = np.atleast_2d(_coerce_coords(S.total, samples))
     return flow_and_check(P, samples, 1e-3, samples.shape[0], tol)[1]
 
@@ -475,7 +473,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         seeds = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
         dirs = np.stack([c.g for c in comps], axis=-1)
         (s_val,), (ds,) = _flow_scales(
-            P, seeds.reshape(-1, 2 * S.n), (step,), 0.0, 1.0,
+            P, seeds.reshape(-1, 2 * S.n), (step,),
             dirs=dirs.reshape(-1, len(jets), 2 * S.n))
         s_jet = Jet2(s_val.reshape(batch), ds.reshape(batch + ds.shape[-1:]))
         return _shift_fibers(comps[:S.n] + [s_jet * p for p in comps[S.n:]],
@@ -507,7 +505,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         comps = E.chart.jet(loop, 1)
         pts_loop = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
         dq = [c.g[:, ax] for c in comps[:S.n]]
-        (s_loop,), _ = _flow_scales(P, pts_loop, (step,), 0.0, 1.0)
+        (s_loop,), _ = _flow_scales(P, pts_loop, (step,))
         # (E* lambda)(d/du_ax) = sum_i p_i dq_i(d/du_ax)
         lam_loop = sum(pts_loop[:, S.n + i] * dq[i] for i in range(S.n))
         integrand = s_loop * lam_loop * 2 * np.pi

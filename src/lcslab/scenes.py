@@ -150,7 +150,14 @@ SCENE_SCHEMA = {
             "additionalProperties": False,
         },
         "legendrians": {"type": "array", "items": {"type": "string"}},
-        "expected": {"type": "object"},
+        "expected": {
+            "type": "object",
+            "properties": {
+                "projection_degree": {"type": "integer"},
+                "zero_displacement": {"type": "boolean"},
+            },
+            "additionalProperties": False,
+        },
     },
     "required": ["version", "name", "manifold"],
     "additionalProperties": False,
@@ -197,6 +204,19 @@ def _build_structure(scene: dict):
     return cotangent_lcs(base, coeffs)
 
 
+def _require_library_structure(scene: dict, lib: str, library, structure):
+    """Refuse a scene whose manifold or Lee form is not the one ``library``
+    embeds into; ``structure`` is the scene's, built when None."""
+    if _manifold(scene["manifold"]).is_circle != library.base.is_circle:
+        raise SceneError(f"{lib} lives over two circles", pointer="/manifold")
+    S = structure if structure is not None else _build_structure(scene)
+    pts = sample_points(S.total, 64)
+    if not np.allclose(S.beta.coefficients(pts),
+                       library.beta.coefficients(pts), rtol=0.0, atol=1e-12):
+        raise SceneError(f'{lib} needs the Lee form d(q2): beta ["0", "1"]',
+                         pointer="/structure/beta")
+
+
 def _build_embedding(scene: dict, pointer: str = "/embedding",
                      structure=None):
     """The embedding the scene spells out at ``pointer``, one of
@@ -205,10 +225,10 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
     if spec is None:
         raise SceneError("scene has no embedding", pointer=pointer)
     lib = spec.get("library")
-    if lib == "example-torus-1":
-        E = example_torus_1()
-    elif lib == "example-torus-2":
-        E = example_torus_2()
+    if lib in ("example-torus-1", "example-torus-2"):
+        E = (example_torus_1 if lib == "example-torus-1"
+             else example_torus_2)()
+        _require_library_structure(scene, lib, E.structure, structure)
     elif lib == "zero-section":
         S = structure if structure is not None else _build_structure(scene)
         E = zero_section(S)
@@ -219,6 +239,10 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
                              pointer=f"{pointer}/f")
         E = beta_graph(compile_field(spec["f"], S.base), S)
     elif lib == "legendrian-lift":
+        if "structure" in scene:
+            raise SceneError("legendrian-lift takes its Lee form from "
+                             "q_form; the scene declares a structure",
+                             pointer="/structure")
         base = _manifold(scene["manifold"])
         if "jet_function" not in spec:
             raise SceneError("legendrian-lift needs 'jet_function'",
@@ -352,10 +376,10 @@ def _verdict(passed: bool, /, **evidence) -> dict:
 
 def _cmd_validate_structure(scene, options):
     S = _build_structure(scene)
-    samples = S.samples(int(scene.get("grids", {}).get("samples", 1024)),
-                        fiber_radius=float(scene.get("grids", {})
-                                           .get("fiber_radius", 4.0)),
-                        seed=options["seed"])
+    grids = scene.get("grids", {})
+    samples = sample_points(S.total, int(grids.get("samples", 1024)),
+                            radius=float(grids.get("fiber_radius", 4.0)),
+                            seed=options["seed"])
     closed = float(np.abs(exterior_d(S.beta).coefficients(samples)).max())
     rep = check_nondegenerate(S.omega, samples,
                               tol=_tol(scene, "nondegenerate"))

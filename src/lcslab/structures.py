@@ -19,8 +19,7 @@ from .errors import DimensionError, DomainEvaluationError
 from .forms import (FormExpression, SumForm, coordinate_differential,
                     exterior_d, field_form, lichnerowicz_d)
 from .jets import Jet2
-from .manifolds import (ModelManifold, Point, ScalarField, VectorField,
-                        _coerce_coords, sample_points)
+from .manifolds import ModelManifold, ScalarField, VectorField, _coerce_coords
 
 __all__ = [
     "CotangentLcsStructure", "GaugeTransform", "LcsPair", "cotangent_lcs",
@@ -57,14 +56,6 @@ class CotangentLcsStructure:
     @property
     def n(self) -> int:
         return self.base.dim
-
-    def point(self, coords) -> Point:
-        return Point(self.total, coords)
-
-    def samples(self, count: int = 4096, fiber_radius: float = 4.0,
-                seed: int = 0) -> np.ndarray:
-        """Default verification grid: low-discrepancy, bounded fiber norm."""
-        return sample_points(self.total, count, radius=fiber_radius, seed=seed)
 
 
 def cotangent_lcs(base: ModelManifold,
@@ -107,12 +98,10 @@ def liouville_vector_field(S: CotangentLcsStructure) -> VectorField:
 
 
 def liouville_flow(S: CotangentLcsStructure, x, t: float):
-    """Time-t flow of the Liouville field: ``(q, p) -> (q, e^t p)``, exact;
-    a Point or one coordinate vector flows to a Point, a batch to an array."""
+    """Time-t flow of the Liouville field: ``(q, p) -> (q, e^t p)``, exact,
+    on one coordinate vector or a batch of them."""
     out = _coerce_coords(S.total, x)
     out[..., S.n:] *= np.exp(t)
-    if isinstance(x, Point) or np.ndim(x) == 1:
-        return Point(S.total, out)
     return out
 
 
@@ -124,7 +113,7 @@ class RadialCriterionReport:
 
 
 def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
-                                    samples=None) -> RadialCriterionReport:
+                                    samples) -> RadialCriterionReport:
     """Supremum of ``d ln g (Z)`` over samples, compared against 1.
 
     This is the sampled form of the bound under which ``lambda/g`` stays a
@@ -132,8 +121,7 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     refused, naming the first such sample.  Only dg/dp is read, so g's jet
     is seeded in the fiber coordinates only.
     """
-    coords = _coerce_coords(S.total, S.samples() if samples is None
-                            else samples).reshape(-1, S.total.dim)
+    coords = _coerce_coords(S.total, samples).reshape(-1, S.total.dim)
     jet = g._jet(coords, 1, S.n)
     if not np.all(jet.f > 0.0):     # a NaN value fails too
         raise DomainEvaluationError("log-derivative of a nonpositive field",

@@ -87,7 +87,7 @@ def test_scan_completeness_against_brute_force():
     scan = scan_chords(E, grid=grid)
     from lcslab.manifolds import parameter_grid
     params = parameter_grid(E.source, grid).reshape(-1, 2)
-    pts = E.points(params)
+    pts = E.chart(params)
     base, fib = pts[:, :2], pts[:, 2:]
     db = base[:, None, :] - base[None, :, :]
     db = np.mod(db + np.pi, 2 * np.pi) - np.pi

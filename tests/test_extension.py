@@ -167,7 +167,7 @@ def per_point_ray_crossings(E, h, base_points, directions):
         good = preimages(q)
         if good.shape[0] == 0:
             continue
-        for p, val in zip(E.fiber_values(good), h.value(E.points(good))):
+        for p, val in zip(E.fiber_values(good), h.value(E.chart(good))):
             r = float(np.linalg.norm(p))
             # a crossing on the zero section takes direction 0, as in
             # ``nearest_direction``
@@ -227,8 +227,8 @@ def test_extension_over_two_torus_crosses_each_nearest_ray():
     g, report = build_positive_extension(E, h, base_grid=8, shells=32,
                                          directions=16)
     assert report.final.passed
+    assert report.final.collar_match_sup is not None
     assert report.final.collar_match_sup <= 1e-6
-    assert report.collar_nodes.any()
 
     base = parameter_grid(T2, 8).reshape(-1, 2)
     dirs = fiber_directions(2, 16)
@@ -399,13 +399,13 @@ def test_verify_radial_bound_flags_planted_defect():
     F = _toy_field(lambda r: np.ones_like(r), shells=64)
     ok = verify_radial_bound(F)
     assert ok.passed and ok.max_slope == 0.0
-    bad = F.copy()
+    bad = RadialField(F.base_points, F.directions, F.radii, F.values.copy())
     bad.values[3, 0, :] = bad.radii ** 1.05  # one ray of slope 1.05
     bad.values[..., -1] = 1.0
     rep = verify_radial_bound(bad)
     assert not rep.passed
-    assert rep.max_slope >= 1.04
-    assert rep.worst_node[0] == 3 and rep.worst_node[1] == 0
+    # every other ray is flat: the maximum is the planted ray's slope
+    assert np.isclose(rep.max_slope, 1.05, rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------------- squeeze profile

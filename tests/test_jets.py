@@ -59,7 +59,7 @@ CASES = [
     ("trig", lambda j: (j[0].sin() * j[1].cos() + (j[0] * j[1]).sin())),
     ("log-power", lambda j: ((j[0] * j[0] + 1.5).log() + (j[1] * j[1] + 0.5) ** 1.5)),
     ("poly", lambda j: j[0] ** 3 - 2.0 * j[0] * j[1] ** 2 + 0.5),
-    ("arctan-sqrt", lambda j: (j[0] * j[0] + j[1] * j[1] + 0.3).sqrt().arctan()),
+    ("cos-sqrt", lambda j: (j[0] * j[0] + j[1] * j[1] + 0.3).sqrt().cos()),
 ]
 
 

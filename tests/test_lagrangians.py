@@ -112,7 +112,7 @@ def test_translate_zero_is_identity():
     E = example_torus_1()
     E0 = translate_by_form(E, "beta", 0.0)
     pts = sample_points(E.source, 20)
-    assert np.allclose(E0.points(pts), E.points(pts))
+    assert np.allclose(E0.chart(pts), E.chart(pts))
 
 
 def test_translate_example_1_makes_primitive_positive():
@@ -175,7 +175,7 @@ def test_lift_constant_jet_graph():
     Q = make_manifold(1, 0, labels=("theta",))
     E = lift_legendrian(leg, Q, [1.0])
     pts = sample_points(E.source, 20)
-    img = E.points(pts)
+    img = E.chart(pts)
     # (x, theta) -> (x, theta, 0, -c) in (q1, theta, p1, p_theta) order
     assert np.allclose(img[:, 2], 0.0)
     assert np.allclose(img[:, 3], -c)
@@ -249,8 +249,7 @@ def test_symplectization_with_the_solved_primitive(make):
     # a solved primitive is an ordinary field: its fn carries its own jets
     # through the incoming ones, so it untwists like the declared one
     E = make()
-    solved = solve_primitive(E, grid_shape=16,
-                             steps_per_loop=256).solved_primitive
+    solved = solve_primitive(E, grid_shape=16).solved_primitive
     jmap, rep = symplectization_immersion(E, f=solved)
     _, declared = symplectization_immersion(E)
     assert rep.passed
@@ -268,7 +267,7 @@ def test_symplectization_of_zero_section_unchanged():
     jmap, rep = symplectization_immersion(E)
     assert rep.passed
     pts = sample_points(T2, 20)
-    assert np.allclose(jmap(pts), E.points(pts))
+    assert np.allclose(jmap(pts), E.chart(pts))
 
 
 def per_axis_fd_curl(one_form, coords, h=1e-5):
@@ -457,18 +456,17 @@ def test_rank_deficient_chart_raises_immersion_error():
         verify_lagrangian(E)
 
 
-def test_solved_primitive_independent_of_base_point():
-    # nontrivial multiplicative holonomy pins the primitive: starting the
-    # integration elsewhere reproduces the same function
-    E = example_torus_1()
-    a = solve_primitive(E, grid_shape=48)
-    b = solve_primitive(E, base_point=np.array([np.pi / 3, 1.0]),
-                        grid_shape=48)
-    pts = sample_points(E.source, 40)
-    assert np.abs(a.solved_primitive.value(pts)
-                  - b.solved_primitive.value(pts)).max() <= 1e-8
-    assert np.abs(a.solved_primitive.value(pts)
-                  - np.sin(pts[:, 0])).max() <= 1e-8
+def test_solved_primitive_transports_the_base_value_to_the_grid_origin():
+    # over S^1 x R the loop holonomy of beta = 0.3 cos(q1) dq1 is 1, so the
+    # declared primitive pins the value at the base point, the origin; the
+    # grid starts at q2 = -4, so that value must be carried along q2 first
+    M = make_manifold(1, 1)
+    S = cotangent_lcs(M, [ScalarField(M, lambda j: j[0].cos() * 0.3), 0.0])
+    f = ScalarField(M, lambda j: j[0].sin() * 0.2 + j[1] * 0.1 + 1.5)
+    cert = solve_primitive(beta_graph(f, S), grid_shape=16)
+    assert not cert.unique_primitive
+    assert cert.base_value == 1.5
+    assert cert.declared_match_sup <= 1e-8
 
 
 def test_contact_lift_top_coefficient_is_unit():
@@ -571,7 +569,7 @@ def test_path_chunk_size_changes_no_number(E, monkeypatch):
         monkeypatch.setattr(E.chart, "fn", counted)
         (a, b), _ = _path_data(E.chart, forms, start, delta, 16)
         monkeypatch.setattr(E.chart, "fn", inner)
-        cert = solve_primitive(E, grid_shape=12, steps_per_loop=128)
+        cert = solve_primitive(E, grid_shape=12)
         return a, b, cert.solved_primitive.grid_values, cert.residual_sup
 
     runs = []

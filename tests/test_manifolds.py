@@ -10,7 +10,7 @@ from lcslab.errors import DimensionError, DomainEvaluationError
 from lcslab.forms import pullback_coefficients
 from lcslab.lagrangians import (example_torus_1, example_torus_2,
                                 solve_primitive)
-from lcslab.manifolds import (ModelManifold, Point, ScalarField, SmoothMap,
+from lcslab.manifolds import (ModelManifold, ScalarField, SmoothMap,
                               VectorField, make_manifold, parameter_grid,
                               sample_points)
 from lcslab.moser import MoserProblem, integrate_flow
@@ -21,7 +21,7 @@ TWO_PI = 2 * np.pi
 
 def test_make_manifold_torus():
     t2 = make_manifold(2, 0)
-    assert t2.dim == 2 and t2.circle_count == 2 and t2.line_count == 0
+    assert t2.dim == 2 and t2.is_circle == (True, True)
 
 
 def test_cotangent_and_jet_bundles():
@@ -29,7 +29,7 @@ def test_cotangent_and_jet_bundles():
     cot = t2.cotangent()
     assert cot.dim == 4
     assert cot.labels == ("q1", "q2", "p1", "p2")
-    assert cot.circle_count == 2
+    assert cot.is_circle == (True, True, False, False)
     j1 = make_manifold(1, 0).jet1()
     assert j1.dim == 3 and j1.labels == ("q1", "p1", "z")
 
@@ -50,12 +50,6 @@ def test_normalization_idempotent_and_distance():
     # shortest arc on the circle factor
     d = t1.distance(np.array([0.1, 0.0]), np.array([TWO_PI - 0.1, 0.0]))
     assert np.isclose(d, 0.2)
-
-
-def test_point_normalizes_on_construction():
-    t2 = make_manifold(2, 0)
-    p = Point(t2, [TWO_PI + 1.0, -0.5])
-    assert np.allclose(p.coords, [1.0, TWO_PI - 0.5])
 
 
 # a twisted structure on T*T^2 (beta = 0.3 cos(q1) dq1 + dq2 is closed) and
@@ -169,9 +163,10 @@ def test_smooth_map_jacobian_and_composition():
     assert J.shape == (2, 1)
     assert np.allclose(J[:, 0], [1.0, -np.sin(0.5)])
 
-    ident = SmoothMap.identity(cot)
-    comp = ident.compose(emb)
+    ident = SmoothMap(cot, cot, lambda j: list(j))
+    comp = SmoothMap(t1, cot, lambda j: ident.fn(emb.fn(j)))
     assert np.allclose(comp(np.array([0.5])), emb(np.array([0.5])))
+    assert np.allclose(comp.jacobian(np.array([0.5])), J)
 
 
 def test_sampling_is_deterministic_and_in_range():
@@ -256,9 +251,21 @@ def test_sampling_refuses_a_seed_past_the_int64_index():
     with pytest.raises(ValueError, match="int64"):
         sample_points(M, 4, seed=2 ** 61 - 1)       # last index 2**63
     # last index 2**63 - 1: 63 binary ones, a radical inverse that rounds
-    # to 1
+    # to 1, so the circle coordinate lands on 2*pi and wraps to 0
     last = sample_points(M, 1, seed=2 ** 63 - 2)
-    assert last[0, 0] == TWO_PI
+    assert last[0, 0] == 0.0
+
+
+def test_sampling_keeps_circle_coordinates_below_two_pi():
+    # index 2**53 - 1, 53 binary ones: the radical inverse 1 - 2**-53 is
+    # exact and its circle coordinate stays just below 2*pi
+    M = make_manifold(1, 1)
+    below = sample_points(M, 1, seed=2 ** 53 - 2)
+    assert below[0, 0] == np.nextafter(TWO_PI, 0.0)
+    # index 2**54 - 1, 54 binary ones: the radical inverse rounds to 1, so
+    # the coordinate lands on 2*pi and wraps to 0
+    wrapped = sample_points(M, 1, seed=2 ** 54 - 2)
+    assert wrapped[0, 0] == 0.0
 
 
 def test_normalize_and_difference_leave_inputs_unmodified():
@@ -386,7 +393,7 @@ def test_integrate_flow_normalizes_its_seeds_once(normalize_calls):
 
 def test_primitive_evaluation_normalizes_once_per_layer(normalize_calls):
     E = example_torus_1()
-    f = solve_primitive(E, grid_shape=16, steps_per_loop=256).solved_primitive
+    f = solve_primitive(E, grid_shape=16).solved_primitive
     params = sample_points(E.source, 64) - np.array([TWO_PI, 0.0])
     normalize_calls.clear()
     f.value(params)

@@ -109,16 +109,6 @@ def test_fiber_drift_thousand_seeds():
     assert np.array_equal(res.images[:, :2], res.seeds[:, :2])
 
 
-def test_flow_composition():
-    g = constant_ball_field(S1, c=1.6)
-    P = MoserProblem(structure=S1, g=g, outside_radius=3.0)
-    seeds = sample_points(S1.total, 64, radius=2.5)
-    half = integrate_flow(P, seeds, t0=0.0, t1=0.5)
-    full = integrate_flow(P, half.images, t0=0.5, t1=1.0)
-    direct = integrate_flow(P, seeds, t0=0.0, t1=1.0)
-    assert np.abs(full.images - direct.images).max() <= 1e-7
-
-
 @pytest.mark.parametrize("last_error,raises", [(5e-11, False),
                                                (2e-10, True)])
 def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
@@ -134,7 +124,7 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     want_steps = [(1e-3, 2e-3)] + [(1e-3 / 2 ** k,) for k in range(1, 11)]
     calls = iter(zip(want_steps, [scales[:2]] + [[s] for s in scales[2:]]))
 
-    def fake_flow_scales(P, seeds, steps, t0, t1, dirs=None):
+    def fake_flow_scales(P, seeds, steps, dirs=None):
         want, values = next(calls)
         assert tuple(steps) == want
         return np.array([np.full(seeds.shape[0], s) for s in values]), None
@@ -151,7 +141,7 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     assert next(calls, None) is None
 
 
-def sequential_flow_scales(P, seeds, step, t0, t1, dirs=None):
+def sequential_flow_scales(P, seeds, step, dirs=None):
     """The RK4 flow loop at one step size with one scalar time for all rows,
     the way ``integrate_flow`` ran each run of its Richardson pair before
     the pair shared one loop: the reference for the lockstep loop's scales,
@@ -166,8 +156,8 @@ def sequential_flow_scales(P, seeds, step, t0, t1, dirs=None):
     live = r0 > 1e-14
     v = np.zeros_like(p)
     v[live] = p[live] / r0[live, None]
-    n_steps = max(1, int(np.ceil((t1 - t0) / step)))
-    h = (t1 - t0) / n_steps
+    n_steps = max(1, int(np.ceil(1.0 / step)))
+    h = 1.0 / n_steps
     state = [r0]
     if dirs is not None:
         dp = dirs[:, :, n:]
@@ -201,7 +191,7 @@ def sequential_flow_scales(P, seeds, step, t0, t1, dirs=None):
     def axpy(x, a, y):
         return [xi + a * yi for xi, yi in zip(x, y)]
 
-    t = t0
+    t = 0.0
     for _ in range(n_steps):
         k1 = rhs(state, t)
         k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
@@ -220,18 +210,18 @@ def sequential_flow_scales(P, seeds, step, t0, t1, dirs=None):
     return scales, dscale
 
 
-def sequential_integrate_flow(P, seeds, step=1e-3, t0=0.0, t1=1.0):
+def sequential_integrate_flow(P, seeds, step=1e-3):
     """``integrate_flow`` with its Richardson pair run one after the other:
     returns the scales, images and final step."""
     seeds = np.atleast_2d(seeds)
-    scales, _ = sequential_flow_scales(P, seeds, step, t0, t1)
-    halved, _ = sequential_flow_scales(P, seeds, step * 2.0, t0, t1)
+    scales, _ = sequential_flow_scales(P, seeds, step)
+    halved, _ = sequential_flow_scales(P, seeds, step * 2.0)
     err = np.abs(scales - halved).max(initial=0.0) / 15.0
     fails = 0
     while err > 1e-10 and fails < 10:
         step *= 0.5
         halved = scales
-        scales, _ = sequential_flow_scales(P, seeds, step, t0, t1)
+        scales, _ = sequential_flow_scales(P, seeds, step)
         err = np.abs(scales - halved).max(initial=0.0) / 15.0
         fails += 1
     assert err <= 1e-10
@@ -316,7 +306,7 @@ def test_positivity_error_names_the_first_failing_rate_call(case):
                          "first call": (SPIKE_SEEDS[:0:-1], 0.5, 1.0)}[case]
     P = spiked_ball_problem(spots)
     with pytest.raises(PreconditionError, match="lost positivity") as want:
-        sequential_flow_scales(P, SPIKE_SEEDS, first, 0.0, 1.0)
+        sequential_flow_scales(P, SPIKE_SEEDS, first)
     with pytest.raises(PreconditionError, match="lost positivity") as got:
         integrate_flow(P, SPIKE_SEEDS, step=0.5)
     assert str(got.value) == str(want.value)
@@ -325,11 +315,11 @@ def test_positivity_error_names_the_first_failing_rate_call(case):
     assert got.value.details["tau"] == tau
     if case == "coarse only":
         # the fine run alone is clean
-        sequential_flow_scales(P, SPIKE_SEEDS, 0.5, 0.0, 1.0)
+        sequential_flow_scales(P, SPIKE_SEEDS, 0.5)
     if case == "fine later":
         # the fine run alone fails elsewhere
         with pytest.raises(PreconditionError) as fine_alone:
-            sequential_flow_scales(P, SPIKE_SEEDS, 0.5, 0.0, 1.0)
+            sequential_flow_scales(P, SPIKE_SEEDS, 0.5)
         assert fine_alone.value.details != want.value.details
 
 
@@ -372,7 +362,7 @@ def per_direction_pullback_residual(P, samples, fd_step=1e-5, flow_step=1e-3):
     """Reference residual: one time-1 map call per stencil direction."""
     from lcslab.forms import exterior_d, increasing_indices
     S = P.structure
-    coords = S.samples(samples, fiber_radius=3.0)
+    coords = sample_points(S.total, samples, radius=3.0)
     coords = coords[np.linalg.norm(coords[:, S.n:], axis=-1) > 1e-2]
     m = S.total.dim
 
@@ -452,7 +442,7 @@ def test_straighten_zero_section_identity():
     out, rep = straighten_lagrangian(E, g, eta_prime=())
     assert rep.passed
     assert rep.closedness_sup <= 1e-10
-    pts = out.points(sample_points(T1, 32))
+    pts = out.chart(sample_points(T1, 32))
     assert np.abs(pts[:, 1]).max() == 0.0
 
 
@@ -521,9 +511,9 @@ def test_straighten_one_dimensional_source_runs_no_variational_flow(
     from lcslab import moser
     calls = []
 
-    def recording_flow_scales(P, seeds, steps, t0, t1, dirs=None):
+    def recording_flow_scales(P, seeds, steps, dirs=None):
         calls.append(dirs is not None)
-        return flow_scales(P, seeds, steps, t0, t1, dirs=dirs)
+        return flow_scales(P, seeds, steps, dirs=dirs)
 
     flow_scales = moser._flow_scales
     monkeypatch.setattr(moser, "_flow_scales", recording_flow_scales)
@@ -553,7 +543,7 @@ def test_straightened_embedding_is_first_class():
         sample_points(out.structure.total, 16))).max() == 0.0
     vrep = verify_lagrangian(out, samples=sample_points(T1, 64))
     assert vrep.passed
-    cert = solve_primitive(out, grid_shape=24, steps_per_loop=384)
+    cert = solve_primitive(out, grid_shape=24)
     assert max(cert.holonomy_defects.values()) <= 1e-6
 
 
@@ -605,7 +595,7 @@ def test_richardson_check_refuses_a_nan_scale(monkeypatch):
     # a NaN scale is a failed accuracy check, not an accepted step
     import lcslab.moser as moser
 
-    def nan_scales(P, seeds, steps, t0, t1, dirs=None):
+    def nan_scales(P, seeds, steps, dirs=None):
         return np.full((len(steps), seeds.shape[0]), np.nan), None
 
     monkeypatch.setattr(moser, "_flow_scales", nan_scales)
@@ -669,7 +659,7 @@ def scene_flow_problem(name):
                      g=radial_field_to_scalar_field(field, E.structure),
                      outside_radius=float(field.radii[-1]))
     params = parameter_grid(E.source, 32).reshape(-1, E.source.dim)
-    return P, E.points(params), np.swapaxes(E.chart.jacobian(params), 1, 2)
+    return P, E.chart(params), np.swapaxes(E.chart.jacobian(params), 1, 2)
 
 
 @pytest.mark.parametrize("scene", ["moser-constant-ball.json",
@@ -680,15 +670,13 @@ def test_first_variations_leave_flow_scales_unchanged(scene):
     # the sequential loop's
     from lcslab.moser import _flow_scales
     P, seeds, dirs = scene_flow_problem(scene)
-    (plain,), none = _flow_scales(P, seeds, (5e-3,), 0.0, 1.0)
-    (varied,), (dscale,) = _flow_scales(P, seeds, (5e-3,), 0.0, 1.0,
-                                        dirs=dirs)
+    (plain,), none = _flow_scales(P, seeds, (5e-3,))
+    (varied,), (dscale,) = _flow_scales(P, seeds, (5e-3,), dirs=dirs)
     assert none is None
     assert dscale.shape == dirs.shape[:2]
     assert np.array_equal(plain, varied)
     assert not np.array_equal(plain, np.ones_like(plain))
-    ref, ref_dscale = sequential_flow_scales(P, seeds, 5e-3, 0.0, 1.0,
-                                             dirs=dirs)
+    ref, ref_dscale = sequential_flow_scales(P, seeds, 5e-3, dirs=dirs)
     assert np.array_equal(varied, ref)
     assert np.array_equal(dscale, ref_dscale)
 

@@ -584,19 +584,97 @@ def test_cli_refused_factor_writes_a_report(command, base, block, key, value,
     assert verdict["message"].startswith(message)
 
 
+def exit_code(argv):
+    """The exit code of the CLI on ``argv``, returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("args, message", [
-    ([], "error: no scene file given"),
-    (["zero-section.json", "--tol-override", "lagrangian"],
-     "error: bad --tol-override"),
-    (["zero-section.json", "--tol-override", "lagrangian=abc"],
-     "error: --tol-override value not a number"),
-], ids=["no-scene", "no-value", "not-a-number"])
+    (["validate-structure"], "error: no scene file given"),
+    (["validate-structure", "zero-section.json", "--tol-override",
+      "lagrangian"], "error: bad --tol-override"),
+    (["validate-structure", "zero-section.json", "--tol-override",
+      "lagrangian=abc"], "error: --tol-override value not a number"),
+    (["validate-structure", "zero-section.json", "--seed", "abc"],
+     "lcslab validate-structure: error: argument --seed: invalid int"),
+    (["validate-structure", "zero-section.json", "--threads", "x"],
+     "lcslab validate-structure: error: argument --threads: invalid int"),
+    (["validate-structure", "zero-section.json", "--no-such-flag"],
+     "lcslab: error: unrecognized arguments: --no-such-flag"),
+    (["no-such-command", "zero-section.json"],
+     "lcslab: error: argument command: invalid choice: 'no-such-command'"),
+], ids=["no-scene", "no-value", "not-a-number", "seed-not-int",
+        "threads-not-int", "unknown-flag", "unknown-command"])
 def test_cli_bad_arguments_exit_1(args, message, tmp_path, capsys):
+    # a usage error exits 1, as a scene error does: exit 2 is kept for a
+    # failed verdict whose report was written; argparse prints its usage
+    # line first, so the message is the last line
     args = [str(SCENES / a) if a.endswith(".json") else a for a in args]
-    code = main(["validate-structure", *args, "--out", str(tmp_path)])
+    code = exit_code([*args, "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [["--help"],
+                                  ["validate-structure", "--help"]])
+def test_cli_help_exits_0(args, capsys):
+    assert exit_code(args) == 0
+    assert capsys.readouterr().out.startswith("usage: lcslab")
+
+
+@pytest.mark.parametrize("command, base, expected, pointer", [
+    ("projection-degree", "zero-section.json", {"projection_degree": "abc"},
+     "/expected/projection_degree"),
+    ("projection-degree", "zero-section.json", {"projection_degree": 1.7},
+     "/expected/projection_degree"),
+    ("moser-deform", "moser-identity.json", {"zero_displacement": "no"},
+     "/expected/zero_displacement"),
+    ("projection-degree", "zero-section.json", {"degree": 1}, "/expected"),
+], ids=["degree-string", "degree-fraction", "displacement-string",
+        "unknown-key"])
+def test_cli_malformed_expected_block_is_a_scene_error(command, base, expected,
+                                                       pointer, tmp_path,
+                                                       capsys):
+    path = write_scene(tmp_path, base, name="refused", expected=expected)
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"scene error: {pointer}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base, changes, pointer", [
+    ("verify-lagrangian", "example1.json",
+     {"structure": {"beta": ["0", "0"]}}, "/structure/beta"),
+    ("verify-lagrangian", "example2.json", {"structure": {}},
+     "/structure/beta"),
+    ("verify-lagrangian", "example1.json", {"manifold": {"circles": 1}},
+     "/manifold"),
+    ("verify-lagrangian", "example2.json",
+     {"manifold": {"circles": 2, "lines": 1}}, "/manifold"),
+    ("scan-chords", "two-graphs.json",
+     {"second_embedding": {"library": "example-torus-2"}}, "/structure/beta"),
+    ("verify-lagrangian", "legendrian-lift-pair.json",
+     {"embedding": {"library": "legendrian-lift", "jet_function": "1"},
+      "structure": {"beta": ["0"]}}, "/structure"),
+], ids=["torus-1-beta", "torus-2-no-beta", "torus-1-circle",
+        "torus-2-extra-line", "torus-2-second", "lift-structure"])
+def test_cli_library_embedding_refuses_a_foreign_structure(
+        command, base, changes, pointer, tmp_path, capsys):
+    # the example tori live in (T*T^2, d q2) and a Legendrian lift takes its
+    # Lee form from q_form: a scene declaring anything else is refused, not
+    # run on a structure it does not declare
+    path = write_scene(tmp_path, base, name="refused", **changes)
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"scene error: {pointer}:")
+    assert not out.exists()
+
 
 
 def test_cli_bad_schema_exit_1(tmp_path):
