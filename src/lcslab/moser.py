@@ -9,7 +9,8 @@ is radial: it rescales each fiber ray and never moves base points.  The flow
 therefore reduces to one scalar ODE per ray, which removes base drift by
 construction and makes the time-1 map cheap to evaluate together with its
 parameter sensitivities (the first variation integrates alongside, using the
-exact jets of g).
+exact jets of g).  The time-1 map also has a closed form, a fiber scaling
+by 1/g at the seed; ``integrate_flow`` certifies each RK4 run against it.
 
 The straightening pipeline composes the time-1 map with a fiber translation
 and certifies, through the chart it returns, that the image is exact for
@@ -36,7 +37,7 @@ from .manifolds import (ScalarField, SmoothMap, _as_jets, _coerce_coords,
 # gauss_newton is no longer called here; it stays importable from this
 # module because perfbench/tests checks the tracer's rebinding through it
 from .numerics import (central_difference, gauss_newton,  # noqa: F401
-                       simpson_path)
+                       segment_nodes, simpson_path)
 from .structures import (CotangentLcsStructure, cotangent_lcs,
                          criterion_radial_log_derivative)
 
@@ -79,17 +80,16 @@ class MoserProblem:
                 radius=self.outside_radius)
 
 
-def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float | np.ndarray,
+def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
                 need_grad: bool):
     """Rate c of the radial field X = c Z at family time tau, from jets of g.
 
     ``c = (1/g - 1) / (g_tau + dg_tau(Z))`` with ``g_tau = tau/g + 1 - tau``
-    at normalized coords of shape (B, 2n); ``tau`` is a scalar or one time
-    per row.  With ``need_grad`` also returns dc/dq and dc/dw at the fiber
-    point w, read off the same quotient taken on the full order-2 jet of g;
-    otherwise those are None.  The last value marks the rows whose
-    denominator is not positive (NaN included), where the rate is
-    meaningless.
+    at normalized coords of shape (B, 2n).  With ``need_grad`` also returns
+    dc/dq and dc/dw at the fiber point w, read off the same quotient taken
+    on the full order-2 jet of g; otherwise those are None.  The last value
+    marks the rows whose denominator is not positive (NaN included), where
+    the rate is meaningless.
 
     The value alone reads only dg/dp, so without ``need_grad`` g's jet is
     seeded in the fiber coordinates only: half the width, the same bits.
@@ -130,45 +130,31 @@ class FlowResult:
                 "pullback_residual": self.pullback_residual}
 
 
-def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
+def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
                  dirs: np.ndarray | None = None):
-    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r from t = 0 to 1
-    at each step size.
+    """Integrate the per-ray scalar ODE r' = c(q, r v, t) r from t = 0 to 1.
 
-    Classical RK4 from normalized seeds; the flow never moves their base
-    coordinates, so no rate call wraps them again.  Given ``dirs`` (shape
-    (B, m, 2n): d(seed)/d(param)) the first variation of r integrates
-    alongside.  Returns scales s = r(1)/r(0) of shape (len(steps), B) and
-    ds/d(param) of shape (len(steps), B, m), the latter None without
-    ``dirs``.
-
-    All step sizes, finest first, run in one stepping loop: the seeds are
-    tiled once per step size, each row carries its own step and time, and
-    one rate call serves every block still running.  A block retires when
-    its own step count runs out; the finest runs longest, so the live rows
-    are always a prefix.  Each row does exactly the arithmetic of a run at
-    its own step alone, so its scale is that run's bit for bit.  A Moser
-    denominator that loses positivity raises at the first rate call that
-    meets it, naming its first failing row (the finest block's rows come
-    first).
+    Classical RK4 at ``step`` (rounded to ``1/ceil(1/step)``) from normalized
+    seeds; the flow never moves their base coordinates, so no rate call
+    wraps them again.  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
+    the first variation of r integrates alongside.  Returns scales
+    s = r(1)/r(0) of shape (B,) and ds/d(param) of shape (B, m), the latter
+    None without ``dirs``.  A Moser denominator that loses positivity
+    raises at the first rate call that meets it, naming its first failing
+    row.
     """
     n = P.structure.n
     seeds = np.atleast_2d(seeds)
-    K, B = len(steps), seeds.shape[0]
-    seeds = np.tile(seeds, (K, 1))          # one block of rows per step size
     q = seeds[:, :n]
     p = seeds[:, n:]
     r0 = np.linalg.norm(p, axis=-1)
     live = r0 > 1e-14
     v = np.zeros_like(p)
     v[live] = p[live] / r0[live, None]
-
-    counts = [max(1, int(np.ceil(1.0 / step))) for step in steps]
-    h = np.repeat([1.0 / count for count in counts], B)
-    t = np.zeros(K * B)
+    count = max(1, int(np.ceil(1.0 / step)))
+    h = 1.0 / count
     state = [r0]
     if dirs is not None:
-        dirs = np.tile(dirs, (K, 1, 1))
         # dr0/dparam and dv/dparam from the seed directions
         dp = dirs[:, :, n:]
         dq = dirs[:, :, :n]
@@ -179,14 +165,13 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
 
     def rhs(state, t):
         rcur = state[0]
-        L = rcur.shape[0]
-        coords = np.concatenate([q[:L], rcur[:, None] * v[:L]], axis=1)
+        coords = np.concatenate([q, rcur[:, None] * v], axis=1)
         # The family parameter runs in reverse here: the flow that realizes
         # phi_1^* d(lambda) = d(lambda/g) is generated by the radial field
         # with denominator g_tau + dg_tau(Z) at tau = 1 - t (for constant g
         # either orientation integrates to the fiber scaling 1/g; the
         # orientation matters exactly where dg(Z) != 0, and this one is the
-        # one the conformal-pullback oracle confirms).
+        # one the closed-form certificate of integrate_flow confirms).
         tau = 1.0 - t
         c, dc_dq, dc_dw, bad = _moser_rate(P, coords, tau, len(state) > 1)
         if bad.any():
@@ -194,83 +179,69 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, steps: Sequence[float],
             raise PreconditionError(
                 "Moser denominator g_tau + dg_tau(Z) lost positivity",
                 point=np.array2string(coords[row], precision=6),
-                tau=float(tau[row]))
+                tau=tau)
         f = c * rcur
         if len(state) == 1:
             return [f]
         # dF/dparam = r * (dc/dq dq + dc/dw d(rv)) + c dr
         drc = state[1]
-        d_rv = (drc[:, :, None] * v[:L, None, :]
-                + rcur[:, None, None] * dv[:L])
-        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq[:L])
+        d_rv = drc[:, :, None] * v[:, None, :] + rcur[:, None, None] * dv
+        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq)
                                + np.einsum("bj,bmj->bm", dc_dw, d_rv))
               + c[:, None] * drc)
         return [f, df]
 
     def axpy(x, a, y):
-        return [xi + ai * yi for xi, ai, yi in zip(x, a, y)]
+        return [xi + a * yi for xi, yi in zip(x, y)]
 
-    final = [np.empty_like(x) for x in state]
-    done = 0
-    for k in reversed(range(K)):
-        # blocks 0..k are live for the steps up to block k's count
-        L = (k + 1) * B
-        state, t = [x[:L] for x in state], t[:L]
-        hs = [h[:L], h[:L, None]]       # the step, shaped for r and dr
-        half = [0.5 * x for x in hs]
-        sixth = [x / 6 for x in hs]
-        for _ in range(counts[k] - done):
-            k1 = rhs(state, t)
-            t_next = t + hs[0]
-            t_mid = t + half[0]
-            k2 = rhs(axpy(state, half, k1), t_mid)
-            k3 = rhs(axpy(state, half, k2), t_mid)
-            k4 = rhs(axpy(state, hs, k3), t_next)
-            state = axpy(state, sixth, [a + 2 * b + 2 * c + d
-                                        for a, b, c, d in zip(k1, k2, k3, k4)])
-            t = t_next
-        done = counts[k]
-        for out, x in zip(final, state):
-            out[k * B:L] = x[k * B:]
-    r = final[0]
-    scales = np.ones(K * B)
-    scales[live] = r[live] / r0[live]
+    t = 0.0
+    for _ in range(count):
+        k1 = rhs(state, t)
+        k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
+        k3 = rhs(axpy(state, 0.5 * h, k2), t + 0.5 * h)
+        k4 = rhs(axpy(state, h, k3), t + h)
+        state = axpy(state, h / 6, [a + 2 * b + 2 * c + d
+                                    for a, b, c, d in zip(k1, k2, k3, k4)])
+        t += h
+    scales = np.ones(seeds.shape[0])
+    scales[live] = state[0][live] / r0[live]
     if dirs is None:
-        return scales.reshape(K, B), None
+        return scales, None
     # s = r(1)/r0:  ds = (dr(1) - s * dr0) / r0
-    dscale = np.zeros((K * B, dirs.shape[1]))
-    dscale[live] = ((final[1][live] - scales[live, None] * dr0[live])
+    dscale = np.zeros(dirs.shape[:2])
+    dscale[live] = ((state[1][live] - scales[live, None] * dr0[live])
                     / r0[live, None])
-    return scales.reshape(K, B), dscale.reshape(K, B, dirs.shape[1])
+    return scales, dscale
 
 
 def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
     """Flow the seeds from t = 0 to 1 along the radial Moser field.
 
     The reduction to a scalar ODE per fiber ray keeps base coordinates fixed
-    exactly, so the reported fiber drift is structural.  A Richardson check
-    against a doubled step rejects steps that lost accuracy; the run at
-    ``step`` and the one at ``2*step`` share one stepping loop (and each of
-    its rate calls), and every step halving runs the loop again at the
-    halved step alone.
+    exactly, so the reported fiber drift is structural.  The run is
+    certified against the closed form of its time-1 map: off the zero
+    section each scale must equal 1/g at its seed within 1e-10.  A run that
+    misses halves the step and runs again, up to 10 times; a miss after the
+    10th halving (a NaN scale included) raises.
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
-    (scales, halved), _ = _flow_scales(P, seeds, (step, step * 2.0))
-    err = np.abs(scales - halved).max(initial=0.0) / 15.0
-    fails = 0
-    while not err <= 1e-10 and fails < 10:   # a NaN error fails too
-        step *= 0.5
-        halved = scales
-        (scales,), _ = _flow_scales(P, seeds, (step,))
-        err = np.abs(scales - halved).max(initial=0.0) / 15.0
-        fails += 1
-    if not err <= 1e-10:
-        worst = int(np.argmax(np.abs(scales - halved)))
+    # phi(q, p) = (q, s p) pulls lambda = p dq back to s lambda, so
+    # phi^* d(lambda) = d(lambda/g) holds off the zero section exactly when
+    # s = 1/g at the seed: the time-1 scale has a closed form to check.
+    off = np.flatnonzero(np.linalg.norm(seeds[:, S.n:], axis=-1) > 1e-14)
+    exact = (1.0 / P.g._jet(seeds, 0).f)[off]
+    for step in [step * 0.5 ** k for k in range(11)]:
+        scales, _ = _flow_scales(P, seeds, step)
+        miss = np.abs(scales[off] - exact)
+        err = miss.max(initial=0.0)
+        if err <= 1e-10:             # a NaN error fails
+            break
+    else:
         raise PreconditionError(
             "flow integration diverged after 10 step halvings",
-            richardson_error=float(err),
-            seed=np.array2string(seeds[worst], precision=6))
+            closed_form_error=float(err),
+            seed=np.array2string(seeds[off[np.argmax(miss)]], precision=6))
     images = seeds.copy()
     images[:, S.n:] *= scales[:, None]
     return FlowResult(seeds=seeds, images=images, scales=scales,
@@ -286,10 +257,13 @@ def flow_and_check(P: MoserProblem, seeds, step: float, checked: int,
     first, then the central-difference stencil (step 1e-5) of those among
     the first ``checked`` seeds whose fiber norm is above 1e-2.  The check
     reads those seeds' own images, so it certifies the map and step of the
-    returned flow; the target 2-form comes from exact jets.  Rows of the
-    flow are independent, so the seed rows equal a flow of the seeds alone
-    bit for bit (unless the stencil forces a step halving).  Returns the
-    seeds' ``FlowResult`` and the check's dict, None when unchecked.
+    returned flow; the target 2-form comes from exact jets.  The flow's own
+    certificate compares each scale with 1/g at its seed; this check reads
+    the map's derivative instead, through a central-difference Jacobian.
+    Rows of the flow are independent, so the seed rows equal a flow of the
+    seeds alone bit for bit (unless a stencil row forces a step halving).
+    Returns the seeds' ``FlowResult`` and the check's dict, None when
+    unchecked.
     """
     if not checked:
         return integrate_flow(P, seeds, step=step), None
@@ -472,9 +446,8 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         comps = _as_jets(E.chart.fn(jets), len(jets), batch, jets[0].order)
         seeds = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
         dirs = np.stack([c.g for c in comps], axis=-1)
-        (s_val,), (ds,) = _flow_scales(
-            P, seeds.reshape(-1, 2 * S.n), (step,),
-            dirs=dirs.reshape(-1, len(jets), 2 * S.n))
+        s_val, ds = _flow_scales(P, seeds.reshape(-1, 2 * S.n), step,
+                                 dirs=dirs.reshape(-1, len(jets), 2 * S.n))
         s_jet = Jet2(s_val.reshape(batch), ds.reshape(batch + ds.shape[-1:]))
         return _shift_fibers(comps[:S.n] + [s_jet * p for p in comps[S.n:]],
                              S.n, eta_fields)
@@ -499,13 +472,13 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     for ax in range(src.dim):
         if not src.is_circle[ax]:
             continue
-        s_nodes = np.linspace(0.0, 1.0, 2 * steps + 1)
+        s_nodes = segment_nodes(steps)
         loop = np.zeros((s_nodes.shape[0], src.dim))
         loop[:, ax] = 2 * np.pi * s_nodes
         comps = E.chart.jet(loop, 1)
         pts_loop = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
         dq = [c.g[:, ax] for c in comps[:S.n]]
-        (s_loop,), _ = _flow_scales(P, pts_loop, (step,))
+        s_loop, _ = _flow_scales(P, pts_loop, step)
         # (E* lambda)(d/du_ax) = sum_i p_i dq_i(d/du_ax)
         lam_loop = sum(pts_loop[:, S.n + i] * dq[i] for i in range(S.n))
         integrand = s_loop * lam_loop * 2 * np.pi

@@ -200,6 +200,9 @@ def _manifold(spec: dict, prefix: str | None = None):
 def _build_structure(scene: dict):
     base = _manifold(scene["manifold"])
     beta_exprs = scene.get("structure", {}).get("beta", [])
+    if len(beta_exprs) > base.dim:
+        raise SceneError(f"{len(beta_exprs)} coefficients for a base of "
+                         f"dimension {base.dim}", pointer="/structure/beta")
     coeffs = [compile_field(e, base) for e in beta_exprs]
     return cotangent_lcs(base, coeffs)
 
@@ -251,6 +254,10 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
         qm = spec.get("q_manifold", {"circles": 1})
         Q = _manifold(qm, "theta")
         q_form = [compile_field(e, Q) for e in spec.get("q_form", ["1"])]
+        if len(q_form) != Q.dim:
+            raise SceneError(f"{len(q_form)} coefficients for a q_manifold "
+                             f"of dimension {Q.dim}",
+                             pointer=f"{pointer}/q_form")
         E = lift_legendrian(leg, Q, q_form)
     elif "components" in spec:
         S = structure if structure is not None else _build_structure(scene)
@@ -280,6 +287,10 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
     if tr:
         eta = ([compile_field(e, E.structure.base) for e in tr["eta"]]
                if "eta" in tr else None)
+        if eta is not None and len(eta) != E.structure.n:
+            raise SceneError(f"{len(eta)} coefficients for a base of "
+                             f"dimension {E.structure.n}",
+                             pointer=f"{pointer}/translate/eta")
         E = translate_by_form(E, eta, float(tr["c"]))
     return E
 

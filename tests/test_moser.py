@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from field_strategies import grammar_fields
@@ -75,6 +75,30 @@ def test_constant_factor_closed_form_flow():
     assert np.array_equal(res.images[:, 0], res.seeds[:, 0])
 
 
+@settings(max_examples=5, deadline=None)
+@given(c=st.floats(0.5, 3.0), r_in=st.floats(0.2, 2.0),
+       width=st.floats(1.0, 2.5))
+def test_flow_scales_are_one_over_g_at_the_seed(c, r_in, width):
+    # the identity integrate_flow certifies itself against: the radial
+    # time-1 map (q, p) -> (q, s p) pulls d(lambda) back to d(lambda/g)
+    # exactly when s = 1/g at the seed.  Seeds sit inside the ball, across
+    # the blend (where g at the seed and at its image differ) and outside;
+    # blends of width 1 or more keep the flow at its default step.
+    outside = 4.0
+    r_out = min(r_in + width, outside)
+    g = constant_ball_field(S1, c=c, r_in=r_in, r_out=r_out)
+    ray = np.stack([np.zeros(4001), np.linspace(0.0, r_out, 4001)], axis=-1)
+    assume(criterion_radial_log_derivative(g, S1, ray).sup < 0.9)
+    P = MoserProblem(structure=S1, g=g, outside_radius=outside)
+    p = np.concatenate([np.linspace(-1.2 * r_out, 1.2 * r_out, 24),
+                        np.linspace(r_in, r_out, 6)[1:-1]])
+    seeds = np.stack([np.linspace(0.0, 6.0, p.size), p], axis=-1)
+    # the checked flow is integrate_flow's, its seed rows first
+    res, check = flow_and_check(P, seeds, 1e-3, seeds.shape[0], 1e-4)
+    assert np.abs(res.scales - 1.0 / g.value(seeds)).max() <= 1e-10
+    assert check["passed"]
+
+
 def test_constant_factor_vector_field_formula():
     # X_t = ((1/c - 1)/(t/c + 1 - t)) Z inside the constant region, where
     # the rate does not vary
@@ -113,38 +137,37 @@ def test_fiber_drift_thousand_seeds():
                                                (2e-10, True)])
 def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
                                                    raises):
-    # a fake flow whose Richardson error is 1e-8 until the 10th halving:
+    # a fake flow whose scales miss 1/g by 1e-8 until the 10th halving:
     # meeting the 1e-10 tolerance there is a pass, missing it a divergence
     import lcslab.moser as moser
-    errors = [1e-8] * 10 + [last_error]
-    scales = [1.0, 1.0 - 15 * errors[0], 1.0 + 15 * errors[1]]
-    for e in errors[2:]:
-        scales.append(scales[-1] + 15 * e)
-    # the first call runs the pair (step, 2 step), each halving one step
-    want_steps = [(1e-3, 2e-3)] + [(1e-3 / 2 ** k,) for k in range(1, 11)]
-    calls = iter(zip(want_steps, [scales[:2]] + [[s] for s in scales[2:]]))
+    c = 2.0
+    misses = [1e-8] * 10 + [last_error]
+    calls = iter(zip([1e-3 / 2 ** k for k in range(11)], misses))
 
-    def fake_flow_scales(P, seeds, steps, dirs=None):
-        want, values = next(calls)
-        assert tuple(steps) == want
-        return np.array([np.full(seeds.shape[0], s) for s in values]), None
+    def fake_flow_scales(P, seeds, step, dirs=None):
+        want, miss = next(calls)
+        assert step == want
+        return np.full(seeds.shape[0], 1.0 / c + miss), None
 
     monkeypatch.setattr(moser, "_flow_scales", fake_flow_scales)
-    P = MoserProblem(structure=S1, g=ScalarField.constant(S1.total, 1.0))
+    P = MoserProblem(structure=S1, g=constant_ball_field(S1, c=c),
+                     outside_radius=3.0)
     if raises:
-        with pytest.raises(PreconditionError, match="diverged"):
-            integrate_flow(P, [[0.0, 1.0]], step=1e-3)
+        with pytest.raises(PreconditionError, match="diverged") as err:
+            integrate_flow(P, [[0.0, 0.5]], step=1e-3)
+        assert err.value.details["closed_form_error"] == pytest.approx(
+            last_error)
+        assert err.value.details["seed"] == "[0.  0.5]"
     else:
-        res = integrate_flow(P, [[0.0, 1.0]], step=1e-3)
+        res = integrate_flow(P, [[0.0, 0.5]], step=1e-3)
         assert res.step == 1e-3 / 2 ** 10
-        assert res.scales[0] == scales[-1]
+        assert res.scales[0] == 1.0 / c + last_error
     assert next(calls, None) is None
 
 
 def sequential_flow_scales(P, seeds, step, dirs=None):
     """The RK4 flow loop at one step size with one scalar time for all rows,
-    the way ``integrate_flow`` ran each run of its Richardson pair before
-    the pair shared one loop: the reference for the lockstep loop's scales,
+    written out by itself: the reference for ``_flow_scales``' scales,
     first variations and positivity errors."""
     from lcslab.moser import _moser_rate
     n = P.structure.n
@@ -210,46 +233,6 @@ def sequential_flow_scales(P, seeds, step, dirs=None):
     return scales, dscale
 
 
-def sequential_integrate_flow(P, seeds, step=1e-3):
-    """``integrate_flow`` with its Richardson pair run one after the other:
-    returns the scales, images and final step."""
-    seeds = np.atleast_2d(seeds)
-    scales, _ = sequential_flow_scales(P, seeds, step)
-    halved, _ = sequential_flow_scales(P, seeds, step * 2.0)
-    err = np.abs(scales - halved).max(initial=0.0) / 15.0
-    fails = 0
-    while err > 1e-10 and fails < 10:
-        step *= 0.5
-        halved = scales
-        scales, _ = sequential_flow_scales(P, seeds, step)
-        err = np.abs(scales - halved).max(initial=0.0) / 15.0
-        fails += 1
-    assert err <= 1e-10
-    images = seeds.copy()
-    images[:, P.structure.n:] *= scales[:, None]
-    return scales, images, step
-
-
-@pytest.mark.parametrize("scene", ["moser-constant-ball.json",
-                                   "moser-identity.json",
-                                   "beta-graph-pipeline.json"])
-def test_lockstep_pair_matches_sequential_pair(scene):
-    # 1e-3 passes at once, 0.25 needs halvings, 1/7 takes an odd number of
-    # fine steps (7) against 4 coarse ones; the interpolated field's rate
-    # calls are the slow ones, so it flows 4 of its seeds
-    P, seeds, _ = scene_flow_problem(scene)
-    if scene == "beta-graph-pipeline.json":
-        seeds = seeds[::8]
-    for step in (1e-3, 0.25, 1 / 7):
-        res = integrate_flow(P, seeds, step=step)
-        scales, images, final_step = sequential_integrate_flow(P, seeds, step)
-        assert np.array_equal(res.scales, scales)
-        assert np.array_equal(res.images, images)
-        assert res.step == final_step
-        if scene != "moser-identity.json" and step != 1e-3:
-            assert final_step < step
-
-
 def spiked_ball_problem(spots, width=1e-4):
     """The constant ball times narrow bumps of height e^0.05, one per
     (q, p) spot, each centred just outside its spot along the ray, so that
@@ -290,37 +273,30 @@ def ball_stage_points(p0, h):
 SPIKE_SEEDS = np.array([[0.5, 1.5], [2.5, 0.8], [4.0, -1.2]])
 
 
-@pytest.mark.parametrize("case", ["coarse only", "fine later", "first call"])
+@pytest.mark.parametrize("case", ["fine later", "first call"])
 def test_positivity_error_names_the_first_failing_rate_call(case):
-    # integrate_flow at step 0.5 runs h = 0.5 and h = 1 in lockstep.  A bump
-    # where the coarse run's 2nd rate call lands fails the coarse run there.
-    # One more where the fine run's 5th call lands, on another seed, would
-    # fail the fine run later; the coarse failure comes first and is the one
-    # raised.  Bumps on two seeds fail both runs at their first call; the
-    # fine block's rows come first, so the fine run is named.
+    # integrate_flow at step 0.5 runs one RK4 run of two steps.  A bump
+    # where its 5th rate call lands on the second seed fails it there; a
+    # bump where a run at step 1 would make its 2nd call, on the first
+    # seed, is never visited.  Bumps on two seeds fail the run at its first
+    # call, naming the first failing row.
     q, p = SPIKE_SEEDS.T
-    coarse = (q[0], ball_stage_points(p[0], 1.0)[0])
-    fine = (q[1], ball_stage_points(p[1], 0.5)[1])
-    spots, first, tau = {"coarse only": ([coarse], 1.0, 0.5),
-                         "fine later": ([coarse, fine], 1.0, 0.5),
-                         "first call": (SPIKE_SEEDS[:0:-1], 0.5, 1.0)}[case]
+    unvisited = (q[0], ball_stage_points(p[0], 1.0)[0])
+    fifth = (q[1], ball_stage_points(p[1], 0.5)[1])
+    spots, tau = {"fine later": ([unvisited, fifth], 0.5),
+                  "first call": (SPIKE_SEEDS[:0:-1], 1.0)}[case]
     P = spiked_ball_problem(spots)
     with pytest.raises(PreconditionError, match="lost positivity") as want:
-        sequential_flow_scales(P, SPIKE_SEEDS, first)
+        sequential_flow_scales(P, SPIKE_SEEDS, 0.5)
     with pytest.raises(PreconditionError, match="lost positivity") as got:
         integrate_flow(P, SPIKE_SEEDS, step=0.5)
     assert str(got.value) == str(want.value)
     assert got.value.details == want.value.details
     assert type(got.value.details["tau"]) is float
     assert got.value.details["tau"] == tau
-    if case == "coarse only":
-        # the fine run alone is clean
-        sequential_flow_scales(P, SPIKE_SEEDS, 0.5)
-    if case == "fine later":
-        # the fine run alone fails elsewhere
-        with pytest.raises(PreconditionError) as fine_alone:
-            sequential_flow_scales(P, SPIKE_SEEDS, 0.5)
-        assert fine_alone.value.details != want.value.details
+    # the named point lies on the seed's ray the bump sits on
+    named = np.array(got.value.details["point"][1:-1].split(), float)
+    assert named[0] == pytest.approx(spots[-1][0], abs=1e-6)
 
 
 def test_a_seed_losing_positivity_is_named_before_its_stencil():
@@ -511,9 +487,9 @@ def test_straighten_one_dimensional_source_runs_no_variational_flow(
     from lcslab import moser
     calls = []
 
-    def recording_flow_scales(P, seeds, steps, dirs=None):
+    def recording_flow_scales(P, seeds, step, dirs=None):
         calls.append(dirs is not None)
-        return flow_scales(P, seeds, steps, dirs=dirs)
+        return flow_scales(P, seeds, step, dirs=dirs)
 
     flow_scales = moser._flow_scales
     monkeypatch.setattr(moser, "_flow_scales", recording_flow_scales)
@@ -595,13 +571,15 @@ def test_richardson_check_refuses_a_nan_scale(monkeypatch):
     # a NaN scale is a failed accuracy check, not an accepted step
     import lcslab.moser as moser
 
-    def nan_scales(P, seeds, steps, dirs=None):
-        return np.full((len(steps), seeds.shape[0]), np.nan), None
+    def nan_scales(P, seeds, step, dirs=None):
+        return np.full(seeds.shape[0], np.nan), None
 
     monkeypatch.setattr(moser, "_flow_scales", nan_scales)
     P = MoserProblem(structure=S1, g=constant_ball_field(S1))
-    with pytest.raises(PreconditionError, match="diverged after 10"):
+    with pytest.raises(PreconditionError, match="diverged after 10") as err:
         integrate_flow(P, [[0.5, 1.5]])
+    assert np.isnan(err.value.details["closed_form_error"])
+    assert err.value.details["seed"] == "[0.5 1.5]"
 
 
 def test_moser_problem_refuses_a_nan_factor():
@@ -670,8 +648,8 @@ def test_first_variations_leave_flow_scales_unchanged(scene):
     # the sequential loop's
     from lcslab.moser import _flow_scales
     P, seeds, dirs = scene_flow_problem(scene)
-    (plain,), none = _flow_scales(P, seeds, (5e-3,))
-    (varied,), (dscale,) = _flow_scales(P, seeds, (5e-3,), dirs=dirs)
+    plain, none = _flow_scales(P, seeds, 5e-3)
+    varied, dscale = _flow_scales(P, seeds, 5e-3, dirs=dirs)
     assert none is None
     assert dscale.shape == dirs.shape[:2]
     assert np.array_equal(plain, varied)

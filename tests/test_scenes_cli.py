@@ -677,6 +677,32 @@ def test_cli_library_embedding_refuses_a_foreign_structure(
 
 
 
+@pytest.mark.parametrize("command, base, changes, pointer, message", [
+    ("validate-structure", "zero-section.json",
+     {"structure": {"beta": ["1", "0", "0"]}}, "/structure/beta",
+     "3 coefficients for a base of dimension 2"),
+    ("verify-lagrangian", "legendrian-lift-pair.json",
+     {"embedding": {"library": "legendrian-lift", "jet_function": "1",
+                    "q_form": ["1", "0"]}}, "/embedding/q_form",
+     "2 coefficients for a q_manifold of dimension 1"),
+    ("verify-lagrangian", "example1-translated.json",
+     {"embedding": {"library": "example-torus-1",
+                    "translate": {"c": -2.0, "eta": ["1"]}}},
+     "/embedding/translate/eta", "1 coefficients for a base of dimension 2"),
+], ids=["beta", "q-form", "translate-eta"])
+def test_cli_coefficient_list_of_the_wrong_length_is_a_scene_error(
+        command, base, changes, pointer, message, tmp_path, capsys):
+    # the count is known from the scene alone: refused while building, at
+    # its pointer, before any numerics run
+    path = write_scene(tmp_path, base, name="refused", **changes)
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"scene error: {pointer}: {message}")
+    assert not out.exists()
+
+
 def test_cli_bad_schema_exit_1(tmp_path):
     code = main(["validate-structure", str(SCENES / "bad-schema.json"),
                  "--out", str(tmp_path)])
