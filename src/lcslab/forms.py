@@ -114,32 +114,38 @@ class FormExpression:
         return WedgeForm(self, other)
 
 
-class ConstantForm(FormExpression):
-    """Form with coefficients constant over the chart."""
+class CoefficientForm(FormExpression):
+    """Form given by its coefficients over the increasing multi-indices,
+    each a constant or a ScalarField on the chart, evaluated as it is."""
 
     def __init__(self, domain: ModelManifold, degree: int, coeffs):
         super().__init__(domain, degree)
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-        if coeffs.shape[0] != self.n_coefficients:
+        coeffs = [c if isinstance(c, ScalarField) else float(c)
+                  for c in np.ravel(coeffs)]
+        if len(coeffs) != self.n_coefficients:
             raise DimensionError("coefficient count mismatch")
+        if any(isinstance(c, ScalarField) and c.domain.labels != domain.labels
+               for c in coeffs):
+            raise DimensionError("field and form live on different charts")
         self._coeffs = coeffs
 
     def _jets(self, coords, order):
         batch = coords.shape[:-1]
-        return [constant_jet(c, self.domain.dim, batch, order)
+        return [c._jet(coords, min(order, 2)) if isinstance(c, ScalarField)
+                else constant_jet(c, self.domain.dim, batch, order)
                 for c in self._coeffs]
 
 
-def constant_form(domain, degree, coeffs) -> ConstantForm:
-    return ConstantForm(domain, degree, coeffs)
+def constant_form(domain, degree, coeffs) -> CoefficientForm:
+    return CoefficientForm(domain, degree, coeffs)
 
 
-def coordinate_differential(domain: ModelManifold, index: int) -> ConstantForm:
+def coordinate_differential(domain: ModelManifold,
+                            index: int) -> CoefficientForm:
     """The 1-form ``dx_index``."""
     coeffs = np.zeros(domain.dim)
     coeffs[index] = 1.0
-    form = ConstantForm(domain, 1, coeffs)
-    return form
+    return CoefficientForm(domain, 1, coeffs)
 
 
 def field_form(f: ScalarField) -> "FieldForm":
@@ -275,14 +281,16 @@ class PullbackForm(FormExpression):
         return _pullback_jets(self.phi, (self.base,), coords, order)[0]
 
 
-def _pullback_jets(phi: SmoothMap, forms, coords, order) -> list:
+def _pullback_jets(phi: SmoothMap, forms, coords, order,
+                   axes: Sequence[int] | None = None) -> list:
     """Jets of the pullbacks of ``forms`` along one evaluation of ``phi`` at
-    normalized source coordinates; a form above the source dimension is the
-    zero form, and when all are, the map is never evaluated."""
-    n_src = phi.source.dim
+    normalized source coordinates, seeded in the source ``axes`` (all by
+    default); a form above their count is the zero form, and when all are,
+    the map is never evaluated."""
+    n_src = phi.source.dim if axes is None else len(axes)
     if all(form.degree > n_src for form in forms):
         return [[] for _ in forms]
-    phi_jets = phi._jet(coords, min(order + 1, 2))
+    phi_jets = phi._jet(coords, min(order + 1, 2), axes)
     target_coords = phi.target.normalize(
         np.stack([c.f for c in phi_jets], axis=-1))
     # Jacobian entries as jets of the source coordinates (order <= 1).
@@ -399,14 +407,15 @@ def pullback(phi: SmoothMap, alpha: FormExpression) -> FormExpression:
 
 
 def pullback_coefficients(phi: SmoothMap, forms: Sequence[FormExpression],
-                          points) -> list:
+                          points, axes: Sequence[int] | None = None) -> list:
     """Coefficients of the pullbacks of several forms along ``phi``, one
-    array of shape (..., C) per form, from one evaluation of ``phi``."""
+    array of shape (..., C) per form, from one evaluation of ``phi``; with
+    ``axes``, over those source axes alone (a 1-form's columns ``axes``)."""
     if any(phi.target.labels != form.domain.labels for form in forms):
         raise DimensionError("pullback target does not match form domain")
     coords = _coerce_coords(phi.source, points)
     return [_values(jets, coords.shape[:-1])
-            for jets in _pullback_jets(phi, forms, coords, 0)]
+            for jets in _pullback_jets(phi, forms, coords, 0, axes)]
 
 
 def interior_product(X: VectorField, alpha: FormExpression) -> FormExpression:

@@ -229,31 +229,32 @@ def constant_jet(value, dim: int, batch_shape=(), order: int = 2) -> Jet2:
 
 
 def seed_jets(coords: np.ndarray, order: int = 2,
-              first: int = 0) -> list[Jet2]:
+              axes: Sequence[int] | None = None) -> list[Jet2]:
     """Coordinate jets at ``coords`` of shape ``(..., n)``.
 
     The i-th jet has value ``coords[..., i]``, gradient ``e_i`` and zero
     Hessian, so evaluating a composite expression on these seeds yields the
     exact first and second derivatives of the expression.
 
-    With ``first`` > 0 only the coordinates from ``first`` on are
-    differentiated: derivatives have width ``n - first``, coordinate i >=
-    ``first`` carries ``e_(i - first)`` and the ones before it are constants
-    with zero derivatives.  An expression whose arithmetic computes each
-    gradient column from the same column of its operands then yields
-    exactly the last ``n - first`` columns of the full-width gradient.
+    ``axes`` (all by default) lists the coordinates that are differentiated:
+    derivatives have width ``len(axes)``, coordinate ``axes[j]`` carries
+    ``e_j`` and the others are constants with zero derivatives.  An
+    expression whose arithmetic computes each gradient column from the same
+    column of its operands then yields exactly the columns ``axes`` of the
+    full-width gradient.
     """
     coords = _as_array(coords)
     n = coords.shape[-1]
-    m = n - first
+    axes = list(range(n) if axes is None else axes)
+    m = len(axes)
     batch = coords.shape[:-1]
     out = []
     for i in range(n):
         g = h = None
         if order >= 1:
             g = np.zeros(batch + (m,))
-            if i >= first:
-                g[..., i - first] = 1.0
+            if i in axes:
+                g[..., axes.index(i)] = 1.0
         if order >= 2:
             h = np.zeros(batch + (m, m))
         out.append(Jet2(coords[..., i], g, h))

@@ -26,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ImmersionError, PreconditionError
-from .forms import (FormExpression, SumForm, _jet_determinant, _pullback_jets,
-                    coordinate_differential, exterior_d, pullback,
-                    pullback_coefficients)
+from .forms import (CoefficientForm, FormExpression, _jet_determinant,
+                    _pullback_jets, coordinate_differential, exterior_d,
+                    pullback, pullback_coefficients)
 from .jets import Jet2, compose_jet, partial_jet
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
@@ -129,12 +129,14 @@ def require_lagrangian(E: ParametricEmbedding, report=None) -> None:
 # ------------------------------------------------------- primitive integration
 
 # points of one chart evaluation in a path integrand: whole segments only.
-# Each temporary of a ``pullback_coefficients`` chunk is then 128-256 kB and
-# the chunk's dozens of them stay near a 2 MB per-core L2; at 65536 they are
-# 0.5-1 MB and spill it.  Warm ``catalog`` sweeps with reports encoded
-# once, median of 3, two processes per size, 2-CPU Xeon VM: 65536 -> 1.431
-# / 1.429 s, 32768 -> 1.329 / 1.299 s, 16384 -> 1.248 / 1.186 s, 8192 ->
-# 1.269 / 1.229 s.  Every op is elementwise per node, so no number moves.
+# Each temporary of a ``pullback_coefficients`` chunk is then 128 kB (values,
+# and the one-column gradients of grid fills and loops) to 256 kB (an
+# off-grid segment's two columns), and the chunk's dozens of them stay near
+# a 2 MB per-core L2; at 65536 they are 0.5-1 MB and spill it.  Warm
+# ``catalog`` sweeps with one-axis seeding, minimum of 5, two processes per
+# size, 2-CPU Xeon VM: 65536 -> 1.87 / 2.16 s, 32768 -> 1.70 / 1.73 s,
+# 16384 -> 1.64 / 1.66 s, 8192 -> 1.63 / 1.62 s.  Every op is elementwise
+# per node, so no number moves.
 PATH_CHUNK = 16384
 
 # RK4 steps of a generator loop; a grid edge gets its share, at least 4
@@ -149,22 +151,25 @@ def _path_data(chart: SmoothMap, forms, start: np.ndarray, delta: np.ndarray,
     ``start``/``delta`` have shape (..., k); returns ``(integrands, h)``:
     each pulled-back form's coefficients paired with ``delta``, one array
     per form with a node axis appended, and the node spacing h.  The chart
-    is evaluated once per chunk of whole segments, and each chunk is reduced
-    to its integrands right away.
+    is evaluated once per chunk of whole segments, seeded only in the axes
+    where some delta is nonzero (one for grid fills and loops), and each
+    chunk is reduced over those axes to its integrands right away.
     """
     s = segment_nodes(n_steps)
     k = delta.shape[-1]
     starts = np.broadcast_to(start, delta.shape).reshape(-1, k)
     deltas = delta.reshape(-1, k)
+    axes = np.flatnonzero(np.any(deltas != 0.0, axis=0))
     out = [np.empty((deltas.shape[0], s.shape[0])) for _ in forms]
     per_chunk = max(1, PATH_CHUNK // s.shape[0])
     for lo in range(0, deltas.shape[0], per_chunk):
         d = deltas[lo:lo + per_chunk]
         pos = starts[lo:lo + per_chunk, None, :] + s[:, None] * d[:, None, :]
-        coeffs = pullback_coefficients(chart, forms, pos.reshape(-1, k))
+        coeffs = pullback_coefficients(chart, forms, pos.reshape(-1, k), axes)
         for o, c in zip(out, coeffs):
             o[lo:lo + per_chunk] = np.einsum(
-                "snk,sk->sn", c.reshape(pos.shape), d)
+                "snk,sk->sn", c.reshape(pos.shape[:-1] + axes.shape),
+                d[:, axes])
     return [o.reshape(delta.shape[:-1] + s.shape) for o in out], 1.0 / n_steps
 
 
@@ -639,8 +644,8 @@ def contact_lift_check(M: ModelManifold, beta_coeffs: Sequence,
     n = M.dim
     alpha = _canonical_contact_form(M)
     coeffs = list(beta_coeffs) + [0.0] * (n - len(beta_coeffs))
-    beta = SumForm([coordinate_differential(j1, i) * _lift_base_field(M, j1, c)
-                    for i, c in enumerate(coeffs[:n])])
+    beta = CoefficientForm(j1, 1, [_lift_base_field(M, j1, c)
+                                   for c in coeffs[:n]] + [0.0] * (n + 1))
     alpha_p = alpha + beta * j1.coordinate_field(2 * n)
 
     vol = alpha.wedge(_wedge_power(exterior_d(alpha), n))

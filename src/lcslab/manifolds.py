@@ -157,19 +157,17 @@ def _as_jets(comps, dim: int, batch: tuple, order: int) -> list[Jet2]:
 
 def _component_jets(fn, coords: np.ndarray, order: int,
                     derivative_loss: int, count: int,
-                    first: int = 0) -> list[Jet2]:
+                    axes: Sequence[int] | None = None) -> list[Jet2]:
     """The ``count`` jets ``fn`` returns on coordinate jets seeded at
     normalized ``coords`` to order ``min(2, order + derivative_loss)``,
-    differentiated in the coordinates from ``first`` on (see
+    differentiated in the coordinates ``axes`` (all by default, see
     ``seed_jets``); a constant component becomes the constant jet of
     ``order``.  An evaluation out of its domain names its first failing
-    row.  A positive ``first`` is refused with a ``derivative_loss``: such
-    an ``fn`` indexes gradient columns by coordinate."""
-    if first and derivative_loss:
-        raise DimensionError(
-            "partly seeded jets need a field that reads no derivatives")
-    jets = seed_jets(coords, order=min(2, order + derivative_loss),
-                     first=first)
+    row.  An ``fn`` with a ``derivative_loss`` indexes gradient columns by
+    coordinate, so it is seeded in full and the columns ``axes`` are sliced
+    out of its jets."""
+    seeded = None if derivative_loss else axes
+    jets = seed_jets(coords, min(2, order + derivative_loss), seeded)
     try:
         comps = fn(jets)
     except DomainEvaluationError as exc:
@@ -178,11 +176,16 @@ def _component_jets(fn, coords: np.ndarray, order: int,
         rows, at = coords.reshape(-1, coords.shape[-1]), exc.index
         point = rows[at] if at is not None and at < len(rows) else coords
         raise DomainEvaluationError(str(exc), point=point) from None
-    comps = _as_jets(comps, coords.shape[-1] - first, coords.shape[:-1],
-                     order)
+    width = coords.shape[-1] if seeded is None else len(seeded)
+    comps = _as_jets(comps, width, coords.shape[:-1], order)
     if len(comps) != count:
         raise DimensionError(
             f"{len(comps)} components where {count} are expected")
+    if seeded is not axes:
+        ix = np.asarray(axes)
+        comps = [Jet2(c.f, None if c.g is None else c.g[..., ix],
+                      None if c.h is None else c.h[..., ix[:, None], ix])
+                 for c in comps]
     return comps
 
 
@@ -205,9 +208,9 @@ class ScalarField:
     def jet(self, points, order: int = 2) -> Jet2:
         return self._jet(_coerce_coords(self.domain, points), order)
 
-    def _jet(self, coords: np.ndarray, order: int, first: int = 0) -> Jet2:
+    def _jet(self, coords: np.ndarray, order: int, axes=None) -> Jet2:
         (out,) = _component_jets(lambda jets: (self.fn(jets),), coords,
-                                 order, self.derivative_loss, 1, first)
+                                 order, self.derivative_loss, 1, axes)
         return out.symmetrized()
 
     def value(self, points) -> np.ndarray:
@@ -259,9 +262,9 @@ class SmoothMap:
     def jet(self, points, order: int = 2) -> list[Jet2]:
         return self._jet(_coerce_coords(self.source, points), order)
 
-    def _jet(self, coords: np.ndarray, order: int) -> list[Jet2]:
+    def _jet(self, coords: np.ndarray, order: int, axes=None) -> list[Jet2]:
         return _component_jets(self.fn, coords, order, self.derivative_loss,
-                               self.target.dim)
+                               self.target.dim, axes)
 
     def __call__(self, points) -> np.ndarray:
         comps = self.jet(points, order=0)

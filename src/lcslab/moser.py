@@ -95,7 +95,8 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
     seeded in the fiber coordinates only: half the width, the same bits.
     """
     n = P.structure.n
-    jet = P.g._jet(coords, 2, 0) if need_grad else P.g._jet(coords, 1, n)
+    jet = (P.g._jet(coords, 2) if need_grad
+           else P.g._jet(coords, 1, range(n, 2 * n)))
     ginv = 1.0 / jet.f
     # d(1/g)(Z) = -dg(Z)/g^2, subtracted: the bits of adding it negated
     dg_Z = np.einsum("bi,bi->b", jet.g[:, -n:], coords[:, n:])

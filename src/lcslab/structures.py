@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainEvaluationError
-from .forms import (FormExpression, SumForm, coordinate_differential,
-                    exterior_d, field_form, lichnerowicz_d)
+from .forms import (CoefficientForm, FormExpression, exterior_d, field_form,
+                    lichnerowicz_d)
 from .jets import Jet2
 from .manifolds import ModelManifold, ScalarField, VectorField, _coerce_coords
 
@@ -72,14 +72,10 @@ def cotangent_lcs(base: ModelManifold,
     if len(coeffs) != n:
         raise DimensionError("more beta coefficients than base coordinates")
 
-    lam_terms = [coordinate_differential(total, i) * total.coordinate_field(n + i)
-                 for i in range(n)]
-    lam = SumForm(lam_terms)
-
+    lam = CoefficientForm(total, 1, [total.coordinate_field(n + i)
+                                     for i in range(n)] + [0.0] * n)
     lifted = tuple(_lift_base_field(base, total, c) for c in coeffs)
-    beta_terms = [coordinate_differential(total, i) * lifted[i]
-                  for i in range(n)]
-    beta = SumForm(beta_terms)
+    beta = CoefficientForm(total, 1, list(lifted) + [0.0] * n)
 
     omega = lichnerowicz_d(lam, beta)
     return CotangentLcsStructure(base=base, total=total, lam=lam, beta=beta,
@@ -122,7 +118,7 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     is seeded in the fiber coordinates only.
     """
     coords = _coerce_coords(S.total, samples).reshape(-1, S.total.dim)
-    jet = g._jet(coords, 1, S.n)
+    jet = g._jet(coords, 1, range(S.n, 2 * S.n))
     if not np.all(jet.f > 0.0):     # a NaN value fails too
         raise DomainEvaluationError("log-derivative of a nonpositive field",
                                     point=coords[np.argmin(jet.f > 0.0)])

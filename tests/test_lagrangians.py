@@ -15,6 +15,7 @@ from lcslab.lagrangians import (PATH_CHUNK, ParametricEmbedding, _path_data,
                                 zero_section)
 from lcslab.manifolds import (ScalarField, SmoothMap, make_manifold,
                               parameter_grid, sample_points)
+from lcslab.numerics import segment_nodes
 from lcslab.structures import cotangent_lcs
 
 T1 = make_manifold(1, 0)
@@ -526,6 +527,14 @@ def test_pullback_coefficients_match_separate_pullbacks(E):
     shared = pullback_coefficients(E.chart, forms, pts)
     for form, got in zip(forms, shared):
         assert np.array_equal(got, pullback(E.chart, form).coefficients(pts))
+    # seeded in one source axis: that axis's column of each 1-form, and no
+    # coefficient of the 2-form (derivative-loss charts are sliced)
+    for ax in range(E.source.dim):
+        beta, lam, omega = pullback_coefficients(E.chart, forms, pts,
+                                                 axes=(ax,))
+        assert np.array_equal(beta, shared[0][:, [ax]])
+        assert np.array_equal(lam, shared[1][:, [ax]])
+        assert omega.shape == (300, 0)
 
 
 def test_path_data_evaluates_the_chart_once_per_chunk(monkeypatch):
@@ -557,27 +566,57 @@ def test_path_chunk_size_changes_no_number(E, monkeypatch):
     rng = np.random.default_rng(7)
     start = sample_points(E.source, 600)   # 19,800 nodes: 2 chunks at 16384
     delta = rng.uniform(-1.0, 1.0, start.shape)
-    sizes = []
+    log = []                       # (points, gradient width) per call
     inner = E.chart.fn
 
     def counted(jets):
-        sizes.append(jets[0].f.size)
+        log[-1].append((jets[0].f.size, jets[0].g.shape[-1]))
         return inner(jets)
 
+    # deltas along one axis, as grid fills and loops have, take the
+    # one-axis path (a batch with both columns nonzero would seed both)
+    along = []
+    for ax in (0, 1):
+        one = np.zeros_like(delta)
+        one[:, ax] = delta[:, ax]
+        along.append(one)
+
     def run():
-        sizes.clear()
+        log.clear()
         monkeypatch.setattr(E.chart, "fn", counted)
-        (a, b), _ = _path_data(E.chart, forms, start, delta, 16)
+        out = []
+        for d in [delta] + along:
+            log.append([])
+            out += _path_data(E.chart, forms, start, d, 16)[0]
         monkeypatch.setattr(E.chart, "fn", inner)
         cert = solve_primitive(E, grid_shape=12)
-        return a, b, cert.solved_primitive.grid_values, cert.residual_sup
+        return (*out, cert.solved_primitive.grid_values, cert.residual_sup)
 
+    # a derivative-loss chart is seeded in full, then sliced
+    widths = [2] + [2 if E.chart.derivative_loss else 1] * 2
     runs = []
     for chunk in (PATH_CHUNK, 65536, 7 * 33):    # 7 segments of 33 nodes
         monkeypatch.setattr("lcslab.lagrangians.PATH_CHUNK", chunk)
         runs.append(run())
-        assert sum(sizes) == 600 * 33
-        assert all(n % 33 == 0 and n <= chunk for n in sizes)
+        for calls, width in zip(log, widths):
+            assert sum(n for n, _ in calls) == 600 * 33
+            assert all(n % 33 == 0 and n <= chunk and w == width
+                       for n, w in calls)
     for got in runs[1:]:
         for x, y in zip(runs[0], got):
             assert np.array_equal(x, y)
+    # the one-axis integrands are the full-width contraction's bits
+    s = segment_nodes(16)
+    for d, got in zip(along, (runs[0][2:4], runs[0][4:6])):
+        pos = start[:, None, :] + s[:, None] * d[:, None, :]
+        full = pullback_coefficients(E.chart, forms, pos.reshape(-1, 2))
+        for x, c in zip(got, full):
+            want = np.einsum("snk,sk->sn", c.reshape(pos.shape), d)
+            assert np.array_equal(x, want)
+    # a query on a node integrates no segment: every delta is zero, so it
+    # returns the node's value and evaluates no chart
+    solved = solve_primitive(E, grid_shape=12).solved_primitive
+    log.append([])
+    monkeypatch.setattr(E.chart, "fn", counted)
+    assert np.array_equal(solved.value(solved.grid), solved.grid_values)
+    assert log[-1] == []

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from field_strategies import grammar_fields
-from lcslab.errors import (DimensionError, DomainEvaluationError,
-                           ObstructionError, PreconditionError)
+from lcslab.errors import (DomainEvaluationError, ObstructionError,
+                           PreconditionError)
 from lcslab.expressions import compile_field
 from lcslab.extension import RadialField, fiber_directions, log_radii
-from lcslab.jets import Jet2
+from lcslab.jets import Jet2, partial_jet
 from lcslab.lagrangians import (beta_graph, example_torus_1, example_torus_2,
                                 translate_by_form, zero_section)
 from lcslab.manifolds import (ScalarField, make_manifold, parameter_grid,
@@ -876,7 +876,7 @@ def assert_fiber_seeding_is_exact(S, g, coords):
     from lcslab.moser import _moser_rate
     n = S.n
     full = g._jet(coords, 2)
-    assert same_bits(g._jet(coords, 1, n).g, full.g[:, n:])
+    assert same_bits(g._jet(coords, 1, range(n, 2 * n)).g, full.g[:, n:])
     P = SimpleNamespace(structure=S, g=g)    # the rate reads only these
     for tau in (0.0, 0.3, 1.0, np.linspace(0.0, 1.0, len(coords))):
         c, _, _, bad = _moser_rate(P, coords, tau, False)
@@ -936,17 +936,28 @@ def test_fiber_seeded_rate_matches_full_jet_on_grammar_fields(S, data):
     assert_fiber_seeding_is_exact(S, g, rate_points(S, rng, k=32))
 
 
-def test_fiber_seeding_refuses_a_field_that_reads_derivatives():
-    # a derivative_loss field indexes gradient columns by coordinate, which
-    # a fiber-seeded jet renumbers
-    g = ScalarField(S2.total, lambda jets: jets[2] * 0.0 + 1.0,
+def test_fiber_seeding_slices_a_field_that_reads_derivatives():
+    # a derivative_loss field indexes gradient columns by coordinate, so it
+    # is seeded in full and its fiber columns are sliced out: the bits of
+    # the full jet's, and the radial criterion reads them
+    g = ScalarField(S2.total, lambda jets: partial_jet(
+        (jets[2] * jets[3] * 0.5 + jets[0].sin()).exp(), 2) ** 2 + 1.0,
                     derivative_loss=1)
     coords = rate_points(S2, np.random.default_rng(0), k=8)
-    assert g._jet(coords, 1).g.shape == (8, 4)
-    with pytest.raises(DimensionError):
-        g._jet(coords, 1, 2)
-    with pytest.raises(DimensionError):
-        criterion_radial_log_derivative(g, S2, coords)
+    full = g._jet(coords, 1)
+    for axes in ((2, 3), (3,), (1, 3)):
+        part = g._jet(coords, 1, axes)
+        assert same_bits(part.f, full.f)
+        assert same_bits(part.g, full.g[:, list(axes)])
+    rep = criterion_radial_log_derivative(g, S2, coords)
+    vals = np.einsum("bi,bi->b", full.g[:, 2:], coords[:, 2:]) / full.f
+    assert same_bits(rep.sup, vals.max())
+    # a declared loss that leaves the order whole keeps its Hessian block
+    g2 = ScalarField(S2.total, lambda jets: jets[2] * jets[3] * jets[0].sin(),
+                     derivative_loss=1)
+    full2 = g2._jet(coords, 2)
+    part2 = g2._jet(coords, 2, (0, 3))
+    assert same_bits(part2.h, full2.h[:, [0, 3]][:, :, [0, 3]])
 
 
 def test_fiber_seeded_domain_error_names_its_row():
@@ -959,7 +970,8 @@ def test_fiber_seeded_domain_error_names_its_row():
     coords[5, 3] = -0.25
     g = ScalarField(S2.total, lambda jets: jets[3].log() + 2.0)
     P = SimpleNamespace(structure=S2, g=g)
-    for call in (lambda: g._jet(coords, 1, 2), lambda: g._jet(coords, 2),
+    for call in (lambda: g._jet(coords, 1, (2, 3)),
+                 lambda: g._jet(coords, 2),
                  lambda: _moser_rate(P, coords, 0.5, False),
                  lambda: criterion_radial_log_derivative(g, S2, coords)):
         with pytest.raises(DomainEvaluationError) as info:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from field_strategies import grammar_fields
 
 from lcslab.errors import DomainEvaluationError
-from lcslab.forms import (exterior_d, field_form, interior_product,
-                          lichnerowicz_d)
+from lcslab.forms import (coordinate_differential, exterior_d, field_form,
+                          interior_product, lichnerowicz_d)
 from lcslab.jets import seed_jets
 from lcslab.manifolds import ScalarField, make_manifold, sample_points
 from lcslab.structures import (GaugeTransform, cotangent_lcs,
@@ -38,6 +38,24 @@ def test_contraction_identity():
     res = (interior_product(Z, exterior_d(S2.lam)).coefficients(pts)
            - S2.lam.coefficients(pts))
     assert np.abs(res).max() <= 1e-10
+
+
+def test_coefficient_forms_match_their_sums_of_products():
+    # lambda = sum p_i dq_i and beta = sum c_i dq_i are evaluated by their
+    # coefficients: the jets of the field-times-differential sums, to order 2
+    c1 = ScalarField(T2, lambda j: j[0].cos() * 0.3, name="0.3 cos q1")
+    S = cotangent_lcs(T2, [c1, 1.0])
+    total = S.total
+    lam = (coordinate_differential(total, 0) * total.coordinate_field(2)
+           + coordinate_differential(total, 1) * total.coordinate_field(3))
+    beta = (coordinate_differential(total, 0) * S.beta_base_coeffs[0]
+            + coordinate_differential(total, 1) * S.beta_base_coeffs[1])
+    pts = sample_points(total, 200)
+    for form, want in ((S.lam, lam), (S.beta, beta)):
+        for got, ref in zip(form.jets(pts, order=2), want.jets(pts, order=2)):
+            assert got.order == ref.order == 2
+            for x, y in ((got.f, ref.f), (got.g, ref.g), (got.h, ref.h)):
+                assert np.array_equal(x, y)
 
 
 def test_flow_scales_fibers_exactly():
