@@ -8,10 +8,11 @@
 # d(lambda/g), checked here through a finite-difference Jacobian against
 # exact jets of the target form.
 #
-# Straightening: a twisted graph in an exact-Lee-class scene flows to an
-# exact Lagrangian for the untwisted form.  The certificate is read through
-# the chart that straightening returns: its pullback of d(lambda) (zero on
-# this curve, where 2-forms vanish) and its Liouville form's loop integral.
+# Straightening: a twisted graph in an exact-Lee-class scene is carried to
+# an exact Lagrangian for the untwisted form by the flow's closed-form
+# time-1 map (q, p) -> (q, p/g).  The certificate is read through the chart
+# that straightening returns: its pullback of d(lambda) (zero on this
+# curve, where 2-forms vanish) and its Liouville form's loop integral.
 
 import numpy as np
 

@@ -38,8 +38,8 @@ from .moser import (FlowResult, MoserProblem, integrate_flow,
                     projection_degree, straighten_lagrangian,
                     verify_conformal_pullback)
 from .scenes import load_scene, run_command
-from .structures import (CotangentLcsStructure, GaugeTransform,
-                         cotangent_lcs, criterion_radial_log_derivative,
-                         gauge_apply, liouville_flow, liouville_vector_field)
+from .structures import (CotangentLcsStructure, cotangent_lcs,
+                         criterion_radial_log_derivative, liouville_flow,
+                         liouville_vector_field)
 
 __version__ = "0.1.0"

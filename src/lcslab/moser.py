@@ -7,16 +7,16 @@ whenever ``d ln g (Z) < 1`` on the grid, and the generating vector field
 
 is radial: it rescales each fiber ray and never moves base points.  The flow
 therefore reduces to one scalar ODE per ray, which removes base drift by
-construction and makes the time-1 map cheap to evaluate together with its
-parameter sensitivities (the first variation integrates alongside, using the
-exact jets of g).  The time-1 map also has a closed form, a fiber scaling
-by 1/g at the seed; ``integrate_flow`` certifies each RK4 run against it.
+construction.  Its time-1 map has a closed form, the fiber scaling
+``(q, p) -> (q, p/g(q, p))``: ``integrate_flow`` certifies each RK4 run
+against it, and the straightening reads it directly.
 
-The straightening pipeline composes the time-1 map with a fiber translation
-and certifies, through the chart it returns, that the image is exact for
-the untwisted form; an extension field violating the radial bound is
-refused by ``MoserProblem``.  A signed-preimage count of a regular value
-gives the projection degree diagnostic.
+The straightening pipeline composes the closed-form time-1 map with a fiber
+translation and certifies, through the chart it returns, that the image is
+exact for the untwisted form; an extension field violating the radial bound
+is refused by ``MoserProblem``, and the chart refuses a point whose fiber
+segment to its image reaches the bound.  A signed-preimage count of a
+regular value gives the projection degree diagnostic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DimensionError, ObstructionError, PreconditionError
 from .extension import RadialField, nearest_direction
 from .forms import exterior_d, increasing_indices, pullback
-from .jets import Jet2, partial_jet, seed_jets
 from .lagrangians import (ParametricEmbedding, _base_volume, _shift_fibers,
                           base_preimages)
 from .manifolds import (ScalarField, SmoothMap, _as_jets, _coerce_coords,
@@ -80,39 +79,22 @@ class MoserProblem:
                 radius=self.outside_radius)
 
 
-def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float,
-                need_grad: bool):
+def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float):
     """Rate c of the radial field X = c Z at family time tau, from jets of g.
 
     ``c = (1/g - 1) / (g_tau + dg_tau(Z))`` with ``g_tau = tau/g + 1 - tau``
-    at normalized coords of shape (B, 2n).  With ``need_grad`` also returns
-    dc/dq and dc/dw at the fiber point w, read off the same quotient taken
-    on the full order-2 jet of g; otherwise those are None.  The last value
-    marks the rows whose denominator is not positive (NaN included), where
-    the rate is meaningless.
-
-    The value alone reads only dg/dp, so without ``need_grad`` g's jet is
-    seeded in the fiber coordinates only: half the width, the same bits.
+    at normalized coords of shape (B, 2n).  Also returns the mask of rows
+    whose denominator is not positive (NaN included), where the rate is
+    meaningless.  The rate reads only dg/dp, so g's jet is seeded in the
+    fiber coordinates only.
     """
     n = P.structure.n
-    jet = (P.g._jet(coords, 2) if need_grad
-           else P.g._jet(coords, 1, range(n, 2 * n)))
+    jet = P.g._jet(coords, 1, range(n, 2 * n))
     ginv = 1.0 / jet.f
     # d(1/g)(Z) = -dg(Z)/g^2, subtracted: the bits of adding it negated
-    dg_Z = np.einsum("bi,bi->b", jet.g[:, -n:], coords[:, n:])
+    dg_Z = np.einsum("bi,bi->b", jet.g, coords[:, n:])
     denom = tau * ginv + (1 - tau) - tau * (dg_Z * ginv ** 2)
-    bad = ~(denom > 0.0)
-    c = (ginv - 1.0) / denom
-    if not need_grad:
-        return c, None, None, bad
-    # the same quotient on jets of (q, w): its gradient is (dc/dq, dc/dw)
-    ginv = jet.reciprocal()
-    w = seed_jets(coords, order=1)[n:]
-    dginv_Z = sum(partial_jet(ginv, n + i) * w[i] for i in range(n))
-    denom = ginv * tau + (1 - tau) + dginv_Z * tau
-    # a bad row's rate is discarded; a unit denominator keeps it finite
-    rate = (ginv - 1.0) / Jet2.where(bad, denom * 0.0 + 1.0, denom)
-    return c, rate.g[:, :n], rate.g[:, n:], bad
+    return (ginv - 1.0) / denom, ~(denom > 0.0)
 
 
 @dataclass
@@ -131,18 +113,14 @@ class FlowResult:
                 "pullback_residual": self.pullback_residual}
 
 
-def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
-                 dirs: np.ndarray | None = None):
+def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float):
     """Integrate the per-ray scalar ODE r' = c(q, r v, t) r from t = 0 to 1.
 
     Classical RK4 at ``step`` (rounded to ``1/ceil(1/step)``) from normalized
     seeds; the flow never moves their base coordinates, so no rate call
-    wraps them again.  Given ``dirs`` (shape (B, m, 2n): d(seed)/d(param))
-    the first variation of r integrates alongside.  Returns scales
-    s = r(1)/r(0) of shape (B,) and ds/d(param) of shape (B, m), the latter
-    None without ``dirs``.  A Moser denominator that loses positivity
-    raises at the first rate call that meets it, naming its first failing
-    row.
+    wraps them again.  Returns the scales s = r(1)/r(0) of shape (B,), 1 on
+    the zero section.  A Moser denominator that loses positivity raises at
+    the first rate call that meets it, naming its first failing row.
     """
     n = P.structure.n
     seeds = np.atleast_2d(seeds)
@@ -154,19 +132,9 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
     v[live] = p[live] / r0[live, None]
     count = max(1, int(np.ceil(1.0 / step)))
     h = 1.0 / count
-    state = [r0]
-    if dirs is not None:
-        # dr0/dparam and dv/dparam from the seed directions
-        dp = dirs[:, :, n:]
-        dq = dirs[:, :, :n]
-        dr0 = np.einsum("bk,bmk->bm", v, dp)
-        dv = (dp - dr0[:, :, None] * v[:, None, :]) / \
-            np.maximum(r0[:, None, None], 1e-300)
-        state.append(dr0)
 
-    def rhs(state, t):
-        rcur = state[0]
-        coords = np.concatenate([q, rcur[:, None] * v], axis=1)
+    def rhs(r, t):
+        coords = np.concatenate([q, r[:, None] * v], axis=1)
         # The family parameter runs in reverse here: the flow that realizes
         # phi_1^* d(lambda) = d(lambda/g) is generated by the radial field
         # with denominator g_tau + dg_tau(Z) at tau = 1 - t (for constant g
@@ -174,45 +142,26 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float,
         # orientation matters exactly where dg(Z) != 0, and this one is the
         # one the closed-form certificate of integrate_flow confirms).
         tau = 1.0 - t
-        c, dc_dq, dc_dw, bad = _moser_rate(P, coords, tau, len(state) > 1)
+        c, bad = _moser_rate(P, coords, tau)
         if bad.any():
             row = int(np.argmax(bad))
             raise PreconditionError(
                 "Moser denominator g_tau + dg_tau(Z) lost positivity",
                 point=np.array2string(coords[row], precision=6),
                 tau=tau)
-        f = c * rcur
-        if len(state) == 1:
-            return [f]
-        # dF/dparam = r * (dc/dq dq + dc/dw d(rv)) + c dr
-        drc = state[1]
-        d_rv = drc[:, :, None] * v[:, None, :] + rcur[:, None, None] * dv
-        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq)
-                               + np.einsum("bj,bmj->bm", dc_dw, d_rv))
-              + c[:, None] * drc)
-        return [f, df]
+        return c * r
 
-    def axpy(x, a, y):
-        return [xi + a * yi for xi, yi in zip(x, y)]
-
-    t = 0.0
+    r, t = r0, 0.0
     for _ in range(count):
-        k1 = rhs(state, t)
-        k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
-        k3 = rhs(axpy(state, 0.5 * h, k2), t + 0.5 * h)
-        k4 = rhs(axpy(state, h, k3), t + h)
-        state = axpy(state, h / 6, [a + 2 * b + 2 * c + d
-                                    for a, b, c, d in zip(k1, k2, k3, k4)])
+        k1 = rhs(r, t)
+        k2 = rhs(r + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(r + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(r + h * k3, t + h)
+        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     scales = np.ones(seeds.shape[0])
-    scales[live] = state[0][live] / r0[live]
-    if dirs is None:
-        return scales, None
-    # s = r(1)/r0:  ds = (dr(1) - s * dr0) / r0
-    dscale = np.zeros(dirs.shape[:2])
-    dscale[live] = ((state[1][live] - scales[live, None] * dr0[live])
-                    / r0[live, None])
-    return scales, dscale
+    scales[live] = r[live] / r0[live]
+    return scales
 
 
 def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
@@ -233,7 +182,7 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
     off = np.flatnonzero(np.linalg.norm(seeds[:, S.n:], axis=-1) > 1e-14)
     exact = (1.0 / P.g._jet(seeds, 0).f)[off]
     for step in [step * 0.5 ** k for k in range(11)]:
-        scales, _ = _flow_scales(P, seeds, step)
+        scales = _flow_scales(P, seeds, step)
         miss = np.abs(scales[off] - exact)
         err = miss.max(initial=0.0)
         if err <= 1e-10:             # a NaN error fails
@@ -414,14 +363,16 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     ``g`` is a positive conformal factor matching the extension contract
     (equal to 1 outside a compact, radial log-derivative below 1);
     ``MoserProblem`` refuses a factor that is not, with its own error.
-    The returned chart composes the time-1 radial flow (RK4 at ``step``,
-    its scale sensitivities from the first-variation flow) with a fiber
-    translation by the base form ``eta_prime``, and the report certifies
-    that chart: closedness is its pullback of d(lambda) on a ``grid``
-    parameter grid (0 on a 1-d source, where 2-forms vanish and the chart is
-    never evaluated), and holonomy the integral of its Liouville form along
-    each circle of the source.  It passes with closedness within 1e-8 and
-    loop holonomy within 1e-6.
+    The returned chart composes the closed-form time-1 map (q, p) ->
+    (q, p/g) with a fiber translation by the base form ``eta_prime``; it
+    refuses a point whose fiber segment to its image reaches d ln g(Z) >= 1
+    at any of 16 equispaced samples, where that map stops being a
+    diffeomorphism of the ray.  The report certifies that chart: closedness
+    is its pullback of d(lambda) on a ``grid`` parameter grid (0 on a 1-d
+    source, where 2-forms vanish and the chart is never evaluated), and
+    holonomy the integral of its Liouville form along each circle of the
+    source, with the fiber scales of the RK4 flow at ``step``.  It passes
+    with closedness within 1e-8 and loop holonomy within 1e-6.
     """
     S = E.structure
     if len(eta_prime) > S.n:
@@ -435,27 +386,35 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
     eta_fields = [c if isinstance(c, ScalarField) else
                   ScalarField.constant(S.base, float(c)) for c in eta_prime]
 
-    # first-class embedding: the chart carries the flow's first variation,
-    # so Jacobians (hence Lagrangian verification, chords, primitives) work;
-    # second derivatives of the time-1 map are not available
+    # first-class embedding: the chart carries E's jets through the closed
+    # form, so Jacobians and Hessians (hence Lagrangian verification, chords,
+    # primitives) work
     S0 = cotangent_lcs(S.base, [])
 
     def chart_fn(jets):
-        # E's chart once: its values are the flow seeds, its gradients the
-        # seed directions
+        # E's chart once; the time-1 map scales each fiber by 1/g there
         batch = jets[0].f.shape
-        comps = _as_jets(E.chart.fn(jets), len(jets), batch, jets[0].order)
-        seeds = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
-        dirs = np.stack([c.g for c in comps], axis=-1)
-        s_val, ds = _flow_scales(P, seeds.reshape(-1, 2 * S.n), step,
-                                 dirs=dirs.reshape(-1, len(jets), 2 * S.n))
-        s_jet = Jet2(s_val.reshape(batch), ds.reshape(batch + ds.shape[-1:]))
-        return _shift_fibers(comps[:S.n] + [s_jet * p for p in comps[S.n:]],
+        width = len(jets) if jets[0].g is None else jets[0].g.shape[-1]
+        comps = _as_jets(E.chart.fn(jets), width, batch, jets[0].order)
+        ginv = g.fn(comps).reciprocal()
+        # the guard the flow's denominators were: d ln g(Z) < 1 at 16 points
+        # of each fiber segment from a chart point to its image
+        x = np.stack([c.f for c in comps], axis=-1).reshape(-1, 2 * S.n)
+        t = np.linspace(0.0, 1.0, 16)[:, None, None]
+        fibers = x[:, S.n:] * (1.0 + t * (ginv.f.reshape(-1, 1) - 1.0))
+        rep = criterion_radial_log_derivative(g, S, np.concatenate(
+            np.broadcast_arrays(x[:, :S.n], fibers), axis=-1))
+        if not rep.passed:
+            raise PreconditionError(
+                "d ln g(Z) reaches 1 on a fiber segment to the straightened "
+                "image", slope=rep.sup,
+                point=np.array2string(rep.worst_point, precision=6))
+        return _shift_fibers(comps[:S.n] + [ginv * p for p in comps[S.n:]],
                              S.n, eta_fields)
 
     chart = SmoothMap(E.source, S.total, chart_fn,
                       name=f"straightened({E.name})",
-                      derivative_loss=E.chart.derivative_loss + 1)
+                      derivative_loss=E.chart.derivative_loss)
     straightened = ParametricEmbedding(
         source=E.source, structure=S0, chart=chart,
         name=f"straightened {E.name}")
@@ -479,7 +438,7 @@ def straighten_lagrangian(E: ParametricEmbedding, g,
         comps = E.chart.jet(loop, 1)
         pts_loop = S.total.normalize(np.stack([c.f for c in comps], axis=-1))
         dq = [c.g[:, ax] for c in comps[:S.n]]
-        s_loop, _ = _flow_scales(P, pts_loop, step)
+        s_loop = _flow_scales(P, pts_loop, step)
         # (E* lambda)(d/du_ax) = sum_i p_i dq_i(d/du_ax)
         lam_loop = sum(pts_loop[:, S.n + i] * dq[i] for i in range(S.n))
         integrand = s_loop * lam_loop * 2 * np.pi

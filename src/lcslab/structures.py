@@ -4,8 +4,8 @@ The bundle T*M carries the tautological 1-form ``lambda = sum p_i dq_i`` and a
 Lee form ``beta`` pulled back from the base.  Together with the twisted
 2-form ``omega = d(lambda) - beta ^ lambda`` they form the structure every
 other module consumes.  Also here: the fiber Euler (Liouville) vector field
-and its flow, gauge transformations and the radial log-derivative criterion
-that controls when ``lambda/g`` is still a Liouville form.
+and its flow, and the radial log-derivative criterion that controls when
+``lambda/g`` is still a Liouville form.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainEvaluationError
-from .forms import (CoefficientForm, FormExpression, exterior_d, field_form,
-                    lichnerowicz_d)
+from .forms import CoefficientForm, FormExpression, lichnerowicz_d
 from .jets import Jet2
 from .manifolds import ModelManifold, ScalarField, VectorField, _coerce_coords
 
 __all__ = [
-    "CotangentLcsStructure", "GaugeTransform", "LcsPair", "cotangent_lcs",
-    "liouville_vector_field", "liouville_flow",
-    "criterion_radial_log_derivative", "gauge_apply", "RadialCriterionReport",
-    "radial_blend", "smoothstep",
+    "CotangentLcsStructure", "cotangent_lcs", "liouville_vector_field",
+    "liouville_flow", "criterion_radial_log_derivative",
+    "RadialCriterionReport", "radial_blend", "smoothstep",
 ]
 
 
@@ -127,38 +125,6 @@ def criterion_radial_log_derivative(g: ScalarField, S: CotangentLcsStructure,
     sup = float(vals[i])
     return RadialCriterionReport(sup=sup, passed=bool(sup < 1.0),
                                  worst_point=coords[i])
-
-
-@dataclass(frozen=True)
-class GaugeTransform:
-    """Acts by ``(lambda, beta) -> (e^g (lambda + d_beta f), beta + dg)``."""
-
-    g: ScalarField
-    f_shift: ScalarField | None = None
-
-
-@dataclass(frozen=True)
-class LcsPair:
-    """A (possibly non-canonical) twisted pair with its derived 2-form."""
-
-    total: ModelManifold
-    lam: FormExpression
-    beta: FormExpression
-    omega: FormExpression
-
-
-def gauge_apply(T: GaugeTransform, S: CotangentLcsStructure) -> LcsPair:
-    """New pair under a gauge transform; the 2-form rescales by ``e^g``."""
-    eg = ScalarField(S.total, lambda jets: T.g.fn(jets).exp(),
-                     name=f"exp({T.g.name})")
-    lam_inner = S.lam
-    if T.f_shift is not None:
-        lam_inner = lam_inner + lichnerowicz_d(field_form(T.f_shift), S.beta,
-                                               validate=False)
-    new_lam = lam_inner * eg
-    new_beta = S.beta + exterior_d(field_form(T.g))
-    new_omega = lichnerowicz_d(new_lam, new_beta, validate=False)
-    return LcsPair(total=S.total, lam=new_lam, beta=new_beta, omega=new_omega)
 
 
 def smoothstep(x):

@@ -55,7 +55,7 @@ def test_identity_factor_gives_zero_field_and_flow():
     g = ScalarField.constant(S2.total, 1.0)
     P = MoserProblem(structure=S2, g=g)
     pts = sample_points(S2.total, 50)
-    c, _, _, bad = _moser_rate(P, S2.total.normalize(pts), 0.5, False)
+    c, bad = _moser_rate(P, S2.total.normalize(pts), 0.5)
     assert not bad.any()
     assert np.abs(c).max() == 0.0
     res = integrate_flow(P, pts)
@@ -108,11 +108,9 @@ def test_constant_factor_vector_field_formula():
     pts = np.array([[0.2, 0.4], [1.0, -0.6]])
     for t in (0.0, 0.3, 0.9):
         expected = (1 / c - 1) / (t / c + 1 - t)
-        rate, dc_dq, dc_dw, bad = _moser_rate(P, pts, t, True)
+        rate, bad = _moser_rate(P, pts, t)
         assert not bad.any()
         assert np.abs(rate - expected).max() <= 1e-12
-        assert np.abs(dc_dq).max() <= 1e-12
-        assert np.abs(dc_dw).max() <= 1e-12
 
 
 def test_radial_factor_keeps_base_frozen():
@@ -144,10 +142,10 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     misses = [1e-8] * 10 + [last_error]
     calls = iter(zip([1e-3 / 2 ** k for k in range(11)], misses))
 
-    def fake_flow_scales(P, seeds, step, dirs=None):
+    def fake_flow_scales(P, seeds, step):
         want, miss = next(calls)
         assert step == want
-        return np.full(seeds.shape[0], 1.0 / c + miss), None
+        return np.full(seeds.shape[0], 1.0 / c + miss)
 
     monkeypatch.setattr(moser, "_flow_scales", fake_flow_scales)
     P = MoserProblem(structure=S1, g=constant_ball_field(S1, c=c),
@@ -165,10 +163,10 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     assert next(calls, None) is None
 
 
-def sequential_flow_scales(P, seeds, step, dirs=None):
+def sequential_flow_scales(P, seeds, step):
     """The RK4 flow loop at one step size with one scalar time for all rows,
-    written out by itself: the reference for ``_flow_scales``' scales,
-    first variations and positivity errors."""
+    written out by itself: the reference for ``_flow_scales``' scales and
+    positivity errors."""
     from lcslab.moser import _moser_rate
     n = P.structure.n
     seeds = np.atleast_2d(seeds)
@@ -181,56 +179,29 @@ def sequential_flow_scales(P, seeds, step, dirs=None):
     v[live] = p[live] / r0[live, None]
     n_steps = max(1, int(np.ceil(1.0 / step)))
     h = 1.0 / n_steps
-    state = [r0]
-    if dirs is not None:
-        dp = dirs[:, :, n:]
-        dq = dirs[:, :, :n]
-        dr0 = np.einsum("bk,bmk->bm", v, dp)
-        dv = (dp - dr0[:, :, None] * v[:, None, :]) / \
-            np.maximum(r0[:, None, None], 1e-300)
-        state.append(dr0)
 
-    def rhs(state, t):
-        rcur = state[0]
-        coords = np.concatenate([q, rcur[:, None] * v], axis=1)
-        c, dc_dq, dc_dw, bad = _moser_rate(P, coords, 1.0 - t,
-                                           len(state) > 1)
+    def rhs(r, t):
+        coords = np.concatenate([q, r[:, None] * v], axis=1)
+        c, bad = _moser_rate(P, coords, 1.0 - t)
         if bad.any():
             raise PreconditionError(
                 "Moser denominator g_tau + dg_tau(Z) lost positivity",
                 point=np.array2string(coords[bad][0], precision=6),
                 tau=1.0 - t)
-        f = c * rcur
-        if len(state) == 1:
-            return [f]
-        drc = state[1]
-        d_rv = (drc[:, :, None] * v[:, None, :]
-                + rcur[:, None, None] * dv)
-        df = (rcur[:, None] * (np.einsum("bj,bmj->bm", dc_dq, dq)
-                               + np.einsum("bj,bmj->bm", dc_dw, d_rv))
-              + c[:, None] * drc)
-        return [f, df]
+        return c * r
 
-    def axpy(x, a, y):
-        return [xi + a * yi for xi, yi in zip(x, y)]
-
+    r = r0
     t = 0.0
     for _ in range(n_steps):
-        k1 = rhs(state, t)
-        k2 = rhs(axpy(state, 0.5 * h, k1), t + 0.5 * h)
-        k3 = rhs(axpy(state, 0.5 * h, k2), t + 0.5 * h)
-        k4 = rhs(axpy(state, h, k3), t + h)
-        state = axpy(state, h / 6, [a + 2 * b + 2 * c + d for a, b, c, d
-                                    in zip(k1, k2, k3, k4)])
+        k1 = rhs(r, t)
+        k2 = rhs(r + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(r + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(r + h * k3, t + h)
+        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     scales = np.ones(B)
-    scales[live] = state[0][live] / r0[live]
-    if dirs is None:
-        return scales, None
-    dscale = np.zeros((B, dirs.shape[1]))
-    dscale[live] = ((state[1][live] - scales[live, None] * dr0[live])
-                    / r0[live, None])
-    return scales, dscale
+    scales[live] = r[live] / r0[live]
+    return scales
 
 
 def spiked_ball_problem(spots, width=1e-4):
@@ -261,7 +232,7 @@ def ball_stage_points(p0, h):
                      outside_radius=3.0)
 
     def rate(p, t):
-        return _moser_rate(P, np.array([[0.0, p]]), 1.0 - t, False)[0][0] * p
+        return _moser_rate(P, np.array([[0.0, p]]), 1.0 - t)[0][0] * p
 
     k1 = rate(p0, 0.0)
     k2 = rate(p0 + 0.5 * h * k1, 0.5 * h)
@@ -465,16 +436,25 @@ def test_straighten_refuses_a_translation_that_is_not_closed():
     assert not rep.passed
 
 
-def test_straighten_two_torus_beta_graph():
-    # beta = d(sigma) on T^2 and g = e^sigma near the graph: the flow scales
-    # each fiber by e^-sigma, so the image d(e^-sigma f) is exact; df and
-    # d(sigma) are independent, so it is closed only through the scale
-    # sensitivities ds, which the closedness reads
+def two_torus_beta_graph():
+    """A beta-graph on T^2 with beta = d(sigma), and the factor e^sigma
+    near it that straightens it."""
     S = cotangent_lcs(T2, [ScalarField(T2, lambda j: j[0].cos() * 0.2),
                            ScalarField(T2, lambda j: j[1].sin() * -0.1)])
     f = ScalarField(T2, lambda j: j[0].cos() * 0.2 + j[1].sin() * 0.1 + 1.5)
     g = exact_lee_factor(S, lambda j: j[0].sin() * 0.2 + j[1].cos() * 0.1)
-    _, rep = straighten_lagrangian(beta_graph(f, S), g, grid=8)
+    return beta_graph(f, S), g
+
+
+def test_straighten_two_torus_beta_graph():
+    # beta = d(sigma) on T^2 and g = e^sigma near the graph: the time-1 map
+    # scales each fiber by e^-sigma, so the image d(e^-sigma f) is exact; df
+    # and d(sigma) are independent, so it is closed only through the
+    # derivatives of the scale, which the closedness reads; those come
+    # from E's own jets, so the chart keeps E's derivative loss
+    E, g = two_torus_beta_graph()
+    out, rep = straighten_lagrangian(E, g, grid=8)
+    assert out.chart.derivative_loss == E.chart.derivative_loss
     assert rep.closedness_sup <= 1e-8
     assert rep.holonomy_sup <= 1e-6
     assert rep.passed
@@ -482,22 +462,29 @@ def test_straighten_two_torus_beta_graph():
 
 def test_straighten_one_dimensional_source_runs_no_variational_flow(
         monkeypatch):
-    # 2-forms vanish on curves: a 1-d certificate needs no ds, so only the
-    # holonomy loops flow, without first variations
+    # 2-forms vanish on curves: a 1-d certificate never evaluates the
+    # straightened chart (whose last step is the fiber shift), and the
+    # holonomy flows once per loop
     from lcslab import moser
-    calls = []
+    calls, shifts = [], []
 
-    def recording_flow_scales(P, seeds, step, dirs=None):
-        calls.append(dirs is not None)
-        return flow_scales(P, seeds, step, dirs=dirs)
+    def recording_flow_scales(P, seeds, step):
+        calls.append(step)
+        return flow_scales(P, seeds, step)
 
-    flow_scales = moser._flow_scales
+    def recording_shift_fibers(*args):
+        shifts.append(args)
+        return shift_fibers(*args)
+
+    flow_scales, shift_fibers = moser._flow_scales, moser._shift_fibers
     monkeypatch.setattr(moser, "_flow_scales", recording_flow_scales)
+    monkeypatch.setattr(moser, "_shift_fibers", recording_shift_fibers)
     S = cotangent_lcs(T1, [ScalarField(T1, lambda j: j[0].cos() * 0.3)])
     f = ScalarField(T1, lambda j: j[0].sin() * 0.2 + 1.5)
     _, rep = straighten_lagrangian(
         beta_graph(f, S), exact_lee_factor(S, lambda j: j[0].sin() * 0.3))
-    assert calls == [False]
+    assert calls == [5e-3]
+    assert shifts == []
     assert rep.closedness_sup == 0.0
     assert rep.passed
 
@@ -571,8 +558,8 @@ def test_richardson_check_refuses_a_nan_scale(monkeypatch):
     # a NaN scale is a failed accuracy check, not an accepted step
     import lcslab.moser as moser
 
-    def nan_scales(P, seeds, step, dirs=None):
-        return np.full(seeds.shape[0], np.nan), None
+    def nan_scales(P, seeds, step):
+        return np.full(seeds.shape[0], np.nan)
 
     monkeypatch.setattr(moser, "_flow_scales", nan_scales)
     P = MoserProblem(structure=S1, g=constant_ball_field(S1))
@@ -613,10 +600,11 @@ def test_projection_degree_curled_torus_is_zero():
 
 
 def scene_flow_problem(name):
-    """A scene's Moser problem with straightening seeds and their directions:
-    the compiled factor of a ``moser`` scene on sample points, or the
-    interpolated extension field of ``beta-graph-pipeline`` on the
-    embedding grid that ``full-pipeline`` straightens."""
+    """A scene's Moser problem, straightening seeds and straightening
+    inputs: the compiled factor of a ``moser`` scene on sample points (no
+    inputs), or the interpolated extension field of a ``full-pipeline`` scene
+    on the 32-grid of chart points that ``full-pipeline`` straightens, with
+    the embedding and the extension's ``RadialField``."""
     from pathlib import Path
 
     from lcslab.scenes import (_build_embedding, _build_moser_g,
@@ -627,36 +615,101 @@ def scene_flow_problem(name):
         P = MoserProblem(structure=S, g=_build_moser_g(scene, S),
                          outside_radius=scene["moser"].get("outside_radius",
                                                            8.0))
-        seeds = sample_points(S.total, 64, radius=3.0)
-        dirs = np.broadcast_to(np.eye(seeds.shape[1]),
-                               seeds.shape[:1] + (seeds.shape[1],) * 2)
-        return P, seeds, dirs
+        return P, sample_points(S.total, 64, radius=3.0), None
     E = _build_embedding(scene)
     _, _, field = _extension(scene, {"seed": 0}, E)
     P = MoserProblem(structure=E.structure,
                      g=radial_field_to_scalar_field(field, E.structure),
                      outside_radius=float(field.radii[-1]))
     params = parameter_grid(E.source, 32).reshape(-1, E.source.dim)
-    return P, E.chart(params), np.swapaxes(E.chart.jacobian(params), 1, 2)
+    return P, E.chart(params), (E, field)
 
 
 @pytest.mark.parametrize("scene", ["moser-constant-ball.json",
                                    "beta-graph-pipeline.json"])
 def test_first_variations_leave_flow_scales_unchanged(scene):
-    # straightening reads its images off the variational flow's scales, so
-    # those must be the plain flow's scales bit for bit, and both must equal
-    # the sequential loop's
+    # the holonomy loops of the straightening and integrate_flow read these
+    # scales, so the array loop of _flow_scales must give the sequential
+    # loop's bits
     from lcslab.moser import _flow_scales
-    P, seeds, dirs = scene_flow_problem(scene)
-    plain, none = _flow_scales(P, seeds, 5e-3)
-    varied, dscale = _flow_scales(P, seeds, 5e-3, dirs=dirs)
-    assert none is None
-    assert dscale.shape == dirs.shape[:2]
-    assert np.array_equal(plain, varied)
+    P, seeds, _ = scene_flow_problem(scene)
+    plain = _flow_scales(P, seeds, 5e-3)
     assert not np.array_equal(plain, np.ones_like(plain))
-    ref, ref_dscale = sequential_flow_scales(P, seeds, 5e-3, dirs=dirs)
-    assert np.array_equal(varied, ref)
-    assert np.array_equal(dscale, ref_dscale)
+    assert np.array_equal(plain, sequential_flow_scales(P, seeds, 5e-3))
+
+
+def straightened_scales(E, g, params):
+    """The fiber scale of E's straightened chart at ``params``, read off
+    its images, and the mask of rows off the zero section that it is read
+    on."""
+    out, _ = straighten_lagrangian(E, g, grid=2)
+    n = E.structure.n
+    p = E.chart(params)[:, n:]
+    r2 = np.einsum("bi,bi->b", p, p)
+    live = r2 > 1e-28
+    img = out.chart(params)[:, n:]
+    return np.einsum("bi,bi->b", img, p)[live] / r2[live], live
+
+
+@pytest.mark.parametrize("case", ["beta-graph-pipeline.json",
+                                  "beta-graph-asymmetric.json",
+                                  "moser-constant-ball.json", "two-torus"])
+def test_rk4_flow_agrees_with_the_closed_form_time_1_map(case):
+    # the RK4 Moser flow is the independent oracle of the closed form
+    # (q, p) -> (q, p/g(q, p)) that the straightened chart reads.  At step
+    # 2.5e-4 they agree to 2e-9: on the straightened 32-grid of both
+    # beta-graph fixtures, whose interpolated factors are C^1 at their
+    # shells, and on T^2; the constant ball has no chart, so its seeds are
+    # checked against 1/g itself
+    from lcslab.moser import _flow_scales
+    if case == "two-torus":
+        E, g = two_torus_beta_graph()
+        P = MoserProblem(structure=E.structure, g=g)
+        params = parameter_grid(T2, 8).reshape(-1, 2)
+        seeds = E.chart(params)
+    else:
+        P, seeds, inputs = scene_flow_problem(case)
+        E, g = inputs or (None, None)
+        params = parameter_grid(T1, 32).reshape(-1, 1)
+    rk4 = _flow_scales(P, seeds, 2.5e-4)
+    if E is None:
+        live = np.linalg.norm(seeds[:, 1:], axis=-1) > 1e-14
+        closed = 1.0 / P.g.value(seeds[live])
+    else:
+        closed, live = straightened_scales(E, g, params)
+    assert live.sum() >= 30
+    assert np.abs(rk4[live] - closed).max() <= 2e-9
+
+
+def test_straightened_chart_jets_match_central_differences():
+    # two_torus_beta_graph's graph with df written out is a chart of
+    # derivative loss 0, so its straightened chart has Jacobian and Hessian;
+    # they agree with central differences (step 1e-5) of its values and of
+    # its exact Jacobian
+    from lcslab.lagrangians import ParametricEmbedding
+    from lcslab.manifolds import SmoothMap
+    from lcslab.numerics import central_difference
+    E, g = two_torus_beta_graph()
+    S = E.structure
+
+    def graph(j):
+        f = j[0].cos() * 0.2 + j[1].sin() * 0.1 + 1.5
+        return [j[0], j[1], j[0].sin() * -0.2 - f * (j[0].cos() * 0.2),
+                j[1].cos() * 0.1 + f * (j[1].sin() * 0.1)]
+
+    explicit = ParametricEmbedding(source=T2, structure=S,
+                                   chart=SmoothMap(T2, S.total, graph))
+    pts = sample_points(T2, 64)
+    assert np.abs(explicit.chart(pts) - E.chart(pts)).max() <= 1e-15
+    out, _ = straighten_lagrangian(explicit, g, grid=2)
+    assert out.chart.derivative_loss == 0
+    comps = out.chart.jet(pts, order=2)
+    _, jac = central_difference(out.chart, pts, 1e-5,
+                                diff=S.total.difference)
+    _, hess = central_difference(out.chart.jacobian, pts, 1e-5)
+    assert np.abs(np.stack([c.g for c in comps], axis=1) - jac).max() <= 1e-9
+    assert np.abs(np.stack([c.h for c in comps], axis=1) - hess).max() <= 1e-9
+    assert np.abs(hess).max() > 0.1
 
 
 def full_row_pchip_value(F, S):
@@ -878,11 +931,14 @@ def assert_fiber_seeding_is_exact(S, g, coords):
     full = g._jet(coords, 2)
     assert same_bits(g._jet(coords, 1, range(n, 2 * n)).g, full.g[:, n:])
     P = SimpleNamespace(structure=S, g=g)    # the rate reads only these
+    ginv = 1.0 / full.f
+    dg_Z = np.einsum("bi,bi->b", full.g[:, n:], coords[:, n:])
     for tau in (0.0, 0.3, 1.0, np.linspace(0.0, 1.0, len(coords))):
-        c, _, _, bad = _moser_rate(P, coords, tau, False)
-        c_full, _, _, bad_full = _moser_rate(P, coords, tau, True)
-        assert same_bits(c, c_full)
-        assert np.array_equal(bad, bad_full)
+        c, bad = _moser_rate(P, coords, tau)
+        # the rate's quotient, taken on the full-width jet
+        denom = tau * ginv + (1 - tau) - tau * (dg_Z * ginv ** 2)
+        assert same_bits(c, (ginv - 1.0) / denom)
+        assert np.array_equal(bad, ~(denom > 0.0))
     if (full.f > 0.0).all():
         rep = criterion_radial_log_derivative(g, S, coords)
         vals = np.einsum("bi,bi->b", full.g[:, n:], coords[:, n:]) / full.f
@@ -972,7 +1028,7 @@ def test_fiber_seeded_domain_error_names_its_row():
     P = SimpleNamespace(structure=S2, g=g)
     for call in (lambda: g._jet(coords, 1, (2, 3)),
                  lambda: g._jet(coords, 2),
-                 lambda: _moser_rate(P, coords, 0.5, False),
+                 lambda: _moser_rate(P, coords, 0.5),
                  lambda: criterion_radial_log_derivative(g, S2, coords)):
         with pytest.raises(DomainEvaluationError) as info:
             call()

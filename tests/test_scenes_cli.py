@@ -505,6 +505,58 @@ def test_cli_full_pipeline_stops_at_a_nonpositive_primitive(tmp_path):
     assert verdict["details"]["minimum"] == pytest.approx(-3.0, abs=1e-3)
 
 
+def two_torus_pipeline_scene(tmp_path, f):
+    """A full-pipeline scene on T^2 with the exact Lee class beta =
+    d(0.3 sin q1 + 0.2 sin q2), the beta-graph of ``f`` and h = f."""
+    scene = {"version": "scene-v1", "name": "two-torus-graph",
+             "manifold": {"circles": 2, "lines": 0},
+             "structure": {"beta": ["0.3*cos(q1)", "0.2*cos(q2)"]},
+             "embedding": {"library": "beta-graph", "f": f},
+             "grids": {"parameter": 16, "chord_grid": 16},
+             "extension": {"h": f, "base_grid": 8, "shells": 32,
+                           "directions": 16, "r_max": 16.0},
+             "moser": {"eta_prime": []}}
+    path = tmp_path / "two-torus-graph.json"
+    path.write_text(json.dumps(scene))
+    return path
+
+
+def test_cli_full_pipeline_refuses_a_fiber_segment_past_the_radial_bound(
+        tmp_path):
+    # the extension passes its sampled bound, but between chart points and
+    # their images d ln g(Z) reaches 1.2, where (q, p) -> (q, p/g) is no
+    # longer a diffeomorphism of the fiber ray: the straightened chart
+    # refuses, naming the slope and the point
+    path = two_torus_pipeline_scene(tmp_path,
+                                    "1.5 + 0.2*sin(q1) + 0.1*cos(q2)")
+    code = main(["full-pipeline", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / "two-torus-graph-full-pipeline.json").read_text())
+    assert list(rep["verdicts"]) == ["numeric_error"]
+    verdict = rep["verdicts"]["numeric_error"]
+    assert verdict["type"] == "PreconditionError"
+    assert verdict["message"].startswith("d ln g(Z) reaches 1")
+    assert verdict["details"]["slope"] >= 1.0
+    assert verdict["details"]["point"].startswith("[4.712389e+00 2.552544e+00")
+
+
+def test_cli_full_pipeline_q1_only_two_torus_fails_only_its_closedness(
+        tmp_path):
+    # without the 0.1*cos(q2) term no segment reaches the bound: the
+    # straightening runs, and only its closedness fails, on the extension's
+    # mismatch with h along L
+    path = two_torus_pipeline_scene(tmp_path, "1.5 + 0.2*sin(q1)")
+    code = main(["full-pipeline", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / "two-torus-graph-full-pipeline.json").read_text())
+    failed = [k for k, v in rep["verdicts"].items() if not v["passed"]]
+    assert failed == ["straightened_exact"]
+    closedness = rep["verdicts"]["straightened_exact"]["closedness_sup"]
+    assert closedness == pytest.approx(0.0633, abs=5e-4)
+
+
 def test_cli_nonexistent_scene(tmp_path):
     code = main(["verify-lagrangian", str(SCENES / "missing.json"),
                  "--out", str(tmp_path)])

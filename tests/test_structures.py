@@ -1,19 +1,16 @@
-"""Canonical structure contracts: Euler field, flow, radial criterion,
-gauge moves and the radial blend."""
+"""Canonical structure contracts: Euler field, flow, radial criterion and
+the radial blend."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-
-from field_strategies import grammar_fields
 
 from lcslab.errors import DomainEvaluationError
-from lcslab.forms import (coordinate_differential, exterior_d, field_form,
-                          interior_product, lichnerowicz_d)
+from lcslab.forms import (coordinate_differential, exterior_d,
+                          interior_product)
 from lcslab.jets import seed_jets
 from lcslab.manifolds import ScalarField, make_manifold, sample_points
-from lcslab.structures import (GaugeTransform, cotangent_lcs,
-                               criterion_radial_log_derivative, gauge_apply,
+from lcslab.structures import (cotangent_lcs,
+                               criterion_radial_log_derivative,
                                liouville_flow, liouville_vector_field,
                                radial_blend, smoothstep)
 
@@ -122,58 +119,6 @@ def test_radial_criterion_rejects_nonpositive():
     g = ScalarField(S1.total, lambda j: j[1])  # vanishes on the zero section
     with pytest.raises(DomainEvaluationError):
         criterion_radial_log_derivative(g, S1, sample_points(S1.total, 4096))
-
-
-def test_gauge_identity_and_conformal_covariance():
-    pts = sample_points(S2.total, 100)
-    ident = gauge_apply(GaugeTransform(ScalarField.constant(S2.total, 0.0)), S2)
-    assert np.abs(ident.lam.coefficients(pts)
-                  - S2.lam.coefficients(pts)).max() <= 1e-12
-    assert np.abs(ident.omega.coefficients(pts)
-                  - S2.omega.coefficients(pts)).max() <= 1e-12
-
-    # base-only g: new omega equals e^g omega on samples
-    g = ScalarField(S2.total, lambda j: j[0].sin() * 0.4)
-    pair = gauge_apply(GaugeTransform(g), S2)
-    lhs = pair.omega.coefficients(pts)
-    rhs = np.exp(g.value(pts))[:, None] * S2.omega.coefficients(pts)
-    assert np.abs(lhs - rhs).max() <= 1e-9
-
-
-# sample points of T*T^2 with fibers in [-1, 1]^2, so that exp terms of the
-# drawn fields stay moderate
-GAUGE_POINTS = sample_points(S2.total, 48, radius=1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(g_bound=grammar_fields(S2.total), f_bound=grammar_fields(S2.total))
-def test_gauge_covariance_for_general_g_and_f(g_bound, f_bound):
-    # d_{beta+dg}(e^g(lambda + d_beta f)) = e^g d_beta(lambda + d_beta f)
-    (g, _), (f, _) = g_bound, f_bound
-    pts = GAUGE_POINTS
-    pair = gauge_apply(GaugeTransform(g, f), S2)
-    inner = S2.lam + lichnerowicz_d(field_form(f), S2.beta, validate=False)
-    d_inner = lichnerowicz_d(inner, S2.beta, validate=False).coefficients(pts)
-    eg = np.exp(g.value(pts))
-    rhs = eg[:, None] * d_inner
-    # rounding scale: the e^g dg ^ inner terms cancel on the left
-    dg = g.jet(pts, order=1).g
-    scale = eg * (1.0 + np.abs(dg).max(axis=-1)) * (
-        1.0 + np.abs(inner.coefficients(pts)).max(axis=-1)
-        + np.abs(d_inner).max(axis=-1))
-    err = np.abs(pair.omega.coefficients(pts) - rhs).max(axis=-1)
-    assert np.all(err <= 1e-12 * scale)
-
-
-def test_gauge_symplectic_shift():
-    # beta = 0: translating the primitive gives lambda + df
-    S0 = cotangent_lcs(T1, [0.0])
-    f = ScalarField(S0.total, lambda j: j[0].sin())
-    pair = gauge_apply(GaugeTransform(ScalarField.constant(S0.total, 0.0), f), S0)
-    pts = sample_points(S0.total, 50)
-    ref = (S0.lam + exterior_d(field_form(f))).coefficients(pts)
-    assert np.abs(pair.lam.coefficients(pts) - ref).max() <= 1e-12
-
 
 
 # -------------------------------------------------------------- radial blend
