@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DimensionError, DomainEvaluationError, ObstructionError,
                      PreconditionError)
@@ -121,6 +120,7 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     """Shared scanner: same selected base coordinates, positively
     proportional ray blocks.  Returns the unclassified deduplicated chords,
     the unresolved seeds and the seed count."""
+    from scipy.spatial import cKDTree
     target = map1.target
     src1, src2 = map1.source, map2.source
     g1 = parameter_grid(src1, grid).reshape(-1, src1.dim)

@@ -171,8 +171,9 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
     exactly, so the reported fiber drift is structural.  The run is
     certified against the closed form of its time-1 map: off the zero
     section each scale must equal 1/g at its seed within 1e-10.  A run that
-    misses halves the step and runs again, up to 10 times; a miss after the
-    10th halving (a NaN scale included) raises.
+    misses halves the step and runs again, up to 10 times.  It raises as
+    soon as a halving does not reduce the largest miss (a NaN miss is never
+    a reduction), or when the 10th halving still misses.
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))
@@ -181,17 +182,22 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
     # s = 1/g at the seed: the time-1 scale has a closed form to check.
     off = np.flatnonzero(np.linalg.norm(seeds[:, S.n:], axis=-1) > 1e-14)
     exact = (1.0 / P.g._jet(seeds, 0).f)[off]
-    for step in [step * 0.5 ** k for k in range(11)]:
+    last = np.inf
+    for k in range(11):
         scales = _flow_scales(P, seeds, step)
         miss = np.abs(scales[off] - exact)
         err = miss.max(initial=0.0)
         if err <= 1e-10:             # a NaN error fails
             break
-    else:
-        raise PreconditionError(
-            "flow integration diverged after 10 step halvings",
-            closed_form_error=float(err),
-            seed=np.array2string(seeds[off[np.argmax(miss)]], precision=6))
+        if k == 10 or (k and not err < last):    # NaN is no reduction
+            raise PreconditionError(
+                f"flow integration diverged after {k} of at most 10 step "
+                "halvings",
+                closed_form_error=float(err),
+                seed=np.array2string(seeds[off[np.argmax(miss)]],
+                                     precision=6))
+        last = err
+        step *= 0.5
     images = seeds.copy()
     images[:, S.n:] *= scales[:, None]
     return FlowResult(seeds=seeds, images=images, scales=scales,

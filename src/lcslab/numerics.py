@@ -7,9 +7,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 __all__ = ["rk4_linear_path", "simpson_path", "gauss_newton",
            "cluster_labels", "dedup_points", "segment_nodes",
@@ -105,6 +102,9 @@ def cluster_labels(points: np.ndarray, radius: float, keys=None,
     also differ by at most ``key_tol``.  Labels number the clusters in the
     order of their first member.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
     n = points.shape[0]
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     if keys is not None:

@@ -233,6 +233,44 @@ def test_importing_scenes_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_scipy_loads_only_in_the_commands_that_reach_it(tmp_path):
+    # scipy.spatial and scipy.sparse cost about a quarter second of import;
+    # only clustering and the chord scan's bucketing import them
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+
+    def scipy_modules(code):
+        out = subprocess.run(
+            [sys.executable, "-c", "import json, sys\n" + code + "\nprint("
+             "json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')))"],
+            env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    assert scipy_modules("import lcslab.cli") == []
+    runs = [("moser-deform", "moser-identity.json"),
+            ("verify-lagrangian", "example1.json"),
+            ("validate-structure", "example1.json"),
+            ("scan-chords", "example1-translated.json")]
+    loaded = {}
+    for command, scene in runs:
+        out = tmp_path / command
+        loaded[command] = scipy_modules(
+            "from lcslab.scenes import run_command\n"
+            f"run_command({command!r}, {str(root / 'scenes' / scene)!r}, "
+            f"{str(out)!r})")
+    assert loaded["moser-deform"] == []
+    assert loaded["verify-lagrangian"] == []
+    assert loaded["validate-structure"] == []
+    assert "scipy.spatial" in loaded["scan-chords"]
+
+
 @pytest.mark.parametrize("seed", [-1, -5])
 def test_sampling_refuses_negative_seed(seed):
     # a negative seed would start the Halton block below index 0, where

@@ -135,11 +135,12 @@ def test_fiber_drift_thousand_seeds():
                                                (2e-10, True)])
 def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
                                                    raises):
-    # a fake flow whose scales miss 1/g by 1e-8 until the 10th halving:
-    # meeting the 1e-10 tolerance there is a pass, missing it a divergence
+    # a fake flow whose scales miss 1/g by 1e-8, then less at each halving,
+    # until the 10th: meeting the 1e-10 tolerance there is a pass, missing
+    # it a divergence
     import lcslab.moser as moser
     c = 2.0
-    misses = [1e-8] * 10 + [last_error]
+    misses = [1e-8 / 1.5 ** k for k in range(10)] + [last_error]
     calls = iter(zip([1e-3 / 2 ** k for k in range(11)], misses))
 
     def fake_flow_scales(P, seeds, step):
@@ -151,7 +152,7 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
     P = MoserProblem(structure=S1, g=constant_ball_field(S1, c=c),
                      outside_radius=3.0)
     if raises:
-        with pytest.raises(PreconditionError, match="diverged") as err:
+        with pytest.raises(PreconditionError, match="after 10 of") as err:
             integrate_flow(P, [[0.0, 0.5]], step=1e-3)
         assert err.value.details["closed_form_error"] == pytest.approx(
             last_error)
@@ -161,6 +162,53 @@ def test_richardson_verdict_reads_the_last_halving(monkeypatch, last_error,
         assert res.step == 1e-3 / 2 ** 10
         assert res.scales[0] == 1.0 / c + last_error
     assert next(calls, None) is None
+
+
+def test_halving_that_does_not_reduce_the_miss_raises(monkeypatch):
+    # scales that miss 1/g by a fixed factor at every step: the first
+    # halving leaves the miss as it was, so the flow stops after 2 runs
+    # instead of running the 2,047 runs' worth of steps of all 10 halvings
+    import lcslab.moser as moser
+    c = 2.0
+    steps = []
+
+    def fixed_miss_scales(P, seeds, step):
+        steps.append(step)
+        return np.full(seeds.shape[0], 1.0 / c * (1.0 + 1e-6))
+
+    monkeypatch.setattr(moser, "_flow_scales", fixed_miss_scales)
+    P = MoserProblem(structure=S1, g=constant_ball_field(S1, c=c),
+                     outside_radius=3.0)
+    with pytest.raises(PreconditionError, match="after 1 of") as err:
+        integrate_flow(P, [[0.0, 0.5], [1.0, -0.25]], step=1e-3)
+    assert steps == [1e-3, 5e-4]
+    assert err.value.details["closed_form_error"] == pytest.approx(5e-7)
+    assert err.value.details["seed"] == "[0.  0.5]"
+
+
+def test_steep_blend_still_halves_to_its_certificate(monkeypatch):
+    # a legitimate steep blend (width 0.43) misses at the default step, and
+    # each halving reduces the miss until the 3rd meets the 1e-10 bound
+    import lcslab.moser as moser
+    c, r_in, r_out = 2.55, 2.29, 2.72
+    g = constant_ball_field(S1, c=c, r_in=r_in, r_out=r_out)
+    P = MoserProblem(structure=S1, g=g, outside_radius=4.0)
+    p = np.concatenate([np.linspace(-1.2 * r_out, 1.2 * r_out, 24),
+                        np.linspace(r_in, r_out, 6)[1:-1]])
+    seeds = np.stack([np.linspace(0.0, 6.0, p.size), p], axis=-1)
+    flow_scales, misses = moser._flow_scales, []
+
+    def recorded(P, seeds, step):
+        scales = flow_scales(P, seeds, step)
+        misses.append(np.abs(scales - 1.0 / g.value(seeds)).max())
+        return scales
+
+    monkeypatch.setattr(moser, "_flow_scales", recorded)
+    res = integrate_flow(P, seeds)
+    assert res.step == 1e-3 / 8
+    assert len(misses) == 4 and misses[-1] <= 1e-10 < misses[-2]
+    assert all(b < a for a, b in zip(misses, misses[1:]))
+    assert np.abs(res.scales - 1.0 / g.value(seeds)).max() == misses[-1]
 
 
 def sequential_flow_scales(P, seeds, step):
@@ -563,7 +611,7 @@ def test_richardson_check_refuses_a_nan_scale(monkeypatch):
 
     monkeypatch.setattr(moser, "_flow_scales", nan_scales)
     P = MoserProblem(structure=S1, g=constant_ball_field(S1))
-    with pytest.raises(PreconditionError, match="diverged after 10") as err:
+    with pytest.raises(PreconditionError, match="diverged after 1 of") as err:
         integrate_flow(P, [[0.5, 1.5]])
     assert np.isnan(err.value.details["closed_form_error"])
     assert err.value.details["seed"] == "[0.5 1.5]"
