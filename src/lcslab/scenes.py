@@ -60,7 +60,6 @@ _EMBEDDING = {
         "primitive": {"type": "string"},
         "f": {"type": "string"},
         "jet_function": {"type": "string"},
-        "q_manifold": _MANIFOLD,
         "q_form": {"type": "array", "items": {"type": "string"}},
         "translate": {
             "type": "object",
@@ -102,8 +101,6 @@ SCENE_SCHEMA = {
             "type": "object",
             "properties": {
                 "parameter": {"type": "integer", "minimum": 4},
-                "samples": {"type": "integer", "minimum": 1},
-                "fiber_radius": {"type": "number"},
                 "chord_grid": {"type": "integer", "minimum": 4},
             },
             "additionalProperties": False,
@@ -143,8 +140,6 @@ SCENE_SCHEMA = {
                       "additionalProperties": False},
                 "outside_radius": {"type": "number"},
                 "seeds": {"type": "integer", "minimum": 1},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "verify_pullback": {"type": "boolean"},
                 "eta_prime": {"type": "array", "items": {"type": "string"}},
             },
             "additionalProperties": False,
@@ -169,9 +164,9 @@ _VALIDATOR = Draft202012Validator(SCENE_SCHEMA)
 def load_scene(path) -> dict:
     """Parse and validate a scene file; errors carry a JSON pointer."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SceneError(f"not valid JSON: {exc}") from None
     errors = sorted(_VALIDATOR.iter_errors(data),
                     key=lambda e: list(e.absolute_path))
@@ -251,12 +246,11 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
             raise SceneError("legendrian-lift needs 'jet_function'",
                              pointer=f"{pointer}/jet_function")
         leg = jet_graph(compile_field(spec["jet_function"], base), base)
-        qm = spec.get("q_manifold", {"circles": 1})
-        Q = _manifold(qm, "theta")
+        Q = make_manifold(1, 0, ("theta1",))
         q_form = [compile_field(e, Q) for e in spec.get("q_form", ["1"])]
         if len(q_form) != Q.dim:
-            raise SceneError(f"{len(q_form)} coefficients for a q_manifold "
-                             f"of dimension {Q.dim}",
+            raise SceneError(f"{len(q_form)} coefficients for Q, the circle "
+                             "theta1",
                              pointer=f"{pointer}/q_form")
         E = lift_legendrian(leg, Q, q_form)
     elif "components" in spec:
@@ -387,10 +381,7 @@ def _verdict(passed: bool, /, **evidence) -> dict:
 
 def _cmd_validate_structure(scene, options):
     S = _build_structure(scene)
-    grids = scene.get("grids", {})
-    samples = sample_points(S.total, int(grids.get("samples", 1024)),
-                            radius=float(grids.get("fiber_radius", 4.0)),
-                            seed=options["seed"])
+    samples = sample_points(S.total, 1024, seed=options["seed"])
     closed = float(np.abs(exterior_d(S.beta).coefficients(samples)).max())
     rep = check_nondegenerate(S.omega, samples,
                               tol=_tol(scene, "nondegenerate"))
@@ -505,11 +496,10 @@ def _cmd_moser_deform(scene, options):
     seeds = sample_points(S.total, n_seeds, radius=3.0,
                           seed=options["seed"])
     # one flow: the pullback check rides in it on the first 256 seeds
-    checked = 256 if mo.get("verify_pullback", True) else 0
-    res, vrep = flow_and_check(P, seeds, float(mo.get("step", 1e-3)),
-                               checked, _tol(scene, "pullback"))
+    res, vrep = flow_and_check(P, seeds, 1e-3, 256, _tol(scene, "pullback"))
     displacement = float(np.abs(res.images - res.seeds).max())
-    results = {"flow": res.as_dict(), "max_displacement": displacement}
+    results = {"flow": res.as_dict(), "max_displacement": displacement,
+               "pullback": vrep}
 
     def write_flow_csv(path):
         n = S.n
@@ -522,10 +512,8 @@ def _cmd_moser_deform(scene, options):
                          + "," + ",".join(f"{x:.17g}" for x in i_row)
                          + f",{sc:.17g}\n")
     verdicts = {"fiber_drift": _verdict(res.max_fiber_drift <= 1e-8,
-                                        drift=res.max_fiber_drift)}
-    if vrep is not None:
-        results["pullback"] = vrep
-        verdicts["conformal_pullback"] = _verdict(vrep["passed"], **vrep)
+                                        drift=res.max_fiber_drift),
+                "conformal_pullback": _verdict(vrep["passed"], **vrep)}
     if scene.get("expected", {}).get("zero_displacement"):
         verdicts["zero_displacement"] = _verdict(displacement <= 1e-12,
                                                  displacement=displacement)
@@ -599,9 +587,7 @@ def _cmd_full_pipeline(scene, options, E):
         if "moser" in scene and verdicts["extension"]["passed"]:
             eta = [compile_field(e, E.structure.base)
                    for e in scene["moser"].get("eta_prime", [])]
-            _, srep = straighten_lagrangian(
-                E, field, eta_prime=eta,
-                step=float(scene["moser"].get("step", 5e-3)), grid=32)
+            _, srep = straighten_lagrangian(E, field, eta_prime=eta, grid=32)
             verdicts["straightened_exact"] = _verdict(srep.passed,
                                                       **srep.as_dict())
             results["straighten"] = srep.as_dict()

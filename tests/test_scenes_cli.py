@@ -152,22 +152,18 @@ def flow_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seed, checked", [(0, 256), (1, 255), (1, None)])
+@pytest.mark.parametrize("seed, checked", [(0, 256), (1, 255)])
 def test_moser_deform_flows_once(tmp_path, flow_calls, seed, checked):
-    # the pullback check rides in the command's own flow batch: one flow
-    # with the check or without it, and the seed rows it reports are a
-    # flow of the seeds alone, bit for bit (at seed 1 one of the 256 seeds
-    # lies within 1e-2 of the zero section and is left out of the check)
+    # the pullback check rides in the command's own flow batch: one flow,
+    # and the seed rows it reports are a flow of the seeds alone, bit for
+    # bit (at seed 1 one of the 256 seeds lies within 1e-2 of the zero
+    # section and is left out of the check)
     from lcslab.moser import integrate_flow
-    scene = moser_ball_variant(tmp_path, "ball",
-                               verify_pullback=checked is not None)
+    scene = moser_ball_variant(tmp_path, "ball")
     rep = run_command("moser-deform", scene, tmp_path, seed=seed)
     assert rep["passed"]
     assert len(flow_calls) == 1
-    if checked is None:
-        assert "pullback" not in rep["results"]
-    else:
-        assert rep["results"]["pullback"]["sample_count"] == checked
+    assert rep["results"]["pullback"]["sample_count"] == checked
     P = flow_calls[0]
     seeds = sample_points(P.structure.total, 256, radius=3.0, seed=seed)
     want = integrate_flow(P, seeds, step=1e-3)
@@ -336,7 +332,6 @@ def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
     ("build-extension", "beta-graph-pipeline.json", "extension",
      "directions", 0),
     ("moser-deform", "moser-constant-ball.json", "moser", "seeds", 0),
-    ("moser-deform", "moser-constant-ball.json", "moser", "step", 0.0),
     ("build-extension", "extension-tube.json", "extension", "r_min", 0),
     ("build-extension", "extension-tube.json", "extension", "r_min", -1),
     ("build-extension", "extension-tube.json", "extension", "r_max", 0),
@@ -344,7 +339,7 @@ def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
 ])
 def test_cli_grid_too_small_is_a_scene_error(command, scene_file, block, key,
                                              value, tmp_path, capsys):
-    # a grid or step too small to compute with, or an empty radius range,
+    # a grid too small to compute with, or an empty radius range,
     # is refused with its pointer before any numerics run
     scene = json.loads((SCENES / scene_file).read_text())
     scene[block][key] = value
@@ -355,6 +350,46 @@ def test_cli_grid_too_small_is_a_scene_error(command, scene_file, block, key,
     assert code == 1
     assert capsys.readouterr().err.startswith(f"scene error: /{block}/{key}:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, scene_file, block, key, value", [
+    ("moser-deform", "moser-constant-ball.json", "moser", "step", 1e-3),
+    ("moser-deform", "moser-constant-ball.json", "moser", "verify_pullback",
+     True),
+    ("validate-structure", "zero-section.json", "grids", "samples", 1024),
+    ("validate-structure", "zero-section.json", "grids", "fiber_radius", 4.0),
+    ("verify-lagrangian", "example1.json", "embedding", "q_manifold",
+     {"circles": 1}),
+], ids=["moser-step", "moser-verify_pullback", "grids-samples",
+        "grids-fiber_radius", "embedding-q_manifold"])
+def test_cli_unknown_scene_key_is_refused_at_its_block(
+        command, scene_file, block, key, value, tmp_path, capsys):
+    # keys no command reads are unknown keys, even at their old defaults
+    scene = json.loads((SCENES / scene_file).read_text())
+    scene[block][key] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scene error: /{block}: Additional properties")
+    assert f"'{key}' was unexpected" in err
+    assert not out.exists()
+
+
+def test_cli_nan_outside_radius_fails_the_far_field_check(tmp_path):
+    # a NaN radius never passes the check that g is 1 outside it: a failed
+    # verdict with the report written, not a pass
+    path = moser_ball_variant(tmp_path, "ball", outside_radius=float("nan"))
+    out = tmp_path / "out"
+    code = main(["moser-deform", str(path), "--out", str(out)])
+    assert code == 2
+    report = json.loads((out / "ball-moser-deform.json").read_text())
+    error = report["verdicts"]["numeric_error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"].startswith(
+        "conformal factor must equal 1 outside the stated radius")
 
 
 @pytest.mark.parametrize("keys, value, pointer", [
@@ -592,6 +627,22 @@ def test_cli_scene_that_is_not_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    b'{"version": "scene-v1", "name": "\xff\xfe"}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf-8", "too-deep"])
+def test_cli_unparseable_scene_is_a_scene_error(text, tmp_path, capsys):
+    # bytes that are not UTF-8, or nesting past the parser's recursion
+    # limit, are refused at the root like any other malformed JSON
+    path = tmp_path / "scene.json"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    code = main(["validate-structure", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("scene error: /: not valid JSON")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, base, changes, pointer", [
     ("moser-deform", "moser-constant-ball.json",
      {"moser": {"g": {}, "seeds": 8}}, "/moser/g"),
@@ -736,7 +787,7 @@ def test_cli_library_embedding_refuses_a_foreign_structure(
     ("verify-lagrangian", "legendrian-lift-pair.json",
      {"embedding": {"library": "legendrian-lift", "jet_function": "1",
                     "q_form": ["1", "0"]}}, "/embedding/q_form",
-     "2 coefficients for a q_manifold of dimension 1"),
+     "2 coefficients for Q, the circle theta1"),
     ("verify-lagrangian", "example1-translated.json",
      {"embedding": {"library": "example-torus-1",
                     "translate": {"c": -2.0, "eta": ["1"]}}},
