@@ -7,7 +7,8 @@ whenever ``d ln g (Z) < 1`` on the grid, and the generating vector field
 
 is radial: it rescales each fiber ray and never moves base points.  The flow
 therefore reduces to one scalar ODE per ray, which removes base drift by
-construction.  Its time-1 map has a closed form, the fiber scaling
+construction; a ray starting where g = 1 and dg(Z) = 0 never moves, so it
+skips the integrator.  Its time-1 map has a closed form, the fiber scaling
 ``(q, p) -> (q, p/g(q, p))``: ``integrate_flow`` certifies each RK4 run
 against it, and the straightening reads it directly.
 
@@ -79,6 +80,13 @@ class MoserProblem:
                 radius=self.outside_radius)
 
 
+def _fiber_jet(P: MoserProblem, coords: np.ndarray):
+    """g and dg(Z) at normalized coords, g's jet seeded in the fibers only."""
+    n = P.structure.n
+    jet = P.g._jet(coords, 1, range(n, 2 * n))
+    return jet.f, np.einsum("bi,bi->b", jet.g, coords[:, n:])
+
+
 def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float):
     """Rate c of the radial field X = c Z at family time tau, from jets of g.
 
@@ -88,11 +96,9 @@ def _moser_rate(P: MoserProblem, coords: np.ndarray, tau: float):
     meaningless.  The rate reads only dg/dp, so g's jet is seeded in the
     fiber coordinates only.
     """
-    n = P.structure.n
-    jet = P.g._jet(coords, 1, range(n, 2 * n))
-    ginv = 1.0 / jet.f
+    g, dg_Z = _fiber_jet(P, coords)
+    ginv = 1.0 / g
     # d(1/g)(Z) = -dg(Z)/g^2, subtracted: the bits of adding it negated
-    dg_Z = np.einsum("bi,bi->b", jet.g, coords[:, n:])
     denom = tau * ginv + (1 - tau) - tau * (dg_Z * ginv ** 2)
     return (ginv - 1.0) / denom, ~(denom > 0.0)
 
@@ -118,18 +124,23 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float):
 
     Classical RK4 at ``step`` (rounded to ``1/ceil(1/step)``) from normalized
     seeds; the flow never moves their base coordinates, so no rate call
-    wraps them again.  Returns the scales s = r(1)/r(0) of shape (B,), 1 on
-    the zero section.  A Moser denominator that loses positivity raises at
-    the first rate call that meets it, naming its first failing row.
+    wraps them again.  A row where g = 1 and dg(Z) = 0 at (q, r0 v), the
+    first rate call's point, has rate +0.0 over tau + (1 - tau) > 0 at every
+    tau, so RK4 keeps r0: it skips the loop with the loop's scale, exactly 1
+    (a NaN fails both tests).  Returns the scales s = r(1)/r(0) of shape
+    (B,), 1 on the zero section.  A denominator that loses positivity raises
+    at the first rate call that meets it, naming its first failing row.
     """
     n = P.structure.n
     seeds = np.atleast_2d(seeds)
-    q = seeds[:, :n]
     p = seeds[:, n:]
     r0 = np.linalg.norm(p, axis=-1)
     live = r0 > 1e-14
     v = np.zeros_like(p)
     v[live] = p[live] / r0[live, None]
+    g, dg_Z = _fiber_jet(P, np.hstack([seeds[:, :n], r0[:, None] * v]))
+    move = np.flatnonzero(~((g == 1.0) & (dg_Z == 0.0)))
+    q, v, r0, live = seeds[move, :n], v[move], r0[move], live[move]
     count = max(1, int(np.ceil(1.0 / step)))
     h = 1.0 / count
 
@@ -152,7 +163,7 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float):
         return c * r
 
     r, t = r0, 0.0
-    for _ in range(count):
+    for _ in range(count if move.size else 0):
         k1 = rhs(r, t)
         k2 = rhs(r + 0.5 * h * k1, t + 0.5 * h)
         k3 = rhs(r + 0.5 * h * k2, t + 0.5 * h)
@@ -160,7 +171,7 @@ def _flow_scales(P: MoserProblem, seeds: np.ndarray, step: float):
         r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     scales = np.ones(seeds.shape[0])
-    scales[live] = r[live] / r0[live]
+    scales[move[live]] = r[live] / r0[live]
     return scales
 
 
@@ -168,12 +179,13 @@ def integrate_flow(P: MoserProblem, seeds, step: float = 1e-3) -> FlowResult:
     """Flow the seeds from t = 0 to 1 along the radial Moser field.
 
     The reduction to a scalar ODE per fiber ray keeps base coordinates fixed
-    exactly, so the reported fiber drift is structural.  The run is
-    certified against the closed form of its time-1 map: off the zero
-    section each scale must equal 1/g at its seed within 1e-10.  A run that
-    misses halves the step and runs again, up to 10 times.  It raises as
-    soon as a halving does not reduce the largest miss (a NaN miss is never
-    a reduction), or when the 10th halving still misses.
+    exactly, so the reported fiber drift is structural; a row where g = 1
+    and dg(Z) = 0 keeps scale 1 without a rate call (``_flow_scales``).  The
+    run is certified against the closed form of its time-1 map: off the
+    zero section each scale must equal 1/g at its seed within 1e-10.  A run
+    that misses halves the step and runs again, up to 10 times.  It raises
+    as soon as a halving does not reduce the largest miss (a NaN miss is
+    never a reduction), or when the 10th halving still misses.
     """
     S = P.structure
     seeds = np.atleast_2d(_coerce_coords(S.total, seeds))

@@ -138,7 +138,7 @@ SCENE_SCHEMA = {
                               "additionalProperties": False},
                       },
                       "additionalProperties": False},
-                "outside_radius": {"type": "number"},
+                "outside_radius": {"type": "number", "exclusiveMinimum": 0},
                 "seeds": {"type": "integer", "minimum": 1},
                 "eta_prime": {"type": "array", "items": {"type": "string"}},
             },
@@ -173,7 +173,10 @@ def load_scene(path) -> dict:
     if errors:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise SceneError(e.message, pointer=pointer)
+        m = e.message
+        if len(m) > 300:        # jsonschema quotes the whole instance
+            m = f"{m[:150]} ... {m[-100:]} (keyword {e.validator!r})"
+        raise SceneError(m, pointer=pointer)
     return data
 
 

@@ -1,5 +1,6 @@
 """Radial deformation flow: analytic oracles, pullback residual, degrees."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ T1 = make_manifold(1, 0)
 T2 = make_manifold(2, 0)
 S1 = cotangent_lcs(T1, [0.0])
 S2 = cotangent_lcs(T2, [0.0, 1.0])
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def constant_ball_field(S, c=2.0, r_in=1.0, r_out=2.0):
@@ -328,6 +330,109 @@ def test_a_seed_losing_positivity_is_named_before_its_stencil():
     with pytest.raises(PreconditionError, match="lost positivity") as got:
         flow_and_check(P, SPIKE_SEEDS, 0.5, 3, 1e-4)
     assert got.value.details == want.value.details
+
+
+@pytest.mark.parametrize("S", [S1, S2], ids=["T1", "T2"])
+def test_fixed_rows_keep_the_loop_scales_bit_for_bit(S):
+    # rows where g = 1 and dg(Z) = 0 skip the RK4 loop with scale 1; the
+    # loop over every row is the reference.  Seeds inside the ball, across
+    # its blend, outside it, exactly at |p| = r_out and on the zero section
+    # alternate, so a fixed row sits between moving ones
+    from lcslab.moser import _flow_scales
+    P = MoserProblem(structure=S, g=constant_ball_field(S), outside_radius=3.0)
+    radii = np.array([0.5, 2.5, 1.3, 2.0, 1.9, 0.0, 1.7, 3.0, 1.0, 2.0])
+    angles = np.linspace(0.3, 5.9, radii.size)
+    if S.n == 1:
+        p = (radii * np.sign(np.cos(angles)))[:, None]
+    else:
+        p = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], -1)
+        p[3] = [1.2, 1.6]               # |p| = r_out up to rounding
+    seeds = np.hstack([np.linspace(0.1, 6.0, radii.size * S.n)
+                       .reshape(-1, S.n), p])
+    got = _flow_scales(P, seeds, 5e-3)
+    assert np.array_equal(got, sequential_flow_scales(P, seeds, 5e-3))
+    assert (got == 1.0).sum() >= 4 and (got != 1.0).sum() >= 4
+
+
+def test_fixed_rows_are_judged_where_the_first_rate_call_reads():
+    # for p = (1.45, 0.11) the first rate call reads r0 v, one ulp inside
+    # |p|.  With g = 1 from |p| on and 2 inside, g = 1 at the seed, yet the
+    # row moves: the loop reads g = 2 and scales it by 1/2
+    from lcslab.moser import _flow_scales
+    p = np.array([1.45, 0.11])
+    R = np.sqrt(p[0] * p[0] + p[1] * p[1])
+
+    def fn(j):
+        r = (j[2] * j[2] + j[3] * j[3]).sqrt()
+        return Jet2.where(r.f >= R, r * 0.0 + 1.0, r * 0.0 + 2.0)
+
+    P = MoserProblem(structure=S2, g=ScalarField(S2.total, fn),
+                     outside_radius=3.0)
+    seeds = np.array([[0.5, 0.5, *p]])
+    assert P.g.value(seeds)[0] == 1.0
+    got = _flow_scales(P, seeds, 5e-3)
+    assert np.array_equal(got, sequential_flow_scales(P, seeds, 5e-3))
+    assert got[0] == pytest.approx(0.5)
+
+
+def test_identity_deform_makes_no_rate_call(monkeypatch, tmp_path):
+    # g = 1 everywhere: every row is fixed, so the RK4 loop never runs
+    import lcslab.moser as moser
+    from lcslab.cli import main
+    calls = []
+
+    def counted(P, coords, tau):
+        calls.append(coords.shape[0])
+        return rate(P, coords, tau)
+
+    rate = moser._moser_rate
+    monkeypatch.setattr(moser, "_moser_rate", counted)
+    assert main(["moser-deform", str(SCENES / "moser-identity.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
+def test_constant_ball_rates_read_only_the_rows_inside_its_support(
+        monkeypatch, tmp_path):
+    # g = 1 at |p| >= 2 on moser-constant-ball: after the one evaluation of
+    # g at every row, the rate calls read only the rows with |p| < 2
+    import lcslab.moser as moser
+    from lcslab.cli import main
+    calls = []
+
+    def recorded(P, coords):
+        r = np.linalg.norm(coords[:, P.structure.n:], axis=-1)
+        calls.append((r.size, int((r < 2.0).sum()), float(r.max())))
+        return fiber_jet(P, coords)
+
+    fiber_jet = moser._fiber_jet
+    monkeypatch.setattr(moser, "_fiber_jet", recorded)
+    assert main(["moser-deform", str(SCENES / "moser-constant-ball.json"),
+                 "--out", str(tmp_path)]) == 0
+    (rows, inside, _), rates = calls[0], calls[1:]
+    assert 0 < inside < rows
+    assert len(rates) == 4000
+    assert all(n == inside and r_max < 2.0 for n, _, r_max in rates)
+
+
+def test_unit_factor_with_steep_slope_still_raises():
+    # g = 1 at the second seed with dg(Z) = 2 there: the first rate call's
+    # denominator is 1 - 2 < 0, so it is no fixed row, and both loops raise
+    # at that call naming it.  The first seed, at p = 3, is fixed.  The
+    # factor is set after MoserProblem checked a benign one.
+    from lcslab.moser import _flow_scales
+    P = MoserProblem(structure=S1, g=constant_ball_field(S1),
+                     outside_radius=3.0)
+    P.g = ScalarField(S1.total, lambda j: (j[1] - 0.5) * (j[1] - 3.0)
+                      * (j[1] - 3.0) * 0.64 + 1.0)
+    seeds = np.array([[0.2, 3.0], [1.0, 0.5]])
+    with pytest.raises(PreconditionError, match="lost positivity") as want:
+        sequential_flow_scales(P, seeds, 1e-3)
+    with pytest.raises(PreconditionError, match="lost positivity") as got:
+        _flow_scales(P, seeds, 1e-3)
+    assert got.value.details == want.value.details
+    assert got.value.details["point"] == "[1.  0.5]"
+    assert got.value.details["tau"] == 1.0
 
 
 def test_conformal_pullback_needs_a_sample_off_the_zero_section():
@@ -653,11 +758,9 @@ def scene_flow_problem(name):
     inputs), or the interpolated extension field of a ``full-pipeline`` scene
     on the 32-grid of chart points that ``full-pipeline`` straightens, with
     the embedding and the extension's ``RadialField``."""
-    from pathlib import Path
-
     from lcslab.scenes import (_build_embedding, _build_moser_g,
                                _build_structure, _extension, load_scene)
-    scene = load_scene(Path(__file__).parent.parent / "scenes" / name)
+    scene = load_scene(SCENES / name)
     if "extension" not in scene:
         S = _build_structure(scene)
         P = MoserProblem(structure=S, g=_build_moser_g(scene, S),

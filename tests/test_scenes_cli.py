@@ -332,6 +332,10 @@ def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
     ("build-extension", "beta-graph-pipeline.json", "extension",
      "directions", 0),
     ("moser-deform", "moser-constant-ball.json", "moser", "seeds", 0),
+    ("moser-deform", "moser-constant-ball.json", "moser", "outside_radius",
+     -3.0),
+    ("moser-deform", "moser-constant-ball.json", "moser", "outside_radius",
+     0.0),
     ("build-extension", "extension-tube.json", "extension", "r_min", 0),
     ("build-extension", "extension-tube.json", "extension", "r_min", -1),
     ("build-extension", "extension-tube.json", "extension", "r_max", 0),
@@ -339,8 +343,9 @@ def test_cli_scene_name_must_be_one_path_component(name, tmp_path, capsys):
 ])
 def test_cli_grid_too_small_is_a_scene_error(command, scene_file, block, key,
                                              value, tmp_path, capsys):
-    # a grid too small to compute with, or an empty radius range,
-    # is refused with its pointer before any numerics run
+    # a grid too small to compute with, or an empty radius range (a Moser
+    # far field at a radius of at most 0 among them), is refused with its
+    # pointer before any numerics run
     scene = json.loads((SCENES / scene_file).read_text())
     scene[block][key] = value
     path = tmp_path / "scene.json"
@@ -390,6 +395,21 @@ def test_cli_nan_outside_radius_fails_the_far_field_check(tmp_path):
     assert error["type"] == "PreconditionError"
     assert error["message"].startswith(
         "conformal factor must equal 1 outside the stated radius")
+
+
+def test_cli_scene_error_quotes_a_long_value_in_part(tmp_path, capsys):
+    # jsonschema's message quotes the whole offending value: the line keeps
+    # its pointer, both ends of the message and the failing keyword
+    path = write_scene(tmp_path, "zero-section.json",
+                       legendrians=[list(range(100_000))])
+    out = tmp_path / "out"
+    code = main(["validate-structure", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scene error: /legendrians/0: [0, 1, 2, ")
+    assert err.rstrip().endswith("is not of type 'string' (keyword 'type')")
+    assert len(err.encode()) < 1024
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("keys, value, pointer", [
