@@ -16,7 +16,7 @@ from .chords import (LiouvilleChord, classify_chord, mvt_obstruction_report,
                      reeb_correspondence, scan_chords)
 from .errors import (DimensionError, DomainEvaluationError, ImmersionError,
                      ObstructionError, PreconditionError, SceneError)
-from .expressions import compile_field, parse_expression
+from .expressions import compile_field
 from .extension import (RadialField, SqueezeProfile,
                         build_positive_extension, mollify,
                         near_zero_extension, outer_flatten,

@@ -48,8 +48,11 @@ class ObstructionError(PreconditionError):
 
 
 class SceneError(ValueError):
-    """A scene file failed schema validation. ``pointer`` is a JSON pointer."""
+    """A scene file failed validation. ``pointer`` is a JSON pointer; a
+    message over 300 characters keeps its first 150 and last 100."""
 
     def __init__(self, message: str, pointer: str = ""):
+        if len(message) > 300:
+            message = f"{message[:150]} ... {message[-100:]}"
         super().__init__(f"{pointer or '/'}: {message}")
         self.pointer = pointer or "/"

@@ -2,22 +2,24 @@
 
 Grammar (deliberately minimal): identifiers, numbers, ``+ - * / ^``,
 parentheses, the functions ``sin cos exp log`` and the constants ``pi`` and
-``e``.  Expressions compile to jet-evaluating callables, so every field built
-from a scene file has exact derivatives.
+``e``.  The parser compiles as it reads: each node becomes a closure over
+coordinate jets, with identifiers bound to the chart's coordinate indices
+there and then, so every field built from a scene file has exact derivatives
+and a name the chart lacks is refused before the first evaluation.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SceneError
-from .jets import Jet2
 from .manifolds import ModelManifold, ScalarField
 
-__all__ = ["parse_expression", "compile_field"]
+__all__ = ["compile_field"]
 
 # exponent forms first: ordered alternation would otherwise split 1.5e-3
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+"
@@ -31,6 +33,13 @@ MAX_DEPTH = 100
 
 _FUNCTIONS = {"sin", "cos", "exp", "log"}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
+
+
+def _binary(op, a, b):
+    """The closure of the node ``op(a, b)``, left operand first."""
+    return lambda jets: op(a(jets), b(jets))
 
 
 @dataclass
@@ -40,14 +49,15 @@ class _Tok:
     pos: int
 
 
-def _tokenize(src: str) -> list:
+def _tokenize(src: str, pointer: str) -> list:
     out, i = [], 0
     while i < len(src):
         m = _TOKEN.match(src, i)
         if not m or m.end() == i:
             if src[i:].strip() == "":
                 break
-            raise SceneError(f"bad token at position {i}: {src[i:i+8]!r}")
+            raise SceneError(f"bad token at position {i}: {src[i:i+8]!r}",
+                             pointer)
         num, name, op = m.groups()
         if num is not None:
             out.append(_Tok("num", num, i))
@@ -60,13 +70,23 @@ def _tokenize(src: str) -> list:
 
 
 class _Parser:
-    """Recursive descent: sum > product > unary > power > atom."""
+    """Recursive descent: sum > product > unary > power > atom.
 
-    def __init__(self, tokens: list, source: str):
-        self.toks = tokens
-        self.src = source
+    Each rule returns a node ``(fn, height, value)``: the closure that
+    evaluates it on the coordinate jets, its tree height, and its value when
+    the node is a constant (else None).
+    """
+
+    def __init__(self, src: str, labels, pointer: str):
+        self.toks = _tokenize(src, pointer)
+        self.src = src
+        self.pointer = pointer
+        self.index = {nm: i for i, nm in enumerate(labels)}
         self.i = 0
         self.depth = 0
+
+    def error(self, message: str):
+        raise SceneError(message, self.pointer)
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -74,45 +94,47 @@ class _Parser:
     def next(self):
         t = self.peek()
         if t is None:
-            raise SceneError(f"unexpected end of expression: {self.src!r}")
+            self.error(f"unexpected end of expression: {self.src!r}")
         self.i += 1
         return t
 
     def expect_op(self, op: str):
         t = self.next()
         if t.kind != "op" or t.text != op:
-            raise SceneError(f"expected {op!r} at position {t.pos} "
-                             f"in {self.src!r}")
+            self.error(f"expected {op!r} at position {t.pos} in {self.src!r}")
 
     def parse(self):
-        node = self.sum()
-        if self.peek() is not None:
-            t = self.peek()
-            raise SceneError(f"trailing input at position {t.pos} "
-                             f"in {self.src!r}")
-        self.check_depth(_height(node))
-        return node
+        fn, _, _ = self.sum()
+        if (t := self.peek()) is not None:
+            self.error(f"trailing input at position {t.pos} in {self.src!r}")
+        return fn
 
     def check_depth(self, levels: int):
         if levels > MAX_DEPTH:
-            raise SceneError(f"expression nests deeper than {MAX_DEPTH} "
-                             f"levels (starts {self.src[:40]!r})")
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels "
+                       f"(starts {self.src[:40]!r})")
+
+    def node(self, fn, *children, value=None):
+        """A node over ``children``, its height checked as it is built."""
+        height = 1 + max((c[1] for c in children), default=0)
+        self.check_depth(height)
+        return fn, height, value
+
+    def chain(self, ops: str, operand):
+        """Operands joined by the left-associative operators ``ops``."""
+        node = operand()
+        while (t := self.peek()) and t.kind == "op" and t.text in ops:
+            self.next()
+            rhs = operand()
+            node = self.node(_binary(_BINARY[t.text], node[0], rhs[0]),
+                             node, rhs)
+        return node
 
     def sum(self):
-        node = self.product()
-        while (t := self.peek()) and t.kind == "op" and t.text in "+-":
-            self.next()
-            rhs = self.product()
-            node = ("add" if t.text == "+" else "sub", node, rhs)
-        return node
+        return self.chain("+-", self.product)
 
     def product(self):
-        node = self.unary()
-        while (t := self.peek()) and t.kind == "op" and t.text in "*/":
-            self.next()
-            rhs = self.unary()
-            node = ("mul" if t.text == "*" else "div", node, rhs)
-        return node
+        return self.chain("*/", self.unary)
 
     def unary(self):
         # every recursion of the descent passes here: bound its depth
@@ -123,7 +145,8 @@ class _Parser:
             self.next()
             node = self.unary()
             if t.text == "-":
-                node = ("neg", node)
+                a = node[0]
+                node = self.node(lambda jets: -a(jets), node)
         else:
             node = self.power()
         self.depth -= 1
@@ -132,86 +155,44 @@ class _Parser:
     def power(self):
         base = self.atom()
         t = self.peek()
-        if t and t.kind == "op" and t.text == "^":
-            self.next()
-            return ("pow", base, self.unary())  # right associative
-        return base
+        if not (t and t.kind == "op" and t.text == "^"):
+            return base
+        self.next()
+        exp = self.unary()  # right associative
+        a, v = base[0], exp[2]
+        if v is not None:   # a constant exponent stays a float for Jet2
+            return self.node(lambda jets: a(jets) ** v, base, exp)
+        return self.node(_binary(operator.pow, a, exp[0]), base, exp)
 
     def atom(self):
         t = self.next()
-        if t.kind == "num":
-            return ("const", float(t.text))
+        if t.kind == "num" or t.text in _CONSTANTS:
+            v = float(t.text) if t.kind == "num" else _CONSTANTS[t.text]
+            return self.node(lambda jets: jets[0] * 0.0 + v, value=v)
         if t.kind == "op" and t.text == "(":
             node = self.sum()
             self.expect_op(")")
             return node
+        if t.kind == "name" and t.text in _FUNCTIONS:
+            self.expect_op("(")
+            arg = self.sum()
+            self.expect_op(")")
+            call, a = operator.methodcaller(t.text), arg[0]
+            return self.node(lambda jets: call(a(jets)), arg)
         if t.kind == "name":
-            if t.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.sum()
-                self.expect_op(")")
-                return ("call", t.text, arg)
-            if t.text in _CONSTANTS:
-                return ("const", _CONSTANTS[t.text])
-            return ("var", t.text)
-        raise SceneError(f"unexpected token {t.text!r} at position {t.pos} "
-                         f"in {self.src!r}")
+            if t.text not in self.index:
+                self.error(f"unknown identifier {t.text!r}; "
+                           f"expected one of {sorted(self.index)}")
+            k = self.index[t.text]
+            return self.node(lambda jets: jets[k])
+        self.error(f"unexpected token {t.text!r} at position {t.pos} "
+                   f"in {self.src!r}")
 
 
-def _height(node) -> int:
-    """Height of an AST, counted level by level without recursion."""
-    height, level = 0, [node]
-    while level:
-        height += 1
-        level = [c for nd in level for c in nd[1:] if isinstance(c, tuple)]
-    return height
-
-
-def parse_expression(src: str):
-    """Parse to an AST of nested tuples; raises SceneError on bad input,
-    including expressions nested deeper than ``MAX_DEPTH``."""
-    return _Parser(_tokenize(src), src).parse()
-
-
-def _evaluate(node, env: dict) -> Jet2:
-    kind = node[0]
-    if kind == "const":
-        some = next(iter(env.values()))
-        return some * 0.0 + node[1]
-    if kind == "var":
-        if node[1] not in env:
-            raise SceneError(f"unknown identifier {node[1]!r}; "
-                             f"expected one of {sorted(env)}")
-        return env[node[1]]
-    if kind == "neg":
-        return -_evaluate(node[1], env)
-    if kind == "add":
-        return _evaluate(node[1], env) + _evaluate(node[2], env)
-    if kind == "sub":
-        return _evaluate(node[1], env) - _evaluate(node[2], env)
-    if kind == "mul":
-        return _evaluate(node[1], env) * _evaluate(node[2], env)
-    if kind == "div":
-        return _evaluate(node[1], env) / _evaluate(node[2], env)
-    if kind == "pow":
-        base = _evaluate(node[1], env)
-        exp = node[2]
-        if exp[0] == "const":
-            return base ** exp[1]
-        return base ** _evaluate(exp, env)
-    if kind == "call":
-        arg = _evaluate(node[2], env)
-        return getattr(arg, node[1])()
-    raise SceneError(f"unknown node {kind!r}")  # pragma: no cover
-
-
-def compile_field(src: str, domain: ModelManifold) -> ScalarField:
+def compile_field(src: str, domain: ModelManifold,
+                  pointer: str = "") -> ScalarField:
     """Compile an expression into a scalar field on ``domain``; identifiers
-    bind to coordinates by the manifold's labels."""
-    ast = parse_expression(src)
-
-    def fn(jets):
-        env = {nm: j for nm, j in zip(domain.labels, jets)}
-        return _evaluate(ast, env)
-
-    return ScalarField(domain, fn, name=src)
+    bind to coordinates by the manifold's labels.  Every error is a
+    ``SceneError`` at ``pointer``, the expression's place in its scene."""
+    return ScalarField(domain, _Parser(src, domain.labels, pointer).parse(),
+                       name=src)

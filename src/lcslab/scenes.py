@@ -139,7 +139,9 @@ SCENE_SCHEMA = {
                       },
                       "additionalProperties": False},
                 "outside_radius": {"type": "number", "exclusiveMinimum": 0},
-                "seeds": {"type": "integer", "minimum": 1},
+                # (--seed + 1) * seeds <= 2**32 * 2**20: Halton stays int64
+                "seeds": {"type": "integer", "minimum": 1,
+                          "maximum": 2 ** 20},
                 "eta_prime": {"type": "array", "items": {"type": "string"}},
             },
             "additionalProperties": False,
@@ -174,8 +176,8 @@ def load_scene(path) -> dict:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
         m = e.message
-        if len(m) > 300:        # jsonschema quotes the whole instance
-            m = f"{m[:150]} ... {m[-100:]} (keyword {e.validator!r})"
+        if len(m) > 300:    # SceneError keeps its ends: the keyword ends it
+            m += f" (keyword {e.validator!r})"
         raise SceneError(m, pointer=pointer)
     return data
 
@@ -201,7 +203,8 @@ def _build_structure(scene: dict):
     if len(beta_exprs) > base.dim:
         raise SceneError(f"{len(beta_exprs)} coefficients for a base of "
                          f"dimension {base.dim}", pointer="/structure/beta")
-    coeffs = [compile_field(e, base) for e in beta_exprs]
+    coeffs = [compile_field(e, base, f"/structure/beta/{i}")
+              for i, e in enumerate(beta_exprs)]
     return cotangent_lcs(base, coeffs)
 
 
@@ -238,7 +241,7 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
         if "f" not in spec:
             raise SceneError("beta-graph needs an 'f' expression",
                              pointer=f"{pointer}/f")
-        E = beta_graph(compile_field(spec["f"], S.base), S)
+        E = beta_graph(compile_field(spec["f"], S.base, f"{pointer}/f"), S)
     elif lib == "legendrian-lift":
         if "structure" in scene:
             raise SceneError("legendrian-lift takes its Lee form from "
@@ -248,9 +251,11 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
         if "jet_function" not in spec:
             raise SceneError("legendrian-lift needs 'jet_function'",
                              pointer=f"{pointer}/jet_function")
-        leg = jet_graph(compile_field(spec["jet_function"], base), base)
+        leg = jet_graph(compile_field(spec["jet_function"], base,
+                                      f"{pointer}/jet_function"), base)
         Q = make_manifold(1, 0, ("theta1",))
-        q_form = [compile_field(e, Q) for e in spec.get("q_form", ["1"])]
+        q_form = [compile_field(e, Q, f"{pointer}/q_form/{i}")
+                  for i, e in enumerate(spec.get("q_form", ["1"]))]
         if len(q_form) != Q.dim:
             raise SceneError(f"{len(q_form)} coefficients for Q, the circle "
                              "theta1",
@@ -265,7 +270,8 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
             raise SceneError(
                 f"need {S.total.dim} components, got {len(comps)}",
                 pointer=f"{pointer}/components")
-        fields = [compile_field(c, src) for c in comps]
+        fields = [compile_field(c, src, f"{pointer}/components/{i}")
+                  for i, c in enumerate(comps)]
 
         def fn(jets):
             return [f.fn(jets) for f in fields]
@@ -279,11 +285,13 @@ def _build_embedding(scene: dict, pointer: str = "/embedding",
                          pointer=pointer)
 
     if "primitive" in spec:
-        E.declared_primitive = compile_field(spec["primitive"], E.source)
+        E.declared_primitive = compile_field(spec["primitive"], E.source,
+                                             f"{pointer}/primitive")
     tr = spec.get("translate")
     if tr:
-        eta = ([compile_field(e, E.structure.base) for e in tr["eta"]]
-               if "eta" in tr else None)
+        eta = ([compile_field(e, E.structure.base,
+                              f"{pointer}/translate/eta/{i}")
+                for i, e in enumerate(tr["eta"])] if "eta" in tr else None)
         if eta is not None and len(eta) != E.structure.n:
             raise SceneError(f"{len(eta)} coefficients for a base of "
                              f"dimension {E.structure.n}",
@@ -297,7 +305,8 @@ def _build_moser_g(scene: dict, S):
     if spec.get("identity"):
         return ScalarField.constant(S.total, 1.0)
     if "expression" in spec:
-        return compile_field(spec["expression"], S.total)
+        return compile_field(spec["expression"], S.total,
+                             "/moser/g/expression")
     if "constant_ball" in spec:
         cb = spec["constant_ball"]
         c = float(cb["c"])
@@ -466,7 +475,7 @@ def _extension(scene, options, E):
     if r_min >= r_max:
         raise SceneError(f"need r_min < r_max, got {r_min} and {r_max}",
                          pointer="/extension/r_min")
-    h = compile_field(ext["h"], E.structure.total)
+    h = compile_field(ext["h"], E.structure.total, "/extension/h")
     try:
         field, rep = build_positive_extension(
             E, h,
@@ -529,7 +538,8 @@ def _cmd_lift_legendrian(scene, options):
     exprs = scene.get("legendrians")
     if not exprs:
         raise SceneError("scene has no legendrians", pointer="/legendrians")
-    legs = [jet_graph(compile_field(e, base), base) for e in exprs]
+    legs = [jet_graph(compile_field(e, base, f"/legendrians/{i}"), base)
+            for i, e in enumerate(exprs)]
     Q = make_manifold(1, 0, labels=("theta",))
     lifts = [lift_legendrian(leg, Q, [1.0]) for leg in legs]
     verdicts = {}
@@ -588,8 +598,9 @@ def _cmd_full_pipeline(scene, options, E):
         results["extension"] = ext_rep["results"]
         artifacts.update(ext_art)
         if "moser" in scene and verdicts["extension"]["passed"]:
-            eta = [compile_field(e, E.structure.base)
-                   for e in scene["moser"].get("eta_prime", [])]
+            eta = [compile_field(e, E.structure.base,
+                                 f"/moser/eta_prime/{i}")
+                   for i, e in enumerate(scene["moser"].get("eta_prime", []))]
             _, srep = straighten_lagrangian(E, field, eta_prime=eta, grid=32)
             verdicts["straightened_exact"] = _verdict(srep.passed,
                                                       **srep.as_dict())

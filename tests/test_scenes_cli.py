@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lcslab import lagrangians, scenes
 from lcslab.cli import main
 from lcslab.errors import SceneError
-from lcslab.expressions import compile_field, parse_expression
+from lcslab.expressions import compile_field
 from lcslab.manifolds import make_manifold, sample_points
 from lcslab.scenes import load_scene, report_digest, run_command
 
@@ -48,12 +48,44 @@ def test_expression_jets_are_exact():
 def test_expression_errors():
     t1 = make_manifold(1, 0)
     with pytest.raises(SceneError):
-        parse_expression("sin(q1")
+        compile_field("sin(q1", t1)
     with pytest.raises(SceneError):
-        parse_expression("q1 + * 2")
-    f = compile_field("nope + 1", t1)
-    with pytest.raises(SceneError):
-        f.value(np.array([0.0]))
+        compile_field("q1 + * 2", t1)
+    # a name the chart lacks is refused when compiled, not when evaluated
+    with pytest.raises(SceneError, match="unknown identifier 'nope'"):
+        compile_field("nope + 1", t1)
+
+
+@pytest.mark.parametrize("src, by_hand", [
+    ("2.5", lambda q1, q2: q1 * 0.0 + 2.5),
+    ("pi", lambda q1, q2: q1 * 0.0 + np.pi),
+    ("e", lambda q1, q2: q1 * 0.0 + np.e),
+    ("q2", lambda q1, q2: q2),
+    ("-q1", lambda q1, q2: -q1),
+    ("q1 + q2", lambda q1, q2: q1 + q2),
+    ("q1 - q2", lambda q1, q2: q1 - q2),
+    ("q1 * q2", lambda q1, q2: q1 * q2),
+    ("q1 / q2", lambda q1, q2: q1 / q2),
+    ("q2 ^ 3", lambda q1, q2: q2 ** 3.0),
+    ("q2 ^ q1", lambda q1, q2: q2 ** q1),
+    ("q2 ^ q1 ^ 2", lambda q1, q2: q2 ** (q1 ** 2.0)),
+    ("sin(q1)", lambda q1, q2: q1.sin()),
+    ("cos(q1)", lambda q1, q2: q1.cos()),
+    ("exp(q1)", lambda q1, q2: q1.exp()),
+    ("log(q2)", lambda q1, q2: q2.log()),
+    ("(q1 - q2) * q2", lambda q1, q2: (q1 - q2) * q2),
+], ids=["number", "pi", "e", "coordinate", "neg", "add", "sub", "mul", "div",
+        "constant-power", "expression-power", "right-associative-power",
+        "sin", "cos", "exp", "log", "parentheses"])
+def test_compiled_closures_apply_the_jet_operations(src, by_hand):
+    # bit for bit the Jet2 operations of the node, in the same order
+    from lcslab.jets import seed_jets
+    t2 = make_manifold(2, 0)
+    coords = np.array([[0.7, 2.0], [3.0, 0.4], [1.3, 1.1]])
+    got = compile_field(src, t2).fn(seed_jets(coords))
+    want = by_hand(*seed_jets(coords))
+    for part in ("f", "g", "h"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 # ------------------------------------------------------------------- schema
@@ -409,6 +441,120 @@ def test_cli_scene_error_quotes_a_long_value_in_part(tmp_path, capsys):
     assert err.startswith("scene error: /legendrians/0: [0, 1, 2, ")
     assert err.rstrip().endswith("is not of type 'string' (keyword 'type')")
     assert len(err.encode()) < 1024
+    assert not out.exists()
+
+
+LONG = 100_000
+
+
+@pytest.mark.parametrize("expression", [
+    "q1" + " " * LONG + "q2",
+    "q1 +" + " " * LONG,
+    "x" * LONG,
+    "sin(q1" + " " * LONG + "q2)",
+    ")" + " " * LONG,
+], ids=["trailing-input", "unexpected-end", "unknown-identifier",
+        "expected-paren", "unexpected-token"])
+def test_cli_long_expression_error_is_one_short_line(expression, tmp_path,
+                                                     capsys):
+    # every scene error over 300 characters keeps only its two ends
+    path = write_scene(tmp_path, "zero-section.json",
+                       structure={"beta": [expression, "0"]})
+    out = tmp_path / "out"
+    code = main(["validate-structure", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scene error: /structure/beta/0: ")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 1024
+    assert not out.exists()
+
+
+def test_cli_moser_seeds_above_2_to_the_20_is_a_scene_error(
+        tmp_path, capsys, monkeypatch):
+    # 2**40 seeds at --seed 2**24 once left the int64 Halton index in a
+    # traceback; 2**20 seeds keep (seed + 1) * seeds below 2**53
+    assert load_scene(moser_ball_variant(tmp_path, "most",
+                                         seeds=2 ** 20))["moser"]["seeds"]
+    # a million seeds must never be drawn, even without the bound
+    monkeypatch.setattr(scenes, "sample_points",
+                        lambda *a, **k: pytest.fail("seeds were sampled"))
+    path = moser_ball_variant(tmp_path, "many", seeds=2 ** 20 + 1)
+    out = tmp_path / "out"
+    code = main(["moser-deform", str(path), "--out", str(out),
+                 "--seed", str(2 ** 24)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "scene error: /moser/seeds: 1048577 is greater than the maximum")
+    assert not out.exists()
+
+
+BAD = "1 + #"
+EXPRESSION_KEYS = [
+    ("validate-structure", "zero-section.json",
+     {"structure": {"beta": [BAD, "0"]}}, "/structure/beta/0"),
+    ("verify-lagrangian", "beta-graph-pipeline.json",
+     {"embedding": {"library": "beta-graph", "f": BAD}}, "/embedding/f"),
+    ("verify-lagrangian", "legendrian-lift-pair.json",
+     {"embedding": {"library": "legendrian-lift", "jet_function": BAD}},
+     "/embedding/jet_function"),
+    ("verify-lagrangian", "legendrian-lift-pair.json",
+     {"embedding": {"library": "legendrian-lift", "jet_function": "1",
+                    "q_form": [BAD]}}, "/embedding/q_form/0"),
+    ("verify-lagrangian", "extension-tube.json",
+     {"embedding": {"components": ["u1", BAD], "source": {"circles": 1}}},
+     "/embedding/components/1"),
+    ("verify-lagrangian", "extension-tube.json",
+     {"embedding": {"components": ["u1", "0.3"], "source": {"circles": 1},
+                    "primitive": BAD}}, "/embedding/primitive"),
+    ("verify-lagrangian", "example1-translated.json",
+     {"embedding": {"library": "example-torus-1",
+                    "translate": {"c": -2.0, "eta": [BAD, "1"]}}},
+     "/embedding/translate/eta/0"),
+    ("moser-deform", "moser-identity.json",
+     {"moser": {"g": {"expression": BAD}}}, "/moser/g/expression"),
+    ("build-extension", "extension-tube.json",
+     {"extension": {"h": BAD}}, "/extension/h"),
+    ("lift-legendrian", "legendrian-lift-pair.json",
+     {"legendrians": [BAD, "2"]}, "/legendrians/0"),
+    ("full-pipeline", "beta-graph-pipeline.json",
+     {"moser": {"eta_prime": [BAD]}}, "/moser/eta_prime/0"),
+    ("scan-chords", "two-graphs.json",
+     {"second_embedding": {"library": "beta-graph", "f": BAD}},
+     "/second_embedding/f"),
+]
+
+
+@pytest.mark.parametrize("command, base, changes, pointer", EXPRESSION_KEYS,
+                         ids=[case[-1] for case in EXPRESSION_KEYS])
+def test_cli_expression_error_names_its_pointer(command, base, changes,
+                                                pointer, tmp_path, capsys):
+    path = write_scene(tmp_path, base, **changes)
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"scene error: {pointer}: bad token at position 3: ' #'")
+    assert not out.exists()
+
+
+def test_cli_unknown_identifier_is_refused_before_the_chord_scan(
+        tmp_path, capsys, monkeypatch):
+    # compiling h binds its names: a typo is refused before the extension
+    # scans L for obstructing chords, not at h's first evaluation after it
+    import lcslab.chords as chords
+    scans = []
+    scan = chords.scan_chords
+    monkeypatch.setattr(chords, "scan_chords",
+                        lambda *a, **k: scans.append(1) or scan(*a, **k))
+    path = write_scene(tmp_path, "extension-tube.json",
+                       extension={"h": "1 + 0.2*sin(x1)"})
+    out = tmp_path / "out"
+    code = main(["build-extension", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "scene error: /extension/h: unknown identifier 'x1'")
+    assert not scans
     assert not out.exists()
 
 
@@ -1065,7 +1211,7 @@ def test_cli_deep_expression_is_a_scene_error(beta, tmp_path, capsys):
     assert code == 1
     assert "scene error:" in capsys.readouterr().err
     with pytest.raises(SceneError, match="deeper than"):
-        parse_expression(beta)
+        compile_field(beta, make_manifold(2, 0))
 
 
 def test_expression_depth_bound_is_inclusive():
@@ -1076,7 +1222,7 @@ def test_expression_depth_bound_is_inclusive():
         f = compile_field(src, t1)
         assert np.isfinite(f.value(np.array([0.7])))
     with pytest.raises(SceneError):
-        parse_expression("+".join(["q1"] * (MAX_DEPTH + 1)))
+        compile_field("+".join(["q1"] * (MAX_DEPTH + 1)), t1)
 
 
 EXPRESSION_TOKENS = ["q1", "q2", "x", "1", "2.5", "1e3", "9e99", ".5", "pi",
