@@ -18,7 +18,6 @@ grids, stable ordering.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,7 +31,8 @@ from .lagrangians import ParametricEmbedding, \
     _canonical_contact_form, lift_legendrian, primitive_of
 from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         make_manifold, parameter_grid, sample_points)
-from .numerics import cluster_labels, dedup_points, gauss_newton
+from .numerics import (cluster_labels, dedup_points, gauss_newton,
+                       neighbour_pairs, require_finite)
 
 __all__ = [
     "LiouvilleChord", "ChordScanResult", "scan_chords", "classify_chord",
@@ -120,13 +120,15 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     """Shared scanner: same selected base coordinates, positively
     proportional ray blocks.  Returns the unclassified deduplicated chords,
     the unresolved seeds and the seed count."""
-    from scipy.spatial import cKDTree
     target = map1.target
     src1, src2 = map1.source, map2.source
     g1 = parameter_grid(src1, grid).reshape(-1, src1.dim)
     g2 = g1 if same else parameter_grid(src2, grid).reshape(-1, src2.dim)
     x1 = map1(g1)
     x2 = x1 if same else map2(g2)
+    # a non-finite ray would fail the ray-norm filter below without a word
+    require_finite(x1, g1, "chart value")
+    require_finite(x2, g2, "chart value")
     p1 = x1[:, ray_idx]
     p2 = x2[:, ray_idx]
     n1 = np.linalg.norm(p1, axis=-1)
@@ -136,14 +138,8 @@ def _ray_coincidence_scan(map1: SmoothMap, map2: SmoothMap,
     emb2 = emb1 if same else target.embed(x2, base_idx)
     # bucket radius: a bit over the worst base grid spacing
     spacing = 2.0 * np.pi / grid
-    tree = cKDTree(emb2)
-    pairs = tree.query_ball_point(emb1, r=1.8 * spacing)
-
     # every (i1, i2) pair in query order, then the ray-norm and angle filters
-    counts = np.fromiter(map(len, pairs), dtype=np.intp, count=len(pairs))
-    i1 = np.repeat(np.arange(len(pairs)), counts)
-    i2 = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
-                     count=int(counts.sum()))
+    i1, i2 = neighbour_pairs(emb1, emb2, 1.8 * spacing)
     strong = (n1[i1] >= min_ray_norm) & (n2[i2] >= min_ray_norm)
     i1, i2 = i1[strong], i2[strong]
     dot = (p1[i1] * p2[i2]).sum(axis=-1)

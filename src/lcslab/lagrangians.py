@@ -34,7 +34,8 @@ from .manifolds import (ModelManifold, ScalarField, SmoothMap,
                         _coerce_coords, make_manifold, parameter_grid,
                         sample_points)
 from .numerics import (cluster_labels, dedup_points, gauss_newton,
-                       rk4_linear_path, segment_nodes, simpson_path)
+                       require_finite, rk4_linear_path, segment_nodes,
+                       simpson_path)
 from .structures import CotangentLcsStructure, _lift_base_field, cotangent_lcs
 
 __all__ = [
@@ -99,6 +100,7 @@ def verify_lagrangian(E: ParametricEmbedding, samples=None,
               else _coerce_coords(E.source, samples))
     flat = params.reshape(-1, E.source.dim)
     J = E.chart.jacobian(flat)
+    require_finite(J, flat, "chart Jacobian")
     sv = np.linalg.svd(J, compute_uv=False)
     min_sv = float(sv[..., -1].min())
     if min_sv < 1e-8:

@@ -284,6 +284,36 @@ def verify_conformal_pullback(P: MoserProblem,
     return flow_and_check(P, samples, 1e-3, samples.shape[0], tol)[1]
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients (4, R-1, N) of the monotone cubic through
+    the columns of ``y`` (R, N) at the increasing nodes ``x``: scipy's
+    ``PchipInterpolator(x, y, axis=0).c`` bit for bit, from the same steps in
+    the same order (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 1984)."""
+    h = (x[1:] - x[:-1])[:, None]
+    m = (y[1:] - y[:-1]) / h
+    d = np.zeros_like(y)
+    if y.shape[0] == 2:
+        d[0] = d[1] = m[0]
+    else:
+        # 0 where a slope next to the node is 0 or the two differ in sign,
+        # where the division can fail; their weighted harmonic mean else
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        # one-sided three-point end slopes: 0 against the end interval's
+        # sign, 3*m0 past it where the first two intervals turn
+        for a, b in ((0, 1), (-1, -2)):
+            e = ((2 * h[a] + h[b]) * m[a] - h[a] * m[b]) / (h[a] + h[b])
+            turn = (sign[a] != sign[b]) & (np.abs(e) > 3.0 * np.abs(m[a]))
+            d[a] = np.where(np.sign(e) != sign[a], 0.0,
+                            np.where(turn, 3.0 * m[a], e))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 def radial_field_to_scalar_field(F: RadialField,
                                  S: CotangentLcsStructure) -> ScalarField:
     """Interpolate a radial grid field into an evaluable field.
@@ -299,15 +329,13 @@ def radial_field_to_scalar_field(F: RadialField,
     weights, ln r and each corner's cubic go through the chain rule, with
     derivative 0 where a weight or ln r is clamped.
     """
-    from scipy.interpolate import PchipInterpolator
     n = S.n
     ln_r = np.log(F.radii)
     B, D = F.base_points.shape[0], F.directions.shape[0]
     axes = F.base_axes()
-    # one interpolant over all rays at once; only its power-basis
-    # coefficients are kept, shape (4, R-1, B*D), last axis the ray
+    # one interpolant over all rays at once, last axis the ray
     ray_values = np.log(F.values).reshape(B * D, -1).T       # (R, B*D)
-    coef = PchipInterpolator(ln_r, ray_values, axis=0).c
+    coef = _pchip_coefficients(ln_r, ray_values)
 
     def fn(jets):
         p = np.stack([j.f for j in jets[n:]], axis=-1)

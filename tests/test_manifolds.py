@@ -234,8 +234,11 @@ def test_importing_scenes_leaves_scipy_stats_unloaded():
 
 
 def test_scipy_loads_only_in_the_commands_that_reach_it(tmp_path):
-    # scipy.spatial and scipy.sparse cost about a quarter second of import;
-    # only clustering and the chord scan's bucketing import them
+    # scipy.spatial costs 0.35-0.43 s of import and scipy.interpolate a
+    # further 0.10-0.12 s (2-CPU Xeon VM).  lcslab never imports the latter,
+    # and imports scipy only for a neighbour query above
+    # numerics.BRUTE_FORCE_PAIRS candidate pairs; the fixtures'
+    # full-pipeline, mvt-report and projection-degree queries are all below
     import json
     import os
     import subprocess
@@ -257,6 +260,9 @@ def test_scipy_loads_only_in_the_commands_that_reach_it(tmp_path):
     runs = [("moser-deform", "moser-identity.json"),
             ("verify-lagrangian", "example1.json"),
             ("validate-structure", "example1.json"),
+            ("full-pipeline", "beta-graph-pipeline.json"),
+            ("mvt-report", "beta-graph-pipeline.json"),
+            ("projection-degree", "zero-section.json"),
             ("scan-chords", "example1-translated.json")]
     loaded = {}
     for command, scene in runs:
@@ -268,6 +274,9 @@ def test_scipy_loads_only_in_the_commands_that_reach_it(tmp_path):
     assert loaded["moser-deform"] == []
     assert loaded["verify-lagrangian"] == []
     assert loaded["validate-structure"] == []
+    assert loaded["full-pipeline"] == []
+    assert loaded["mvt-report"] == []
+    assert loaded["projection-degree"] == []
     assert "scipy.spatial" in loaded["scan-chords"]
 
 

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from field_strategies import grammar_fields
 from lcslab.errors import (DomainEvaluationError, ObstructionError,
@@ -931,6 +932,47 @@ def random_radial_field(base, per_axis, rng):
     values = np.exp(rng.normal(
         size=(grid.shape[0], dirs.shape[0], radii.shape[0])))
     return RadialField(grid, dirs, radii, values)
+
+
+@st.composite
+def pchip_nodes(draw):
+    """Increasing nodes and 1-4 value columns on 2-7 of them.  Values drawn
+    from {-1, 0, 1, 2} give flat runs and sign changes among the slopes."""
+    R, N = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    gaps = draw(hnp.arrays(float, R - 1, elements=st.floats(1e-3, 4.0)))
+    x = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = draw(hnp.arrays(float, (R, N), elements=st.one_of(
+        st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=pchip_nodes())
+# each end's slope clamped to 3*m0 (the first two intervals turn with
+# |d| > 3|m0|), an end slope of the wrong sign zeroed, two nodes
+@example(nodes=(np.arange(4.0), np.array([[0.0], [1.0], [-4.0], [-3.0]])))
+@example(nodes=(np.arange(3.0), np.array([[0.0], [1.0], [6.0]])))
+@example(nodes=(np.array([0.5, 2.0]), np.array([[1.0, -2.0], [3.0, -2.0]])))
+def test_pchip_port_matches_scipy(nodes):
+    # the port's coefficients are scipy's bit for bit: a mutant that
+    # drops the 3*m0 end clamp fails at the clamp example
+    from scipy.interpolate import PchipInterpolator
+
+    from lcslab.moser import _pchip_coefficients
+    x, y = nodes
+    assert np.array_equal(_pchip_coefficients(x, y),
+                          PchipInterpolator(x, y, axis=0).c)
+
+
+def test_pchip_port_matches_scipy_on_the_pipeline_field():
+    from scipy.interpolate import PchipInterpolator
+
+    from lcslab.moser import _pchip_coefficients
+    _, _, (_, field) = scene_flow_problem("beta-graph-pipeline.json")
+    ln_r = np.log(field.radii)
+    y = np.log(field.values).reshape(-1, ln_r.size).T
+    assert np.array_equal(_pchip_coefficients(ln_r, y),
+                          PchipInterpolator(ln_r, y, axis=0).c)
 
 
 @pytest.mark.parametrize("circles,lines", [(1, 0), (2, 0), (1, 1), (0, 2),

@@ -1,16 +1,20 @@
 """Radius clustering against a greedy reference on well-separated clusters,
-and the central-difference oracle against exact jets."""
+the numpy neighbour scan against the cKDTree path, and the central-difference
+oracle against exact jets."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from field_strategies import grammar_fields
 
+from lcslab import numerics
+from lcslab.errors import DomainEvaluationError
 from lcslab.manifolds import make_manifold
 from lcslab.numerics import (central_difference, cluster_labels, dedup_points,
-                             gauss_newton)
+                             gauss_newton, neighbour_pairs)
 
 CELLS = 6                      # cluster centers sit on a 6^k grid of cells
 CELL = 2.0 * np.pi / CELLS
@@ -91,6 +95,115 @@ def test_plain_points_cluster_without_embedding():
     assert cluster_labels(pts, 0.25).tolist() == [0, 1, 0, 0]
     assert dedup_points(pts, 0.25).tolist() == [0, 1]
     assert dedup_points(np.zeros((0, 2)), 0.25).size == 0
+
+
+# ------------------------------------------------ the two neighbour paths
+
+def on_tree_path(query, *args, **kwargs):
+    """``query`` with every neighbour query sent to the cKDTree path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "BRUTE_FORCE_PAIRS", 0)
+        return query(*args, **kwargs)
+
+
+@st.composite
+def point_sets(draw):
+    """Two sets of up to 40 points in 1 to 8 coordinates and a radius:
+    random floats, or dyadic lattice points, whose squared distances are
+    exact, so that many pairs sit at exactly the radius."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    n, m = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        cells = st.integers(-3, 3)
+        a = draw(hnp.arrays(np.int64, (n, d), elements=cells)) * step
+        b = draw(hnp.arrays(np.int64, (m, d), elements=cells)) * step
+        radius = step * draw(st.sampled_from([1.0, 2.0, 3.0]))
+    else:
+        coords = st.floats(-2.0, 2.0)
+        a = draw(hnp.arrays(float, (n, d), elements=coords))
+        b = draw(hnp.arrays(float, (m, d), elements=coords))
+        radius = draw(st.floats(0.01, 1.5))
+    return a, b, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=point_sets())
+def test_small_neighbour_queries_match_the_tree_path(sets):
+    # pairs and their order (i ascending, then j): a mutant whose
+    # numpy path lists each i's partners in reverse j order fails here
+    a, b, radius = sets
+    got = neighbour_pairs(a, b, radius)
+    want = on_tree_path(neighbour_pairs, a, b, radius)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def csgraph_labels(points, radius, keys=None, key_tol=0.0):
+    """The scipy reference: cKDTree pairs, csgraph components, labels
+    ranked by first member."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+    n = points.shape[0]
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    if keys is not None:
+        pairs = pairs[np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]])
+                      <= key_tol]
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=point_sets(), key_tol=st.sampled_from([None, 0.0, 0.3]))
+def test_clusterings_on_both_paths_match_csgraph(sets, key_tol):
+    # min-label propagation against scipy's connected components, on pairs
+    # from the numpy scan and from the tree: a mutant that lowers only
+    # the i end of each pair fails here
+    a, _, radius = sets
+    keys = None if key_tol is None else np.round(a.sum(axis=-1) * 0.1, 1)
+    kwargs = {"keys": keys, "key_tol": key_tol or 0.0}
+    want = csgraph_labels(a, radius, **kwargs)
+    assert np.array_equal(cluster_labels(a, radius, **kwargs), want)
+    assert np.array_equal(on_tree_path(cluster_labels, a, radius, **kwargs),
+                          want)
+
+
+def test_pairs_at_exactly_the_radius_join_on_both_paths():
+    # a 5 x 5 lattice of step 0.25: each ordered pair of axis neighbours
+    # sits at exactly the radius, 2 axes x 5 lines x 4 gaps x 2 orders
+    grid = np.stack(np.meshgrid(*[0.25 * np.arange(5)] * 2, indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    i, j = neighbour_pairs(grid, grid, 0.25)
+    assert np.count_nonzero(i != j) == 80
+    tree = on_tree_path(neighbour_pairs, grid, grid, 0.25)
+    assert np.array_equal(i, tree[0]) and np.array_equal(j, tree[1])
+    labels = cluster_labels(grid, 0.25)
+    assert labels.tolist() == [0] * 25
+    assert np.array_equal(on_tree_path(cluster_labels, grid, 0.25), labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bound", [0, numerics.BRUTE_FORCE_PAIRS],
+                         ids=["tree", "numpy"])
+def test_both_neighbour_paths_refuse_a_non_finite_point(bad, bound,
+                                                        monkeypatch):
+    # cKDTree raised its own ValueError, and the numpy scan would drop a
+    # NaN point without a word
+    monkeypatch.setattr(numerics, "BRUTE_FORCE_PAIRS", bound)
+    pts = np.arange(12.0).reshape(6, 2)
+    pts[2, 1] = bad
+    for query in (lambda: neighbour_pairs(pts[::-1], pts, 1.0),
+                  lambda: neighbour_pairs(pts, pts[:1], 1.0),
+                  lambda: cluster_labels(pts, 1.0)):
+        with pytest.raises(DomainEvaluationError,
+                           match=r"non-finite point in row [23]"):
+            query()
 
 
 # ------------------------------------------------------ central differences

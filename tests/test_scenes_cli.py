@@ -706,6 +706,34 @@ def test_cli_full_pipeline_stops_at_a_nonpositive_primitive(tmp_path):
     assert verdict["details"]["minimum"] == pytest.approx(-3.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("command, second, refused", [
+    ("verify-lagrangian", False, "non-finite chart Jacobian in row 7"),
+    ("full-pipeline", False, "non-finite chart Jacobian in row 7"),
+    ("scan-chords", True, "non-finite chart value in row 4"),
+    ("mvt-report", False, "non-finite chart value in row 4"),
+], ids=["verify-lagrangian", "full-pipeline", "scan-chords", "mvt-report"])
+def test_cli_non_finite_chart_is_a_failed_verdict(command, second, refused,
+                                                   tmp_path):
+    # f overflows to inf where 3 sin(q1) > 1.9: the Jacobian reached an SVD
+    # that raised LinAlgError, and the chord scan's ray-norm filter dropped
+    # the rows, so mvt-report passed with no chord.  Each is now a
+    # DomainEvaluationError at the first bad parameter row (exit 2, report
+    # written): Halton sample 7 at q1 = 0.687, grid node 4 at q1 = pi/4
+    changes = {"embedding": {"library": "beta-graph",
+                             "f": "exp(exp(exp(3*sin(q1))))"}}
+    if second:
+        changes["second_embedding"] = {"library": "beta-graph", "f": "1.5"}
+    path = write_scene(tmp_path, "beta-graph-pipeline.json", **changes)
+    code = main([command, str(path), "--out", str(tmp_path)])
+    assert code == 2
+    rep = json.loads(
+        (tmp_path / f"beta-graph-pipeline-{command}.json").read_text())
+    assert list(rep["verdicts"]) == ["numeric_error"]
+    verdict = rep["verdicts"]["numeric_error"]
+    assert verdict["type"] == "DomainEvaluationError"
+    assert verdict["message"].startswith(refused + " at point [")
+
+
 def two_torus_pipeline_scene(tmp_path, f):
     """A full-pipeline scene on T^2 with the exact Lee class beta =
     d(0.3 sin q1 + 0.2 sin q2), the beta-graph of ``f`` and h = f."""
